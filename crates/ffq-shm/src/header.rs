@@ -7,7 +7,10 @@
 //! offset 0                    [RegionHeader]   — this module
 //! state_offset (128-aligned)  [QueueState]     — ffq's repr(C) counter block
 //! cells_offset                [C; 1 << cap_log2]
+//! slots_offset (64-aligned)   [[u8; 1 << slot_log2]; 1 << cap_log2] — bytes lanes only
 //! ```
+//!
+//! [`region_layout`] computes these offsets from a [`CellGeometry`].
 //!
 //! Every field is offset-based and `#[repr(C)]`; nothing in the region is a
 //! pointer, so processes mapping it at different base addresses agree on all
@@ -38,7 +41,6 @@
 use core::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use ffq::cell::CellSlot;
 use ffq::raw::QueueState;
 use ffq_sync::lifecycle::LifecycleWord;
 pub use ffq_sync::lifecycle::{lifecycle_step, Lifecycle, LifecycleEvent};
@@ -241,7 +243,7 @@ impl QueueConfig {
     }
 }
 
-/// Maps a [`CellSlot::NAME`] to its on-region discriminant.
+/// Maps a [`CellSlot::NAME`](ffq::cell::CellSlot::NAME) to its on-region discriminant.
 pub fn cell_discriminant(name: &str) -> Option<u8> {
     match name {
         "padded" => Some(1),
@@ -414,6 +416,28 @@ impl RegionHeader {
     }
 }
 
+/// Byte size and alignment of one cell: the array stride and the
+/// alignment the array must start at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CellGeometry {
+    /// `size_of` one cell (the array stride).
+    pub size: usize,
+    /// `align_of` one cell.
+    pub align: usize,
+}
+
+impl CellGeometry {
+    /// The geometry the compiler gives cell type `C`. The verifier, which
+    /// has no type to ask, recomputes it from the header's discriminants
+    /// ([`crate::verify::dynamic_cell_geometry`]).
+    pub const fn of<C>() -> Self {
+        Self {
+            size: core::mem::size_of::<C>(),
+            align: core::mem::align_of::<C>(),
+        }
+    }
+}
+
 /// Computed byte offsets of one queue region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RegionLayout {
@@ -421,65 +445,55 @@ pub struct RegionLayout {
     pub state_offset: usize,
     /// Byte offset of the cell array.
     pub cells_offset: usize,
+    /// Byte offset of a bytes lane's slot-buffer region (64-aligned, so
+    /// slot buffers start on cache lines — the in-place write/borrowed
+    /// read never false-shares with the descriptor cells); `total_len`
+    /// for a lane without one.
+    pub slots_offset: usize,
     /// Total bytes required.
     pub total_len: usize,
 }
 
-const fn round_up(x: usize, align: usize) -> usize {
+pub(crate) const fn round_up(x: usize, align: usize) -> usize {
     (x + align - 1) & !(align - 1)
 }
 
-/// Computes the region layout for a queue of `1 << cap_log2` cells of `C`.
+/// Computes the layout of a region holding `1 << cap_log2` cells of
+/// geometry `cell`, followed — for the bytes lanes, which pass
+/// `slot_log2` — by one `1 << slot_log2`-byte slot buffer per cell. The one
+/// layout function: handles and the verifier both call it.
 ///
 /// The state block starts at the first 128-byte boundary past the header
 /// (its own alignment, and a fresh cache-line pair away from the header's
 /// peer slots); cells follow at their natural alignment, floored at 64 so a
 /// compact cell array still begins on a cache line. `None` if the byte size
 /// overflows `usize` — callers surface that as a capacity error.
-pub fn region_layout<T, C: CellSlot<T>>(cap_log2: u32) -> Option<RegionLayout> {
+pub fn region_layout(
+    cell: CellGeometry,
+    cap_log2: u32,
+    slot_log2: Option<u8>,
+) -> Option<RegionLayout> {
+    let cells = 1usize.checked_shl(cap_log2)?;
     let state_align = core::mem::align_of::<QueueState>().max(128);
     let state_offset = round_up(core::mem::size_of::<RegionHeader>(), state_align);
-    let cells_align = core::mem::align_of::<C>().max(64);
     let cells_offset = round_up(
         state_offset.checked_add(core::mem::size_of::<QueueState>())?,
-        cells_align,
+        cell.align.max(64),
     );
-    let cells_len = (1usize << cap_log2).checked_mul(core::mem::size_of::<C>())?;
-    let total_len = cells_offset.checked_add(cells_len)?;
+    let cells_end = cells_offset.checked_add(cells.checked_mul(cell.size)?)?;
+    let Some(slot_log2) = slot_log2 else {
+        return Some(RegionLayout {
+            state_offset,
+            cells_offset,
+            slots_offset: cells_end,
+            total_len: cells_end,
+        });
+    };
+    let slots_offset = round_up(cells_end, 64);
+    let slots_len = cells.checked_mul(1usize.checked_shl(slot_log2.into())?)?;
     Some(RegionLayout {
         state_offset,
         cells_offset,
-        total_len,
-    })
-}
-
-/// Computed byte offsets of one zero-copy bytes queue region: the typed
-/// layout (header, state, descriptor cells) plus the cache-aligned
-/// slot-buffer region the payload bytes live in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BytesRegionLayout {
-    /// Byte offset of the [`QueueState`] block.
-    pub state_offset: usize,
-    /// Byte offset of the descriptor-cell array.
-    pub cells_offset: usize,
-    /// Byte offset of the slot-buffer region (64-aligned, so slot buffers
-    /// start on cache lines — the in-place write/borrowed read never
-    /// false-shares with the descriptor cells).
-    pub slots_offset: usize,
-    /// Total bytes required.
-    pub total_len: usize,
-}
-
-/// Computes the region layout for a bytes queue of `1 << cap_log2`
-/// descriptor cells with `1 << slot_log2`-byte slot buffers. `None` on
-/// `usize` overflow.
-pub fn bytes_region_layout(cap_log2: u32, slot_log2: u8) -> Option<BytesRegionLayout> {
-    let base = region_layout::<ffq::cell::PayloadDesc, ffq::bytes::DescCell>(cap_log2)?;
-    let slots_offset = round_up(base.total_len, 64);
-    let slots_len = (1usize << cap_log2).checked_mul(1usize.checked_shl(slot_log2.into())?)?;
-    Some(BytesRegionLayout {
-        state_offset: base.state_offset,
-        cells_offset: base.cells_offset,
         slots_offset,
         total_len: slots_offset.checked_add(slots_len)?,
     })
@@ -738,14 +752,14 @@ mod tests {
         // Header is 328 bytes -> state at 384 (128-aligned); QueueState is
         // 640 bytes (two counter lines, two eventcount lines, one misc
         // line) -> cells at 1024 for both cell layouts.
-        let l = region_layout::<u64, PaddedCell<u64>>(10).unwrap();
+        let l = region_layout(CellGeometry::of::<PaddedCell<u64>>(), 10, None).unwrap();
         assert_eq!(l.state_offset, 384);
         assert_eq!(l.cells_offset, 1024);
         assert_eq!(
             l.total_len,
             1024 + 1024 * core::mem::size_of::<PaddedCell<u64>>()
         );
-        let c = region_layout::<u64, CompactCell<u64>>(4).unwrap();
+        let c = region_layout(CellGeometry::of::<CompactCell<u64>>(), 4, None).unwrap();
         assert_eq!(c.cells_offset, 1024);
         assert_eq!(
             c.total_len,
@@ -761,8 +775,10 @@ mod tests {
         // 2^31 cells of 64 bytes = 2^37 bytes: fine on 64-bit, but the
         // arithmetic is checked, so a hypothetical overflow returns None
         // rather than wrapping. Exercise the biggest legal exponent.
-        assert!(region_layout::<u64, PaddedCell<u64>>(31).is_some());
-        assert!(region_layout::<[u64; 512], PaddedCell<[u64; 512]>>(31).is_some());
+        assert!(region_layout(CellGeometry::of::<PaddedCell<u64>>(), 31, None).is_some());
+        assert!(region_layout(CellGeometry::of::<PaddedCell<[u64; 512]>>(), 31, None).is_some());
+        assert!(region_layout(CellGeometry::of::<PaddedCell<u64>>(), 31, Some(30)).is_some());
+        assert!(region_layout(CellGeometry::of::<PaddedCell<u64>>(), 64, None).is_none());
     }
 
     #[test]

@@ -14,18 +14,27 @@
 //!   without detaching **poisons** the queue, so nobody hangs on ranks that
 //!   will never be published.
 //!
+//! Every lane — typed SPSC/SPMC, the zero-copy bytes lanes and broadcast —
+//! is a `PaddedCell<E>` array under `LinearMap`, where `E` is the element
+//! type (or [`PayloadDesc`] for the bytes lanes), so one `format`, one
+//! `validate` and one `Attachment` serve them all. A handle is an `ffq`
+//! engine plus its attachment, which owns the mapping, the peer slot, the
+//! heartbeat or producer watch, poison, and detach-on-drop, and runs every
+//! blocking operation in liveness-probed slices.
+//!
 //! Ranks and gap announcements need no fixup across address spaces: both
 //! are plain integers relative to the queue's own counters, and the cell a
 //! rank lives in is recomputed from `rank & (N-1)` on each side — the
 //! region contains no pointer anywhere.
 
+use core::fmt;
 use core::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use ffq::broadcast::{RawBroadcastProducer, RawBroadcastSubscriber};
 use ffq::bytes::{
-    BytesConsumer as _, BytesProducer as _, DescCell, McConsumer, PayloadRef, SlotRegion,
-    SpProducer, SpillMode, SpscConsumer, WriteSlot,
+    BytesConsumer as _, BytesProducer as _, McConsumer, PayloadRef, SlotRegion, SpProducer,
+    SpillMode, SpscConsumer, WriteSlot,
 };
 use ffq::cell::{CellSlot, PaddedCell, PayloadDesc};
 use ffq::error::{BroadcastTryRecvError, Full, TryDequeueError, TryReserveError};
@@ -39,9 +48,9 @@ use crate::error::{
     ShmReserveError, ShmTryDequeueError,
 };
 use crate::header::{
-    bytes_region_layout, cell_discriminant, map_discriminant, region_layout, BytesRegionLayout,
-    QueueConfig, RegionHeader, RegionLayout, VARIANT_BROADCAST, VARIANT_SPMC, VARIANT_SPMC_BYTES,
-    VARIANT_SPSC, VARIANT_SPSC_BYTES,
+    cell_discriminant, map_discriminant, region_layout, variant_is_bytes, CellGeometry,
+    QueueConfig, RegionHeader, RegionLayout, MAX_CONSUMERS, VARIANT_BROADCAST, VARIANT_SPMC,
+    VARIANT_SPMC_BYTES, VARIANT_SPSC, VARIANT_SPSC_BYTES,
 };
 use crate::region::ShmRegion;
 
@@ -73,7 +82,7 @@ fn process_id() -> i64 {
 
 /// `kill(pid, 0)` liveness probe: delivery permission errors still prove
 /// the process exists; only `ESRCH` (or an impossible pid) means gone.
-fn pid_alive(pid: i64) -> bool {
+pub(crate) fn pid_alive(pid: i64) -> bool {
     let Ok(pid) = sys::pid_t::try_from(pid) else {
         return false;
     };
@@ -85,8 +94,8 @@ fn pid_alive(pid: i64) -> bool {
 }
 
 /// The region's header view. Callers must have bounds-checked the region
-/// against `size_of::<RegionHeader>()` (every public path below does).
-fn header_of(region: &ShmRegion) -> &RegionHeader {
+/// against `size_of::<RegionHeader>()` (every public path does).
+pub(crate) fn header_of(region: &ShmRegion) -> &RegionHeader {
     debug_assert!(region.len() >= core::mem::size_of::<RegionHeader>());
     // SAFETY: the mapping is page-aligned (mmap), lives as long as the
     // borrow (the region handle keeps it mapped), and is at least
@@ -95,59 +104,81 @@ fn header_of(region: &ShmRegion) -> &RegionHeader {
     unsafe { &*(region.as_ptr() as *const RegionHeader) }
 }
 
-/// Builds the raw queue view over a validated region.
-///
-/// # Safety
-///
-/// `layout` must have been validated against `region.len()` and the state
-/// and cells at those offsets must be initialized (lifecycle `READY`, or
-/// this process is the formatter past its `ptr::write`s).
-unsafe fn queue_view<T: ShmSafe, C: CellSlot<T>, M: IndexMap>(
-    region: &ShmRegion,
-    layout: &RegionLayout,
-) -> RawQueue<T, C, M> {
-    let base = region.as_ptr();
-    // SAFETY: offsets in bounds per caller; alignment by region_layout
-    // construction (mmap base is page-aligned).
-    unsafe {
-        let state = base.add(layout.state_offset) as *const QueueState;
-        let cells = base.add(layout.cells_offset) as *const C;
-        RawQueue::from_raw(state, cells)
-    }
-}
-
-fn discriminants_for<T: ShmSafe, C: CellSlot<T>, M: IndexMap>() -> Result<(u8, u8), ShmError> {
-    let cell = cell_discriminant(C::NAME).ok_or(ShmError::BadConfig {
-        field: "cell layout",
-    })?;
-    let map = map_discriminant(M::NAME).ok_or(ShmError::BadConfig { field: "index map" })?;
-    Ok((cell, map))
-}
-
-/// Formats `region` as a queue of at least `capacity` cells: wins the
-/// lifecycle claim, writes state and cells, publishes `READY`.
-fn format_impl<T: ShmSafe, C: CellSlot<T>, M: IndexMap>(
-    region: &ShmRegion,
-    capacity: usize,
-    variant: u8,
-) -> Result<(), ShmError> {
-    let cap_log2 = ffq::normalize_capacity(capacity)?;
-    let layout = region_layout::<T, C>(cap_log2).ok_or(ShmError::Capacity(
-        ffq::CapacityError::TooLarge {
-            requested: capacity,
-        },
-    ))?;
-    if region.len() < layout.total_len {
+fn ensure_len(region: &ShmRegion, required: usize) -> Result<(), ShmError> {
+    if region.len() < required {
         return Err(ShmError::RegionTooSmall {
-            required: layout.total_len,
+            required,
             actual: region.len(),
         });
     }
-    let elem_size = u32::try_from(core::mem::size_of::<T>()).map_err(|_| ShmError::BadConfig {
-        field: "element size",
-    })?;
-    let (cell_layout, index_map) = discriminants_for::<T, C, M>()?;
+    Ok(())
+}
 
+/// The configuration and layout of a `variant` lane of `1 << cap_log2`
+/// `PaddedCell<E>` cells under `LinearMap`, the only cell layout and index
+/// map a shared-memory lane uses. `slot_log2` sizes a bytes lane's slot
+/// buffers and is ignored otherwise. `None` if the region size overflows.
+fn lane<E: ShmSafe>(
+    variant: u8,
+    cap_log2: u32,
+    slot_log2: u8,
+) -> Option<(QueueConfig, RegionLayout)> {
+    let slots = variant_is_bytes(variant).then_some(slot_log2);
+    let layout = region_layout(CellGeometry::of::<PaddedCell<E>>(), cap_log2, slots)?;
+    let cfg = QueueConfig {
+        variant,
+        cell_layout: cell_discriminant(<PaddedCell<E> as CellSlot<E>>::NAME)?,
+        index_map: map_discriminant(LinearMap::NAME)?,
+        cap_log2,
+        slot_log2: slots.unwrap_or(0),
+        elem_size: u32::try_from(core::mem::size_of::<E>()).ok()?,
+        elem_align: core::mem::align_of::<E>() as u32,
+        state_offset: layout.state_offset as u32,
+        cells_offset: layout.cells_offset as u32,
+        region_len: layout.total_len as u64,
+    };
+    Some((cfg, layout))
+}
+
+/// The lane a `format`/`required_size` call asks for: `capacity` (and, for
+/// the bytes lanes, `slot_bytes`) normalized up to powers of two.
+fn sized_lane<E: ShmSafe>(
+    variant: u8,
+    capacity: usize,
+    slot_bytes: Option<usize>,
+) -> Result<(QueueConfig, RegionLayout), ShmError> {
+    let cap_log2 = ffq::normalize_capacity(capacity)?;
+    let slot_log2 = match slot_bytes {
+        Some(bytes) => ffq::normalize_slot_bytes(bytes)?.trailing_zeros() as u8,
+        None => 0,
+    };
+    lane::<E>(variant, cap_log2, slot_log2).ok_or(ShmError::Capacity(
+        ffq::CapacityError::TooLarge {
+            requested: capacity,
+        },
+    ))
+}
+
+fn required_size<E: ShmSafe>(
+    variant: u8,
+    capacity: usize,
+    slot_bytes: Option<usize>,
+) -> Result<usize, ShmError> {
+    sized_lane::<E>(variant, capacity, slot_bytes).map(|(_, layout)| layout.total_len)
+}
+
+/// Formats `region` as a `variant` lane: wins the lifecycle claim, writes
+/// the state block and empty cells, publishes `READY`. A bytes lane's slot
+/// buffers stay zeroed — a slot's bytes are defined only by the descriptor
+/// published for its rank.
+fn format<E: ShmSafe>(
+    region: &ShmRegion,
+    variant: u8,
+    capacity: usize,
+    slot_bytes: Option<usize>,
+) -> Result<(), ShmError> {
+    let (cfg, layout) = sized_lane::<E>(variant, capacity, slot_bytes)?;
+    ensure_len(region, layout.total_len)?;
     let header = header_of(region);
     header.begin_init()?;
     // We won the RAW -> INITIALIZING race: the region is exclusively ours
@@ -162,141 +193,321 @@ fn format_impl<T: ShmSafe, C: CellSlot<T>, M: IndexMap>(
         // untaken producer slot as a disconnect. Shared-wait mode makes
         // the eventcount futexes process-shared (no FUTEX_PRIVATE_FLAG),
         // so parks and wakes work across address spaces.
-        state.write(QueueState::new(cap_log2, 1, 0).with_shared_wait());
-        let cells = base.add(layout.cells_offset) as *mut C;
-        for i in 0..(1usize << cap_log2) {
-            cells.add(i).write(C::empty());
+        state.write(QueueState::new(cfg.cap_log2, 1, 0).with_shared_wait());
+        let cells = base.add(layout.cells_offset) as *mut PaddedCell<E>;
+        for i in 0..(1usize << cfg.cap_log2) {
+            cells.add(i).write(PaddedCell::empty());
         }
     }
-    header.publish_ready(
-        &QueueConfig {
-            variant,
-            cell_layout,
-            index_map,
-            cap_log2,
-            slot_log2: 0,
-            elem_size,
-            elem_align: core::mem::align_of::<T>() as u32,
-            state_offset: layout.state_offset as u32,
-            cells_offset: layout.cells_offset as u32,
-            region_len: layout.total_len as u64,
-        },
-        process_id(),
-    )?;
-    Ok(())
+    header.publish_ready(&cfg, process_id())
 }
 
-/// Waits for `READY`, then validates that the region holds exactly the
-/// queue `<T, C, M, variant>` describes. Returns the validated layout.
-fn validate_attach<T: ShmSafe, C: CellSlot<T>, M: IndexMap>(
+/// Reads one [`QueueConfig`] field as a [`ShmError::ConfigMismatch`]
+/// reports it.
+type ConfigField = fn(&QueueConfig) -> u64;
+
+/// Waits for `READY`, then checks that the region holds exactly the
+/// `variant` lane of `E` cells: every field of the header's config must
+/// equal what this binary would have formatted at the region's own
+/// capacity (and slot size).
+fn validate<E: ShmSafe>(
     region: &ShmRegion,
     variant: u8,
-) -> Result<RegionLayout, ShmError> {
-    if region.len() < core::mem::size_of::<RegionHeader>() {
-        return Err(ShmError::RegionTooSmall {
-            required: core::mem::size_of::<RegionHeader>(),
-            actual: region.len(),
-        });
-    }
+) -> Result<(QueueConfig, RegionLayout), ShmError> {
+    ensure_len(region, core::mem::size_of::<RegionHeader>())?;
     let header = header_of(region);
     header.wait_ready(ATTACH_TIMEOUT)?;
-    let cfg = QueueConfig::decode(header.config_words())?;
-    let mismatch = |field, expected: u64, found: u64| {
-        Err(ShmError::ConfigMismatch {
-            field,
-            expected,
-            found,
-        })
-    };
-    if cfg.variant != variant {
-        return mismatch("variant", u64::from(variant), u64::from(cfg.variant));
+    let found = QueueConfig::decode(header.config_words())?;
+    let (expected, layout) =
+        lane::<E>(variant, found.cap_log2, found.slot_log2).ok_or(ShmError::BadConfig {
+            field: "capacity exponent",
+        })?;
+    let fields: [(&str, ConfigField); 8] = [
+        ("variant", |c| c.variant.into()),
+        ("cell layout", |c| c.cell_layout.into()),
+        ("index map", |c| c.index_map.into()),
+        ("element size", |c| c.elem_size.into()),
+        ("element alignment", |c| c.elem_align.into()),
+        ("state offset", |c| c.state_offset.into()),
+        ("cells offset", |c| c.cells_offset.into()),
+        ("region length", |c| c.region_len),
+    ];
+    for (field, get) in fields {
+        if get(&expected) != get(&found) {
+            return Err(ShmError::ConfigMismatch {
+                field,
+                expected: get(&expected),
+                found: get(&found),
+            });
+        }
     }
-    let (cell_layout, index_map) = discriminants_for::<T, C, M>()?;
-    if cfg.cell_layout != cell_layout {
-        return mismatch(
-            "cell layout",
-            u64::from(cell_layout),
-            u64::from(cfg.cell_layout),
-        );
-    }
-    if cfg.index_map != index_map {
-        return mismatch("index map", u64::from(index_map), u64::from(cfg.index_map));
-    }
-    if u64::from(cfg.elem_size) != core::mem::size_of::<T>() as u64 {
-        return mismatch(
-            "element size",
-            core::mem::size_of::<T>() as u64,
-            u64::from(cfg.elem_size),
-        );
-    }
-    if u64::from(cfg.elem_align) != core::mem::align_of::<T>() as u64 {
-        return mismatch(
-            "element alignment",
-            core::mem::align_of::<T>() as u64,
-            u64::from(cfg.elem_align),
-        );
-    }
-    let layout = region_layout::<T, C>(cfg.cap_log2).ok_or(ShmError::BadConfig {
-        field: "capacity exponent",
-    })?;
-    if cfg.state_offset as usize != layout.state_offset {
-        return mismatch(
-            "state offset",
-            layout.state_offset as u64,
-            u64::from(cfg.state_offset),
-        );
-    }
-    if cfg.cells_offset as usize != layout.cells_offset {
-        return mismatch(
-            "cells offset",
-            layout.cells_offset as u64,
-            u64::from(cfg.cells_offset),
-        );
-    }
-    if cfg.region_len != layout.total_len as u64 {
-        return mismatch("region length", layout.total_len as u64, cfg.region_len);
-    }
-    if region.len() < layout.total_len {
-        return Err(ShmError::RegionTooSmall {
-            required: layout.total_len,
-            actual: region.len(),
-        });
-    }
-    Ok(layout)
+    ensure_len(region, layout.total_len)?;
+    Ok((expected, layout))
 }
 
-fn attach_producer_impl<T: ShmSafe, C: CellSlot<T>, M: IndexMap>(
+/// `true` while at least one registered consumer process is alive. No
+/// consumer *yet* (all slots untouched) also counts as alive — a
+/// producer may legitimately publish before anyone attaches.
+fn consumers_look_dead(header: &RegionHeader) -> bool {
+    let mut saw_attached = false;
+    for i in 0..MAX_CONSUMERS {
+        let pid = header.consumer_slot(i).pid();
+        if pid > 0 {
+            saw_attached = true;
+            if pid_alive(pid) {
+                return false;
+            }
+        }
+    }
+    saw_attached
+}
+
+/// One handle's claim on a validated region: the mapping, the peer slot,
+/// liveness bookkeeping, poison, and detach on drop.
+///
+/// Every handle declares its attachment *after* its engine. Fields drop in
+/// declaration order, so the engine — aborting a held reservation,
+/// releasing a claimed payload — is gone before the slot is released, and
+/// a successor claiming the slot can never overlap its accesses.
+struct Attachment {
     region: ShmRegion,
-    variant: u8,
-) -> Result<ShmProducer<T, C, M>, ShmError> {
-    let layout = validate_attach::<T, C, M>(&region, variant)?;
-    let header = header_of(&region);
-    if header.is_poisoned() {
-        return Err(ShmError::Poisoned);
+    cfg: QueueConfig,
+    layout: RegionLayout,
+    /// The consumer slot this handle holds; `None` on the producer side.
+    slot: Option<usize>,
+    /// Producer side: its own heartbeat. Consumer side: the producer's
+    /// heartbeat as of the last probe.
+    heartbeat: u64,
+}
+
+impl Attachment {
+    /// Validates `region` as a `variant` lane of `E` cells, refuses a
+    /// poisoned queue, and claims the producer slot or a consumer slot
+    /// (slot 0 only, on the single-consumer lanes). Returns the attachment
+    /// and the queue view, valid while the attachment lives.
+    fn new<E: ShmSafe>(
+        region: ShmRegion,
+        variant: u8,
+        producer: bool,
+    ) -> Result<(Self, RawQueue<E>), ShmError> {
+        let (cfg, layout) = validate::<E>(&region, variant)?;
+        let header = header_of(&region);
+        if header.is_poisoned() {
+            return Err(ShmError::Poisoned);
+        }
+        let pid = process_id();
+        let slot = if producer {
+            if !header.producer_slot().try_claim(pid) {
+                return Err(ShmError::ProducerAttached);
+            }
+            None
+        } else if matches!(variant, VARIANT_SPSC | VARIANT_SPSC_BYTES) {
+            // The SPSC contract allows exactly one consumer: slot 0 or bust.
+            if !header.consumer_slot(0).try_claim(pid) {
+                return Err(ShmError::SlotsFull);
+            }
+            Some(0)
+        } else {
+            Some(header.claim_consumer_slot(pid).ok_or(ShmError::SlotsFull)?)
+        };
+        // SAFETY: layout validated against the READY region for `E` cells;
+        // the attachment keeps the mapping alive for the view's users.
+        let queue = unsafe {
+            let base = region.as_ptr();
+            RawQueue::from_raw(
+                base.add(layout.state_offset) as *const QueueState,
+                base.add(layout.cells_offset) as *const PaddedCell<E>,
+            )
+        };
+        if producer {
+            // Winning the slot makes us the sole producer; re-arm the count
+            // a previous producer's clean detach may have dropped to zero.
+            queue.state().producers().store(1, Ordering::Release);
+        } else {
+            queue.state().consumers().fetch_add(1, Ordering::AcqRel);
+        }
+        let heartbeat = header.producer_slot().heartbeat();
+        let att = Self {
+            region,
+            cfg,
+            layout,
+            slot,
+            heartbeat,
+        };
+        Ok((att, queue))
     }
-    if !header.producer_slot().try_claim(process_id()) {
-        return Err(ShmError::ProducerAttached);
+
+    /// The slot-buffer view of a bytes lane.
+    fn slots(&self) -> SlotRegion {
+        debug_assert!(variant_is_bytes(self.cfg.variant));
+        // SAFETY: the validated layout holds `1 << cap_log2` buffers of
+        // `1 << slot_log2` bytes at `slots_offset`, mapped while `self`
+        // lives; every peer recomputes the same view from the header.
+        unsafe {
+            SlotRegion::from_raw(
+                self.region.as_ptr().add(self.layout.slots_offset),
+                1usize << self.cfg.slot_log2,
+                self.cfg.cap_log2,
+            )
+        }
     }
-    // SAFETY: layout validated against the READY region.
-    let q = unsafe { queue_view::<T, C, M>(&region, &layout) };
-    // Winning the slot makes us the sole producer; re-arm the count a
-    // previous producer's clean detach may have dropped to zero.
-    q.state().producers().store(1, Ordering::Release);
-    let heartbeat = header.producer_slot().heartbeat();
-    // SAFETY: unique producer (slot claim), view valid while `region` is
-    // held by the returned handle.
-    let mut raw = unsafe { RawProducer::attach(q) };
-    raw.set_wait_config(shm_wait_config());
-    // SPMC regions can have several parked consumers, each owning specific
-    // pending ranks: publish wakes must broadcast so one cannot land on the
-    // wrong consumer and leave the rank's owner sleeping (see
-    // `RawProducer::set_multi_consumer`).
-    raw.set_multi_consumer(variant == crate::header::VARIANT_SPMC);
-    Ok(ShmProducer {
-        raw,
-        region,
-        heartbeat,
-    })
+
+    fn header(&self) -> &RegionHeader {
+        header_of(&self.region)
+    }
+
+    fn state(&self) -> &QueueState {
+        // SAFETY: validated, initialized state block, mapped while `self`
+        // lives; QueueState is atomics plus immutable words.
+        unsafe { &*(self.region.as_ptr().add(self.layout.state_offset) as *const QueueState) }
+    }
+
+    fn capacity(&self) -> usize {
+        1usize << self.cfg.cap_log2
+    }
+
+    /// Producer side: publishes progress, which proves liveness to the
+    /// consumers' probes without a syscall.
+    fn beat(&mut self) {
+        self.heartbeat += 1;
+        header_of(&self.region)
+            .producer_slot()
+            .store_heartbeat(self.heartbeat);
+    }
+
+    fn is_poisoned(&self) -> bool {
+        self.header().is_poisoned()
+    }
+
+    /// Poisons the queue and kicks every parked peer so the poison is
+    /// observed now, not at the end of a bounded park.
+    fn poison(&self) {
+        self.header().poison();
+        self.state().wake_all();
+    }
+
+    /// A non-blocking miss as a handle reports it: published items drain
+    /// first, and only then does an empty poisoned queue say `Poisoned`.
+    fn miss(&self, e: TryDequeueError) -> ShmTryDequeueError {
+        match e {
+            TryDequeueError::Disconnected => ShmTryDequeueError::Disconnected,
+            TryDequeueError::Empty if self.is_poisoned() => ShmTryDequeueError::Poisoned,
+            TryDequeueError::Empty => ShmTryDequeueError::Empty,
+        }
+    }
+
+    /// One liveness probe; returns `true` once the queue is poisoned, after
+    /// waking every parked peer onto it. The producer side keeps its own
+    /// heartbeat fresh and poisons when every registered consumer is dead.
+    /// The consumer side watches the producer: an advancing heartbeat
+    /// proves life for free, and a stalled one whose pid no longer exists
+    /// means a crash — poisoned, so consumers blocked on ranks the dead
+    /// producer claimed but never published wake with an error.
+    fn probe(&mut self) -> bool {
+        let header = header_of(&self.region);
+        let producer = header.producer_slot();
+        let dead = if self.slot.is_none() {
+            self.heartbeat += 1;
+            producer.store_heartbeat(self.heartbeat);
+            consumers_look_dead(header)
+        } else {
+            let hb = producer.heartbeat();
+            let progressed = hb != self.heartbeat;
+            self.heartbeat = hb;
+            // pid <= 0: not attached, or detached cleanly — the disconnect
+            // path covers those.
+            let pid = producer.pid();
+            !(progressed || pid <= 0 || pid_alive(pid))
+        };
+        if !(header.is_poisoned() || dead) {
+            return false;
+        }
+        header.poison();
+        self.state().wake_all();
+        true
+    }
+
+    /// Runs one blocking operation in [`BLOCK_SLICE`] slices until `step`
+    /// returns `Some`. `step(slice)` is one attempt that may wait up to
+    /// `slice`, reading the clock only once it has to wait, and returns
+    /// `None` when the slice expires unresolved. Between slices the handle
+    /// probes its peer *before* checking `deadline`, so even a zero timeout
+    /// notices a dead peer.
+    ///
+    /// Errors: [`ShmTryDequeueError::Poisoned`] once the queue is poisoned,
+    /// [`ShmTryDequeueError::Empty`] once `deadline` has passed.
+    fn block<R>(
+        &mut self,
+        deadline: Option<Instant>,
+        mut step: impl FnMut(Duration) -> Option<R>,
+    ) -> Result<R, ShmTryDequeueError> {
+        loop {
+            let slice = deadline.map_or(BLOCK_SLICE, |d| {
+                BLOCK_SLICE.min(d.saturating_duration_since(Instant::now()))
+            });
+            if let Some(r) = step(slice) {
+                return Ok(r);
+            }
+            if self.probe() {
+                return Err(ShmTryDequeueError::Poisoned);
+            }
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return Err(ShmTryDequeueError::Empty);
+            }
+        }
+    }
+}
+
+impl Drop for Attachment {
+    fn drop(&mut self) {
+        let (state, header) = (self.state(), self.header());
+        match self.slot {
+            // Clean detach: drop the producer count (consumers see
+            // `Disconnected` once drained), wake parked consumers so they
+            // observe it promptly, then vacate the slot so the count
+            // zeroing is never mistaken for a crash.
+            None => {
+                state.producers().fetch_sub(1, Ordering::Release);
+                state.wake_all();
+                header.producer_slot().release();
+            }
+            Some(slot) => {
+                state.consumers().fetch_sub(1, Ordering::AcqRel);
+                header.consumer_slot(slot).release();
+            }
+        }
+    }
+}
+
+/// A blocking call's error, from [`Attachment::block`]'s timed one:
+/// without a deadline only a disconnect or poison can end the wait.
+fn blocking(e: ShmTryDequeueError) -> ShmDequeueError {
+    match e {
+        ShmTryDequeueError::Disconnected => ShmDequeueError::Disconnected,
+        _ => ShmDequeueError::Poisoned,
+    }
+}
+
+/// The methods every handle answers through its attachment.
+macro_rules! attachment_api {
+    () => {
+        /// Capacity of the shared cell array (for broadcast, the retention
+        /// window a lagging subscriber can still recover from).
+        pub fn capacity(&self) -> usize {
+            self.att.capacity()
+        }
+
+        /// `true` once the queue is poisoned.
+        pub fn is_poisoned(&self) -> bool {
+            self.att.is_poisoned()
+        }
+
+        /// Explicitly poisons the queue: every blocked or future operation
+        /// on any attached handle errors out. Irreversible.
+        pub fn poison(&self) {
+            self.att.poison();
+        }
+    };
 }
 
 /// The producer side of a shared-memory queue (SPSC and SPMC — the
@@ -307,27 +518,24 @@ fn attach_producer_impl<T: ShmSafe, C: CellSlot<T>, M: IndexMap>(
 /// [`spsc::attach_producer`]/[`spmc::attach_producer`] on an existing
 /// region. Dropping the handle detaches cleanly: consumers drain whatever
 /// was published, then observe `Disconnected`.
-pub struct ShmProducer<T: ShmSafe, C: CellSlot<T> = PaddedCell<T>, M: IndexMap = LinearMap> {
-    raw: RawProducer<T, C, M>,
-    region: ShmRegion,
-    heartbeat: u64,
+pub struct ShmProducer<T: ShmSafe> {
+    raw: RawProducer<T>,
+    att: Attachment,
 }
 
-impl<T: ShmSafe, C: CellSlot<T>, M: IndexMap> ShmProducer<T, C, M> {
-    fn header(&self) -> &RegionHeader {
-        header_of(&self.region)
-    }
-
-    fn bump_heartbeat(&mut self) {
-        self.heartbeat += 1;
-        self.header()
-            .producer_slot()
-            .store_heartbeat(self.heartbeat);
-    }
-
-    /// See [`consumers_look_dead`].
-    fn consumers_look_dead(&self) -> bool {
-        consumers_look_dead(self.header())
+impl<T: ShmSafe> ShmProducer<T> {
+    fn attach(region: ShmRegion, variant: u8) -> Result<Self, ShmError> {
+        let (att, queue) = Attachment::new::<T>(region, variant, true)?;
+        // SAFETY: unique producer (slot claim); the attachment keeps the
+        // view mapped and outlives the engine.
+        let mut raw = unsafe { RawProducer::attach(queue) };
+        raw.set_wait_config(shm_wait_config());
+        // SPMC regions can have several parked consumers, each owning
+        // specific pending ranks: publish wakes must broadcast so one
+        // cannot land on the wrong consumer and leave the rank's owner
+        // sleeping (see `RawProducer::set_multi_consumer`).
+        raw.set_multi_consumer(variant == VARIANT_SPMC);
+        Ok(Self { raw, att })
     }
 
     /// Enqueues `value`, blocking while the queue is full. The wait is
@@ -339,27 +547,13 @@ impl<T: ShmSafe, C: CellSlot<T>, M: IndexMap> ShmProducer<T, C, M> {
     /// queue and returns [`Poisoned`] instead of waiting on cells that
     /// will never be freed.
     pub fn enqueue(&mut self, value: T) -> Result<(), Poisoned> {
-        let mut value = value;
-        loop {
-            match self.raw.enqueue_timeout(value, BLOCK_SLICE) {
-                Ok(()) => {
-                    self.bump_heartbeat();
-                    return Ok(());
-                }
-                Err(Full(v)) => {
-                    value = v;
-                    // Stay visibly alive to consumers while blocked.
-                    self.bump_heartbeat();
-                    if self.header().is_poisoned() {
-                        return Err(Poisoned);
-                    }
-                    if self.consumers_look_dead() {
-                        self.poison();
-                        return Err(Poisoned);
-                    }
-                }
-            }
-        }
+        let raw = &mut self.raw;
+        let enqueued = self
+            .att
+            .block(None, |slice| raw.enqueue_timeout(value, slice).ok());
+        enqueued.map_err(|_| Poisoned)?;
+        self.att.beat();
+        Ok(())
     }
 
     /// Replaces the wait policy used while blocked on a full queue; see
@@ -373,11 +567,9 @@ impl<T: ShmSafe, C: CellSlot<T>, M: IndexMap> ShmProducer<T, C, M> {
     /// rank-consumption caveat). Check [`is_poisoned`](Self::is_poisoned)
     /// separately if fullness persists.
     pub fn try_enqueue(&mut self, value: T) -> Result<(), Full<T>> {
-        let r = self.raw.try_enqueue(value);
-        if r.is_ok() {
-            self.bump_heartbeat();
-        }
-        r
+        self.raw.try_enqueue(value)?;
+        self.att.beat();
+        Ok(())
     }
 
     /// Enqueues every item of `iter` on the batched release-pass path;
@@ -390,14 +582,9 @@ impl<T: ShmSafe, C: CellSlot<T>, M: IndexMap> ShmProducer<T, C, M> {
     pub fn enqueue_many<I: IntoIterator<Item = T>>(&mut self, iter: I) -> usize {
         let n = self.raw.enqueue_many(iter);
         if n > 0 {
-            self.bump_heartbeat();
+            self.att.beat();
         }
         n
-    }
-
-    /// Capacity of the shared cell array.
-    pub fn capacity(&self) -> usize {
-        self.raw.capacity()
     }
 
     /// Approximate number of items currently enqueued.
@@ -410,143 +597,19 @@ impl<T: ShmSafe, C: CellSlot<T>, M: IndexMap> ShmProducer<T, C, M> {
         self.raw.consumers()
     }
 
-    /// `true` once the queue is poisoned.
-    pub fn is_poisoned(&self) -> bool {
-        self.header().is_poisoned()
-    }
-
-    /// Explicitly poisons the queue: every blocked or future operation on
-    /// any attached handle errors out. Irreversible.
-    pub fn poison(&self) {
-        self.header().poison();
-        // Kick every parked peer so the poison is observed now, not at
-        // the end of a bounded park.
-        self.raw.queue().state().wake_all();
-    }
-
     /// Snapshot of this producer's counters.
     pub fn stats(&self) -> ProducerStats {
         self.raw.stats()
     }
-}
 
-impl<T: ShmSafe, C: CellSlot<T>, M: IndexMap> Drop for ShmProducer<T, C, M> {
-    fn drop(&mut self) {
-        // Clean detach: drop the producer count (consumers see
-        // `Disconnected` once drained), then vacate the slot so the count
-        // zeroing is never mistaken for a crash. Wake parked consumers so
-        // they observe the disconnect promptly.
-        let state = self.raw.queue().state();
-        state.producers().fetch_sub(1, Ordering::Release);
-        state.wake_all();
-        self.header().producer_slot().release();
-    }
-}
-
-/// `true` while at least one registered consumer process is alive. No
-/// consumer *yet* (all slots untouched) also counts as alive — a
-/// producer may legitimately publish before anyone attaches.
-fn consumers_look_dead(header: &RegionHeader) -> bool {
-    let mut saw_attached = false;
-    for i in 0..crate::header::MAX_CONSUMERS {
-        let pid = header.consumer_slot(i).pid();
-        if pid > 0 {
-            saw_attached = true;
-            if pid_alive(pid) {
-                return false;
-            }
-        }
-    }
-    saw_attached
-}
-
-/// Consumer-side liveness state shared by both consumer handle types.
-struct PeerWatch {
-    slot: usize,
-    last_producer_hb: u64,
-}
-
-impl PeerWatch {
-    /// Called once per expired [`BLOCK_SLICE`] while blocked empty;
-    /// returns `true` when the queue is (now) poisoned. Slices are tens of
-    /// milliseconds apart, so probing on every call is free.
-    fn empty_tick(&mut self, header: &RegionHeader) -> bool {
-        if header.is_poisoned() {
-            return true;
-        }
-        let slot = header.producer_slot();
-        let hb = slot.heartbeat();
-        if hb != self.last_producer_hb {
-            // Progress since the last probe: definitely alive.
-            self.last_producer_hb = hb;
-            return false;
-        }
-        let pid = slot.pid();
-        if pid <= 0 || pid_alive(pid) {
-            // Not attached / detached cleanly (the disconnect path covers
-            // those), or alive but idle.
-            return false;
-        }
-        // Stalled heartbeat and the pid is gone: the producer crashed.
-        // Poison so every consumer (including ones blocked on ranks the
-        // dead producer claimed but never published) wakes with an error.
-        header.poison();
-        true
-    }
-}
-
-fn attach_consumer_common<T: ShmSafe, C: CellSlot<T>, M: IndexMap>(
-    region: &ShmRegion,
-    variant: u8,
-    spsc: bool,
-) -> Result<(RawQueue<T, C, M>, PeerWatch), ShmError> {
-    let layout = validate_attach::<T, C, M>(region, variant)?;
-    let header = header_of(region);
-    if header.is_poisoned() {
-        return Err(ShmError::Poisoned);
-    }
-    let pid = process_id();
-    let slot = if spsc {
-        // The SPSC contract allows exactly one consumer: slot 0 or bust.
-        if !header.consumer_slot(0).try_claim(pid) {
-            return Err(ShmError::SlotsFull);
-        }
-        0
-    } else {
-        header.claim_consumer_slot(pid).ok_or(ShmError::SlotsFull)?
-    };
-    // SAFETY: layout validated against the READY region.
-    let q = unsafe { queue_view::<T, C, M>(region, &layout) };
-    q.state().consumers().fetch_add(1, Ordering::AcqRel);
-    let watch = PeerWatch {
-        slot,
-        last_producer_hb: header.producer_slot().heartbeat(),
-    };
-    Ok((q, watch))
-}
-
-fn consumer_detach(state: &QueueState, header: &RegionHeader, slot: usize) {
-    state.consumers().fetch_sub(1, Ordering::AcqRel);
-    header.consumer_slot(slot).release();
+    attachment_api!();
 }
 
 macro_rules! consumer_common_impl {
     () => {
-        fn header(&self) -> &RegionHeader {
-            header_of(&self.region)
-        }
-
         /// Attempts to dequeue one item without blocking.
         pub fn try_dequeue(&mut self) -> Result<T, ShmTryDequeueError> {
-            match self.raw.try_dequeue() {
-                Ok(v) => Ok(v),
-                Err(TryDequeueError::Disconnected) => Err(ShmTryDequeueError::Disconnected),
-                Err(TryDequeueError::Empty) => Err(if self.header().is_poisoned() {
-                    ShmTryDequeueError::Poisoned
-                } else {
-                    ShmTryDequeueError::Empty
-                }),
-            }
+            self.raw.try_dequeue().map_err(|e| self.att.miss(e))
         }
 
         /// Dequeues one item, waiting — spinning, then parked on the
@@ -559,52 +622,26 @@ macro_rules! consumer_common_impl {
         /// length, a crashed producer never leaves parked consumers
         /// hanging.
         pub fn dequeue(&mut self) -> Result<T, ShmDequeueError> {
-            loop {
-                match self.raw.dequeue_timeout(BLOCK_SLICE) {
-                    Ok(v) => return Ok(v),
-                    Err(TryDequeueError::Disconnected) => {
-                        return Err(ShmDequeueError::Disconnected)
-                    }
-                    Err(TryDequeueError::Empty) => {
-                        if self.watch.empty_tick(header_of(&self.region)) {
-                            // Wake fellow parked consumers onto the
-                            // poison we just observed (or published).
-                            self.raw.queue().state().wake_all();
-                            return Err(ShmDequeueError::Poisoned);
-                        }
-                    }
-                }
-            }
+            self.wait(None).map_err(blocking)
         }
 
         /// Dequeues one item, giving up with
         /// [`ShmTryDequeueError::Empty`] after `timeout`. Runs the same
-        /// liveness probes as [`dequeue`](Self::dequeue).
+        /// liveness probes as [`dequeue`](Self::dequeue), the first one
+        /// before the deadline is checked.
         pub fn dequeue_timeout(&mut self, timeout: Duration) -> Result<T, ShmTryDequeueError> {
-            let deadline = Instant::now() + timeout;
-            loop {
-                let now = Instant::now();
-                let slice = if now >= deadline {
-                    Duration::ZERO
-                } else {
-                    BLOCK_SLICE.min(deadline - now)
-                };
-                match self.raw.dequeue_timeout(slice) {
-                    Ok(v) => return Ok(v),
-                    Err(TryDequeueError::Disconnected) => {
-                        return Err(ShmTryDequeueError::Disconnected)
-                    }
-                    Err(TryDequeueError::Empty) => {
-                        if self.watch.empty_tick(header_of(&self.region)) {
-                            self.raw.queue().state().wake_all();
-                            return Err(ShmTryDequeueError::Poisoned);
-                        }
-                        if Instant::now() >= deadline {
-                            return Err(ShmTryDequeueError::Empty);
-                        }
-                    }
-                }
-            }
+            self.wait(Some(Instant::now() + timeout))
+        }
+
+        fn wait(&mut self, deadline: Option<Instant>) -> Result<T, ShmTryDequeueError> {
+            let raw = &mut self.raw;
+            let got = self
+                .att
+                .block(deadline, |slice| match raw.dequeue_timeout(slice) {
+                    Err(TryDequeueError::Empty) => None,
+                    r => Some(r),
+                })?;
+            got.map_err(|_| ShmTryDequeueError::Disconnected)
         }
 
         /// Replaces the wait policy used inside blocked slices; see
@@ -619,46 +656,29 @@ macro_rules! consumer_common_impl {
             self.raw.dequeue_batch(buf, max)
         }
 
-        /// Capacity of the shared cell array.
-        pub fn capacity(&self) -> usize {
-            self.raw.capacity()
-        }
-
         /// Approximate number of items currently enqueued.
         pub fn len_hint(&self) -> usize {
             self.raw.len_hint()
-        }
-
-        /// `true` once the queue is poisoned.
-        pub fn is_poisoned(&self) -> bool {
-            self.header().is_poisoned()
-        }
-
-        /// Explicitly poisons the queue for every attached handle.
-        pub fn poison(&self) {
-            self.header().poison();
-            // Kick every parked peer so the poison is observed now, not
-            // at the end of a bounded park.
-            self.raw.queue().state().wake_all();
         }
 
         /// Snapshot of this consumer's counters.
         pub fn stats(&self) -> ConsumerStats {
             self.raw.stats()
         }
+
+        attachment_api!();
     };
 }
 
 /// A shared-head consumer on a shared-memory SPMC queue. Attach up to
 /// [`MAX_CONSUMERS`](crate::header::MAX_CONSUMERS) of these, from any mix
 /// of processes and threads.
-pub struct ShmSpmcConsumer<T: ShmSafe, C: CellSlot<T> = PaddedCell<T>, M: IndexMap = LinearMap> {
-    raw: RawConsumer<T, C, M, false>,
-    region: ShmRegion,
-    watch: PeerWatch,
+pub struct ShmSpmcConsumer<T: ShmSafe> {
+    raw: RawConsumer<T, PaddedCell<T>, LinearMap, false>,
+    att: Attachment,
 }
 
-impl<T: ShmSafe, C: CellSlot<T>, M: IndexMap> ShmSpmcConsumer<T, C, M> {
+impl<T: ShmSafe> ShmSpmcConsumer<T> {
     consumer_common_impl!();
 
     /// Number of ranks this handle has claimed but not yet resolved.
@@ -667,100 +687,57 @@ impl<T: ShmSafe, C: CellSlot<T>, M: IndexMap> ShmSpmcConsumer<T, C, M> {
     }
 }
 
-impl<T: ShmSafe, C: CellSlot<T>, M: IndexMap> Drop for ShmSpmcConsumer<T, C, M> {
+impl<T: ShmSafe> Drop for ShmSpmcConsumer<T> {
     fn drop(&mut self) {
-        // Return published-but-pending cells to circulation, then detach.
+        // Return published-but-pending cells to circulation; the
+        // attachment detaches afterwards.
         self.raw.recover_pending();
-        consumer_detach(self.raw.queue().state(), self.header(), self.watch.slot);
     }
 }
 
 /// The unique consumer of a shared-memory SPSC queue (private head — no
 /// shared-counter RMW on dequeue).
-pub struct ShmSpscConsumer<T: ShmSafe, C: CellSlot<T> = PaddedCell<T>, M: IndexMap = LinearMap> {
-    raw: RawSpscConsumer<T, C, M>,
-    region: ShmRegion,
-    watch: PeerWatch,
+pub struct ShmSpscConsumer<T: ShmSafe> {
+    raw: RawSpscConsumer<T>,
+    att: Attachment,
 }
 
-impl<T: ShmSafe, C: CellSlot<T>, M: IndexMap> ShmSpscConsumer<T, C, M> {
+impl<T: ShmSafe> ShmSpscConsumer<T> {
     consumer_common_impl!();
 }
 
-impl<T: ShmSafe, C: CellSlot<T>, M: IndexMap> Drop for ShmSpscConsumer<T, C, M> {
-    fn drop(&mut self) {
-        consumer_detach(self.raw.queue().state(), self.header(), self.watch.slot);
-    }
-}
-
+/// `required_size`/`format`/`create` and the producer-side attach of one
+/// typed lane (`$tx::attach` builds its producing handle).
 macro_rules! variant_module {
-    ($variant:expr) => {
-        /// Bytes a region must have for a queue of at least `capacity`
-        /// elements of `T` (after power-of-two rounding) in the default
-        /// cell layout. Pass the result to [`ShmRegion::create`] /
+    ($variant:expr, $tx:ident, $attach:ident) => {
+        /// Bytes a region must have for a lane of at least `capacity`
+        /// elements of `T` (after power-of-two rounding). Pass the result
+        /// to [`ShmRegion::create`] /
         /// [`ShmRegion::create_memfd`](crate::region::ShmRegion::create_memfd).
         pub fn required_size<T: ShmSafe>(capacity: usize) -> Result<usize, ShmError> {
-            required_size_with::<T, PaddedCell<T>>(capacity)
+            super::required_size::<T>($variant, capacity, None)
         }
 
-        /// [`required_size`] for an explicit cell layout.
-        pub fn required_size_with<T: ShmSafe, C: CellSlot<T>>(
-            capacity: usize,
-        ) -> Result<usize, ShmError> {
-            let cap_log2 = ffq::normalize_capacity(capacity)?;
-            region_layout::<T, C>(cap_log2)
-                .map(|l| l.total_len)
-                .ok_or(ShmError::Capacity(ffq::CapacityError::TooLarge {
-                    requested: capacity,
-                }))
-        }
-
-        /// Formats `region` as this variant's queue *without* attaching —
-        /// for an owner process that only brokers the region. Exactly one
-        /// process may format a region, ever.
+        /// Formats `region` as this lane *without* attaching — for an
+        /// owner process that only brokers the region. Exactly one process
+        /// may format a region, ever.
         pub fn format<T: ShmSafe>(region: &ShmRegion, capacity: usize) -> Result<(), ShmError> {
-            format_with::<T, PaddedCell<T>, LinearMap>(region, capacity)
+            super::format::<T>(region, $variant, capacity, None)
         }
 
-        /// [`format`] with explicit cell layout and index map.
-        pub fn format_with<T: ShmSafe, C: CellSlot<T>, M: IndexMap>(
-            region: &ShmRegion,
-            capacity: usize,
-        ) -> Result<(), ShmError> {
-            format_impl::<T, C, M>(region, capacity, $variant)
+        /// Formats `region` and attaches its producing side in one step —
+        /// the usual creator path.
+        pub fn create<T: ShmSafe>(region: ShmRegion, capacity: usize) -> Result<$tx<T>, ShmError> {
+            format::<T>(&region, capacity)?;
+            $attach(region)
         }
 
-        /// Formats `region` and attaches as its producer in one step — the
-        /// usual creator path.
-        pub fn create<T: ShmSafe>(
-            region: ShmRegion,
-            capacity: usize,
-        ) -> Result<Producer<T>, ShmError> {
-            create_with::<T, PaddedCell<T>, LinearMap>(region, capacity)
-        }
-
-        /// [`create`] with explicit cell layout and index map.
-        pub fn create_with<T: ShmSafe, C: CellSlot<T>, M: IndexMap>(
-            region: ShmRegion,
-            capacity: usize,
-        ) -> Result<Producer<T, C, M>, ShmError> {
-            format_with::<T, C, M>(&region, capacity)?;
-            attach_producer_with::<T, C, M>(region)
-        }
-
-        /// Attaches as the producer of an already-formatted region (waits
-        /// for `READY`). Fails with [`ShmError::ProducerAttached`] while
-        /// another live handle holds the producer side; succeeds again
-        /// after a clean detach, resuming from the mirrored tail.
-        pub fn attach_producer<T: ShmSafe>(region: ShmRegion) -> Result<Producer<T>, ShmError> {
-            attach_producer_with::<T, PaddedCell<T>, LinearMap>(region)
-        }
-
-        /// [`attach_producer`] with explicit cell layout and index map.
-        pub fn attach_producer_with<T: ShmSafe, C: CellSlot<T>, M: IndexMap>(
-            region: ShmRegion,
-        ) -> Result<Producer<T, C, M>, ShmError> {
-            attach_producer_impl::<T, C, M>(region, $variant)
+        /// Attaches the producing side of an already-formatted region
+        /// (waits for `READY`). Fails with [`ShmError::ProducerAttached`]
+        /// while another live handle holds it; succeeds again after a
+        /// clean detach, resuming from the mirrored tail.
+        pub fn $attach<T: ShmSafe>(region: ShmRegion) -> Result<$tx<T>, ShmError> {
+            $tx::attach(region, $variant)
         }
     };
 }
@@ -774,25 +751,18 @@ pub mod spsc {
     /// The consumer handle.
     pub use super::ShmSpscConsumer as Consumer;
 
-    variant_module!(VARIANT_SPSC);
+    variant_module!(VARIANT_SPSC, Producer, attach_producer);
 
     /// Attaches the unique consumer of an already-formatted SPSC region
     /// (waits for `READY`). A second live consumer is refused with
     /// [`ShmError::SlotsFull`].
     pub fn attach_consumer<T: ShmSafe>(region: ShmRegion) -> Result<Consumer<T>, ShmError> {
-        attach_consumer_with::<T, PaddedCell<T>, LinearMap>(region)
-    }
-
-    /// [`attach_consumer`] with explicit cell layout and index map.
-    pub fn attach_consumer_with<T: ShmSafe, C: CellSlot<T>, M: IndexMap>(
-        region: ShmRegion,
-    ) -> Result<Consumer<T, C, M>, ShmError> {
-        let (q, watch) = attach_consumer_common::<T, C, M>(&region, VARIANT_SPSC, true)?;
-        // SAFETY: validated READY region; consumer uniqueness enforced by
-        // the exclusive claim on header slot 0.
-        let mut raw = unsafe { RawSpscConsumer::attach(q) };
+        let (att, queue) = Attachment::new::<T>(region, VARIANT_SPSC, false)?;
+        // SAFETY: consumer uniqueness enforced by the exclusive claim on
+        // header slot 0; the attachment outlives the engine.
+        let mut raw = unsafe { RawSpscConsumer::attach(queue) };
         raw.set_wait_config(shm_wait_config());
-        Ok(Consumer { raw, region, watch })
+        Ok(Consumer { raw, att })
     }
 }
 
@@ -806,25 +776,18 @@ pub mod spmc {
     /// The consumer handle.
     pub use super::ShmSpmcConsumer as Consumer;
 
-    variant_module!(VARIANT_SPMC);
+    variant_module!(VARIANT_SPMC, Producer, attach_producer);
 
     /// Attaches a consumer to an already-formatted SPMC region (waits for
     /// `READY`). Up to [`MAX_CONSUMERS`](crate::header::MAX_CONSUMERS) may
     /// be attached at once, from any mix of processes and threads.
     pub fn attach_consumer<T: ShmSafe>(region: ShmRegion) -> Result<Consumer<T>, ShmError> {
-        attach_consumer_with::<T, PaddedCell<T>, LinearMap>(region)
-    }
-
-    /// [`attach_consumer`] with explicit cell layout and index map.
-    pub fn attach_consumer_with<T: ShmSafe, C: CellSlot<T>, M: IndexMap>(
-        region: ShmRegion,
-    ) -> Result<Consumer<T, C, M>, ShmError> {
-        let (q, watch) = attach_consumer_common::<T, C, M>(&region, VARIANT_SPMC, false)?;
-        // SAFETY: validated READY region; shared-head consumers may attach
-        // in any number up to the slot limit.
-        let mut raw = unsafe { RawConsumer::attach(q) };
+        let (att, queue) = Attachment::new::<T>(region, VARIANT_SPMC, false)?;
+        // SAFETY: shared-head consumers may attach in any number up to the
+        // slot limit; the attachment outlives the engine.
+        let mut raw = unsafe { RawConsumer::attach(queue) };
         raw.set_wait_config(shm_wait_config());
-        Ok(Consumer { raw, region, watch })
+        Ok(Consumer { raw, att })
     }
 }
 
@@ -836,22 +799,19 @@ pub mod spmc {
 /// observe `Lagged`), so a dead subscriber cannot stall the sender and the
 /// sender runs no liveness machinery beyond keeping its own heartbeat
 /// fresh for the subscribers' probes.
-pub struct ShmBroadcastSender<T: ShmSafe, C: CellSlot<T> = PaddedCell<T>, M: IndexMap = LinearMap> {
-    raw: RawBroadcastProducer<T, C, M>,
-    region: ShmRegion,
-    heartbeat: u64,
+pub struct ShmBroadcastSender<T: ShmSafe> {
+    raw: RawBroadcastProducer<T>,
+    att: Attachment,
 }
 
-impl<T: ShmSafe, C: CellSlot<T>, M: IndexMap> ShmBroadcastSender<T, C, M> {
-    fn header(&self) -> &RegionHeader {
-        header_of(&self.region)
-    }
-
-    fn bump_heartbeat(&mut self) {
-        self.heartbeat += 1;
-        self.header()
-            .producer_slot()
-            .store_heartbeat(self.heartbeat);
+impl<T: ShmSafe> ShmBroadcastSender<T> {
+    fn attach(region: ShmRegion, variant: u8) -> Result<Self, ShmError> {
+        let (att, queue) = Attachment::new::<T>(region, variant, true)?;
+        // SAFETY: unique producer (slot claim); the variant check
+        // guarantees every other handle on this region is a broadcast
+        // subscriber. The attachment outlives the engine.
+        let raw = unsafe { RawBroadcastProducer::attach(queue) };
+        Ok(Self { raw, att })
     }
 
     /// Publishes `value` to every subscriber. Wait-free; never blocks and
@@ -860,14 +820,14 @@ impl<T: ShmSafe, C: CellSlot<T>, M: IndexMap> ShmBroadcastSender<T, C, M> {
     /// [`is_poisoned`](Self::is_poisoned) if that matters to the caller).
     pub fn send(&mut self, value: T) {
         self.raw.send(value);
-        self.bump_heartbeat();
+        self.att.beat();
     }
 
     /// Publishes every item of `iter`; returns the count.
     pub fn send_many<I: IntoIterator<Item = T>>(&mut self, iter: I) -> usize {
         let n = self.raw.send_many(iter);
         if n > 0 {
-            self.bump_heartbeat();
+            self.att.beat();
         }
         n
     }
@@ -877,80 +837,38 @@ impl<T: ShmSafe, C: CellSlot<T>, M: IndexMap> ShmBroadcastSender<T, C, M> {
         self.raw.tail_rank() as u64
     }
 
-    /// Capacity of the ring — the retention window lagging subscribers
-    /// can still recover from.
-    pub fn capacity(&self) -> usize {
-        self.raw.capacity()
-    }
-
     /// Number of live subscriber handles (attached across all processes).
     pub fn subscribers(&self) -> usize {
         self.raw.subscribers()
     }
 
-    /// `true` once the queue is poisoned.
-    pub fn is_poisoned(&self) -> bool {
-        self.header().is_poisoned()
-    }
-
-    /// Explicitly poisons the queue: every blocked or future receive on
-    /// any attached subscriber errors out. Irreversible.
-    pub fn poison(&self) {
-        self.header().poison();
-        // Kick every parked peer so the poison is observed now, not at
-        // the end of a bounded park.
-        self.raw.queue().state().wake_all();
-    }
-}
-
-impl<T: ShmSafe, C: CellSlot<T>, M: IndexMap> Drop for ShmBroadcastSender<T, C, M> {
-    fn drop(&mut self) {
-        // Clean detach, as ShmProducer: drop the producer count
-        // (subscribers see `Closed` once they reach the final tail), then
-        // vacate the slot so the count zeroing is never mistaken for a
-        // crash. Wake parked subscribers so they observe the closure.
-        let state = self.raw.queue().state();
-        state.producers().fetch_sub(1, Ordering::Release);
-        state.wake_all();
-        self.header().producer_slot().release();
-    }
+    attachment_api!();
 }
 
 /// A subscriber on a shared-memory broadcast queue. Attach up to
 /// [`MAX_CONSUMERS`](crate::header::MAX_CONSUMERS), from any mix of
 /// processes and threads; each observes the full stream independently and
 /// writes nothing to shared memory.
-pub struct ShmBroadcastSubscriber<
-    T: ShmSafe,
-    C: CellSlot<T> = PaddedCell<T>,
-    M: IndexMap = LinearMap,
-> {
-    raw: RawBroadcastSubscriber<T, C, M>,
-    region: ShmRegion,
-    watch: PeerWatch,
+pub struct ShmBroadcastSubscriber<T: ShmSafe> {
+    raw: RawBroadcastSubscriber<T>,
+    att: Attachment,
 }
 
-impl<T: ShmSafe, C: CellSlot<T>, M: IndexMap> ShmBroadcastSubscriber<T, C, M> {
-    fn header(&self) -> &RegionHeader {
-        header_of(&self.region)
-    }
-
+impl<T: ShmSafe> ShmBroadcastSubscriber<T> {
     /// Attempts to receive the next item without blocking.
     ///
     /// `Lagged(n)` means the sender lapped this subscriber and `n` items
     /// are gone; the cursor is already resynced to the oldest retained
     /// item, so the next call resumes there.
     pub fn try_recv(&mut self) -> Result<T, ShmBroadcastTryRecvError> {
-        match self.raw.try_recv() {
-            Ok(v) => Ok(v),
-            Err(BroadcastTryRecvError::Lagged(n)) => Err(ShmBroadcastTryRecvError::Lagged(n)),
-            Err(BroadcastTryRecvError::Closed) => Err(ShmBroadcastTryRecvError::Closed),
-            Err(BroadcastTryRecvError::Empty) => Err(if self.header().is_poisoned() {
+        self.raw.try_recv().map_err(|e| match e {
+            BroadcastTryRecvError::Lagged(n) => ShmBroadcastTryRecvError::Lagged(n),
+            BroadcastTryRecvError::Closed => ShmBroadcastTryRecvError::Closed,
+            BroadcastTryRecvError::Empty if self.att.is_poisoned() => {
                 ShmBroadcastTryRecvError::Poisoned
-            } else {
-                ShmBroadcastTryRecvError::Empty
-            }),
-        }
+            }
+            BroadcastTryRecvError::Empty => ShmBroadcastTryRecvError::Empty,
+        })
     }
 
     /// Receives the next item, waiting — spinning, then parked on the
@@ -962,53 +880,34 @@ impl<T: ShmSafe, C: CellSlot<T>, M: IndexMap> ShmBroadcastSubscriber<T, C, M> {
     /// heartbeat whose pid no longer exists poisons the queue and returns
     /// [`ShmBroadcastRecvError::Poisoned`] within one slice.
     pub fn recv(&mut self) -> Result<T, ShmBroadcastRecvError> {
-        loop {
-            match self.raw.recv_timeout(BLOCK_SLICE) {
-                Ok(v) => return Ok(v),
-                Err(BroadcastTryRecvError::Lagged(n)) => {
-                    return Err(ShmBroadcastRecvError::Lagged(n))
-                }
-                Err(BroadcastTryRecvError::Closed) => return Err(ShmBroadcastRecvError::Closed),
-                Err(BroadcastTryRecvError::Empty) => {
-                    if self.watch.empty_tick(header_of(&self.region)) {
-                        // Wake fellow parked subscribers onto the poison
-                        // we just observed (or published).
-                        self.raw.queue().state().wake_all();
-                        return Err(ShmBroadcastRecvError::Poisoned);
-                    }
-                }
-            }
-        }
+        self.wait(None).map_err(|e| match e {
+            ShmBroadcastTryRecvError::Lagged(n) => ShmBroadcastRecvError::Lagged(n),
+            ShmBroadcastTryRecvError::Closed => ShmBroadcastRecvError::Closed,
+            _ => ShmBroadcastRecvError::Poisoned,
+        })
     }
 
     /// Receives the next item, giving up with
     /// [`ShmBroadcastTryRecvError::Empty`] after `timeout`. Runs the same
-    /// liveness probes as [`recv`](Self::recv).
+    /// liveness probes as [`recv`](Self::recv), the first one before the
+    /// deadline is checked.
     pub fn recv_timeout(&mut self, timeout: Duration) -> Result<T, ShmBroadcastTryRecvError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let now = Instant::now();
-            let slice = if now >= deadline {
-                Duration::ZERO
-            } else {
-                BLOCK_SLICE.min(deadline - now)
-            };
-            match self.raw.recv_timeout(slice) {
-                Ok(v) => return Ok(v),
-                Err(BroadcastTryRecvError::Lagged(n)) => {
-                    return Err(ShmBroadcastTryRecvError::Lagged(n))
-                }
-                Err(BroadcastTryRecvError::Closed) => return Err(ShmBroadcastTryRecvError::Closed),
-                Err(BroadcastTryRecvError::Empty) => {
-                    if self.watch.empty_tick(header_of(&self.region)) {
-                        self.raw.queue().state().wake_all();
-                        return Err(ShmBroadcastTryRecvError::Poisoned);
-                    }
-                    if Instant::now() >= deadline {
-                        return Err(ShmBroadcastTryRecvError::Empty);
-                    }
-                }
-            }
+        self.wait(Some(Instant::now() + timeout))
+    }
+
+    fn wait(&mut self, deadline: Option<Instant>) -> Result<T, ShmBroadcastTryRecvError> {
+        let raw = &mut self.raw;
+        match self
+            .att
+            .block(deadline, |slice| match raw.recv_timeout(slice) {
+                Err(BroadcastTryRecvError::Empty) => None,
+                r => Some(r),
+            }) {
+            Ok(Ok(v)) => Ok(v),
+            Ok(Err(BroadcastTryRecvError::Lagged(n))) => Err(ShmBroadcastTryRecvError::Lagged(n)),
+            Ok(Err(_)) => Err(ShmBroadcastTryRecvError::Closed),
+            Err(ShmTryDequeueError::Empty) => Err(ShmBroadcastTryRecvError::Empty),
+            Err(_) => Err(ShmBroadcastTryRecvError::Poisoned),
         }
     }
 
@@ -1029,41 +928,21 @@ impl<T: ShmSafe, C: CellSlot<T>, M: IndexMap> ShmBroadcastSubscriber<T, C, M> {
         self.raw.len_behind()
     }
 
-    /// Capacity of the shared ring.
-    pub fn capacity(&self) -> usize {
-        self.raw.capacity()
-    }
-
-    /// `true` once the queue is poisoned.
-    pub fn is_poisoned(&self) -> bool {
-        self.header().is_poisoned()
-    }
-
-    /// Explicitly poisons the queue for every attached handle.
-    pub fn poison(&self) {
-        self.header().poison();
-        self.raw.queue().state().wake_all();
-    }
-
     /// Snapshot of this subscriber's counters.
     pub fn stats(&self) -> SubscriberStats {
         self.raw.stats()
     }
-}
 
-impl<T: ShmSafe, C: CellSlot<T>, M: IndexMap> Drop for ShmBroadcastSubscriber<T, C, M> {
-    fn drop(&mut self) {
-        // Subscribers own nothing in shared memory — no recovery needed,
-        // just the handle count and the pid slot.
-        consumer_detach(self.raw.queue().state(), self.header(), self.watch.slot);
-    }
+    attachment_api!();
 }
 
 /// Broadcast (pub-sub) queues in shared memory: every subscriber in every
 /// attached process observes the full stream; subscribers that cannot keep
 /// up lose items — observed as `Lagged`, never silent — instead of
 /// blocking the sender (see [`ffq::broadcast`] for the cell-level seqlock
-/// protocol, which is identical in-heap and over a mapping).
+/// protocol, which is identical in-heap and over a mapping). The memory
+/// layout is the typed lanes' — only the variant discriminant, and the
+/// protocol run over the cells, differ.
 ///
 /// ```
 /// use ffq_shm::{broadcast, ShmRegion};
@@ -1088,104 +967,13 @@ pub mod broadcast {
     /// The subscribing handle.
     pub use super::ShmBroadcastSubscriber as Subscriber;
 
-    /// Bytes a region must have for a broadcast ring of at least
-    /// `capacity` elements of `T` (after power-of-two rounding) in the
-    /// default cell layout.
-    pub fn required_size<T: ShmSafe>(capacity: usize) -> Result<usize, ShmError> {
-        required_size_with::<T, PaddedCell<T>>(capacity)
-    }
-
-    /// [`required_size`] for an explicit cell layout.
-    pub fn required_size_with<T: ShmSafe, C: CellSlot<T>>(
-        capacity: usize,
-    ) -> Result<usize, ShmError> {
-        let cap_log2 = ffq::normalize_capacity(capacity)?;
-        region_layout::<T, C>(cap_log2)
-            .map(|l| l.total_len)
-            .ok_or(ShmError::Capacity(ffq::CapacityError::TooLarge {
-                requested: capacity,
-            }))
-    }
-
-    /// Formats `region` as a broadcast queue *without* attaching. The
-    /// memory layout is the typed-variant layout — only the variant
-    /// discriminant (and the protocol run over the cells) differs.
-    pub fn format<T: ShmSafe>(region: &ShmRegion, capacity: usize) -> Result<(), ShmError> {
-        format_with::<T, PaddedCell<T>, LinearMap>(region, capacity)
-    }
-
-    /// [`format`] with explicit cell layout and index map.
-    pub fn format_with<T: ShmSafe, C: CellSlot<T>, M: IndexMap>(
-        region: &ShmRegion,
-        capacity: usize,
-    ) -> Result<(), ShmError> {
-        format_impl::<T, C, M>(region, capacity, VARIANT_BROADCAST)
-    }
-
-    /// Formats `region` and attaches as its sender in one step — the
-    /// usual creator path.
-    pub fn create<T: ShmSafe>(region: ShmRegion, capacity: usize) -> Result<Sender<T>, ShmError> {
-        create_with::<T, PaddedCell<T>, LinearMap>(region, capacity)
-    }
-
-    /// [`create`] with explicit cell layout and index map.
-    pub fn create_with<T: ShmSafe, C: CellSlot<T>, M: IndexMap>(
-        region: ShmRegion,
-        capacity: usize,
-    ) -> Result<Sender<T, C, M>, ShmError> {
-        format_with::<T, C, M>(&region, capacity)?;
-        attach_sender_with::<T, C, M>(region)
-    }
-
-    /// Attaches as the sender of an already-formatted broadcast region
-    /// (waits for `READY`). Fails with [`ShmError::ProducerAttached`]
-    /// while another live handle holds the sender side; succeeds again
-    /// after a clean detach, resuming from the mirrored tail.
-    pub fn attach_sender<T: ShmSafe>(region: ShmRegion) -> Result<Sender<T>, ShmError> {
-        attach_sender_with::<T, PaddedCell<T>, LinearMap>(region)
-    }
-
-    /// [`attach_sender`] with explicit cell layout and index map.
-    pub fn attach_sender_with<T: ShmSafe, C: CellSlot<T>, M: IndexMap>(
-        region: ShmRegion,
-    ) -> Result<Sender<T, C, M>, ShmError> {
-        let layout = validate_attach::<T, C, M>(&region, VARIANT_BROADCAST)?;
-        let header = header_of(&region);
-        if header.is_poisoned() {
-            return Err(ShmError::Poisoned);
-        }
-        if !header.producer_slot().try_claim(process_id()) {
-            return Err(ShmError::ProducerAttached);
-        }
-        // SAFETY: layout validated against the READY region.
-        let q = unsafe { queue_view::<T, C, M>(&region, &layout) };
-        // Winning the slot makes us the sole sender; re-arm the count a
-        // previous sender's clean detach may have dropped to zero.
-        q.state().producers().store(1, Ordering::Release);
-        let heartbeat = header.producer_slot().heartbeat();
-        // SAFETY: unique producer (slot claim); the variant check above
-        // guarantees every other handle on this region is a broadcast
-        // subscriber. View valid while `region` is held by the handle.
-        let raw = unsafe { RawBroadcastProducer::attach(q) };
-        Ok(Sender {
-            raw,
-            region,
-            heartbeat,
-        })
-    }
+    variant_module!(VARIANT_BROADCAST, Sender, attach_sender);
 
     /// Attaches a subscriber at the **live edge** of an already-formatted
     /// broadcast region: it observes only items published after this call
     /// (the usual pub-sub join semantics).
     pub fn attach_subscriber<T: ShmSafe>(region: ShmRegion) -> Result<Subscriber<T>, ShmError> {
-        attach_subscriber_with::<T, PaddedCell<T>, LinearMap>(region)
-    }
-
-    /// [`attach_subscriber`] with explicit cell layout and index map.
-    pub fn attach_subscriber_with<T: ShmSafe, C: CellSlot<T>, M: IndexMap>(
-        region: ShmRegion,
-    ) -> Result<Subscriber<T, C, M>, ShmError> {
-        attach_subscriber_impl::<T, C, M>(region, false)
+        attach_subscriber_at(region, false)
     }
 
     /// Attaches a subscriber at the **start of the stream** (rank 0): the
@@ -1195,33 +983,25 @@ pub mod broadcast {
     pub fn attach_subscriber_from_origin<T: ShmSafe>(
         region: ShmRegion,
     ) -> Result<Subscriber<T>, ShmError> {
-        attach_subscriber_from_origin_with::<T, PaddedCell<T>, LinearMap>(region)
+        attach_subscriber_at(region, true)
     }
 
-    /// [`attach_subscriber_from_origin`] with explicit cell layout and
-    /// index map.
-    pub fn attach_subscriber_from_origin_with<T: ShmSafe, C: CellSlot<T>, M: IndexMap>(
-        region: ShmRegion,
-    ) -> Result<Subscriber<T, C, M>, ShmError> {
-        attach_subscriber_impl::<T, C, M>(region, true)
-    }
-
-    fn attach_subscriber_impl<T: ShmSafe, C: CellSlot<T>, M: IndexMap>(
+    fn attach_subscriber_at<T: ShmSafe>(
         region: ShmRegion,
         from_origin: bool,
-    ) -> Result<Subscriber<T, C, M>, ShmError> {
-        let (q, watch) = attach_consumer_common::<T, C, M>(&region, VARIANT_BROADCAST, false)?;
-        // SAFETY: validated READY region carrying the broadcast variant;
-        // subscribers may attach in any number up to the slot limit.
+    ) -> Result<Subscriber<T>, ShmError> {
+        let (att, queue) = Attachment::new::<T>(region, VARIANT_BROADCAST, false)?;
+        // SAFETY: validated broadcast lane; subscribers may attach in any
+        // number up to the slot limit. The attachment outlives the engine.
         let mut raw = unsafe {
             if from_origin {
-                RawBroadcastSubscriber::attach_from_origin(q)
+                RawBroadcastSubscriber::attach_from_origin(queue)
             } else {
-                RawBroadcastSubscriber::attach_latest(q)
+                RawBroadcastSubscriber::attach_latest(queue)
             }
         };
         raw.set_wait_config(shm_wait_config());
-        Ok(Subscriber { raw, region, watch })
+        Ok(Subscriber { raw, att })
     }
 }
 
@@ -1233,224 +1013,6 @@ pub mod broadcast {
 // copy crosses the process boundary.
 // ---------------------------------------------------------------------------
 
-/// Formats `region` as a bytes queue: descriptor state + cells, then the
-/// slot-buffer array (left zeroed — a slot's bytes are defined only by the
-/// descriptor published for its rank).
-fn format_bytes_impl(
-    region: &ShmRegion,
-    capacity: usize,
-    slot_bytes: usize,
-    variant: u8,
-) -> Result<(), ShmError> {
-    let cap_log2 = ffq::normalize_capacity(capacity)?;
-    let slot_bytes = ffq::normalize_slot_bytes(slot_bytes)?;
-    let slot_log2 = slot_bytes.trailing_zeros() as u8;
-    let layout = bytes_region_layout(cap_log2, slot_log2).ok_or(ShmError::Capacity(
-        ffq::CapacityError::TooLarge {
-            requested: capacity,
-        },
-    ))?;
-    if region.len() < layout.total_len {
-        return Err(ShmError::RegionTooSmall {
-            required: layout.total_len,
-            actual: region.len(),
-        });
-    }
-    let (cell_layout, index_map) = discriminants_for::<PayloadDesc, DescCell, LinearMap>()?;
-
-    let header = header_of(region);
-    header.begin_init()?;
-    // SAFETY: offsets in bounds (checked above) and aligned
-    // (bytes_region_layout); the INITIALIZING claim makes the region
-    // exclusively ours until READY. See format_impl for the count/wait
-    // conventions.
-    unsafe {
-        let base = region.as_ptr();
-        let state = base.add(layout.state_offset) as *mut QueueState;
-        state.write(QueueState::new(cap_log2, 1, 0).with_shared_wait());
-        let cells = base.add(layout.cells_offset) as *mut DescCell;
-        for i in 0..(1usize << cap_log2) {
-            cells.add(i).write(DescCell::empty());
-        }
-    }
-    header.publish_ready(
-        &QueueConfig {
-            variant,
-            cell_layout,
-            index_map,
-            cap_log2,
-            slot_log2,
-            elem_size: core::mem::size_of::<PayloadDesc>() as u32,
-            elem_align: core::mem::align_of::<PayloadDesc>() as u32,
-            state_offset: layout.state_offset as u32,
-            cells_offset: layout.cells_offset as u32,
-            region_len: layout.total_len as u64,
-        },
-        process_id(),
-    )?;
-    Ok(())
-}
-
-/// Waits for `READY`, then validates that the region holds exactly the
-/// bytes queue `variant` describes. Returns the recomputed layout plus the
-/// decoded config (for `cap_log2`/`slot_log2`).
-fn validate_bytes_attach(
-    region: &ShmRegion,
-    variant: u8,
-) -> Result<(BytesRegionLayout, QueueConfig), ShmError> {
-    if region.len() < core::mem::size_of::<RegionHeader>() {
-        return Err(ShmError::RegionTooSmall {
-            required: core::mem::size_of::<RegionHeader>(),
-            actual: region.len(),
-        });
-    }
-    let header = header_of(region);
-    header.wait_ready(ATTACH_TIMEOUT)?;
-    let cfg = QueueConfig::decode(header.config_words())?;
-    let mismatch = |field, expected: u64, found: u64| {
-        Err(ShmError::ConfigMismatch {
-            field,
-            expected,
-            found,
-        })
-    };
-    if cfg.variant != variant {
-        return mismatch("variant", u64::from(variant), u64::from(cfg.variant));
-    }
-    let (cell_layout, index_map) = discriminants_for::<PayloadDesc, DescCell, LinearMap>()?;
-    if cfg.cell_layout != cell_layout {
-        return mismatch(
-            "cell layout",
-            u64::from(cell_layout),
-            u64::from(cfg.cell_layout),
-        );
-    }
-    if cfg.index_map != index_map {
-        return mismatch("index map", u64::from(index_map), u64::from(cfg.index_map));
-    }
-    if u64::from(cfg.elem_size) != core::mem::size_of::<PayloadDesc>() as u64 {
-        return mismatch(
-            "element size",
-            core::mem::size_of::<PayloadDesc>() as u64,
-            u64::from(cfg.elem_size),
-        );
-    }
-    if u64::from(cfg.elem_align) != core::mem::align_of::<PayloadDesc>() as u64 {
-        return mismatch(
-            "element alignment",
-            core::mem::align_of::<PayloadDesc>() as u64,
-            u64::from(cfg.elem_align),
-        );
-    }
-    let layout = bytes_region_layout(cfg.cap_log2, cfg.slot_log2).ok_or(ShmError::BadConfig {
-        field: "capacity exponent",
-    })?;
-    if cfg.state_offset as usize != layout.state_offset {
-        return mismatch(
-            "state offset",
-            layout.state_offset as u64,
-            u64::from(cfg.state_offset),
-        );
-    }
-    if cfg.cells_offset as usize != layout.cells_offset {
-        return mismatch(
-            "cells offset",
-            layout.cells_offset as u64,
-            u64::from(cfg.cells_offset),
-        );
-    }
-    if cfg.region_len != layout.total_len as u64 {
-        return mismatch("region length", layout.total_len as u64, cfg.region_len);
-    }
-    if region.len() < layout.total_len {
-        return Err(ShmError::RegionTooSmall {
-            required: layout.total_len,
-            actual: region.len(),
-        });
-    }
-    Ok((layout, cfg))
-}
-
-/// Builds the raw descriptor queue and slot-region views over a validated
-/// bytes region.
-///
-/// # Safety
-///
-/// `layout`/`cfg` must come from [`validate_bytes_attach`] (or the
-/// formatter past its writes) against this same region.
-unsafe fn bytes_queue_view(
-    region: &ShmRegion,
-    layout: &BytesRegionLayout,
-    cfg: &QueueConfig,
-) -> (RawQueue<PayloadDesc, DescCell, LinearMap>, SlotRegion) {
-    let base = region.as_ptr();
-    // SAFETY: offsets in bounds and aligned per the caller's validation;
-    // the slot region covers 2^cap_log2 buffers of 2^slot_log2 bytes by
-    // bytes_region_layout construction, pinned while the region is mapped.
-    unsafe {
-        let state = base.add(layout.state_offset) as *const QueueState;
-        let cells = base.add(layout.cells_offset) as *const DescCell;
-        let q = RawQueue::from_raw(state, cells);
-        let slots = SlotRegion::from_raw(
-            base.add(layout.slots_offset),
-            1usize << cfg.slot_log2,
-            cfg.cap_log2,
-        );
-        (q, slots)
-    }
-}
-
-/// The spill policy a shared-memory bytes variant runs:
-/// [chained](SpillMode::Chain) across cells for SPSC (the continuation
-/// bytes live in slot buffers, so reassembly works cross-process), and
-/// [refusal](SpillMode::Refuse) for SPMC — heap spill pointers cannot
-/// cross address spaces, and truncation is never an option.
-fn bytes_spill_for(variant: u8) -> SpillMode {
-    if variant == VARIANT_SPSC_BYTES {
-        SpillMode::Chain
-    } else {
-        SpillMode::Refuse
-    }
-}
-
-fn attach_bytes_producer_impl(
-    region: ShmRegion,
-    variant: u8,
-) -> Result<ShmBytesProducer, ShmError> {
-    let (layout, cfg) = validate_bytes_attach(&region, variant)?;
-    let header = header_of(&region);
-    if header.is_poisoned() {
-        return Err(ShmError::Poisoned);
-    }
-    if !header.producer_slot().try_claim(process_id()) {
-        return Err(ShmError::ProducerAttached);
-    }
-    // SAFETY: layout validated against the READY region.
-    let (q, slots) = unsafe { bytes_queue_view(&region, &layout, &cfg) };
-    // Same conventions as the typed attach: re-arm the pre-reserved
-    // producer count a previous clean detach may have dropped.
-    q.state().producers().store(1, Ordering::Release);
-    let heartbeat = header.producer_slot().heartbeat();
-    // SAFETY: unique producer (slot claim); region pinned by the handle.
-    let raw = unsafe { RawProducer::attach(q) };
-    // SAFETY: slots is the region every peer recomputes from the same
-    // header config; Heap spill is never selected here (see
-    // bytes_spill_for), so no pointer crosses address spaces. Broadcast
-    // wakes for SPMC — see attach_producer_impl.
-    let mut engine = unsafe {
-        SpProducer::from_raw_parts(raw, slots, bytes_spill_for(variant), {
-            variant == VARIANT_SPMC_BYTES
-        })
-    };
-    engine.set_wait_config(shm_wait_config());
-    Ok(ShmBytesProducer {
-        engine: Some(engine),
-        q,
-        region,
-        heartbeat,
-    })
-}
-
 /// The producer side of a shared-memory zero-copy bytes queue (SPSC and
 /// SPMC — the single-producer engine is identical; the variant gates the
 /// consumer side and the oversize policy).
@@ -1460,17 +1022,33 @@ fn attach_bytes_producer_impl(
 /// [`commit`](WriteSlot::commit) — consumers in other processes read the
 /// same bytes borrowed, with no copy in between.
 pub struct ShmBytesProducer {
-    /// `Some` until Drop: torn down before the header slot is released so
-    /// a successor can never overlap this engine's shared-memory accesses.
-    engine: Option<SpProducer>,
-    q: RawQueue<PayloadDesc, DescCell, LinearMap>,
-    region: ShmRegion,
-    heartbeat: u64,
+    engine: SpProducer,
+    att: Attachment,
 }
 
 impl ShmBytesProducer {
-    fn header(&self) -> &RegionHeader {
-        header_of(&self.region)
+    fn attach(region: ShmRegion, variant: u8) -> Result<Self, ShmError> {
+        let (att, queue) = Attachment::new::<PayloadDesc>(region, variant, true)?;
+        let spsc = variant == VARIANT_SPSC_BYTES;
+        // The spill policy a shared-memory lane runs: *chained* across
+        // cells for SPSC (the continuation bytes live in slot buffers, so
+        // reassembly works cross-process) and *refusal* for SPMC — a chain
+        // cannot be split across shared-head consumers, heap spill pointers
+        // cannot cross address spaces, and truncation is never an option.
+        let spill = if spsc {
+            SpillMode::Chain
+        } else {
+            SpillMode::Refuse
+        };
+        // SAFETY: unique producer (slot claim); the slot view is the one
+        // every peer recomputes from the same header, and heap spill is
+        // never selected. SPMC wakes broadcast, as in ShmProducer::attach.
+        // The attachment outlives the engine.
+        let mut engine = unsafe {
+            SpProducer::from_raw_parts(RawProducer::attach(queue), att.slots(), spill, !spsc)
+        };
+        engine.set_wait_config(shm_wait_config());
+        Ok(Self { engine, att })
     }
 
     /// Reserves an in-place writable buffer for a `len`-byte payload,
@@ -1482,36 +1060,31 @@ impl ShmBytesProducer {
     /// poisoned queue. Dropping the returned [`WriteSlot`] uncommitted
     /// aborts the reservation; consumers never observe it.
     pub fn reserve(&mut self, len: usize) -> Result<WriteSlot<'_, SpProducer>, ShmReserveError> {
-        let engine = self.engine.as_mut().expect("live until drop");
-        let mut strat = WaitStrategy::new(engine.wait_config());
-        loop {
-            match engine.try_reserve_pending(len) {
-                Ok(()) => break,
-                Err(TryReserveError::TooLarge { len, max }) => {
-                    return Err(ShmReserveError::TooLarge { len, max });
-                }
-                Err(TryReserveError::Full) => {
-                    engine.full_wait_round(len, &mut strat, Some(Instant::now() + BLOCK_SLICE));
-                    // Stay visibly alive to consumers while blocked.
-                    self.heartbeat += 1;
-                    let header = header_of(&self.region);
-                    header.producer_slot().store_heartbeat(self.heartbeat);
-                    if header.is_poisoned() {
-                        return Err(ShmReserveError::Poisoned);
+        let engine = &mut self.engine;
+        let reserved = self.att.block(None, |slice| {
+            let mut strat = WaitStrategy::new(engine.wait_config());
+            let mut end = None;
+            loop {
+                match engine.try_reserve_pending(len) {
+                    Ok(()) => return Some(Ok(())),
+                    Err(TryReserveError::TooLarge { len, max }) => {
+                        return Some(Err(ShmReserveError::TooLarge { len, max }))
                     }
-                    if consumers_look_dead(header) {
-                        header.poison();
-                        self.q.state().wake_all();
-                        return Err(ShmReserveError::Poisoned);
+                    Err(TryReserveError::Full) => {
+                        let d = *end.get_or_insert_with(|| Instant::now() + slice);
+                        if engine.full_wait_round(len, &mut strat, Some(d)) == WaitRound::Expired {
+                            return None;
+                        }
                     }
                 }
             }
-        }
-        self.heartbeat += 1;
-        header_of(&self.region)
-            .producer_slot()
-            .store_heartbeat(self.heartbeat);
-        Ok(engine.pending_slot().expect("reservation just succeeded"))
+        });
+        reserved.unwrap_or(Err(ShmReserveError::Poisoned))?;
+        self.att.beat();
+        Ok(self
+            .engine
+            .pending_slot()
+            .expect("reservation just succeeded"))
     }
 
     /// Reserves without blocking; [`TryReserveError::Full`] if no cell (or
@@ -1521,13 +1094,12 @@ impl ShmBytesProducer {
         &mut self,
         len: usize,
     ) -> Result<WriteSlot<'_, SpProducer>, TryReserveError> {
-        let engine = self.engine.as_mut().expect("live until drop");
-        engine.try_reserve_pending(len)?;
-        self.heartbeat += 1;
-        header_of(&self.region)
-            .producer_slot()
-            .store_heartbeat(self.heartbeat);
-        Ok(engine.pending_slot().expect("reservation just succeeded"))
+        self.engine.try_reserve_pending(len)?;
+        self.att.beat();
+        Ok(self
+            .engine
+            .pending_slot()
+            .expect("reservation just succeeded"))
     }
 
     /// Copy-in convenience: `reserve(payload.len())`, copy, commit.
@@ -1542,121 +1114,36 @@ impl ShmBytesProducer {
     /// (`capacity/2 × slot_bytes` for the chained SPSC flavor, one slot
     /// buffer for SPMC).
     pub fn max_payload(&self) -> usize {
-        self.engine.as_ref().expect("live until drop").max_payload()
+        self.engine.max_payload()
     }
 
     /// Bytes per slot buffer — the largest payload that avoids the
     /// chain-spill path.
     pub fn slot_bytes(&self) -> usize {
-        self.engine.as_ref().expect("live until drop").slot_bytes()
-    }
-
-    /// Capacity of the shared descriptor-cell array.
-    pub fn capacity(&self) -> usize {
-        self.engine.as_ref().expect("live until drop").capacity()
+        self.engine.slot_bytes()
     }
 
     /// Replaces the wait policy used while blocked on a full queue; see
     /// [`ffq::WaitConfig`].
     pub fn set_wait_config(&mut self, cfg: ffq::WaitConfig) {
-        self.engine
-            .as_mut()
-            .expect("live until drop")
-            .set_wait_config(cfg);
-    }
-
-    /// `true` once the queue is poisoned.
-    pub fn is_poisoned(&self) -> bool {
-        self.header().is_poisoned()
-    }
-
-    /// Explicitly poisons the queue for every attached handle.
-    pub fn poison(&self) {
-        self.header().poison();
-        self.q.state().wake_all();
+        self.engine.set_wait_config(cfg);
     }
 
     /// Snapshot of this producer's counters.
     pub fn stats(&self) -> ProducerStats {
-        self.engine.as_ref().expect("live until drop").stats()
+        self.engine.stats()
     }
-}
 
-impl Drop for ShmBytesProducer {
-    fn drop(&mut self) {
-        // Engine first (aborts any leaked uncommitted reservation), then
-        // the clean typed-producer detach: count, wake, vacate the slot —
-        // strictly after the engine can no longer touch the region.
-        self.engine.take();
-        let state = self.q.state();
-        state.producers().fetch_sub(1, Ordering::Release);
-        state.wake_all();
-        self.header().producer_slot().release();
-    }
-}
-
-/// What every bytes-consumer attach produces: the raw queue view, the
-/// slot-buffer region, and the dead-peer watchdog.
-type BytesAttachParts = (
-    RawQueue<PayloadDesc, DescCell, LinearMap>,
-    SlotRegion,
-    PeerWatch,
-);
-
-fn attach_bytes_consumer_common(
-    region: &ShmRegion,
-    variant: u8,
-    spsc: bool,
-) -> Result<BytesAttachParts, ShmError> {
-    let (layout, cfg) = validate_bytes_attach(region, variant)?;
-    let header = header_of(region);
-    if header.is_poisoned() {
-        return Err(ShmError::Poisoned);
-    }
-    let pid = process_id();
-    let slot = if spsc {
-        if !header.consumer_slot(0).try_claim(pid) {
-            return Err(ShmError::SlotsFull);
-        }
-        0
-    } else {
-        header.claim_consumer_slot(pid).ok_or(ShmError::SlotsFull)?
-    };
-    // SAFETY: layout validated against the READY region.
-    let (q, slots) = unsafe { bytes_queue_view(region, &layout, &cfg) };
-    q.state().consumers().fetch_add(1, Ordering::AcqRel);
-    let watch = PeerWatch {
-        slot,
-        last_producer_hb: header.producer_slot().heartbeat(),
-    };
-    Ok((q, slots, watch))
+    attachment_api!();
 }
 
 macro_rules! bytes_consumer_common_impl {
     ($engine_ty:ty) => {
-        fn header(&self) -> &RegionHeader {
-            header_of(&self.region)
-        }
-
         /// Claims the next payload without blocking. The returned
         /// [`PayloadRef`] borrows the bytes in the mapped slot region;
         /// the cell recycles when it drops.
         pub fn try_recv(&mut self) -> Result<PayloadRef<'_, $engine_ty>, ShmTryDequeueError> {
-            let engine = self.engine.as_mut().expect("live until drop");
-            match engine.try_claim_payload() {
-                Ok(()) => {}
-                Err(TryDequeueError::Disconnected) => return Err(ShmTryDequeueError::Disconnected),
-                Err(TryDequeueError::Empty) => {
-                    return Err(if header_of(&self.region).is_poisoned() {
-                        ShmTryDequeueError::Poisoned
-                    } else {
-                        ShmTryDequeueError::Empty
-                    })
-                }
-            }
-            // Infallible: the claim is already held (claiming is
-            // idempotent), so this only builds the guard.
-            Ok(engine.try_recv().expect("payload already claimed"))
+            self.engine.try_recv().map_err(|e| self.att.miss(e))
         }
 
         /// Claims the next payload, waiting — bounded parks on the
@@ -1664,95 +1151,61 @@ macro_rules! bytes_consumer_common_impl {
         /// the typed [`dequeue`](ShmSpscConsumer::dequeue) — while the
         /// queue is empty.
         pub fn recv(&mut self) -> Result<PayloadRef<'_, $engine_ty>, ShmDequeueError> {
-            let engine = self.engine.as_mut().expect("live until drop");
-            let mut strat = WaitStrategy::new(engine.wait_config());
-            let mut slice_end = Instant::now() + BLOCK_SLICE;
-            loop {
-                match engine.try_claim_payload() {
-                    Ok(()) => break,
-                    Err(TryDequeueError::Disconnected) => {
-                        return Err(ShmDequeueError::Disconnected)
-                    }
-                    Err(TryDequeueError::Empty) => {
-                        let round = engine.empty_wait_round(&mut strat, Some(slice_end));
-                        if round == WaitRound::Expired || Instant::now() >= slice_end {
-                            if self.watch.empty_tick(header_of(&self.region)) {
-                                self.q.state().wake_all();
-                                return Err(ShmDequeueError::Poisoned);
-                            }
-                            slice_end = Instant::now() + BLOCK_SLICE;
-                        }
-                    }
-                }
-            }
-            Ok(engine.try_recv().expect("payload already claimed"))
+            self.claim(None).map_err(blocking)?;
+            Ok(self.claimed())
         }
 
         /// Claims the next payload, giving up with
         /// [`ShmTryDequeueError::Empty`] after `timeout`. Runs the same
-        /// liveness probes as [`recv`](Self::recv).
+        /// liveness probes as [`recv`](Self::recv), the first one before
+        /// the deadline is checked.
         pub fn recv_timeout(
             &mut self,
             timeout: Duration,
         ) -> Result<PayloadRef<'_, $engine_ty>, ShmTryDequeueError> {
-            let deadline = Instant::now() + timeout;
-            let engine = self.engine.as_mut().expect("live until drop");
-            let mut strat = WaitStrategy::new(engine.wait_config());
-            let mut slice_end = Instant::now() + BLOCK_SLICE;
-            loop {
-                match engine.try_claim_payload() {
-                    Ok(()) => break,
-                    Err(TryDequeueError::Disconnected) => {
-                        return Err(ShmTryDequeueError::Disconnected)
-                    }
-                    Err(TryDequeueError::Empty) => {
-                        if Instant::now() >= deadline {
-                            return Err(ShmTryDequeueError::Empty);
-                        }
-                        let round =
-                            engine.empty_wait_round(&mut strat, Some(slice_end.min(deadline)));
-                        if round == WaitRound::Expired || Instant::now() >= slice_end {
-                            if self.watch.empty_tick(header_of(&self.region)) {
-                                self.q.state().wake_all();
-                                return Err(ShmTryDequeueError::Poisoned);
+            self.claim(Some(Instant::now() + timeout))?;
+            Ok(self.claimed())
+        }
+
+        fn claim(&mut self, deadline: Option<Instant>) -> Result<(), ShmTryDequeueError> {
+            let engine = &mut self.engine;
+            let claimed = self.att.block(deadline, |slice| {
+                let mut strat = WaitStrategy::new(engine.wait_config());
+                let mut end = None;
+                loop {
+                    match engine.try_claim_payload() {
+                        Err(TryDequeueError::Empty) => {
+                            let d = *end.get_or_insert_with(|| Instant::now() + slice);
+                            if engine.empty_wait_round(&mut strat, Some(d)) == WaitRound::Expired {
+                                return None;
                             }
-                            slice_end = Instant::now() + BLOCK_SLICE;
                         }
+                        r => return Some(r),
                     }
                 }
-            }
-            Ok(engine.try_recv().expect("payload already claimed"))
+            })?;
+            claimed.map_err(|_| ShmTryDequeueError::Disconnected)
+        }
+
+        /// The guard over the payload [`claim`](Self::claim) holds.
+        fn claimed(&mut self) -> PayloadRef<'_, $engine_ty> {
+            // Infallible: the claim is already held (claiming is
+            // idempotent), so this only builds the guard.
+            self.engine.try_recv().expect("payload already claimed")
         }
 
         /// Replaces the wait policy used inside blocked slices; see
         /// [`ffq::WaitConfig`].
         pub fn set_wait_config(&mut self, cfg: ffq::WaitConfig) {
-            self.engine
-                .as_mut()
-                .expect("live until drop")
-                .set_wait_config(cfg);
-        }
-
-        /// Capacity of the shared descriptor-cell array.
-        pub fn capacity(&self) -> usize {
-            self.engine.as_ref().expect("live until drop").capacity()
-        }
-
-        /// `true` once the queue is poisoned.
-        pub fn is_poisoned(&self) -> bool {
-            self.header().is_poisoned()
-        }
-
-        /// Explicitly poisons the queue for every attached handle.
-        pub fn poison(&self) {
-            self.header().poison();
-            self.q.state().wake_all();
+            self.engine.set_wait_config(cfg);
         }
 
         /// Snapshot of this consumer's counters.
         pub fn stats(&self) -> ConsumerStats {
-            self.engine.as_ref().expect("live until drop").stats()
+            self.engine.stats()
         }
+
+        attachment_api!();
     };
 }
 
@@ -1760,49 +1213,24 @@ macro_rules! bytes_consumer_common_impl {
 /// including chain-spilled ones larger than a slot buffer — come out
 /// borrowed from (or reassembled out of) the mapped slot region.
 pub struct ShmBytesSpscConsumer {
-    /// `Some` until Drop: torn down (retiring any claimed rank) before the
-    /// header slot is released, so a successor consumer can never overlap
-    /// this engine's shared-memory accesses.
-    engine: Option<SpscConsumer>,
-    q: RawQueue<PayloadDesc, DescCell, LinearMap>,
-    region: ShmRegion,
-    watch: PeerWatch,
+    engine: SpscConsumer,
+    att: Attachment,
 }
 
 impl ShmBytesSpscConsumer {
     bytes_consumer_common_impl!(SpscConsumer);
 }
 
-impl Drop for ShmBytesSpscConsumer {
-    fn drop(&mut self) {
-        // Engine first (releases a held claim), then detach.
-        self.engine.take();
-        consumer_detach(self.q.state(), header_of(&self.region), self.watch.slot);
-    }
-}
-
 /// A shared-head consumer on a shared-memory SPMC bytes queue. Attach up
 /// to [`MAX_CONSUMERS`](crate::header::MAX_CONSUMERS), from any mix of
 /// processes and threads; each payload is delivered to exactly one.
 pub struct ShmBytesSpmcConsumer {
-    /// `Some` until Drop — see [`ShmBytesSpscConsumer::engine`].
-    engine: Option<McConsumer<false>>,
-    q: RawQueue<PayloadDesc, DescCell, LinearMap>,
-    region: ShmRegion,
-    watch: PeerWatch,
+    engine: McConsumer<false>,
+    att: Attachment,
 }
 
 impl ShmBytesSpmcConsumer {
     bytes_consumer_common_impl!(McConsumer<false>);
-}
-
-impl Drop for ShmBytesSpmcConsumer {
-    fn drop(&mut self) {
-        // Engine first (releases a held claim, re-circulates pending
-        // ranks), then detach.
-        self.engine.take();
-        consumer_detach(self.q.state(), header_of(&self.region), self.watch.slot);
-    }
 }
 
 macro_rules! bytes_variant_module {
@@ -1813,13 +1241,7 @@ macro_rules! bytes_variant_module {
         /// [`ShmRegion::create`] /
         /// [`ShmRegion::create_memfd`](crate::region::ShmRegion::create_memfd).
         pub fn required_size(capacity: usize, slot_bytes: usize) -> Result<usize, ShmError> {
-            let cap_log2 = ffq::normalize_capacity(capacity)?;
-            let slot = ffq::normalize_slot_bytes(slot_bytes)?;
-            bytes_region_layout(cap_log2, slot.trailing_zeros() as u8)
-                .map(|l| l.total_len)
-                .ok_or(ShmError::Capacity(ffq::CapacityError::TooLarge {
-                    requested: capacity,
-                }))
+            super::required_size::<PayloadDesc>($variant, capacity, Some(slot_bytes))
         }
 
         /// Formats `region` as this variant's bytes queue *without*
@@ -1829,7 +1251,7 @@ macro_rules! bytes_variant_module {
             capacity: usize,
             slot_bytes: usize,
         ) -> Result<(), ShmError> {
-            format_bytes_impl(region, capacity, slot_bytes, $variant)
+            super::format::<PayloadDesc>(region, $variant, capacity, Some(slot_bytes))
         }
 
         /// Formats `region` and attaches as its producer in one step — the
@@ -1847,7 +1269,7 @@ macro_rules! bytes_variant_module {
         /// (waits for `READY`). Exclusive while a live handle holds the
         /// producer side; reattachable after a clean detach.
         pub fn attach_producer(region: ShmRegion) -> Result<Producer, ShmError> {
-            attach_bytes_producer_impl(region, $variant)
+            Producer::attach(region, $variant)
         }
     };
 }
@@ -1879,21 +1301,20 @@ pub mod spsc_bytes {
     /// region (waits for `READY`). A second live consumer is refused with
     /// [`ShmError::SlotsFull`].
     pub fn attach_consumer(region: ShmRegion) -> Result<Consumer, ShmError> {
-        let (q, slots, watch) = attach_bytes_consumer_common(&region, VARIANT_SPSC_BYTES, true)?;
-        // SAFETY: validated READY region; consumer uniqueness enforced by
-        // the exclusive claim on header slot 0.
-        let raw = unsafe { RawSpscConsumer::attach(q) };
-        // SAFETY: same slot region every peer recomputes from the header
-        // config; Chain matches the producer's mode for this variant and
-        // needs no shared address space.
-        let mut engine = unsafe { SpscConsumer::from_raw_parts(raw, slots, SpillMode::Chain) };
+        let (att, queue) = Attachment::new::<PayloadDesc>(region, VARIANT_SPSC_BYTES, false)?;
+        // SAFETY: consumer uniqueness enforced by the exclusive claim on
+        // header slot 0; Chain matches the producer's mode for this lane
+        // and needs no shared address space. The attachment outlives the
+        // engine.
+        let mut engine = unsafe {
+            SpscConsumer::from_raw_parts(
+                RawSpscConsumer::attach(queue),
+                att.slots(),
+                SpillMode::Chain,
+            )
+        };
         engine.set_wait_config(shm_wait_config());
-        Ok(Consumer {
-            engine: Some(engine),
-            q,
-            region,
-            watch,
-        })
+        Ok(Consumer { engine, att })
     }
 }
 
@@ -1918,75 +1339,44 @@ pub mod spmc_bytes {
     /// [`MAX_CONSUMERS`](crate::header::MAX_CONSUMERS) may be attached at
     /// once, from any mix of processes and threads.
     pub fn attach_consumer(region: ShmRegion) -> Result<Consumer, ShmError> {
-        let (q, slots, watch) = attach_bytes_consumer_common(&region, VARIANT_SPMC_BYTES, false)?;
-        // SAFETY: validated READY region; shared-head consumers may attach
-        // in any number up to the slot limit.
-        let raw = unsafe { RawConsumer::attach(q) };
-        // SAFETY: same slot region every peer recomputes from the header
-        // config; Refuse matches the producer's mode for this variant.
-        let mut engine = unsafe { McConsumer::from_raw_parts(raw, slots, SpillMode::Refuse) };
+        let (att, queue) = Attachment::new::<PayloadDesc>(region, VARIANT_SPMC_BYTES, false)?;
+        // SAFETY: shared-head consumers may attach in any number up to the
+        // slot limit; Refuse matches the producer's mode for this lane.
+        // The attachment outlives the engine.
+        let mut engine = unsafe {
+            McConsumer::from_raw_parts(RawConsumer::attach(queue), att.slots(), SpillMode::Refuse)
+        };
         engine.set_wait_config(shm_wait_config());
-        Ok(Consumer {
-            engine: Some(engine),
-            q,
-            region,
-            watch,
-        })
+        Ok(Consumer { engine, att })
     }
 }
 
-impl core::fmt::Debug for ShmBytesProducer {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("ShmBytesProducer")
-            .field("capacity", &self.capacity())
-            .field("slot_bytes", &self.slot_bytes())
-            .field("heartbeat", &self.heartbeat)
-            .finish_non_exhaustive()
-    }
+/// One `Debug` for every handle: what its attachment knows.
+macro_rules! debug_via_attachment {
+    ($($handle:ident $(<$t:ident>)?),* $(,)?) => {$(
+        impl$(<$t: ShmSafe>)? fmt::Debug for $handle$(<$t>)? {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_struct(stringify!($handle))
+                    .field("variant", &self.att.cfg.variant)
+                    .field("capacity", &self.att.capacity())
+                    .field("slot", &self.att.slot)
+                    .field("heartbeat", &self.att.heartbeat)
+                    .finish_non_exhaustive()
+            }
+        }
+    )*};
 }
 
-impl core::fmt::Debug for ShmBytesSpscConsumer {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("ShmBytesSpscConsumer")
-            .field("capacity", &self.capacity())
-            .finish_non_exhaustive()
-    }
-}
-
-impl core::fmt::Debug for ShmBytesSpmcConsumer {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("ShmBytesSpmcConsumer")
-            .field("capacity", &self.capacity())
-            .field("slot", &self.watch.slot)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<T: ShmSafe, C: CellSlot<T>, M: IndexMap> core::fmt::Debug for ShmProducer<T, C, M> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("ShmProducer")
-            .field("capacity", &self.raw.capacity())
-            .field("heartbeat", &self.heartbeat)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<T: ShmSafe, C: CellSlot<T>, M: IndexMap> core::fmt::Debug for ShmSpmcConsumer<T, C, M> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("ShmSpmcConsumer")
-            .field("capacity", &self.raw.capacity())
-            .field("slot", &self.watch.slot)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<T: ShmSafe, C: CellSlot<T>, M: IndexMap> core::fmt::Debug for ShmSpscConsumer<T, C, M> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("ShmSpscConsumer")
-            .field("capacity", &self.raw.capacity())
-            .finish_non_exhaustive()
-    }
-}
+debug_via_attachment!(
+    ShmProducer<T>,
+    ShmSpscConsumer<T>,
+    ShmSpmcConsumer<T>,
+    ShmBroadcastSender<T>,
+    ShmBroadcastSubscriber<T>,
+    ShmBytesProducer,
+    ShmBytesSpscConsumer,
+    ShmBytesSpmcConsumer,
+);
 
 #[cfg(test)]
 mod tests {
@@ -2000,12 +1390,185 @@ mod tests {
         ShmRegion::create_memfd(spsc::required_size::<u64>(capacity).unwrap()).unwrap()
     }
 
+    /// One lane's handles behind a common shape, so each lifecycle test
+    /// runs on every lane instead of being copied per lane. Items are
+    /// `u64`s (little-endian bytes on the bytes lanes).
+    trait Lane: 'static {
+        type Tx: fmt::Debug + Send + 'static;
+        type Rx: fmt::Debug + Send + 'static;
+        /// `true` for the lanes that allow exactly one consumer.
+        const SINGLE_CONSUMER: bool;
+        fn required_size() -> usize;
+        fn format(region: &ShmRegion);
+        fn attach_producer(region: ShmRegion) -> Result<Self::Tx, ShmError>;
+        /// Attaches a consumer that sees everything already published.
+        fn attach_consumer(region: ShmRegion) -> Result<Self::Rx, ShmError>;
+        fn send(tx: &mut Self::Tx, v: u64);
+        fn poison(tx: &Self::Tx);
+        /// `Closed` on broadcast reads as `Disconnected`.
+        fn recv(rx: &mut Self::Rx) -> Result<u64, ShmDequeueError>;
+        fn recv_timeout(rx: &mut Self::Rx, timeout: Duration) -> Result<u64, ShmTryDequeueError>;
+
+        fn region() -> ShmRegion {
+            ShmRegion::create_memfd(Self::required_size()).unwrap()
+        }
+    }
+
+    struct Spsc;
+    struct Spmc;
+    struct Broadcast;
+    struct SpscBytes;
+    struct SpmcBytes;
+
+    macro_rules! typed_lane {
+        ($lane:ident, $module:ident, $single:expr) => {
+            impl Lane for $lane {
+                type Tx = $module::Producer<u64>;
+                type Rx = $module::Consumer<u64>;
+                const SINGLE_CONSUMER: bool = $single;
+                fn required_size() -> usize {
+                    $module::required_size::<u64>(64).unwrap()
+                }
+                fn format(region: &ShmRegion) {
+                    $module::format::<u64>(region, 64).unwrap();
+                }
+                fn attach_producer(region: ShmRegion) -> Result<Self::Tx, ShmError> {
+                    $module::attach_producer(region)
+                }
+                fn attach_consumer(region: ShmRegion) -> Result<Self::Rx, ShmError> {
+                    $module::attach_consumer(region)
+                }
+                fn send(tx: &mut Self::Tx, v: u64) {
+                    tx.enqueue(v).unwrap();
+                }
+                fn poison(tx: &Self::Tx) {
+                    tx.poison();
+                }
+                fn recv(rx: &mut Self::Rx) -> Result<u64, ShmDequeueError> {
+                    rx.dequeue()
+                }
+                fn recv_timeout(
+                    rx: &mut Self::Rx,
+                    timeout: Duration,
+                ) -> Result<u64, ShmTryDequeueError> {
+                    rx.dequeue_timeout(timeout)
+                }
+            }
+        };
+    }
+
+    typed_lane!(Spsc, spsc, true);
+    typed_lane!(Spmc, spmc, false);
+
+    macro_rules! bytes_lane {
+        ($lane:ident, $module:ident, $single:expr) => {
+            impl Lane for $lane {
+                type Tx = $module::Producer;
+                type Rx = $module::Consumer;
+                const SINGLE_CONSUMER: bool = $single;
+                fn required_size() -> usize {
+                    $module::required_size(64, 64).unwrap()
+                }
+                fn format(region: &ShmRegion) {
+                    $module::format(region, 64, 64).unwrap();
+                }
+                fn attach_producer(region: ShmRegion) -> Result<Self::Tx, ShmError> {
+                    $module::attach_producer(region)
+                }
+                fn attach_consumer(region: ShmRegion) -> Result<Self::Rx, ShmError> {
+                    $module::attach_consumer(region)
+                }
+                fn send(tx: &mut Self::Tx, v: u64) {
+                    tx.send_bytes(&v.to_le_bytes()).unwrap();
+                }
+                fn poison(tx: &Self::Tx) {
+                    tx.poison();
+                }
+                fn recv(rx: &mut Self::Rx) -> Result<u64, ShmDequeueError> {
+                    rx.recv()
+                        .map(|p| u64::from_le_bytes((*p).try_into().unwrap()))
+                }
+                fn recv_timeout(
+                    rx: &mut Self::Rx,
+                    timeout: Duration,
+                ) -> Result<u64, ShmTryDequeueError> {
+                    rx.recv_timeout(timeout)
+                        .map(|p| u64::from_le_bytes((*p).try_into().unwrap()))
+                }
+            }
+        };
+    }
+
+    bytes_lane!(SpscBytes, spsc_bytes, true);
+    bytes_lane!(SpmcBytes, spmc_bytes, false);
+
+    impl Lane for Broadcast {
+        type Tx = broadcast::Sender<u64>;
+        type Rx = broadcast::Subscriber<u64>;
+        const SINGLE_CONSUMER: bool = false;
+        fn required_size() -> usize {
+            broadcast::required_size::<u64>(64).unwrap()
+        }
+        fn format(region: &ShmRegion) {
+            broadcast::format::<u64>(region, 64).unwrap();
+        }
+        fn attach_producer(region: ShmRegion) -> Result<Self::Tx, ShmError> {
+            broadcast::attach_sender(region)
+        }
+        fn attach_consumer(region: ShmRegion) -> Result<Self::Rx, ShmError> {
+            broadcast::attach_subscriber_from_origin(region)
+        }
+        fn send(tx: &mut Self::Tx, v: u64) {
+            tx.send(v);
+        }
+        fn poison(tx: &Self::Tx) {
+            tx.poison();
+        }
+        fn recv(rx: &mut Self::Rx) -> Result<u64, ShmDequeueError> {
+            rx.recv().map_err(|e| match e {
+                ShmBroadcastRecvError::Closed => ShmDequeueError::Disconnected,
+                ShmBroadcastRecvError::Poisoned => ShmDequeueError::Poisoned,
+                ShmBroadcastRecvError::Lagged(n) => panic!("lagged {n} on a 64-cell ring"),
+            })
+        }
+        fn recv_timeout(rx: &mut Self::Rx, timeout: Duration) -> Result<u64, ShmTryDequeueError> {
+            rx.recv_timeout(timeout).map_err(|e| match e {
+                ShmBroadcastTryRecvError::Empty => ShmTryDequeueError::Empty,
+                ShmBroadcastTryRecvError::Closed => ShmTryDequeueError::Disconnected,
+                ShmBroadcastTryRecvError::Poisoned => ShmTryDequeueError::Poisoned,
+                ShmBroadcastTryRecvError::Lagged(n) => panic!("lagged {n} on a 64-cell ring"),
+            })
+        }
+    }
+
+    /// Runs the generic test body `$f::<Lane>()` on every lane in turn.
+    macro_rules! on_every_lane {
+        ($f:ident) => {
+            $f::<Spsc>();
+            $f::<Spmc>();
+            $f::<Broadcast>();
+            $f::<SpscBytes>();
+            $f::<SpmcBytes>();
+        };
+    }
+
+    /// Registers a pid that cannot exist (beyond Linux's PID_MAX_LIMIT of
+    /// 2^22) in the producer slot: a crashed producer, without forking.
+    fn plant_dead_producer(region: &ShmRegion) {
+        assert!(header_of(region).producer_slot().try_claim((1 << 22) + 1));
+    }
+
     #[test]
     fn handles_are_send() {
         fn assert_send<T: Send>() {}
         assert_send::<spsc::Producer<u64>>();
         assert_send::<spsc::Consumer<u64>>();
         assert_send::<spmc::Consumer<u64>>();
+        assert_send::<broadcast::Sender<u64>>();
+        assert_send::<broadcast::Subscriber<u64>>();
+        assert_send::<spsc_bytes::Producer>();
+        assert_send::<spsc_bytes::Consumer>();
+        assert_send::<spmc_bytes::Consumer>();
     }
 
     #[test]
@@ -2106,33 +1669,79 @@ mod tests {
                 found: 8,
             }
         );
-        // Wrong cell layout.
+        // Every handle formats padded cells under the linear map, so a
+        // compact-cell or rotated-index region can only come from another
+        // binary: publish such headers by hand and check the refusals.
+        let good = QueueConfig::decode(header_of(&region).config_words()).unwrap();
+        let foreign = |cfg: QueueConfig| {
+            let r = memfd_for_spsc(64);
+            header_of(&r).begin_init().unwrap();
+            header_of(&r).publish_ready(&cfg, process_id()).unwrap();
+            spsc::attach_consumer::<u64>(r).unwrap_err()
+        };
         assert_eq!(
-            spsc::attach_consumer_with::<u64, ffq::cell::CompactCell<u64>, LinearMap>(
-                region.remap().unwrap()
-            )
-            .unwrap_err(),
+            foreign(QueueConfig {
+                cell_layout: 2,
+                ..good
+            }),
             ShmError::ConfigMismatch {
                 field: "cell layout",
-                expected: 2,
-                found: 1,
+                expected: 1,
+                found: 2,
             }
         );
-        // Wrong index map.
         assert_eq!(
-            spsc::attach_consumer_with::<u64, PaddedCell<u64>, ffq::layout::RotateMap>(
-                region.remap().unwrap()
-            )
-            .unwrap_err(),
+            foreign(QueueConfig {
+                index_map: 2,
+                ..good
+            }),
             ShmError::ConfigMismatch {
                 field: "index map",
-                expected: 2,
-                found: 1,
+                expected: 1,
+                found: 2,
             }
         );
         // Matching attach still works after all those rejections.
         let rx = spsc::attach_consumer::<u64>(region.remap().unwrap()).unwrap();
         drop(rx);
+    }
+
+    #[test]
+    fn region_format_is_pinned() {
+        // Config words and region lengths as the v4 format has always
+        // written them: a layout change must bump `header::VERSION`, not
+        // silently move offsets under binaries already deployed.
+        fn check(len: usize, format: impl FnOnce(&ShmRegion), words: [u64; 4]) {
+            assert_eq!(len as u64, words[3], "required size");
+            let region = ShmRegion::create_memfd(len).unwrap();
+            format(&region);
+            assert_eq!(header_of(&region).config_words(), words);
+        }
+        check(
+            spsc::required_size::<u64>(64).unwrap(),
+            |r| spsc::format::<u64>(r, 64).unwrap(),
+            [0x600010101, 0x800000008, 0x40000000180, 5120],
+        );
+        check(
+            spmc::required_size::<[u8; 32]>(128).unwrap(),
+            |r| spmc::format::<[u8; 32]>(r, 128).unwrap(),
+            [0x700010102, 0x100000020, 0x40000000180, 9216],
+        );
+        check(
+            broadcast::required_size::<u32>(32).unwrap(),
+            |r| broadcast::format::<u32>(r, 32).unwrap(),
+            [0x500010105, 0x400000004, 0x40000000180, 3072],
+        );
+        check(
+            spsc_bytes::required_size(64, 256).unwrap(),
+            |r| spsc_bytes::format(r, 64, 256).unwrap(),
+            [0x608010103, 0x800000018, 0x40000000180, 21504],
+        );
+        check(
+            spmc_bytes::required_size(16, 100).unwrap(),
+            |r| spmc_bytes::format(r, 16, 100).unwrap(),
+            [0x407010104, 0x800000018, 0x40000000180, 4096],
+        );
     }
 
     #[test]
@@ -2155,80 +1764,116 @@ mod tests {
 
     #[test]
     fn producer_side_is_exclusive_but_reattachable() {
-        let region = memfd_for_spsc(64);
-        let mut tx = spsc::create::<u64>(region.clone(), 64).unwrap();
-        tx.enqueue(1).unwrap();
-        tx.enqueue(2).unwrap();
-        assert_eq!(
-            spsc::attach_producer::<u64>(region.remap().unwrap()).unwrap_err(),
-            ShmError::ProducerAttached
-        );
-        drop(tx);
-        // Clean detach: a successor resumes from the mirrored tail.
-        let mut tx2 = spsc::attach_producer::<u64>(region.remap().unwrap()).unwrap();
-        tx2.enqueue(3).unwrap();
-        let mut rx = spsc::attach_consumer::<u64>(region.remap().unwrap()).unwrap();
-        assert_eq!(rx.dequeue(), Ok(1));
-        assert_eq!(rx.dequeue(), Ok(2));
-        assert_eq!(rx.dequeue(), Ok(3));
-        drop(tx2);
-        assert_eq!(rx.dequeue(), Err(ShmDequeueError::Disconnected));
+        fn check<L: Lane>() {
+            let region = L::region();
+            L::format(&region);
+            let mut rx = L::attach_consumer(region.remap().unwrap()).unwrap();
+            let mut tx = L::attach_producer(region.remap().unwrap()).unwrap();
+            L::send(&mut tx, 1);
+            L::send(&mut tx, 2);
+            assert_eq!(
+                L::attach_producer(region.remap().unwrap()).unwrap_err(),
+                ShmError::ProducerAttached
+            );
+            drop(tx);
+            // Clean detach: a successor resumes from the mirrored tail.
+            let mut tx2 = L::attach_producer(region.remap().unwrap()).unwrap();
+            L::send(&mut tx2, 3);
+            assert_eq!(L::recv(&mut rx), Ok(1));
+            assert_eq!(L::recv(&mut rx), Ok(2));
+            assert_eq!(L::recv(&mut rx), Ok(3));
+            drop(tx2);
+            assert_eq!(L::recv(&mut rx), Err(ShmDequeueError::Disconnected));
+        }
+        on_every_lane!(check);
     }
 
     #[test]
     fn spsc_allows_exactly_one_consumer() {
-        let region = memfd_for_spsc(64);
-        spsc::format::<u64>(&region, 64).unwrap();
-        let rx = spsc::attach_consumer::<u64>(region.remap().unwrap()).unwrap();
-        assert_eq!(
-            spsc::attach_consumer::<u64>(region.remap().unwrap()).unwrap_err(),
-            ShmError::SlotsFull
-        );
-        drop(rx);
-        assert!(spsc::attach_consumer::<u64>(region.remap().unwrap()).is_ok());
+        fn check<L: Lane>() {
+            let region = L::region();
+            L::format(&region);
+            let rx = L::attach_consumer(region.remap().unwrap()).unwrap();
+            let second = L::attach_consumer(region.remap().unwrap());
+            if L::SINGLE_CONSUMER {
+                assert_eq!(second.unwrap_err(), ShmError::SlotsFull);
+            } else {
+                assert!(second.is_ok(), "multi-consumer lanes take a second one");
+            }
+            drop(rx);
+            assert!(L::attach_consumer(region.remap().unwrap()).is_ok());
+        }
+        on_every_lane!(check);
     }
 
     #[test]
     fn spmc_consumer_slots_exhaust() {
-        let region = ShmRegion::create_memfd(spmc::required_size::<u64>(64).unwrap()).unwrap();
-        spmc::format::<u64>(&region, 64).unwrap();
-        let held: Vec<_> = (0..MAX_CONSUMERS)
-            .map(|_| spmc::attach_consumer::<u64>(region.clone()).unwrap())
-            .collect();
-        assert_eq!(
-            spmc::attach_consumer::<u64>(region.clone()).unwrap_err(),
-            ShmError::SlotsFull
-        );
-        drop(held);
-        assert!(spmc::attach_consumer::<u64>(region).is_ok());
+        fn check<L: Lane>() {
+            if L::SINGLE_CONSUMER {
+                return; // covered by spsc_allows_exactly_one_consumer
+            }
+            let region = L::region();
+            L::format(&region);
+            let held: Vec<_> = (0..MAX_CONSUMERS)
+                .map(|_| L::attach_consumer(region.clone()).unwrap())
+                .collect();
+            assert_eq!(
+                L::attach_consumer(region.clone()).unwrap_err(),
+                ShmError::SlotsFull
+            );
+            drop(held);
+            assert!(L::attach_consumer(region).is_ok());
+        }
+        on_every_lane!(check);
     }
 
     #[test]
     fn explicit_poison_unblocks_a_waiting_consumer() {
-        let region = ShmRegion::create_memfd(spmc::required_size::<u64>(64).unwrap()).unwrap();
-        let tx = spmc::create::<u64>(region.clone(), 64).unwrap();
-        let mut rx = spmc::attach_consumer::<u64>(region.remap().unwrap()).unwrap();
-        let t = thread::spawn(move || rx.dequeue());
-        thread::sleep(Duration::from_millis(20));
-        tx.poison();
-        assert_eq!(t.join().unwrap(), Err(ShmDequeueError::Poisoned));
-        assert!(tx.is_poisoned());
-        // Attaching to a poisoned queue is refused.
-        assert_eq!(
-            spmc::attach_consumer::<u64>(region.remap().unwrap()).unwrap_err(),
-            ShmError::Poisoned
-        );
+        fn check<L: Lane>() {
+            let region = L::region();
+            L::format(&region);
+            let tx = L::attach_producer(region.clone()).unwrap();
+            let mut rx = L::attach_consumer(region.remap().unwrap()).unwrap();
+            let t = thread::spawn(move || L::recv(&mut rx));
+            thread::sleep(Duration::from_millis(20));
+            L::poison(&tx);
+            assert_eq!(t.join().unwrap(), Err(ShmDequeueError::Poisoned));
+            assert!(header_of(&region).is_poisoned());
+            // Attaching to a poisoned queue is refused.
+            assert_eq!(
+                L::attach_consumer(region.remap().unwrap()).unwrap_err(),
+                ShmError::Poisoned
+            );
+        }
+        on_every_lane!(check);
+    }
+
+    #[test]
+    fn zero_timeout_still_probes_a_dead_producer() {
+        // The liveness probe runs before the deadline check on every lane,
+        // so even a zero timeout reports a crashed producer as poison.
+        fn check<L: Lane>() {
+            let region = L::region();
+            L::format(&region);
+            plant_dead_producer(&region);
+            let mut rx = L::attach_consumer(region.remap().unwrap()).unwrap();
+            assert_eq!(
+                L::recv_timeout(&mut rx, Duration::ZERO),
+                Err(ShmTryDequeueError::Poisoned),
+                "{}",
+                core::any::type_name::<L>()
+            );
+        }
+        on_every_lane!(check);
     }
 
     #[test]
     fn dead_producer_pid_poisons_the_queue() {
-        // Simulate a crashed producer without forking: register a pid that
-        // cannot exist (beyond Linux's PID_MAX_LIMIT of 2^22) in the
-        // producer slot. The consumer's heartbeat probe finds it stalled,
-        // the kill(2) probe reports ESRCH, and the queue poisons.
+        // The consumer's heartbeat probe finds the planted producer
+        // stalled, the kill(2) probe reports ESRCH, and the queue poisons.
         let region = ShmRegion::create_memfd(spmc::required_size::<u64>(64).unwrap()).unwrap();
         spmc::format::<u64>(&region, 64).unwrap();
-        assert!(header_of(&region).producer_slot().try_claim((1 << 22) + 1));
+        plant_dead_producer(&region);
         let mut rx = spmc::attach_consumer::<u64>(region.remap().unwrap()).unwrap();
         let start = Instant::now();
         assert_eq!(

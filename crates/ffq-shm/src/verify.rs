@@ -15,7 +15,8 @@
 //!    audit, and no further dereference happens (a truncated mapping is
 //!    caught before any offset past the header is touched).
 //! 2. **Geometry** — the header's recorded offsets must equal what this
-//!    binary recomputes from the config ([`dynamic_region_layout`]), and
+//!    binary recomputes from the config ([`region_layout`] over the cell
+//!    geometry from [`dynamic_cell_geometry`]), and
 //!    the mapping must be at least `region_len` bytes. A header that
 //!    disagrees with itself is refused, because every later pointer would
 //!    be derived from untrusted offsets.
@@ -51,12 +52,14 @@ use ffq::cell::{
 };
 use ffq::layout::{IndexMap, LinearMap, RotateMap};
 use ffq::raw::QueueState;
-use ffq_sync::{sys, DoubleWord};
+use ffq_sync::DoubleWord;
 
+pub use crate::header::CellGeometry;
 use crate::header::{
-    variant_is_bytes, Lifecycle, QueueConfig, RegionHeader, MAGIC, MAX_CONSUMERS, PEER_DETACHED,
-    PEER_FREE, VARIANT_BROADCAST, VARIANT_SPSC, VERSION,
+    region_layout, round_up, variant_is_bytes, Lifecycle, QueueConfig, RegionHeader, MAGIC,
+    MAX_CONSUMERS, PEER_DETACHED, PEER_FREE, VARIANT_BROADCAST, VARIANT_SPSC, VERSION,
 };
+use crate::queue::{header_of, pid_alive};
 use crate::region::ShmRegion;
 
 /// Overall outcome of a [`verify_region`] pass.
@@ -151,21 +154,6 @@ impl Default for VerifyOptions {
     }
 }
 
-/// Byte-size and alignment of one cell, computed from the header's runtime
-/// discriminants rather than compile-time type parameters — the verifier
-/// has no `T`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CellGeometry {
-    /// `size_of` one cell (the array stride).
-    pub size: usize,
-    /// `align_of` one cell.
-    pub align: usize,
-}
-
-const fn round_up(x: usize, align: usize) -> usize {
-    (x + align - 1) & !(align - 1)
-}
-
 /// Recomputes what `size_of`/`align_of` the cell type would have, from the
 /// on-region discriminant and element geometry. Mirrors the `repr(C)`
 /// layouts of `ffq::cell::{CompactCell, PaddedCell}`: a 16-byte, 16-aligned
@@ -194,34 +182,6 @@ pub fn dynamic_cell_geometry(
         }),
         _ => None,
     }
-}
-
-/// The offsets a region formatted with `cfg` must carry — recomputed at
-/// runtime from the decoded config, mirroring
-/// [`crate::header::region_layout`] / [`crate::header::bytes_region_layout`]
-/// without their type parameters. Returns
-/// `(state_offset, cells_offset, total_len)`; `None` on overflow or an
-/// undecodable cell geometry.
-pub fn dynamic_region_layout(cfg: &QueueConfig) -> Option<(usize, usize, usize)> {
-    let cell = dynamic_cell_geometry(cfg.cell_layout, cfg.elem_size as usize, {
-        cfg.elem_align as usize
-    })?;
-    let state_align = core::mem::align_of::<QueueState>().max(128);
-    let state_offset = round_up(core::mem::size_of::<RegionHeader>(), state_align);
-    let cells_align = cell.align.max(64);
-    let cells_offset = round_up(
-        state_offset.checked_add(core::mem::size_of::<QueueState>())?,
-        cells_align,
-    );
-    let cells_len = (1usize << cfg.cap_log2).checked_mul(cell.size)?;
-    let mut total_len = cells_offset.checked_add(cells_len)?;
-    if variant_is_bytes(cfg.variant) {
-        let slots_offset = round_up(total_len, 64);
-        let slots_len =
-            (1usize << cfg.cap_log2).checked_mul(1usize.checked_shl(cfg.slot_log2.into())?)?;
-        total_len = slots_offset.checked_add(slots_len)?;
-    }
-    Some((state_offset, cells_offset, total_len))
 }
 
 /// Collects findings and tracks the worst severity seen.
@@ -305,9 +265,9 @@ pub fn verify_region(region: &ShmRegion, opts: &VerifyOptions) -> Report {
             ),
         );
     }
-    // SAFETY: the mapping is page-aligned and at least header-sized; the
-    // header type is repr(C) atomics, for which every bit pattern is valid.
-    let header = unsafe { &*(region.as_ptr() as *const RegionHeader) };
+    // The mapping is at least header-sized; the header type is repr(C)
+    // atomics, for which every bit pattern is valid.
+    let header = header_of(region);
     let magic = header.magic();
     if magic != MAGIC {
         return a.refuse(
@@ -373,15 +333,21 @@ pub fn verify_region(region: &ShmRegion, opts: &VerifyOptions) -> Report {
     );
 
     // ---- 2. Geometry: the header must agree with itself. ----
-    let (state_offset, cells_offset, total_len) = match dynamic_region_layout(&cfg) {
-        Some(l) => l,
-        None => {
-            return a.refuse(
-                "layout",
-                "config describes a geometry this binary cannot recompute".to_string(),
-            )
-        }
+    let slot_log2 = variant_is_bytes(cfg.variant).then_some(cfg.slot_log2);
+    let cell = dynamic_cell_geometry(
+        cfg.cell_layout,
+        cfg.elem_size as usize,
+        cfg.elem_align as usize,
+    );
+    let layout = cell.and_then(|cell| region_layout(cell, cfg.cap_log2, slot_log2));
+    let (Some(cell), Some(layout)) = (cell, layout) else {
+        return a.refuse(
+            "layout",
+            "config describes a geometry this binary cannot recompute".to_string(),
+        );
     };
+    let (state_offset, cells_offset, total_len) =
+        (layout.state_offset, layout.cells_offset, layout.total_len);
     if cfg.state_offset as usize != state_offset
         || cfg.cells_offset as usize != cells_offset
         || cfg.region_len != total_len as u64
@@ -447,10 +413,16 @@ pub fn verify_region(region: &ShmRegion, opts: &VerifyOptions) -> Report {
 
     // ---- 4/5. Cells. ----
     if lifecycle == Lifecycle::Ready {
+        let cells = Cells {
+            // SAFETY: cells_offset validated in-bounds for the full array.
+            base: unsafe { region.as_ptr().add(cells_offset) },
+            stride: cell.size,
+            count: capacity,
+        };
         if cfg.variant == VARIANT_BROADCAST {
-            audit_broadcast_cells(&mut a, region, &cfg, cells_offset, opts.watch);
+            audit_broadcast_cells(&mut a, &cells, &cfg, opts.watch);
         } else {
-            audit_point_to_point_cells(&mut a, region, &cfg, cells_offset);
+            audit_point_to_point_cells(&mut a, &cells, &cfg);
         }
     } else {
         a.note(
@@ -473,19 +445,6 @@ struct Cells {
 }
 
 impl Cells {
-    fn of(region: &ShmRegion, cfg: &QueueConfig, cells_offset: usize) -> Self {
-        let geom = dynamic_cell_geometry(cfg.cell_layout, cfg.elem_size as usize, {
-            cfg.elem_align as usize
-        })
-        .expect("geometry validated before cell audit");
-        Self {
-            // SAFETY: cells_offset validated in-bounds for the full array.
-            base: unsafe { region.as_ptr().add(cells_offset) },
-            stride: geom.size,
-            count: 1usize << cfg.cap_log2,
-        }
-    }
-
     /// The `(rank, gap)` / `(stamp, gap)` word pair of cell `i`, loaded
     /// untorn.
     fn words(&self, i: usize) -> (i64, i64) {
@@ -499,13 +458,7 @@ impl Cells {
 
 /// Rank/gap continuity for the point-to-point variants, plus descriptor
 /// sanity for the bytes lanes.
-fn audit_point_to_point_cells(
-    a: &mut Audit,
-    region: &ShmRegion,
-    cfg: &QueueConfig,
-    cells_offset: usize,
-) {
-    let cells = Cells::of(region, cfg, cells_offset);
+fn audit_point_to_point_cells(a: &mut Audit, cells: &Cells, cfg: &QueueConfig) {
     let is_bytes = variant_is_bytes(cfg.variant);
     let mut published = 0usize;
     let mut claimed = 0usize;
@@ -532,7 +485,7 @@ fn audit_point_to_point_cells(
                     }
                 }
                 if is_bytes {
-                    audit_descriptor(a, cfg, &cells, i);
+                    audit_descriptor(a, cfg, cells, i);
                 }
             }
             r => {
@@ -639,14 +592,7 @@ fn audit_descriptor(a: &mut Audit, cfg: &QueueConfig, cells: &Cells, i: usize) {
 /// Seqlock stamp parity for the v4 broadcast variant: stamps decode to a
 /// rank that maps home, and no stamp stays *odd* (writer mid-publish)
 /// across the watch window.
-fn audit_broadcast_cells(
-    a: &mut Audit,
-    region: &ShmRegion,
-    cfg: &QueueConfig,
-    cells_offset: usize,
-    watch: Duration,
-) {
-    let cells = Cells::of(region, cfg, cells_offset);
+fn audit_broadcast_cells(a: &mut Audit, cells: &Cells, cfg: &QueueConfig, watch: Duration) {
     let mut published = 0usize;
     let mut bad = 0usize;
     let mut odd: Vec<(usize, i64)> = Vec::new();
@@ -711,14 +657,6 @@ fn audit_broadcast_cells(
     );
 }
 
-/// `kill(pid, 0)` probe: `true` while the process exists (or outranks us —
-/// `EPERM` still proves existence).
-fn process_alive(pid: i64) -> bool {
-    // SAFETY: signal 0 delivers nothing; it only checks existence.
-    let r = unsafe { sys::kill(pid as sys::pid_t, 0) };
-    r == 0 || std::io::Error::last_os_error().raw_os_error() == Some(sys::EPERM)
-}
-
 /// Heartbeat freshness per registered peer slot, escalating to the
 /// `kill(pid, 0)` probe exactly like the in-protocol watchdog.
 fn audit_peers(a: &mut Audit, header: &RegionHeader, cfg: &QueueConfig, watch: Duration) {
@@ -754,7 +692,7 @@ fn audit_peers(a: &mut Audit, header: &RegionHeader, cfg: &QueueConfig, watch: D
                         "peers",
                         format!("{role} slot {idx}: pid {pid} alive (heartbeat advancing)"),
                     );
-                } else if process_alive(pid) {
+                } else if pid_alive(pid) {
                     a.note(
                         "peers",
                         format!("{role} slot {idx}: pid {pid} alive (idle heartbeat)"),
@@ -781,7 +719,6 @@ fn audit_peers(a: &mut Audit, header: &RegionHeader, cfg: &QueueConfig, watch: D
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::header::{bytes_region_layout, region_layout};
     use crate::{broadcast, spmc, spsc, spsc_bytes};
     use ffq::cell::{CompactCell, PaddedCell};
 
@@ -824,44 +761,6 @@ mod tests {
             dynamic_cell_geometry(1, 8, 3),
             None,
             "non-power-of-two align"
-        );
-    }
-
-    #[test]
-    fn dynamic_region_layout_matches_the_generic_one() {
-        let cfg = QueueConfig {
-            variant: crate::header::VARIANT_SPMC,
-            cell_layout: 1,
-            index_map: 1,
-            cap_log2: 10,
-            slot_log2: 0,
-            elem_size: 8,
-            elem_align: 8,
-            state_offset: 0,
-            cells_offset: 0,
-            region_len: 0,
-        };
-        let l = region_layout::<u64, PaddedCell<u64>>(10).unwrap();
-        assert_eq!(
-            dynamic_region_layout(&cfg).unwrap(),
-            (l.state_offset, l.cells_offset, l.total_len)
-        );
-        let bytes_cfg = QueueConfig {
-            variant: crate::header::VARIANT_SPSC_BYTES,
-            cell_layout: 1,
-            index_map: 1,
-            cap_log2: 6,
-            slot_log2: 9,
-            elem_size: core::mem::size_of::<PayloadDesc>() as u32,
-            elem_align: core::mem::align_of::<PayloadDesc>() as u32,
-            state_offset: 0,
-            cells_offset: 0,
-            region_len: 0,
-        };
-        let b = bytes_region_layout(6, 9).unwrap();
-        assert_eq!(
-            dynamic_region_layout(&bytes_cfg).unwrap(),
-            (b.state_offset, b.cells_offset, b.total_len)
         );
     }
 
