@@ -43,6 +43,18 @@
 //! [`rt`] module provides a dependency-free `block_on`/executor/timer trio
 //! so tests and benches run with no external runtime crates at all.
 //!
+//! ## The first channel in a threaded process
+//!
+//! Building the first heap queue of a process registers it for
+//! `membarrier(2)`, which lets in-process queues notify without a fence
+//! (`ffq_sync::eventcount`). Once other threads exist, the kernel makes
+//! that registration wait out an RCU grace period: 6–18 ms on a 2-vCPU
+//! Xeon VM, paid once per process by whichever thread builds the
+//! first channel. Built on an executor worker, it stalls every task on
+//! that worker for that long. Call
+//! [`ffq_sync::eventcount::register_membarrier`] in `main` before
+//! starting the executor to pay a few µs instead.
+//!
 //! ## Wiring rule
 //!
 //! Async notifications travel through an `AsyncCells` pair *beside* the

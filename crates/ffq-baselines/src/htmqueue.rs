@@ -91,8 +91,9 @@ pub struct HtmHandle {
 impl BenchHandle for HtmHandle {
     fn enqueue(&mut self, value: u64) {
         let mut backoff = Backoff::new();
+        // Each re-poll is a whole transaction: back off a step at a time.
         while !self.queue.try_enqueue(value) {
-            backoff.wait();
+            backoff.wait_step();
         }
     }
 

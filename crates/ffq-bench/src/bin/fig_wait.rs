@@ -12,6 +12,9 @@
 //! 3. **uncontended** — alternating enqueue/dequeue pairs on one thread.
 //!    The wait layer never engages; adaptive must stay within ~5% of
 //!    spin-only, pricing the fast-path overhead at a branch.
+//! 4. **parked** — a two-thread ping-pong whose consumers park as soon
+//!    as their queue is empty (one config, `park-now`): the cost of a
+//!    park-and-wake handoff, which the panels above barely reach.
 //!
 //! Usage: `fig_wait [--quick] [--items <n>] [--pairs <n>] [--idle-ms <n>]`
 //!
@@ -23,16 +26,18 @@ use ffq::WaitConfig;
 use ffq_bench::json_object;
 use ffq_bench::measure::CommonArgs;
 use ffq_bench::output::write_json;
-use ffq_bench::wait::{idle_burn, oversubscribed_drain, uncontended_pairs, WaitRun};
+use ffq_bench::wait::{
+    idle_burn, oversubscribed_drain, parked_pingpong, uncontended_pairs, WaitRun,
+};
 
 /// One panel × config measurement, as serialized into `BENCH_wait.json`.
 #[derive(Debug, Clone)]
 struct WaitRow {
     /// Configuration label.
     label: String,
-    /// "idle" / "oversubscribed" / "uncontended".
+    /// "idle" / "oversubscribed" / "uncontended" / "parked".
     panel: &'static str,
-    /// "spin-only" or "adaptive".
+    /// "spin-only", "adaptive", or "park-now" (the parked panel).
     config: &'static str,
     /// Worker threads involved (consumers; +1 producer where one runs).
     threads: usize,
@@ -153,6 +158,13 @@ fn main() {
         );
         rows.push(row("uncontended", name, 1, &r));
     }
+    let round_trips = if args.quick { 5_000 } else { 50_000 };
+    let r = best(
+        (0..reps)
+            .map(|_| parked_pingpong(round_trips, "parked 2t park-now"))
+            .collect(),
+    );
+    rows.push(row("parked", "park-now", 2, &r));
 
     println!(
         "\n{:<28} {:>10} {:>10} {:>10} {:>12} {:>10} {:>8}",
@@ -178,6 +190,12 @@ fn main() {
     println!("\nidle CPU burn: adaptive is {burn_ratio:.1}x cheaper than spin-only");
     println!("oversubscribed throughput: adaptive/spin-only = {thr_ratio:.3}");
     println!("uncontended hot path: spin-only/adaptive = {lat_ratio:.3} (1.0 = free)");
+    let parked = by("parked", "park-now");
+    println!(
+        "parked handoff: {:.2} us per round trip, {:.2} parks per round trip",
+        parked.elapsed_secs * 1e6 / parked.ops as f64,
+        parked.parks as f64 / parked.ops as f64
+    );
 
     write_json("BENCH_wait", &rows);
 }

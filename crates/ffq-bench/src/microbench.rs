@@ -322,7 +322,7 @@ impl DrainCost {
 /// with `enqueue_many` while `consumers` threads race to drain, each in the
 /// given [`DrainMode`]. Unlike the round-trip benchmarks above there are no
 /// response queues — this isolates the consumer-side claim cost that
-/// batching amortizes (one `fetch_add` per run instead of per item).
+/// batching amortizes (one claim RMW per run instead of per item).
 pub fn spmc_batch_drain(
     queue_size: usize,
     consumers: usize,

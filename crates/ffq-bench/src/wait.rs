@@ -1,7 +1,7 @@
 //! Workloads for the adaptive-wait evaluation (`fig_wait`).
 //!
-//! Three panels, each run once per [`WaitConfig`] (pure busy-wait vs the
-//! spin → yield → park default):
+//! Three panels run once per [`WaitConfig`] (pure busy-wait vs the
+//! spin → yield → park default); the fourth parks at once:
 //!
 //! 1. **Idle burn** — consumers blocked on an empty queue for a fixed
 //!    window. The interesting number is CPU-seconds, not throughput: a
@@ -12,6 +12,10 @@
 //! 3. **Uncontended pairs** — alternating enqueue/dequeue on one thread,
 //!    so the blocking API runs its fast path only. This prices the wait
 //!    layer's overhead when nobody ever waits.
+//! 4. **Parked ping-pong** — two threads bounce one item through two
+//!    SPSC queues whose consumers park as soon as their queue is empty,
+//!    so nearly every handoff is a park and a futex wake. This prices
+//!    the park path itself, which the other panels barely touch.
 //!
 //! CPU time is read per thread via `getrusage(RUSAGE_THREAD)` and summed
 //! at join, so the numbers cover exactly the worker threads of each panel.
@@ -162,6 +166,47 @@ pub fn uncontended_pairs(items: u64, cfg: WaitConfig, label: impl Into<String>) 
     }
 }
 
+/// Panel 4: `round_trips` two-thread round trips through a request and a
+/// reply SPSC queue whose consumers skip the spin and yield phases and
+/// park as soon as their queue is empty. Each round trip costs up to two
+/// parks and two futex wakes, with the fence pair around every park
+/// (on in-process queues, the parking waiter's `membarrier`). `ops`
+/// counts round trips.
+pub fn parked_pingpong(round_trips: u64, label: impl Into<String>) -> WaitRun {
+    const PARK_NOW: WaitConfig = WaitConfig {
+        spin_limit: 0,
+        yield_limit: 0,
+        max_park: None,
+        park: true,
+    };
+    let (mut req_tx, mut req_rx) = ffq::spsc::channel::<u64>(64);
+    let (mut rsp_tx, mut rsp_rx) = ffq::spsc::channel::<u64>(64);
+    req_rx.set_wait_config(PARK_NOW);
+    rsp_rx.set_wait_config(PARK_NOW);
+    let server = std::thread::spawn(move || {
+        while let Ok(v) = req_rx.dequeue() {
+            rsp_tx.enqueue(v);
+        }
+        (thread_cpu_seconds(), req_rx.stats().parks)
+    });
+    let cpu_base = thread_cpu_seconds();
+    let start = Instant::now();
+    for i in 0..round_trips {
+        req_tx.enqueue(i);
+        assert_eq!(rsp_rx.dequeue(), Ok(i));
+    }
+    let elapsed = start.elapsed();
+    let client_cpu = thread_cpu_seconds() - cpu_base;
+    let client_parks = rsp_rx.stats().parks;
+    drop(req_tx); // the server drains and observes the disconnect
+    let (server_cpu, server_parks) = server.join().unwrap();
+    WaitRun {
+        m: Measurement::new(label, round_trips, elapsed),
+        cpu_secs: client_cpu + server_cpu,
+        parks: client_parks + server_parks,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,6 +237,13 @@ mod tests {
         // Two consumers idling 200 ms must not cost anywhere near
         // 2 × 200 ms of CPU; allow generous slack for slow CI.
         assert!(r.cpu_secs < 0.2, "idle burn too high: {} s", r.cpu_secs);
+    }
+
+    #[test]
+    fn parked_pingpong_parks() {
+        let r = parked_pingpong(200, "parked");
+        assert_eq!(r.m.ops, 200);
+        assert!(r.parks > 0, "a park-at-once ping-pong never parked");
     }
 
     #[test]

@@ -237,7 +237,9 @@ impl TxRegion {
                 },
                 Err(Abort(cause)) => self.stats.record_abort(cause),
             }
-            backoff.wait();
+            // One whole step per attempt: `max_retries` counts attempts,
+            // and each re-poll here is a full transaction.
+            backoff.wait_step();
         }
 
         // Fallback: exclusive execution. The mutex serializes fallback

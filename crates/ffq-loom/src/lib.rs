@@ -4,8 +4,9 @@
 //! need a loom-style checker and this workspace builds fully offline with
 //! zero external dependencies. It implements the subset of
 //! [loom](https://docs.rs/loom)'s API the FFQ crates use — `model`,
-//! `thread::{spawn, yield_now}`, `sync::atomic`, plus a model futex — over
-//! a small exhaustive runtime:
+//! `thread::{spawn, yield_now}`, `sync::atomic`, plus a model futex and a
+//! model `membarrier` (`sync::heavy_barrier`) — over a small exhaustive
+//! runtime:
 //!
 //! - **schedules**: threads are serialized and every atomic op / fence /
 //!   futex call / spawn / join / yield is a schedule point; exploration is

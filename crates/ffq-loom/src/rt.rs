@@ -37,6 +37,12 @@
 //!   eventcount protocol buys with its SeqCst fences. It is slightly
 //!   stronger than C11 in corners (an SC *load* also publishes), which can
 //!   only under-approximate the set of explored behaviors for non-SC code.
+//! - `heavy_barrier` (the model of `membarrier(2)`) makes every other
+//!   live thread perform an SC fence where it stands (a finished thread's
+//!   final clock joins the SC order), then has the caller re-join the SC
+//!   clock. A `compiler_fence` has no effect: a model thread already
+//!   executes its operations in program order, which is all a compiler
+//!   fence asks of the compiler.
 //! - modification order is execution order (stores append); CAS failures
 //!   read the newest store (documented simplification — a stale-read CAS
 //!   failure is observationally a spurious failure plus retry, which the
@@ -684,17 +690,43 @@ pub(crate) fn fence(ord: Ordering) {
             let vc = g.threads[me].vc;
             g.threads[me].fence_rel = vc;
         }
-        Ordering::SeqCst => {
-            let sc = g.sc_clock;
-            g.threads[me].vc.join(&sc);
-            let pending = g.threads[me].acq_pending;
-            g.threads[me].vc.join(&pending);
-            let vc = g.threads[me].vc;
-            g.threads[me].fence_rel = vc;
-            g.sc_clock.join(&vc);
-        }
+        Ordering::SeqCst => sc_fence(&mut g, me),
         _ => panic!("fence does not accept {ord:?}"),
     }
+}
+
+/// `fence(SeqCst)` executed by thread `t`: acquire and release at once,
+/// and a place in the SC order.
+fn sc_fence(g: &mut ExecState, t: usize) {
+    let sc = g.sc_clock;
+    g.threads[t].vc.join(&sc);
+    let pending = g.threads[t].acq_pending;
+    g.threads[t].vc.join(&pending);
+    let vc = g.threads[t].vc;
+    g.threads[t].fence_rel = vc;
+    g.sc_clock.join(&vc);
+}
+
+/// `membarrier(MEMBARRIER_CMD_PRIVATE_EXPEDITED)`: every other live thread
+/// performs an SC fence at the point where it is paused (the kernel's IPI
+/// interrupts a running thread between two of its instructions; a thread
+/// that is not running passed a full barrier when it was switched out),
+/// and then the caller re-joins the SC clock, as the syscall returns
+/// after the last of those barriers. A finished thread passed a full
+/// barrier on its way out: its final clock enters the SC order unchanged.
+pub(crate) fn heavy_barrier() {
+    let (rt, me) = current();
+    let mut g = rt.op_point(rt.lock(), me);
+    for t in (0..g.threads.len()).filter(|&t| t != me) {
+        if g.threads[t].state == TState::Finished {
+            let vc = g.threads[t].vc;
+            g.sc_clock.join(&vc);
+        } else {
+            sc_fence(&mut g, t);
+        }
+    }
+    let sc = g.sc_clock;
+    g.threads[me].vc.join(&sc);
 }
 
 // ---------------------------------------------------------------------------

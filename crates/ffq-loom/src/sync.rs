@@ -350,4 +350,24 @@ pub mod atomic {
     pub fn fence(ord: Ordering) {
         rt::fence(ord)
     }
+
+    /// Model compiler fence: no memory effect and no schedule point. A
+    /// model thread runs its operations in program order, so there is no
+    /// reordering for it to forbid; what a compiler fence buys the real
+    /// code — a `membarrier` landing between the two accesses it
+    /// separates — is modeled by [`heavy_barrier`](super::heavy_barrier).
+    pub fn compiler_fence(ord: Ordering) {
+        if ord == Ordering::Relaxed {
+            panic!("there is no such thing as a relaxed compiler fence");
+        }
+    }
+}
+
+/// Model `membarrier(MEMBARRIER_CMD_PRIVATE_EXPEDITED)`: every other live
+/// model thread performs a `SeqCst` fence at the point where it stands
+/// (a finished one has passed its last), then the caller joins the SC
+/// order again. Pair it with a `SeqCst` fence of the caller's own before
+/// it, as the real asymmetric protocol does.
+pub fn heavy_barrier() {
+    rt::heavy_barrier()
 }

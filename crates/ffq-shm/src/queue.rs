@@ -209,7 +209,8 @@ type ConfigField = fn(&QueueConfig) -> u64;
 /// Waits for `READY`, then checks that the region holds exactly the
 /// `variant` lane of `E` cells: every field of the header's config must
 /// equal what this binary would have formatted at the region's own
-/// capacity (and slot size).
+/// capacity (and slot size), and the state block must carry the header's
+/// capacity and the shared-wait flag `format` set.
 fn validate<E: ShmSafe>(
     region: &ShmRegion,
     variant: u8,
@@ -242,6 +243,28 @@ fn validate<E: ShmSafe>(
         }
     }
     ensure_len(region, layout.total_len)?;
+    // SAFETY: the state block lies inside the region (checked just above)
+    // at the 128-aligned offset `region_layout` computed; QueueState is
+    // atomics plus plain words, and every bit pattern is a valid value.
+    let state = unsafe { &*(region.as_ptr().add(layout.state_offset) as *const QueueState) };
+    // Handles take their capacity from the state block, not the header,
+    // so the two must agree or indexing runs past the region.
+    if state.cap_log2() != expected.cap_log2 {
+        return Err(ShmError::ConfigMismatch {
+            field: "state capacity exponent",
+            expected: expected.cap_log2.into(),
+            found: state.cap_log2().into(),
+        });
+    }
+    // A process-private wait flag would let this process's notifiers skip
+    // the fence that pairs with a waiter in another process.
+    if !state.wait_is_shared() {
+        return Err(ShmError::ConfigMismatch {
+            field: "shared wait",
+            expected: 1,
+            found: 0,
+        });
+    }
     Ok((expected, layout))
 }
 
@@ -530,11 +553,6 @@ impl<T: ShmSafe> ShmProducer<T> {
         // view mapped and outlives the engine.
         let mut raw = unsafe { RawProducer::attach(queue) };
         raw.set_wait_config(shm_wait_config());
-        // SPMC regions can have several parked consumers, each owning
-        // specific pending ranks: publish wakes must broadcast so one
-        // cannot land on the wrong consumer and leave the rank's owner
-        // sleeping (see `RawProducer::set_multi_consumer`).
-        raw.set_multi_consumer(variant == VARIANT_SPMC);
         Ok(Self { raw, att })
     }
 
@@ -1029,24 +1047,21 @@ pub struct ShmBytesProducer {
 impl ShmBytesProducer {
     fn attach(region: ShmRegion, variant: u8) -> Result<Self, ShmError> {
         let (att, queue) = Attachment::new::<PayloadDesc>(region, variant, true)?;
-        let spsc = variant == VARIANT_SPSC_BYTES;
         // The spill policy a shared-memory lane runs: *chained* across
         // cells for SPSC (the continuation bytes live in slot buffers, so
         // reassembly works cross-process) and *refusal* for SPMC — a chain
         // cannot be split across shared-head consumers, heap spill pointers
         // cannot cross address spaces, and truncation is never an option.
-        let spill = if spsc {
+        let spill = if variant == VARIANT_SPSC_BYTES {
             SpillMode::Chain
         } else {
             SpillMode::Refuse
         };
         // SAFETY: unique producer (slot claim); the slot view is the one
         // every peer recomputes from the same header, and heap spill is
-        // never selected. SPMC wakes broadcast, as in ShmProducer::attach.
-        // The attachment outlives the engine.
-        let mut engine = unsafe {
-            SpProducer::from_raw_parts(RawProducer::attach(queue), att.slots(), spill, !spsc)
-        };
+        // never selected. The attachment outlives the engine.
+        let mut engine =
+            unsafe { SpProducer::from_raw_parts(RawProducer::attach(queue), att.slots(), spill) };
         engine.set_wait_config(shm_wait_config());
         Ok(Self { engine, att })
     }
@@ -1704,6 +1719,50 @@ mod tests {
         // Matching attach still works after all those rejections.
         let rx = spsc::attach_consumer::<u64>(region.remap().unwrap()).unwrap();
         drop(rx);
+    }
+
+    #[test]
+    fn attach_refuses_a_state_block_that_disagrees_with_the_header() {
+        fn check<L: Lane>() {
+            let region = L::region();
+            L::format(&region);
+            let cfg = QueueConfig::decode(header_of(&region).config_words()).unwrap();
+            let state = region.as_ptr().wrapping_add(cfg.state_offset as usize);
+            // SAFETY: the formatted state block, read while nothing writes it.
+            let shared = unsafe { (*(state as *const QueueState)).wait_is_shared() };
+            assert!(shared, "every lane formats process-shared wait cells");
+            // `cap_log2` and `wait_shared`: the state block's last two
+            // words, at these offsets in the v4 layout.
+            for (offset, corrupt, field, expected) in [
+                (520, 20u32, "state capacity exponent", 6),
+                (524, 0, "shared wait", 1),
+            ] {
+                let word = state.wrapping_add(offset) as *mut u32;
+                // SAFETY: in bounds of the state block; no handle is
+                // attached while the word is swapped and restored.
+                let good = unsafe { word.replace(corrupt) };
+                let refusal = ShmError::ConfigMismatch {
+                    field,
+                    expected,
+                    found: corrupt.into(),
+                };
+                assert_eq!(
+                    L::attach_consumer(region.remap().unwrap()).unwrap_err(),
+                    refusal
+                );
+                assert_eq!(
+                    L::attach_producer(region.remap().unwrap()).unwrap_err(),
+                    refusal
+                );
+                // SAFETY: as above.
+                unsafe { word.write(good) };
+            }
+            let mut tx = L::attach_producer(region.remap().unwrap()).unwrap();
+            let mut rx = L::attach_consumer(region).unwrap();
+            L::send(&mut tx, 7);
+            assert_eq!(L::recv(&mut rx), Ok(7));
+        }
+        on_every_lane!(check);
     }
 
     #[test]

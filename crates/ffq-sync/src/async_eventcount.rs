@@ -3,12 +3,18 @@
 //! The blocking eventcount parks OS threads on a futex word. An async
 //! executor cannot park a thread — a pending task must instead leave a
 //! [`Waker`] behind and return `Poll::Pending`. This module keeps the
-//! model-checked `{seq, waiters}` protocol from [`crate::eventcount`]
-//! byte-for-byte on the notifier fast path (one SeqCst fence + one relaxed
+//! model-checked `{seq, waiters}` protocol from [`crate::eventcount`] in
+//! its symmetric form (notifier fast path: one SeqCst fence + one relaxed
 //! load when nobody waits) and swaps the sleep mechanism: instead of
 //! `futex_wait`, a waiter *registers* its `Waker` in a slot list guarded by
 //! a tiny spinlock, and the notifier's slow path drains wakers in FIFO
 //! registration order.
+//!
+//! The blocking cell's asymmetric variant — a compiler fence at the
+//! notifier, a `membarrier` at the waiter — does not carry over. Async
+//! waiters register on an executor's poll path, where a ~0.3 µs syscall
+//! would stall every other task on that worker thread, so this cell keeps
+//! the `SeqCst` fence on both sides.
 //!
 //! ## The lost-wake argument, restated for wakers
 //!
@@ -99,9 +105,10 @@ struct Registry {
 /// A waker-registry eventcount: the park/wake rendezvous for one wait
 /// direction of one queue, async edition.
 ///
-/// Shares the notifier fast path with [`crate::WaitCell`] — publication,
-/// SeqCst fence, one relaxed load — so queues that carry both a blocking
-/// and an async cell pay one extra fence+load per publish, nothing more.
+/// Its notifier fast path is publication, SeqCst fence, one relaxed load,
+/// as on a shared-memory [`crate::WaitCell`]. A queue that carries both a
+/// blocking and an async cell pays that fence and load per publish on top
+/// of the blocking cell's notify.
 #[derive(Debug)]
 pub struct AsyncWaitCell {
     /// Wake generation. Bumped (Release) before each drain, mirroring the
@@ -262,9 +269,9 @@ impl AsyncWaitCell {
     /// Wakes up to `n` registered waiters, in registration order.
     ///
     /// Call *after* publishing the condition the waiters poll; the SeqCst
-    /// fence pairs with the one in [`Self::register`] exactly as in the
-    /// blocking cell. Costs one fence + one relaxed load when nobody is
-    /// registered.
+    /// fence pairs with the one in [`Self::register`], as in the blocking
+    /// cell's symmetric pair. Costs one fence + one relaxed load when
+    /// nobody is registered.
     #[inline]
     pub fn notify(&self, n: usize) {
         fence(Ordering::SeqCst);

@@ -13,8 +13,9 @@
 //!
 //! * [`WaitCell`] — a 2-word eventcount (`seq`, `waiters`) that lives next
 //!   to the queue indices. Notifiers pay one fence plus one load when
-//!   nobody is parked; waiters pay an RMW, a fence, and a syscall only once
-//!   they decide to sleep.
+//!   nobody is parked — a compiler fence on in-process cells, see below;
+//!   waiters pay an RMW, a fence (plus a `membarrier` on in-process
+//!   cells), and a syscall only once they decide to sleep.
 //! * [`WaitConfig`] — the knobs: how long to spin, when to start yielding,
 //!   whether parking is enabled, and an optional park watchdog for
 //!   cross-process use.
@@ -59,10 +60,79 @@
 //! unbounded model parks, so a lost wake is a hard deadlock), and the
 //! checked-in pre-fix model demonstrates the race the fences close.
 //!
-//! The notifier-side fence is a real (if small) cost on every wake-eligible
-//! publish — it is the price of not hanging, and it is the same price
-//! crossbeam-channel pays on its send path. What used to bound this risk
-//! instead, a mandatory 2 ms `max_park`, survives as an *opt-in watchdog*
+//! ## The asymmetric variant: no fence on the in-process notify path
+//!
+//! The notifier-side fence is paid on every publish and every consume, for
+//! a sleeper that is almost never there (~9 ns against ~1 ns for the store
+//! it orders, on a 2-vCPU Xeon VM). On an in-process cell (`shared ==
+//! false`) of a process registered for `membarrier(2)`, the fence moves to
+//! the waiter's side, which is already on its slow path:
+//!
+//! * **Notifier:** a `compiler_fence(SeqCst)` between the publication and
+//!   the `waiters` load. It emits no instruction; it only keeps the
+//!   compiler from swapping the two accesses.
+//! * **Waiter:** after its SeqCst registration RMW and fence,
+//!   [`WaitCell::begin_wait`] issues
+//!   `membarrier(MEMBARRIER_CMD_PRIVATE_EXPEDITED)` before the caller's
+//!   re-check. The kernel makes every running thread of the process
+//!   execute a full barrier before the call returns, interrupting it; one
+//!   that is not running passed one when it was switched out.
+//!
+//! The trade is one fence per notify (~9 ns) against a syscall plus an
+//! interrupt of every running peer thread per park. On a 2-vCPU Xeon VM
+//! the syscall alone takes 0.2–0.3 µs, and in a ping-pong whose two
+//! threads park on every handoff each park cost ~0.4–0.6 µs more than
+//! with the symmetric pair (round trip 13.0 → 13.9 µs, median of ten
+//! alternating pairs). The light path wins while parks are rarer than
+//! about one per fifty notifies, as in a loaded queue whose waiters
+//! mostly catch the handoff in their spin phase.
+//!
+//! The argument is the symmetric one with the notifier's fence supplied
+//! by the kernel. The barrier lands in the notifier at some point of its
+//! program. If that point is before the notifier's `waiters` load, the
+//! load comes after the registration (the waiter's fence put it in the SC
+//! order before the barrier) and sees it: a real wake follows. If the
+//! point is after the load, the publication (before the compiler fence,
+//! so before the load) precedes the barrier, and the waiter's re-check,
+//! after the barrier returns, sees it: no park. The `loom_` models run
+//! every eventcount protocol in both variants, over `ffq-loom`'s
+//! `heavy_barrier`, and a negative model shows that a light notifier
+//! paired with a waiter that only fences loses wakes.
+//!
+//! Three rules keep the two halves matched:
+//!
+//! * **Register before use.** The barrier command fails with `EPERM`
+//!   until the process registered
+//!   (`MEMBARRIER_CMD_REGISTER_PRIVATE_EXPEDITED`). Registration is
+//!   attempted once per process, by [`register_membarrier`] — which
+//!   `ffq`'s heap queue constructors call (shared-memory formats do not),
+//!   so that queues whose consumers never wait still get the light path —
+//!   or by the first in-process waiter. It survives `fork` (the child
+//!   inherits the parent's registration) and is undone by `execve`, which
+//!   also resets the cached outcome. In a process that already runs other
+//!   threads the kernel first waits out an RCU grace period (6–18 ms on a
+//!   2-vCPU Xeon VM, against a few µs with one thread), so the first
+//!   queue built on a latency-sensitive thread, such as an async
+//!   executor's worker, stalls it once; calling [`register_membarrier`]
+//!   before spawning threads moves that cost to start-up.
+//! * **The waiter works it out itself.** A notifier reads the cached
+//!   outcome and goes light only once it says "registered". A waiter does
+//!   not trust a stale view: it settles the registration (attempting it
+//!   if nobody has) and issues the barrier whenever the process is
+//!   registered. The outcome is settled once and never changes, so a
+//!   notifier can only go light when every waiter on the cell goes heavy.
+//! * **Who keeps the symmetric pair.** Shared-memory cells (`shared ==
+//!   true`: `membarrier` reaches only the caller's own process); every
+//!   [`crate::AsyncWaitCell`], whose waiters register on an executor's
+//!   poll path, where a ~0.3 µs syscall would stall every task on that
+//!   worker; Miri and targets other than 64-bit Linux, which never
+//!   register; and a process whose registration was refused (`ENOSYS`,
+//!   `EINVAL`, a seccomp `EPERM`).
+//!
+//! ## The watchdog
+//!
+//! What used to bound the lost-wake risk, a mandatory 2 ms `max_park`,
+//! survives as an *opt-in watchdog*
 //! ([`WaitConfig::with_max_park`]): the cross-process `ffq-shm` path still
 //! bounds its parks, not because wakes can be lost, but because a peer
 //! process can die *without running its poisoning/wake code at all* — only
@@ -72,17 +142,41 @@
 //! never park run the identical lock-free/wait-free paths as before. The
 //! strategy only ever *adds* sleeping to threads that had nothing to do.
 
-use crate::atomic::{fence, AtomicU32, Ordering};
+use crate::atomic::{compiler_fence, fence, AtomicU32, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::backoff::Backoff;
 use crate::futex::{futex_wait, futex_wake};
+use crate::membarrier;
 
 /// How often a spinning (not yet parked) timed wait samples the clock, in
 /// wait rounds. Parked rounds sample every time — the park itself costs a
 /// syscall, so a clock read is noise there, and it is what bounds deadline
 /// overshoot to roughly the final park slice.
 const SPIN_DEADLINE_STRIDE: u32 = 8;
+
+/// Attempts this process's `membarrier` registration, once per process
+/// (later calls return at once), so that in-process cells notify without
+/// a fence from then on; see the module docs. Returns whether the process
+/// is registered. `ffq`'s heap queue constructors call it; without a
+/// call, the first in-process waiter registers instead.
+///
+/// The first call costs a few µs in a process with one thread, but 6–18
+/// ms (an RCU grace period, on a 2-vCPU Xeon VM) in one that already runs
+/// others: call it early in `main` to pay the cheap one.
+pub fn register_membarrier() -> bool {
+    membarrier::register()
+}
+
+/// Whether a cell pairs a compiler fence at its notifiers with a
+/// `membarrier` at its waiters (`true`), or a `SeqCst` fence on both
+/// sides. Only in-process cells can go asymmetric, and only in a
+/// registered process: `registered` is the notifier's cached view or the
+/// waiter's settled one, and is not consulted for a shared cell.
+#[inline(always)]
+fn asymmetric(shared: bool, registered: impl FnOnce() -> bool) -> bool {
+    !shared && registered()
+}
 
 /// A futex-backed eventcount: the park/wake rendezvous for one wait
 /// direction of one queue.
@@ -118,19 +212,28 @@ impl WaitCell {
 
     /// Wakes up to `n` parked threads, if any are registered.
     ///
-    /// Call *after* publishing the condition the waiters poll. The SeqCst
-    /// fence pairs with the one in [`Self::begin_wait`]: either this
+    /// Call *after* publishing the condition the waiters poll. The fence
+    /// pairs with the waiter's in [`Self::begin_wait`]: either this
     /// notifier observes the registration (and wakes), or the waiter's
     /// post-registration re-check observes the publication (and never
-    /// parks). See the module docs for the full argument. `shared` must be
-    /// `true` iff the cell lives in memory mapped by multiple processes.
+    /// parks). On a shared cell, or in a process without a `membarrier`
+    /// registration, it is a `SeqCst` fence; on an in-process cell of a
+    /// registered process it is a compiler fence, and the waiter's
+    /// `membarrier` supplies the hardware fence. See the module docs for
+    /// both arguments. `shared` must be `true` iff the cell lives in
+    /// memory mapped by multiple processes, and must be the same value
+    /// the cell's waiters pass.
     #[inline]
     pub fn notify(&self, n: usize, shared: bool) {
         // The notifier half of the SB-closing fence pair. Without it the
         // publication store can still sit in this core's store buffer while
         // the load below reads a stale `waiters == 0` — the lost-wake race
         // the `loom_prefix_*` regression model demonstrates.
-        fence(Ordering::SeqCst);
+        if asymmetric(shared, membarrier::registered) {
+            compiler_fence(Ordering::SeqCst);
+        } else {
+            fence(Ordering::SeqCst);
+        }
         if self.waiters.load(Ordering::Relaxed) != 0 {
             self.notify_slow(n, shared);
         }
@@ -156,20 +259,27 @@ impl WaitCell {
     /// Must be called *before* the final not-ready check that justifies
     /// parking; pair with [`Self::park`] (then [`Self::cancel_wait`]) or
     /// with [`Self::cancel_wait`] alone if the condition turned ready.
+    /// `shared` is the cell's, as passed to [`Self::notify`].
     ///
     /// The SeqCst RMW plus the trailing SeqCst fence are the waiter half of
     /// the fence pair described in the module docs: they order the
     /// registration before the caller's subsequent condition loads in the
     /// SC total order, which is what makes "notifier saw `waiters == 0`"
-    /// imply "waiter's re-check sees the publication".
+    /// imply "waiter's re-check sees the publication". On an in-process
+    /// cell of a registered process (settling the registration first if
+    /// nobody has) it then issues `membarrier`, which puts a full fence
+    /// into every notifier that skipped its own.
     #[inline]
     #[must_use]
-    pub fn begin_wait(&self) -> u32 {
+    pub fn begin_wait(&self, shared: bool) -> u32 {
         self.waiters.fetch_add(1, Ordering::SeqCst);
         // An SC RMW alone does not order later non-SC loads on the C11
         // abstract machine (it compiles to a full barrier on x86/ARM, but
         // the model and TSan reason about the abstract semantics).
         fence(Ordering::SeqCst);
+        if asymmetric(shared, membarrier::register) {
+            membarrier::barrier();
+        }
         self.seq.load(Ordering::Acquire)
     }
 
@@ -205,8 +315,8 @@ impl Default for WaitCell {
 /// Tunables for the spin → yield → park progression.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WaitConfig {
-    /// `Backoff` step up to which a wait round busy-spins with
-    /// exponentially growing `spin_loop` bursts.
+    /// `Backoff` step up to which wait rounds busy-spin: step `k` spends
+    /// `2^k` `spin_loop` hints, at most four per round.
     pub spin_limit: u32,
     /// `Backoff` step up to which a wait round yields to the OS scheduler
     /// instead of parking; past it the thread parks (the snooze
@@ -339,8 +449,8 @@ impl WaitStrategy {
         self.cfg.park && self.backoff.is_parkable()
     }
 
-    /// Executes one round of waiting: an exponential `spin_loop` burst, a
-    /// `yield_now`, or a park on `cell`, per the current phase.
+    /// Executes one round of waiting: a burst of at most four `spin_loop`
+    /// hints, a `yield_now`, or a park on `cell`, per the current phase.
     ///
     /// `ready` is the wake condition; it is only consulted on the park
     /// path (between waiter registration and the sleep — the final
@@ -377,7 +487,7 @@ impl WaitStrategy {
         // Phase 3: park. Register first, then re-check the condition —
         // the ordering that makes a wake between check and sleep
         // impossible to lose (see module docs).
-        let seq = cell.begin_wait();
+        let seq = cell.begin_wait(shared);
         if ready() {
             cell.cancel_wait();
             return WaitRound::Spun;
@@ -431,12 +541,114 @@ mod tests {
 
     #[test]
     fn notify_with_a_registration_bumps_the_sequence() {
-        let cell = WaitCell::new();
-        let seq = cell.begin_wait();
-        cell.notify(1, false);
-        assert_eq!(cell.seq.load(Ordering::Relaxed), seq + 1);
-        cell.cancel_wait();
-        assert_eq!(cell.waiters(), 0);
+        for shared in [false, true] {
+            let cell = WaitCell::new();
+            let seq = cell.begin_wait(shared);
+            cell.notify(1, shared);
+            assert_eq!(cell.seq.load(Ordering::Relaxed), seq + 1);
+            cell.cancel_wait();
+            assert_eq!(cell.waiters(), 0);
+        }
+    }
+
+    #[test]
+    fn refused_registration_keeps_both_sides_symmetric() {
+        let process = membarrier::Registration::new();
+        let notifier = || asymmetric(false, || process.is_registered());
+        assert!(!notifier(), "nobody has tried yet: the notifier fences");
+        assert!(!asymmetric(false, || process.settle(|| false)));
+        assert!(!notifier());
+        // A refusal is final: later waiters do not try again.
+        assert!(!asymmetric(false, || process.settle(|| unreachable!())));
+    }
+
+    #[test]
+    fn registered_in_process_cells_go_asymmetric_on_both_sides() {
+        let process = membarrier::Registration::new();
+        let notifier = || asymmetric(false, || process.is_registered());
+        assert!(!notifier());
+        // The first waiter registers, and goes heavy before any notifier
+        // can go light.
+        assert!(asymmetric(false, || process.settle(|| true)));
+        assert!(notifier());
+        assert!(asymmetric(false, || process.settle(|| unreachable!())));
+    }
+
+    #[test]
+    fn shared_cells_stay_symmetric_on_both_sides() {
+        // A `membarrier` reaches only the caller's process, so neither
+        // side of a shared cell consults the registration at all.
+        assert!(!asymmetric(true, || unreachable!("registration consulted")));
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn notifier_and_waiter_never_both_miss() {
+        // The store-buffering litmus test behind the fence pair, on real
+        // threads and the real notify/begin_wait: per round, the notifier
+        // publishes a flag and notifies while the waiter registers and
+        // re-checks the flag, both released by the same barrier. The
+        // outcome the fences forbid — the notifier read no waiter (it did
+        // not bump `seq`) and the waiter's re-check missed the flag — is a
+        // lost wake. Both variants run: in-process (the light notifier, if
+        // this process is registered) and shared.
+        const ROUNDS: u32 = 100_000;
+        // Spins, then yields, so the test also finishes on one CPU.
+        fn spin_until(done: impl Fn() -> bool) {
+            let mut spins = 0u32;
+            while !done() {
+                if spins < 1_000 {
+                    spins += 1;
+                    std::hint::spin_loop();
+                } else {
+                    std::thread::yield_now();
+                }
+            }
+        }
+        let barrier = |arrived: &AtomicU32, round: u32| {
+            arrived.fetch_add(1, Ordering::AcqRel);
+            spin_until(|| arrived.load(Ordering::Acquire) >= 2 * round);
+        };
+        for shared in [false, true] {
+            let cell = Arc::new(WaitCell::new());
+            let flag = Arc::new(AtomicU32::new(0));
+            let arrived = Arc::new(AtomicU32::new(0));
+            let notified = Arc::new(AtomicU32::new(0));
+            let notifier = {
+                let (cell, flag) = (Arc::clone(&cell), Arc::clone(&flag));
+                let (arrived, notified) = (Arc::clone(&arrived), Arc::clone(&notified));
+                std::thread::spawn(move || {
+                    for round in 1..=ROUNDS {
+                        barrier(&arrived, round);
+                        // A cached copy of `waiters` lets the notifier's
+                        // load complete while its flag store still waits
+                        // for the line, which is when the race can show.
+                        std::hint::black_box(cell.waiters());
+                        flag.store(round, Ordering::Relaxed);
+                        cell.notify(1, shared);
+                        notified.store(round, Ordering::Release);
+                    }
+                })
+            };
+            let mut lost = 0;
+            for round in 1..=ROUNDS {
+                barrier(&arrived, round);
+                let seq = cell.begin_wait(shared);
+                let saw_flag = flag.load(Ordering::Relaxed) == round;
+                // Stay registered, as a parked waiter would, until this
+                // round's notify has returned; then judge the round.
+                spin_until(|| notified.load(Ordering::Acquire) == round);
+                if !saw_flag && cell.seq.load(Ordering::Relaxed) == seq {
+                    lost += 1;
+                }
+                cell.cancel_wait();
+            }
+            notifier.join().unwrap();
+            assert_eq!(
+                lost, 0,
+                "{lost} lost wakes in {ROUNDS} rounds (shared = {shared})"
+            );
+        }
     }
 
     #[test]
@@ -593,19 +805,117 @@ mod tests {
 
 /// Loom models for the eventcount protocol. Run with
 /// `RUSTFLAGS="--cfg loom" cargo test -p ffq-sync --release -- loom_`.
+///
+/// Under the model every process is registered for `membarrier`, so each
+/// model runs twice: `shared = false` checks the asymmetric pair (light
+/// notifier, `heavy_barrier` waiter), `shared = true` the symmetric one.
 #[cfg(all(test, loom))]
 mod loom_tests {
     use super::*;
     use ffq_loom::sync::Arc;
     use ffq_loom::thread;
 
-    /// One producer publishes a flag and notifies; one consumer runs the
-    /// real prepare/re-check/park protocol with an *unbounded* park. Under
-    /// the model a lost wake is a deadlock, so this passing means the
-    /// fence pair closes the race in every explored schedule and
+    /// The waiter's side of every model: the real prepare/re-check/park
+    /// protocol with an *unbounded* park, until `flag` is set.
+    fn wait_for(cell: &WaitCell, flag: &AtomicU32, shared: bool) {
+        loop {
+            if flag.load(Ordering::Acquire) != 0 {
+                break;
+            }
+            let seq = cell.begin_wait(shared);
+            if flag.load(Ordering::Acquire) != 0 {
+                cell.cancel_wait();
+                break;
+            }
+            cell.park(seq, None, shared);
+            cell.cancel_wait();
+        }
+    }
+
+    /// One producer publishes a flag and notifies; one consumer waits.
+    /// Under the model a lost wake is a deadlock, so this passing means
+    /// the fence pair closes the race in every explored schedule and
     /// weak-memory outcome.
     #[test]
     fn loom_eventcount_park_notify_no_lost_wake() {
+        for shared in [false, true] {
+            ffq_loom::model(move || {
+                let cell = Arc::new(WaitCell::new());
+                let flag = Arc::new(AtomicU32::new(0));
+                let (c, f) = (Arc::clone(&cell), Arc::clone(&flag));
+                let producer = thread::spawn(move || {
+                    f.store(1, Ordering::Release);
+                    c.notify(1, shared);
+                });
+                wait_for(&cell, &flag, shared);
+                producer.join().unwrap();
+            });
+        }
+    }
+
+    /// Same protocol driven through the real `WaitStrategy::wait_round`
+    /// code path (tiny spin phase, unbounded park).
+    #[test]
+    fn loom_wait_round_no_lost_wake() {
+        for shared in [false, true] {
+            ffq_loom::model(move || {
+                let cell = Arc::new(WaitCell::new());
+                let flag = Arc::new(AtomicU32::new(0));
+                let (c, f) = (Arc::clone(&cell), Arc::clone(&flag));
+                let producer = thread::spawn(move || {
+                    f.store(1, Ordering::Release);
+                    c.notify_all(shared);
+                });
+                let mut strat = WaitStrategy::new(WaitConfig {
+                    spin_limit: 0,
+                    yield_limit: 0,
+                    max_park: None,
+                    park: true,
+                });
+                while flag.load(Ordering::Acquire) == 0 {
+                    strat.wait_round(&cell, shared, None, &mut || {
+                        flag.load(Ordering::Acquire) != 0
+                    });
+                }
+                producer.join().unwrap();
+            });
+        }
+    }
+
+    /// Two waiters, one notify_all: nobody may be left sleeping.
+    #[test]
+    fn loom_notify_all_wakes_every_waiter() {
+        for shared in [false, true] {
+            ffq_loom::model(move || {
+                let cell = Arc::new(WaitCell::new());
+                let flag = Arc::new(AtomicU32::new(0));
+                let waiters: Vec<_> = (0..2)
+                    .map(|_| {
+                        let (c, f) = (Arc::clone(&cell), Arc::clone(&flag));
+                        thread::spawn(move || wait_for(&c, &f, shared))
+                    })
+                    .collect();
+                flag.store(1, Ordering::Release);
+                cell.notify_all(shared);
+                for w in waiters {
+                    w.join().unwrap();
+                }
+            });
+        }
+    }
+
+    /// The asymmetric pair with its heavy half taken out: the real light
+    /// notifier (an in-process cell, so a compiler fence) against a waiter
+    /// that registers and fences exactly as the symmetric protocol does
+    /// but issues no `membarrier`. Nothing orders the notifier's
+    /// publication before its `waiters` load any more, so both sides can
+    /// miss each other; the checker must find the resulting deadlock. If
+    /// it ever stops finding it, either the light notifier grew a real
+    /// fence or `heavy_barrier` is no longer what the positive models
+    /// rely on.
+    #[test]
+    #[should_panic(expected = "deadlock")]
+    fn loom_light_notify_without_heavy_barrier_loses_wakes() {
         ffq_loom::model(|| {
             let cell = Arc::new(WaitCell::new());
             let flag = Arc::new(AtomicU32::new(0));
@@ -618,7 +928,10 @@ mod loom_tests {
                 if flag.load(Ordering::Acquire) != 0 {
                     break;
                 }
-                let seq = cell.begin_wait();
+                // `begin_wait(false)` without its `membarrier`.
+                cell.waiters.fetch_add(1, Ordering::SeqCst);
+                fence(Ordering::SeqCst);
+                let seq = cell.seq.load(Ordering::Acquire);
                 if flag.load(Ordering::Acquire) != 0 {
                     cell.cancel_wait();
                     break;
@@ -627,63 +940,6 @@ mod loom_tests {
                 cell.cancel_wait();
             }
             producer.join().unwrap();
-        });
-    }
-
-    /// Same protocol driven through the real `WaitStrategy::wait_round`
-    /// code path (tiny spin phase, unbounded park).
-    #[test]
-    fn loom_wait_round_no_lost_wake() {
-        ffq_loom::model(|| {
-            let cell = Arc::new(WaitCell::new());
-            let flag = Arc::new(AtomicU32::new(0));
-            let (c, f) = (Arc::clone(&cell), Arc::clone(&flag));
-            let producer = thread::spawn(move || {
-                f.store(1, Ordering::Release);
-                c.notify_all(false);
-            });
-            let mut strat = WaitStrategy::new(WaitConfig {
-                spin_limit: 0,
-                yield_limit: 0,
-                max_park: None,
-                park: true,
-            });
-            while flag.load(Ordering::Acquire) == 0 {
-                strat.wait_round(&cell, false, None, &mut || {
-                    flag.load(Ordering::Acquire) != 0
-                });
-            }
-            producer.join().unwrap();
-        });
-    }
-
-    /// Two waiters, one notify_all: nobody may be left sleeping.
-    #[test]
-    fn loom_notify_all_wakes_every_waiter() {
-        ffq_loom::model(|| {
-            let cell = Arc::new(WaitCell::new());
-            let flag = Arc::new(AtomicU32::new(0));
-            let mut waiters = Vec::new();
-            for _ in 0..2 {
-                let (c, f) = (Arc::clone(&cell), Arc::clone(&flag));
-                waiters.push(thread::spawn(move || loop {
-                    if f.load(Ordering::Acquire) != 0 {
-                        break;
-                    }
-                    let seq = c.begin_wait();
-                    if f.load(Ordering::Acquire) != 0 {
-                        c.cancel_wait();
-                        break;
-                    }
-                    c.park(seq, None, false);
-                    c.cancel_wait();
-                }));
-            }
-            flag.store(1, Ordering::Release);
-            cell.notify_all(false);
-            for w in waiters {
-                w.join().unwrap();
-            }
         });
     }
 

@@ -17,8 +17,9 @@
 //!   into blocking operations without touching the queue protocol. See
 //!   [`eventcount`] for the protocol and its memory-ordering argument.
 //! * [`AsyncWaitCell`] — the waker-registry twin of [`WaitCell`] for async
-//!   callers: same notifier fast path and fence protocol, wakers in a slot
-//!   list instead of threads on a futex. See [`async_eventcount`].
+//!   callers: the same `{seq, waiters}` protocol with the symmetric
+//!   `SeqCst` fence pair, wakers in a slot list instead of threads on a
+//!   futex. See [`async_eventcount`].
 //! * [`EraRegistry`] — per-handle era slots for deferred reclamation of the
 //!   unbounded tier's ring segments. See [`epoch`].
 //! * `sys` — the glibc functions, constants and structs the workspace
@@ -36,6 +37,7 @@ pub mod epoch;
 pub mod eventcount;
 pub mod futex;
 pub mod lifecycle;
+mod membarrier;
 mod padded;
 mod seqlock;
 #[cfg(all(

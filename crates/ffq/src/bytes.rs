@@ -173,7 +173,7 @@ impl BytesShared {
             .map(|_| SlotLine([0; 64]))
             .collect();
         Arc::new(Self {
-            state: QueueState::new(cap_log2, producers, 1),
+            state: QueueState::in_process(cap_log2, producers, 1),
             cells,
             slots,
             slot_bytes,
@@ -564,12 +564,10 @@ impl SpProducer {
     /// engine. `spill` must be [`SpillMode::Heap`] only if every consumer
     /// shares this address space. The caller manages the producer count.
     pub unsafe fn from_raw_parts(
-        mut raw: RawProducer<PayloadDesc, DescCell, LinearMap>,
+        raw: RawProducer<PayloadDesc, DescCell, LinearMap>,
         slots: SlotRegion,
         spill: SpillMode,
-        multi_consumer: bool,
     ) -> Self {
-        raw.set_multi_consumer(multi_consumer);
         Self {
             raw,
             slots,
@@ -1423,11 +1421,9 @@ pub(crate) fn heap_spmc(
     let slot_bytes = normalize_slot_bytes(slot_bytes)?;
     let shared = BytesShared::new(cap_log2, slot_bytes, 1);
     let slots = shared.region();
-    // SAFETY: as in heap_spsc; the producer declares multi-consumer wakes.
-    let mut raw_tx = unsafe { RawProducer::attach(shared.raw()) };
-    raw_tx.set_multi_consumer(true);
     let tx = SpProducer {
-        raw: raw_tx,
+        // SAFETY: as in heap_spsc.
+        raw: unsafe { RawProducer::attach(shared.raw()) },
         slots,
         spill: SpillMode::Heap,
         chain_buf: Vec::new(),

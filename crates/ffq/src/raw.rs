@@ -140,8 +140,9 @@ pub struct QueueState {
     /// log2 of the cell count.
     cap_log2: u32,
     /// 1 when futex waits must be visible across processes (the state block
-    /// lives in a shared mapping). Plain data, written at format time
-    /// before the queue is ever shared.
+    /// lives in a shared mapping); it also keeps the symmetric fence pair
+    /// on the wait cells. Plain data, written at format time before the
+    /// queue is ever shared.
     wait_shared: u32,
 }
 
@@ -160,10 +161,26 @@ impl QueueState {
         }
     }
 
+    /// [`new`](Self::new) for a heap queue: the first call in a process
+    /// also attempts its `membarrier` registration, so that the publishes
+    /// and consumes of in-process queues notify without a `SeqCst` fence
+    /// even when no consumer ever waits (see `ffq_sync::eventcount`).
+    /// Shared-memory formats use `new`: their cells keep the fence anyway.
+    ///
+    /// The registration costs a few µs in a process with one thread. In a
+    /// process that already runs others, the kernel first waits out an RCU
+    /// grace period: 6–18 ms (median ~14 ms) on a 2-vCPU Xeon VM, once per
+    /// process.
+    pub(crate) fn in_process(cap_log2: u32, producers: u32, consumers: u32) -> Self {
+        ffq_sync::eventcount::register_membarrier();
+        Self::new(cap_log2, producers, consumers)
+    }
+
     /// Marks the wait cells as cross-process: parks and wakes go through
-    /// process-shared futexes. Call at format time, before any handle
-    /// attaches — the flag is plain data and must never change while the
-    /// queue is live.
+    /// process-shared futexes, and notifiers keep their `SeqCst` fence (a
+    /// waiter's `membarrier` reaches only its own process). Call at format
+    /// time, before any handle attaches — the flag is plain data and must
+    /// never change while the queue is live.
     #[must_use]
     pub fn with_shared_wait(mut self) -> Self {
         self.wait_shared = 1;
@@ -224,42 +241,22 @@ impl QueueState {
         self.not_full.notify(n, self.wait_is_shared());
     }
 
-    /// Wakes *every* consumer parked on the not-empty eventcount.
+    /// Wakes *every* consumer parked on the not-empty eventcount, after a
+    /// publication or a gap announcement.
     ///
-    /// Gap announcements must broadcast: a parked consumer re-checks only
-    /// its own front pending rank, so a single wake may land on a consumer
-    /// whose rank the gap does not cover — it re-parks, and the consumer
-    /// actually blocked on the announced rank keeps sleeping (the
-    /// wrong-wakee window, ALGORITHM.md §12). Publications broadcast too,
-    /// through [`wake_consumers_published`], for the same reason.
-    ///
-    /// [`wake_consumers_published`]: Self::wake_consumers_published
+    /// A parked consumer re-checks only its own front pending rank, so a
+    /// single wake may land on a consumer whose rank the publication or
+    /// gap does not resolve — it re-parks, and the consumer actually
+    /// blocked on that rank keeps sleeping (the wrong-wakee window,
+    /// ALGORITHM.md §12). No handle count can prove there is only one
+    /// parked consumer: a count's increment is relaxed, and a second
+    /// consumer can attach, claim a rank and park entirely after the count
+    /// was loaded. Broadcasting costs the same syscall as a counted wake
+    /// whenever at most one waiter is parked, and `WaitCell::notify`'s
+    /// no-waiter early-out is the same for both, so it gives up nothing.
     #[inline]
     pub fn wake_consumers_all(&self) {
         self.not_empty.notify_all(self.wait_is_shared());
-    }
-
-    /// Publish-time consumer wake. Always broadcasts.
-    ///
-    /// A counted wake is only sound when any parked consumer can use the
-    /// published rank, which requires there to be at most one parked
-    /// consumer — shared-head consumers own the ranks they claimed, so
-    /// with two of them parked a single wake can land on the one whose
-    /// pending rank the publication does not resolve while the right
-    /// wakee sleeps forever (the wrong-wakee window, ALGORITHM.md §12).
-    ///
-    /// An earlier revision gated the broadcast on `consumers > 1`, but
-    /// the handle count cannot prove soleness: its increment is relaxed,
-    /// and a second consumer can attach, claim a rank, and park entirely
-    /// *after* the count was loaded — the counted wake then lands on the
-    /// late parker and strands the claimant the publication was for.
-    /// Broadcasting costs exactly the same syscall as a counted wake
-    /// whenever at most one waiter is parked (the only sound case for
-    /// counting), and `WaitCell::notify`'s no-waiter early-out is shared
-    /// by both, so the unconditional broadcast gives up nothing.
-    #[inline]
-    pub fn wake_consumers_published(&self) {
-        self.wake_consumers_all();
     }
 
     /// Wakes everyone parked on either eventcount (disconnects, poisoning).
@@ -383,10 +380,6 @@ pub struct RawProducer<T: Send, C: CellSlot<T> = PaddedCell<T>, M: IndexMap = Li
     /// Ranks staged by the current `enqueue_many` run, awaiting the single
     /// release pass. Empty between calls.
     staged: Vec<i64>,
-    /// `true` when more than one consumer handle may exist (SPMC): publish
-    /// wakes must then broadcast, not count — see
-    /// [`set_multi_consumer`](Self::set_multi_consumer).
-    mc: bool,
     /// Waiting profile for full-queue blocking; see
     /// [`set_wait_config`](Self::set_wait_config).
     wait: WaitConfig,
@@ -414,28 +407,9 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> RawProducer<T, C, M> {
             tail,
             head_cache,
             staged: Vec::new(),
-            mc: false,
             wait: WaitConfig::default(),
             stats: ProducerStats::default(),
         }
-    }
-
-    /// Declares whether this queue may have more than one consumer handle
-    /// (SPMC mode). Default `false` (SPSC).
-    ///
-    /// In multi-consumer mode every publish wake **broadcasts** instead of
-    /// waking one parked consumer. The counted wake is only sound when any
-    /// parked consumer can use the published rank — true for SPSC (there is
-    /// just one) but not for SPMC: consumers own the ranks they claimed, so
-    /// a single wake can land on a consumer parked on a *different* pending
-    /// rank, which re-parks while the published rank's owner sleeps until
-    /// its park timeout (the wrong-wakee hazard the gap path always
-    /// broadcast around; ALGORITHM.md §12). Broadcast costs the same fenced
-    /// relaxed load when nobody is parked, and when consumers *are* parked
-    /// a spurious wake is one re-check — a bounded price for closing an
-    /// unbounded stall.
-    pub fn set_multi_consumer(&mut self, mc: bool) {
-        self.mc = mc;
     }
 
     /// The underlying view.
@@ -571,7 +545,6 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> RawProducer<T, C, M> {
             &mut self.staged,
             &mut self.stats,
             self.wait,
-            self.mc,
             iter,
         )
     }
@@ -615,19 +588,9 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> RawProducer<T, C, M> {
             words.store_lo_unpaired(rank, Ordering::Release);
             self.stats.enqueued += 1;
             self.advance_tail();
-            if self.mc {
-                // Multi-consumer: the published rank may already belong to
-                // one specific parked consumer's pending FIFO, and a
-                // counted wake can land on a different one (see
-                // `set_multi_consumer`).
-                self.queue.state().wake_consumers_all();
-            } else {
-                // Not declared multi-consumer — but raw-layer callers can
-                // attach several shared-head consumers without ever calling
-                // `set_multi_consumer`, and no count check can prove they
-                // did not (see `QueueState::wake_consumers_published`).
-                self.queue.state().wake_consumers_published();
-            }
+            // The published rank may belong to one specific parked
+            // consumer's pending FIFO (see `QueueState::wake_consumers_all`).
+            self.queue.state().wake_consumers_all();
             return Ok(());
         }
         Err(Full(value))
@@ -785,11 +748,7 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> RawProducer<T, C, M> {
         cell.words().store_lo_unpaired(rank, Ordering::Release);
         self.stats.enqueued += 1;
         self.advance_tail();
-        if self.mc {
-            self.queue.state().wake_consumers_all();
-        } else {
-            self.queue.state().wake_consumers_published();
-        }
+        self.queue.state().wake_consumers_all();
     }
 
     /// Capacity of the underlying cell array.

@@ -57,7 +57,7 @@ impl<T: Send> Segment<T> {
     /// inner producer count doubles as the seal flag (0 = sealed).
     pub(crate) fn boxed(cap_log2: u32, seq: u64) -> Box<Self> {
         Box::new(Self {
-            state: QueueState::new(cap_log2, 1, 1),
+            state: QueueState::in_process(cap_log2, 1, 1),
             cells: (0..1usize << cap_log2)
                 .map(|_| CellSlot::<T>::empty())
                 .collect(),

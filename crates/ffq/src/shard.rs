@@ -548,8 +548,17 @@ impl<T: Send> ShardedConsumer<T> {
         if let Some(v) = self.stash.pop_front() {
             return Ok(v);
         }
+        // A single shard promises exact FIFO, so take one item per call:
+        // an item left in the stash could be overtaken by another
+        // consumer's dequeue that starts and ends before this handle's
+        // next call returns it.
+        let block = if self.shards.len() == 1 {
+            1
+        } else {
+            self.ctl.block
+        };
         let mut scratch = Vec::new();
-        let mut got = self.drain_block(&mut scratch, self.ctl.block);
+        let mut got = self.drain_block(&mut scratch, block);
         // The disconnect verdict reuses the observation that gated the
         // re-scan: sampling the producer counts again at verdict time
         // would be a time-of-check/time-of-use hole — the fresh Acquire
@@ -562,7 +571,7 @@ impl<T: Send> ShardedConsumer<T> {
             // claims resolve — so one more pass either finds the leftovers
             // or proves the queue drained.
             gone = true;
-            got = self.drain_block(&mut scratch, self.ctl.block);
+            got = self.drain_block(&mut scratch, block);
         }
         self.stash.extend(scratch);
         match self.stash.pop_front() {

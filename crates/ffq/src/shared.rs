@@ -41,7 +41,7 @@ impl<T, C: CellSlot<T>, M: IndexMap> Shared<T, C, M> {
     pub(crate) fn with_log2(cap_log2: u32, producers: u32) -> Self {
         let cells: Box<[C]> = (0..1usize << cap_log2).map(|_| C::empty()).collect();
         Self {
-            state: QueueState::new(cap_log2, producers, 1),
+            state: QueueState::in_process(cap_log2, producers, 1),
             cells,
             _marker: PhantomData,
         }
@@ -376,14 +376,18 @@ pub(crate) fn dequeue_claim_core<T: Copy, C: CellSlot<T>, M: IndexMap, const MP:
 }
 
 /// Claims a run of up to `want` ranks below the mirrored tail, or `None`
-/// when nothing is claimable. With `head_cap == i64::MAX` this is the
-/// unbounded fast path (one `fetch_add`). A finite `head_cap` is an
-/// *absolute rank* the claim must not reach: the claim then goes through a
-/// CAS loop, because a `fetch_add` racing another consumer could land the
-/// run past the cap — the CAS re-reads the head on every failure, so the
-/// bound holds under any interleaving. Sharded consumers use the cap to
+/// when nothing is claimable. `head_cap` is an *absolute rank* the claim
+/// must not reach (`i64::MAX`: no cap). Sharded consumers use the cap to
 /// keep their shard's head within the documented reordering window of the
 /// laggard shard (ALGORITHM.md §13).
+///
+/// The claim is a CAS loop, not a `fetch_add`: a `fetch_add` sized from a
+/// head that another consumer advances before the RMW lands its run past
+/// the tail snapshot (and past the cap). Past the tail, a single-producer
+/// queue's ranks are unpublished, so the run would park in this handle
+/// while later ranks go to other consumers — a FIFO inversion for a batch
+/// call that returns before its parked ranks publish. The CAS re-reads the
+/// head on every failure, so both bounds hold under any interleaving.
 #[inline]
 fn claim_run_capped<T, C: CellSlot<T>, M: IndexMap>(
     q: &RawQueue<T, C, M>,
@@ -394,19 +398,6 @@ fn claim_run_capped<T, C: CellSlot<T>, M: IndexMap>(
     // Emptiness pre-check and claim sizing in one: only ranks below the
     // mirrored tail are worth claiming.
     let tail = q.state().tail().load(Ordering::Acquire);
-    if head_cap == i64::MAX {
-        let head = q.state().head().load(Ordering::Relaxed);
-        let avail = (tail - head).min(want);
-        if avail <= 0 {
-            return None;
-        }
-        let start = q.state().head().fetch_add(avail, Ordering::Relaxed);
-        debug_assert!(start >= 0, "head counter overflowed i64");
-        stats.ranks_claimed += avail as u64;
-        stats.head_rmws += 1;
-        q.state().wake_producers(avail as usize);
-        return Some((start, start + avail));
-    }
     let mut head = q.state().head().load(Ordering::Relaxed);
     loop {
         let avail = (tail - head).min(want).min(head_cap - head);
@@ -414,9 +405,10 @@ fn claim_run_capped<T, C: CellSlot<T>, M: IndexMap>(
             return None;
         }
         stats.head_rmws += 1;
-        // Relaxed like the fetch_add path: the CAS only hands out unique
-        // rank runs; publication synchronizes through the cell words.
-        match q.state().head().compare_exchange_weak(
+        // Relaxed: the CAS only hands out unique rank runs; publication
+        // synchronizes through the cell words. Strong, so `head_rmws`
+        // counts only claims another consumer actually raced.
+        match q.state().head().compare_exchange(
             head,
             head + avail,
             Ordering::Relaxed,
@@ -434,8 +426,8 @@ fn claim_run_capped<T, C: CellSlot<T>, M: IndexMap>(
 }
 
 /// Harvests up to `max` ready items into `buf`, claiming head ranks in runs
-/// (one `fetch_add` per run) instead of one at a time. Returns the number of
-/// items appended; never blocks.
+/// (one CAS per run, uncontended) instead of one at a time. Returns the
+/// number of items appended; never blocks.
 ///
 /// Parked ranks from earlier claims are always harvested first, in claim
 /// order. When they run out, a new run is claimed only for ranks the
@@ -661,7 +653,6 @@ pub(crate) fn looks_full_sp<T, C: CellSlot<T>, M: IndexMap>(
 /// while the queue is full; never while holding staged cells. Staged cells
 /// are invisible until their rank store, so a consumer assigned one of
 /// those ranks simply sees "not ready" in the interim.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn enqueue_many_sp<T, C: CellSlot<T>, M: IndexMap, I>(
     q: &RawQueue<T, C, M>,
     tail: &mut i64,
@@ -669,7 +660,6 @@ pub(crate) fn enqueue_many_sp<T, C: CellSlot<T>, M: IndexMap, I>(
     staged: &mut Vec<i64>,
     stats: &mut ProducerStats,
     cfg: WaitConfig,
-    mc: bool,
     iter: I,
 ) -> usize
 where
@@ -778,19 +768,9 @@ where
         // skipped or published rank it already *owns* is unblocked only by
         // that rank resolving, and a counted wake can land on other
         // consumers and leave the right wakee sleeping (see
-        // `QueueState::wake_consumers_all` and
-        // `RawProducer::set_multi_consumer`).
-        let advanced = (*tail - run_start) as usize;
-        if advanced > 0 {
-            if had_gap || mc {
-                q.state().wake_consumers_all();
-            } else {
-                // Raw-layer callers can attach several shared-head
-                // consumers without setting `mc`, and no count check can
-                // prove they did not; the published wake broadcasts (see
-                // `QueueState::wake_consumers_published`).
-                q.state().wake_consumers_published();
-            }
+        // `QueueState::wake_consumers_all`).
+        if *tail > run_start {
+            q.state().wake_consumers_all();
         }
         match item.or_else(|| iter.next()) {
             Some(v) => carry = v,

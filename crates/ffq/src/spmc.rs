@@ -85,13 +85,8 @@ pub fn channel_with<T: Send, C: CellSlot<T>, M: IndexMap>(
     // SAFETY: the Arc in each handle keeps the allocation (and thus the raw
     // view) alive and pinned; exactly one producer exists, and the counts
     // were pre-set by `with_log2(_, 1)`.
-    let mut raw_tx = unsafe { RawProducer::attach(raw) };
-    // Consumers may clone: publish wakes must broadcast so they cannot land
-    // on a consumer parked on a different pending rank (the wrong-wakee
-    // hazard; see `RawProducer::set_multi_consumer`).
-    raw_tx.set_multi_consumer(true);
     let tx = Producer {
-        raw: raw_tx,
+        raw: unsafe { RawProducer::attach(raw) },
         _shared: Arc::clone(&shared),
     };
     let rx = Consumer {
@@ -277,10 +272,12 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> Consumer<T, C, M> {
     ///
     /// Parked ranks (from [`claim_batch`](Self::claim_batch) or earlier
     /// calls) are harvested first, in claim order; when they run out, new
-    /// runs are claimed with one `fetch_add` per run, sized to what the
-    /// tail reports as available — an empty queue claims nothing. The
-    /// harvest stops early at a rank whose item has not been produced yet
-    /// (the rank stays parked and is resumed by the next call).
+    /// runs are claimed with one CAS per run (more only when another
+    /// consumer claims in between), never past what the tail reports as
+    /// available — an empty queue claims nothing, and a fresh run holds
+    /// only ranks already published or skipped. The harvest stops early
+    /// at a parked rank whose item has not been produced yet (the rank
+    /// stays parked and is resumed by the next call).
     ///
     /// A return of `0` does not distinguish empty from disconnected; use
     /// [`try_dequeue`](Self::try_dequeue) for that.
@@ -579,7 +576,7 @@ mod tests {
         assert_eq!(buf, (0..32).collect::<Vec<_>>());
         let s = rx.stats();
         assert_eq!(s.ranks_claimed, 32);
-        assert_eq!(s.head_rmws, 1, "one fetch_add for the whole run");
+        assert_eq!(s.head_rmws, 1, "one RMW for the whole run");
         assert_eq!(s.batch_dequeues, 1);
         assert_eq!(s.batch_items, 32);
         // Nothing left, and an empty batch claims nothing.

@@ -306,7 +306,6 @@ pub struct SpProducer<T: Send> {
     seg: *mut Segment<T>,
     raw: RawProducer<T, PaddedCell<T>, LinearMap>,
     slot: usize,
-    mc: bool,
     /// Inner-engine counters accumulated over sealed segments.
     acc: ProducerStats,
     seg_stats: SegmentStats,
@@ -317,18 +316,16 @@ pub struct SpProducer<T: Send> {
 unsafe impl<T: Send> Send for SpProducer<T> {}
 
 impl<T: Send> SpProducer<T> {
-    fn new(ctl: Arc<Ctl<T>>, mc: bool) -> Self {
+    fn new(ctl: Arc<Ctl<T>>) -> Self {
         let seg = ctl.tail_ptr();
         // SAFETY: at construction the first segment is alive and stable.
         let slot = ctl.registry.acquire(unsafe { (*seg).seq() });
-        let mut raw = unsafe { RawProducer::attach((*seg).raw()) };
-        raw.set_multi_consumer(mc);
+        let raw = unsafe { RawProducer::attach((*seg).raw()) };
         Self {
             ctl,
             seg,
             raw,
             slot,
-            mc,
             acc: ProducerStats::default(),
             seg_stats: SegmentStats::default(),
         }
@@ -384,9 +381,7 @@ impl<T: Send> SpProducer<T> {
         self.ctl.registry.set(self.slot, new_seq);
         self.seg = new;
         // SAFETY: fresh or recycled segment; we are its unique producer.
-        let mut raw = unsafe { RawProducer::attach((*new).raw()) };
-        raw.set_multi_consumer(self.mc);
-        self.raw = raw;
+        self.raw = unsafe { RawProducer::attach((*new).raw()) };
     }
 
     /// Capacity of one segment (the queue itself is unbounded).
@@ -1252,7 +1247,7 @@ pub mod spsc {
     /// [`crate::layout::MAX_CAPACITY`].
     pub fn channel<T: Send>(segment_capacity: usize) -> (Producer<T>, Consumer<T>) {
         let ctl = new_ctl::<T>(segment_capacity, "spsc");
-        let tx = SpProducer::new(Arc::clone(&ctl), false);
+        let tx = SpProducer::new(Arc::clone(&ctl));
         let rx = SpscConsumer::new(ctl);
         (tx, rx)
     }
@@ -1275,7 +1270,7 @@ pub mod spmc {
     /// [`crate::layout::MAX_CAPACITY`].
     pub fn channel<T: Send>(segment_capacity: usize) -> (Producer<T>, Consumer<T>) {
         let ctl = new_ctl::<T>(segment_capacity, "spmc");
-        let tx = SpProducer::new(Arc::clone(&ctl), true);
+        let tx = SpProducer::new(Arc::clone(&ctl));
         let rx = McConsumer::new(ctl);
         (tx, rx)
     }

@@ -393,6 +393,34 @@ fn loom_spmc_publish_wakes_all_claimants() {
     });
 }
 
+/// Batch claims stay below the tail: two consumers race `dequeue_batch`
+/// over one published item. A run sized from a head that the other
+/// consumer advances first must not land past the tail. If it did, the
+/// loser would park an unpublished rank and return it from a later call,
+/// after items enqueued behind it (a FIFO inversion).
+#[test]
+fn loom_spmc_batch_claims_stay_below_the_tail() {
+    ffq_loom::model(|| {
+        let (mut tx, rx) = spmc::channel::<u64>(4);
+        tx.enqueue(10);
+        let consumers: Vec<_> = (0..2)
+            .map(|_| {
+                let mut rx = rx.clone();
+                thread::spawn(move || {
+                    let mut buf = Vec::new();
+                    let n = rx.dequeue_batch(&mut buf, 1);
+                    assert_eq!(rx.pending_ranks(), 0, "a batch claim outran the tail");
+                    n
+                })
+            })
+            .collect();
+        drop(rx);
+        let got: usize = consumers.into_iter().map(|c| c.join().unwrap()).sum();
+        assert_eq!(got, 1);
+        drop(tx);
+    });
+}
+
 /// The MPMC `(rank, gap)` pair races on one cell: with the queue full, a
 /// second producer's enqueue contends — gap-announce pair CAS against the
 /// consumer's rank reset, claim CAS against a re-announced gap — while a
@@ -493,14 +521,12 @@ fn loom_bytes_mpmc_abort_loses_nothing() {
 }
 
 /// Wrong-wakee regression at the raw layer: two shared-head consumers are
-/// attached without `set_multi_consumer` ever being called on the
-/// producer — the configuration the typed constructors always get right
-/// but raw-layer embedders (and the bytes engines built over them) can
-/// produce. rx1 parks on claimed rank 0, rx2 on rank 1; the producer
-/// publishes both. A counted `wake(1)` per publish can spend both wakes on
-/// the claimant whose rank resolves second while the other sleeps forever
-/// (model deadlock). The publish-time wake must consult the live consumer
-/// count and broadcast.
+/// attached to one raw producer, as raw-layer embedders (and the bytes
+/// engines built over them) can do. rx1 parks on claimed rank 0, rx2 on
+/// rank 1; the producer publishes both. A counted `wake(1)` per publish
+/// can spend both wakes on the claimant whose rank resolves second while
+/// the other sleeps forever (model deadlock). The publish-time wake must
+/// broadcast.
 #[test]
 fn loom_raw_publish_wakes_the_right_claimant() {
     use ffq::cell::{CellSlot, PaddedCell};

@@ -403,13 +403,13 @@ fn unbounded_mpmc_burst_and_oversubscribed_drain() {
 #[test]
 fn raw_published_wake_reaches_the_owning_claimant() {
     // Regression for the publish-path wrong-wakee window (ALGORITHM.md
-    // §12): shared-head consumers attached at the raw layer without
-    // `set_multi_consumer` used to get a *counted* publish wake gated on
-    // the live consumer count — a gate a late-attaching consumer slips
-    // past (its relaxed count increment can trail its park), letting the
-    // single wake land on a claimant whose pending rank the publication
-    // does not resolve while the owning claimant sleeps forever. The
-    // publish wake now broadcasts unconditionally. The parked claimants
+    // §12): shared-head consumers attached at the raw layer once got a
+    // *counted* publish wake gated on the live consumer count — a gate a
+    // late-attaching consumer slips past (its relaxed count increment can
+    // trail its park), letting the single wake land on a claimant whose
+    // pending rank the publication does not resolve while the owning
+    // claimant sleeps forever. Every publish wake broadcasts. The parked
+    // claimants
     // here use `dequeue_timeout` with a panic on expiry, so a
     // reintroduced counted wake fails the test instead of hanging it;
     // oversubscription (4x cores) maximizes the park rate.
@@ -423,8 +423,7 @@ fn raw_published_wake_reaches_the_owning_claimant() {
     let state = QueueState::new(6, 1, consumers as u32);
     let cells: Vec<PaddedCell<u64>> = (0..64).map(|_| CellSlot::<u64>::empty()).collect();
     // SAFETY: state/cells outlive every handle (scoped threads); one
-    // producer, shared-head consumers only. `set_multi_consumer` is
-    // deliberately never called — that is the configuration under test.
+    // producer, shared-head consumers only.
     let q =
         unsafe { RawQueue::<u64, PaddedCell<u64>, LinearMap>::from_raw(&state, cells.as_ptr()) };
     let mut all = Vec::new();
@@ -554,4 +553,94 @@ fn spin_only_config_still_delivers() {
     }
     drop(tx);
     assert_eq!(t.join().unwrap(), (0..ITEMS).collect::<Vec<_>>());
+}
+
+#[test]
+#[cfg_attr(miri, ignore)]
+fn every_park_on_an_in_process_queue_is_woken() {
+    // On an in-process queue of a process registered for `membarrier`, the
+    // producer's publish notifies behind a compiler fence only, and the
+    // consumer's `membarrier` before its re-check is what keeps the wake.
+    // The consumer waits for every item with no spin phase and unbounded
+    // parks. For even items the producer waits until the consumer has
+    // registered as a waiter and then sleeps briefly, so the consumer is
+    // asleep in the futex when the wake comes. For odd items it publishes
+    // a varying few pauses after the consumer took the previous item,
+    // sweeping the window in which the consumer registers and re-checks —
+    // the store-buffering race the fence pair closes. One lost wake hangs
+    // the consumer, which the watchdog below turns into a failure.
+    use ffq::cell::{CellSlot, PaddedCell};
+    use ffq::layout::LinearMap;
+    use ffq::raw::{QueueState, RawProducer, RawQueue, RawSpscConsumer};
+    use ffq_sync::WaitConfig;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::{mpsc, Arc};
+
+    const ITEMS: u64 = 24_000;
+    const WATCHDOG: Duration = Duration::from_secs(120);
+    if !ffq_sync::eventcount::register_membarrier() {
+        eprintln!("membarrier refused: this run exercises the symmetric fence pair");
+    }
+    // Leaked so both threads can outlive a failing test.
+    let state: &'static QueueState = Box::leak(Box::new(QueueState::new(4, 1, 1)));
+    let cells: &'static [PaddedCell<u64>] =
+        Vec::leak((0..16).map(|_| CellSlot::<u64>::empty()).collect());
+    // SAFETY: state and cells are 'static and sized for `cap_log2` 4.
+    let q = unsafe { RawQueue::<u64, PaddedCell<u64>, LinearMap>::from_raw(state, cells.as_ptr()) };
+    // SAFETY: the only producer and the only consumer of `q`, which lives
+    // for 'static.
+    let (mut tx, mut rx) = unsafe { (RawProducer::attach(q), RawSpscConsumer::attach(q)) };
+    rx.set_wait_config(WaitConfig {
+        spin_limit: 0,
+        yield_limit: 0,
+        max_park: None,
+        park: true,
+    });
+    let taken = Arc::new(AtomicU64::new(0));
+    let taken_by_consumer = Arc::clone(&taken);
+    let (done, finished) = mpsc::channel();
+    let consumer = std::thread::spawn(move || {
+        for i in 0..ITEMS {
+            assert_eq!(rx.dequeue(), Ok(i));
+            taken_by_consumer.store(i + 1, Ordering::Release);
+        }
+        done.send(()).unwrap();
+        rx.stats().parks
+    });
+    // Spins briefly before yielding, so the odd items' timing stays fine
+    // on two cores and the test still progresses on one.
+    let until = |done: &dyn Fn() -> bool| {
+        let mut spins = 0u32;
+        while !done() {
+            if spins < 1_000 {
+                spins += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+    };
+    let producer = std::thread::spawn(move || {
+        for i in 0..ITEMS {
+            until(&|| taken.load(Ordering::Acquire) >= i);
+            if i % 2 == 0 {
+                until(&|| state.not_empty().waiters() != 0);
+                std::thread::sleep(Duration::from_micros(20));
+            } else {
+                for _ in 0..(i / 2) % 64 {
+                    std::hint::spin_loop();
+                }
+            }
+            tx.enqueue(i);
+        }
+    });
+    if let Err(mpsc::RecvTimeoutError::Timeout) = finished.recv_timeout(WATCHDOG) {
+        panic!("lost wake: the consumer is still parked after {WATCHDOG:?}");
+    }
+    producer.join().unwrap();
+    let parks = consumer.join().unwrap();
+    assert!(
+        parks >= 10_000,
+        "only {parks} parks: the stress did not park"
+    );
 }
