@@ -7,26 +7,23 @@
 //! newtypes delegating 1:1 to these methods.
 //!
 //! Both adapters inherit the cancellation-safety story of the underlying
-//! futures: wait-token handoff on drop, no queue state held across
+//! futures: [`AsyncWait::abandon`] on drop, no queue state held across
 //! `Pending`. The sink buffers at most one item (`start_send` stores it,
 //! `poll_flush` publishes it); dropping the sink drops that one unsent
 //! item, exactly like dropping an `Enqueue` future drops its payload.
 
 use std::task::{Context, Poll};
 
-use crate::handle::{
-    abandon_token, poll_recv_value, poll_send_value, AsyncReceiver, AsyncSender, SendError,
-};
+use crate::handle::{poll_recv_value, poll_send_value, AsyncReceiver, AsyncSender, SendError};
 use crate::traits::{TryRecv, TrySend};
-use ffq_sync::WaitToken;
+use ffq_sync::AsyncWait;
 
 /// A `Stream`-shaped view of an [`AsyncReceiver`]: yields items until the
 /// queue is drained and every producer is gone, then ends.
 #[must_use = "streams do nothing unless polled"]
 pub struct RecvStream<R: TryRecv> {
     rx: AsyncReceiver<R>,
-    tok: Option<WaitToken>,
-    spins: u16,
+    wait: AsyncWait,
 }
 
 impl<R: TryRecv> Unpin for RecvStream<R> {}
@@ -35,8 +32,7 @@ impl<R: TryRecv> RecvStream<R> {
     pub(crate) fn new(rx: AsyncReceiver<R>) -> Self {
         Self {
             rx,
-            tok: None,
-            spins: 0,
+            wait: AsyncWait::new(),
         }
     }
 
@@ -44,7 +40,7 @@ impl<R: TryRecv> RecvStream<R> {
     /// disconnected. Runtime-agnostic equivalent of
     /// `Stream::poll_next`.
     pub fn poll_next_item(&mut self, cx: &mut Context<'_>) -> Poll<Option<R::Item>> {
-        poll_recv_value(&mut self.rx, &mut self.tok, &mut self.spins, cx).map(Result::ok)
+        poll_recv_value(&mut self.rx, &mut self.wait, cx).map(Result::ok)
     }
 
     /// Shared access to the wrapped receiver.
@@ -63,7 +59,7 @@ impl<R: TryRecv> RecvStream<R> {
 
 impl<R: TryRecv> Drop for RecvStream<R> {
     fn drop(&mut self) {
-        abandon_token(&self.rx.cells().not_empty, &mut self.tok);
+        self.wait.abandon(&self.rx.cells.not_empty);
     }
 }
 
@@ -72,8 +68,7 @@ impl<R: TryRecv> Drop for RecvStream<R> {
 pub struct SendSink<S: TrySend> {
     tx: AsyncSender<S>,
     slot: Option<S::Item>,
-    tok: Option<WaitToken>,
-    spins: u16,
+    wait: AsyncWait,
 }
 
 impl<S: TrySend> Unpin for SendSink<S> {}
@@ -83,8 +78,7 @@ impl<S: TrySend> SendSink<S> {
         Self {
             tx,
             slot: None,
-            tok: None,
-            spins: 0,
+            wait: AsyncWait::new(),
         }
     }
 
@@ -127,13 +121,7 @@ impl<S: TrySend> SendSink<S> {
         if self.slot.is_none() {
             return Poll::Ready(Ok(()));
         }
-        poll_send_value(
-            &mut self.tx,
-            &mut self.slot,
-            &mut self.tok,
-            &mut self.spins,
-            cx,
-        )
+        poll_send_value(&mut self.tx, &mut self.slot, &mut self.wait, cx)
     }
 
     /// Shared access to the wrapped sender.
@@ -144,6 +132,6 @@ impl<S: TrySend> SendSink<S> {
 
 impl<S: TrySend> Drop for SendSink<S> {
     fn drop(&mut self) {
-        abandon_token(&self.tx.cells().not_full, &mut self.tok);
+        self.wait.abandon(&self.tx.cells.not_full);
     }
 }

@@ -4,10 +4,11 @@
 //!
 //! Wraps [`ffq::broadcast`] the way [`crate::wrap`] wraps the
 //! point-to-point handles: the queue itself is untouched, and async
-//! notifications travel through the same [`AsyncCells`] waker eventcount
+//! notifications travel through the same `AsyncCells` waker eventcount
 //! beside it. Only the **subscriber** side ever waits — broadcast
 //! publication is wait-free by construction — so only `not_empty` is ever
-//! registered on; the sender notifies it after each publish and on drop.
+//! registered on; the sender notifies it after each publish. Dropping
+//! either endpoint notifies both cells, as every async endpoint does.
 //!
 //! ## Why there is no failure-path notify here
 //!
@@ -17,9 +18,10 @@
 //! side may be parked on (see the `handle` module docs). A broadcast
 //! subscriber's `try_recv` writes **nothing** to shared memory — not on
 //! success, not on failure — and the sender never waits, so there is no
-//! opposite cell and no state change to announce. The wake protocol
-//! degenerates to the textbook eventcount: publish → notify, miss →
-//! register → re-check → park.
+//! opposite cell and no state change to announce: the subscriber's
+//! [`AsyncWait::poll`] gets `None` for it. The wake protocol degenerates
+//! to the textbook eventcount: publish → notify, miss → register →
+//! re-check → park.
 //!
 //! ## Cancellation safety
 //!
@@ -40,19 +42,15 @@
 //! ```
 
 use std::future::Future;
-use std::mem::ManuallyDrop;
 use std::pin::Pin;
-use std::sync::Arc;
 use std::task::{Context, Poll};
 
 use ffq::cell::{CellSlot, PaddedCell};
 use ffq::error::{BroadcastRecvError, BroadcastTryRecvError};
 use ffq::layout::{IndexMap, LinearMap};
-use ffq_sync::WaitToken;
+use ffq_sync::AsyncWait;
 
-use crate::handle::{
-    abandon_token, ensure_registered, settle_token, spin_yield, AsyncCells, DEFAULT_SPIN_POLLS,
-};
+use crate::handle::{SharedCells, DEFAULT_SPIN_POLLS};
 
 /// Creates an async broadcast channel with at least the given capacity
 /// (rounded up to a power of two).
@@ -76,14 +74,14 @@ pub fn channel_with<T: Copy + Send, C: CellSlot<T>, M: IndexMap>(
     capacity: usize,
 ) -> (Sender<T, C, M>, Subscriber<T, C, M>) {
     let (tx, rx) = ffq::broadcast::channel_with::<T, C, M>(capacity);
-    let cells = Arc::new(AsyncCells::new());
+    let cells = SharedCells::default();
     (
         Sender {
-            inner: ManuallyDrop::new(tx),
-            cells: Arc::clone(&cells),
+            inner: tx,
+            cells: cells.clone(),
         },
         Subscriber {
-            inner: ManuallyDrop::new(rx),
+            inner: rx,
             cells,
             spin_polls: DEFAULT_SPIN_POLLS,
         },
@@ -96,10 +94,9 @@ pub fn channel_with<T: Copy + Send, C: CellSlot<T>, M: IndexMap>(
 /// wait-free, so there is nothing to `await`; the method additionally
 /// wakes every parked subscriber task.
 pub struct Sender<T: Copy + Send, C: CellSlot<T> = PaddedCell<T>, M: IndexMap = LinearMap> {
-    /// `ManuallyDrop` so our `Drop` can run the inner disconnect *first*
-    /// and broadcast to async waiters *after* it is visible.
-    inner: ManuallyDrop<ffq::broadcast::Sender<T, C, M>>,
-    cells: Arc<AsyncCells>,
+    inner: ffq::broadcast::Sender<T, C, M>,
+    // Must follow `inner`: its drop wakes the peers (see `SharedCells`).
+    cells: SharedCells,
 }
 
 impl<T: Copy + Send, C: CellSlot<T>, M: IndexMap> Sender<T, C, M> {
@@ -138,23 +135,12 @@ impl<T: Copy + Send, C: CellSlot<T>, M: IndexMap> Sender<T, C, M> {
     }
 }
 
-impl<T: Copy + Send, C: CellSlot<T>, M: IndexMap> Drop for Sender<T, C, M> {
-    fn drop(&mut self) {
-        // Disconnect order matters (same as AsyncSender): run the sync
-        // drop first so the producer-count decrement is visible, *then*
-        // broadcast — otherwise a woken subscriber could re-check, still
-        // see a live sender, park again, and miss the closure forever.
-        // SAFETY: `inner` is dropped exactly once, here.
-        unsafe { ManuallyDrop::drop(&mut self.inner) };
-        self.cells.not_empty.notify_all();
-    }
-}
-
 /// A subscribing handle of an async broadcast channel. Clone it to add
 /// subscribers; each clone advances independently.
 pub struct Subscriber<T: Copy + Send, C: CellSlot<T> = PaddedCell<T>, M: IndexMap = LinearMap> {
-    inner: ManuallyDrop<ffq::broadcast::Subscriber<T, C, M>>,
-    cells: Arc<AsyncCells>,
+    inner: ffq::broadcast::Subscriber<T, C, M>,
+    // Must follow `inner`: its drop wakes the peers (see `SharedCells`).
+    cells: SharedCells,
     spin_polls: u16,
 }
 
@@ -182,8 +168,7 @@ impl<T: Copy + Send, C: CellSlot<T>, M: IndexMap> Subscriber<T, C, M> {
     pub fn recv(&mut self) -> Recv<'_, T, C, M> {
         Recv {
             rx: self,
-            tok: None,
-            spins: 0,
+            wait: AsyncWait::new(),
         }
     }
 
@@ -191,8 +176,8 @@ impl<T: Copy + Send, C: CellSlot<T>, M: IndexMap> Subscriber<T, C, M> {
     /// plain `clone()` inherits this handle's position instead).
     pub fn resubscribe(&self) -> Self {
         Self {
-            inner: ManuallyDrop::new(self.inner.resubscribe()),
-            cells: Arc::clone(&self.cells),
+            inner: self.inner.resubscribe(),
+            cells: self.cells.clone(),
             spin_polls: self.spin_polls,
         }
     }
@@ -202,8 +187,7 @@ impl<T: Copy + Send, C: CellSlot<T>, M: IndexMap> Subscriber<T, C, M> {
     pub fn into_stream(self) -> SubscriberStream<T, C, M> {
         SubscriberStream {
             rx: self,
-            tok: None,
-            spins: 0,
+            wait: AsyncWait::new(),
         }
     }
 
@@ -228,81 +212,34 @@ impl<T: Copy + Send, C: CellSlot<T>, M: IndexMap> Subscriber<T, C, M> {
         self.inner.stats()
     }
 
-    /// One receive step: try, then register on `not_empty`, re-check, and
-    /// return `Pending` only with a registration in place.
-    fn poll_recv_inner(
+    /// One receive step, shared by [`Recv`] and [`SubscriberStream`].
+    fn poll_recv(
         &mut self,
-        tok: &mut Option<WaitToken>,
-        spins: &mut u16,
+        wait: &mut AsyncWait,
         cx: &mut Context<'_>,
     ) -> Poll<Result<T, BroadcastRecvError>> {
-        let spin_limit = self.spin_polls;
-        let cells = Arc::clone(&self.cells);
-        match self.inner.try_recv() {
-            Ok(v) => {
-                *spins = 0;
-                settle_token(&cells.not_empty, tok);
-                return Poll::Ready(Ok(v));
-            }
+        let inner = &mut self.inner;
+        let attempt = || match inner.try_recv() {
+            Ok(v) => Poll::Ready(Ok(v)),
             Err(BroadcastTryRecvError::Lagged(n)) => {
-                *spins = 0;
-                settle_token(&cells.not_empty, tok);
-                return Poll::Ready(Err(BroadcastRecvError::Lagged(n)));
-            }
-            Err(BroadcastTryRecvError::Closed) => {
-                settle_token(&cells.not_empty, tok);
-                return Poll::Ready(Err(BroadcastRecvError::Closed));
-            }
-            Err(BroadcastTryRecvError::Empty) => {}
-        }
-        if tok.is_none() && *spins < spin_limit {
-            // Reschedule-spin phase (see DEFAULT_SPIN_POLLS). No
-            // opposite-cell notify: an empty broadcast try_recv mutates
-            // no shared state anyone could be waiting on (module docs).
-            *spins += 1;
-            spin_yield(*spins, spin_limit);
-            cx.waker().wake_by_ref();
-            return Poll::Pending;
-        }
-        ensure_registered(&cells.not_empty, tok, cx.waker());
-        // Mandatory post-registration re-check: a publish (or the sender
-        // drop) racing the registration must be observed here, or its
-        // wake may already have passed us by.
-        match self.inner.try_recv() {
-            Ok(v) => {
-                settle_token(&cells.not_empty, tok);
-                Poll::Ready(Ok(v))
-            }
-            Err(BroadcastTryRecvError::Lagged(n)) => {
-                settle_token(&cells.not_empty, tok);
                 Poll::Ready(Err(BroadcastRecvError::Lagged(n)))
             }
-            Err(BroadcastTryRecvError::Closed) => {
-                settle_token(&cells.not_empty, tok);
-                Poll::Ready(Err(BroadcastRecvError::Closed))
-            }
+            Err(BroadcastTryRecvError::Closed) => Poll::Ready(Err(BroadcastRecvError::Closed)),
             Err(BroadcastTryRecvError::Empty) => Poll::Pending,
-        }
+        };
+        // No opposite cell: an empty broadcast try_recv mutates no shared
+        // state anyone could be waiting on (module docs).
+        wait.poll(&self.cells.not_empty, None, self.spin_polls, cx, attempt)
     }
 }
 
 impl<T: Copy + Send, C: CellSlot<T>, M: IndexMap> Clone for Subscriber<T, C, M> {
     fn clone(&self) -> Self {
         Self {
-            inner: ManuallyDrop::new((*self.inner).clone()),
-            cells: Arc::clone(&self.cells),
+            inner: self.inner.clone(),
+            cells: self.cells.clone(),
             spin_polls: self.spin_polls,
         }
-    }
-}
-
-impl<T: Copy + Send, C: CellSlot<T>, M: IndexMap> Drop for Subscriber<T, C, M> {
-    fn drop(&mut self) {
-        // Subscribers are invisible to everyone else (they write nothing
-        // and nobody waits on them), so only the handle count matters —
-        // the sync drop handles it. No notify needed.
-        // SAFETY: `inner` is dropped exactly once, here.
-        unsafe { ManuallyDrop::drop(&mut self.inner) };
     }
 }
 
@@ -310,8 +247,7 @@ impl<T: Copy + Send, C: CellSlot<T>, M: IndexMap> Drop for Subscriber<T, C, M> {
 #[must_use = "futures do nothing unless polled"]
 pub struct Recv<'a, T: Copy + Send, C: CellSlot<T> = PaddedCell<T>, M: IndexMap = LinearMap> {
     rx: &'a mut Subscriber<T, C, M>,
-    tok: Option<WaitToken>,
-    spins: u16,
+    wait: AsyncWait,
 }
 
 impl<T: Copy + Send, C: CellSlot<T>, M: IndexMap> Unpin for Recv<'_, T, C, M> {}
@@ -321,13 +257,13 @@ impl<T: Copy + Send, C: CellSlot<T>, M: IndexMap> Future for Recv<'_, T, C, M> {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let me = self.get_mut();
-        me.rx.poll_recv_inner(&mut me.tok, &mut me.spins, cx)
+        me.rx.poll_recv(&mut me.wait, cx)
     }
 }
 
 impl<T: Copy + Send, C: CellSlot<T>, M: IndexMap> Drop for Recv<'_, T, C, M> {
     fn drop(&mut self) {
-        abandon_token(&self.rx.cells.not_empty, &mut self.tok);
+        self.wait.abandon(&self.rx.cells.not_empty);
     }
 }
 
@@ -351,8 +287,7 @@ impl std::error::Error for Lagged {}
 pub struct SubscriberStream<T: Copy + Send, C: CellSlot<T> = PaddedCell<T>, M: IndexMap = LinearMap>
 {
     rx: Subscriber<T, C, M>,
-    tok: Option<WaitToken>,
-    spins: u16,
+    wait: AsyncWait,
 }
 
 impl<T: Copy + Send, C: CellSlot<T>, M: IndexMap> Unpin for SubscriberStream<T, C, M> {}
@@ -362,14 +297,11 @@ impl<T: Copy + Send, C: CellSlot<T>, M: IndexMap> SubscriberStream<T, C, M> {
     /// fully observed. Runtime-agnostic equivalent of
     /// `Stream::poll_next`.
     pub fn poll_next_item(&mut self, cx: &mut Context<'_>) -> Poll<Option<Result<T, Lagged>>> {
-        let me = self;
-        me.rx
-            .poll_recv_inner(&mut me.tok, &mut me.spins, cx)
-            .map(|res| match res {
-                Ok(v) => Some(Ok(v)),
-                Err(BroadcastRecvError::Lagged(n)) => Some(Err(Lagged(n))),
-                Err(BroadcastRecvError::Closed) => None,
-            })
+        self.rx.poll_recv(&mut self.wait, cx).map(|res| match res {
+            Ok(v) => Some(Ok(v)),
+            Err(BroadcastRecvError::Lagged(n)) => Some(Err(Lagged(n))),
+            Err(BroadcastRecvError::Closed) => None,
+        })
     }
 
     /// Shared access to the wrapped subscriber.
@@ -386,13 +318,13 @@ impl<T: Copy + Send, C: CellSlot<T>, M: IndexMap> SubscriberStream<T, C, M> {
 
     /// Recovers the subscriber.
     pub fn into_inner(mut self) -> Subscriber<T, C, M> {
-        abandon_token(&self.rx.cells.not_empty, &mut self.tok);
+        self.wait.abandon(&self.rx.cells.not_empty);
         self.rx.clone()
     }
 }
 
 impl<T: Copy + Send, C: CellSlot<T>, M: IndexMap> Drop for SubscriberStream<T, C, M> {
     fn drop(&mut self) {
-        abandon_token(&self.rx.cells.not_empty, &mut self.tok);
+        self.wait.abandon(&self.rx.cells.not_empty);
     }
 }

@@ -4,9 +4,8 @@
 //! items; the bytes engines instead hand out *borrowed guards* —
 //! [`ffq::WriteSlot`] over an in-place reservation, [`ffq::PayloadRef`]
 //! over a claimed payload — so they get their own wrapper pair here. The
-//! wait protocol is identical (same [`AsyncCells`] eventcount pair, same
-//! reschedule-spin phase, same registration tokens); only the resolution
-//! type differs: futures resolve to guards, and the guards carry the
+//! wait protocol is identical (same `AsyncCells` eventcount pair, same
+//! [`AsyncWait`] step); only the resolution type differs: futures resolve to guards, and the guards carry the
 //! notifications their endpoint actions imply:
 //!
 //! - [`AsyncWriteSlot::commit`] publishes the payload **and** notifies
@@ -28,27 +27,23 @@
 //!   (`try_claim_payload`) is resumable — the next `recv` picks up the
 //!   already-claimed rank instead of skipping it.
 //! - Both futures hand an already-consumed wake to the next waiter on
-//!   drop ([`crate::handle`]'s `abandon_token`), so a cancelled task can
-//!   never swallow the only wake.
+//!   drop ([`AsyncWait::abandon`]), so a cancelled task can never swallow
+//!   the only wake.
 //!
 //! As everywhere in this crate, **both ends must be async-wrapped** (the
 //! queue itself cannot store wakers); the `channel` constructors in
 //! [`spsc`]/[`spmc`]/[`mpmc`] guarantee that.
 
 use std::future::Future;
-use std::mem::ManuallyDrop;
 use std::ops::{Deref, DerefMut};
 use std::pin::Pin;
-use std::sync::Arc;
-use std::task::{Context, Poll};
+use std::task::{ready, Context, Poll};
 
 use ffq::bytes::{BytesConsumer, BytesProducer, PayloadRef, WriteSlot};
 use ffq::error::{Disconnected, ReserveError, TryDequeueError, TryReserveError};
-use ffq_sync::WaitToken;
+use ffq_sync::AsyncWait;
 
-use crate::handle::{
-    abandon_token, ensure_registered, settle_token, spin_yield, AsyncCells, DEFAULT_SPIN_POLLS,
-};
+use crate::handle::{AsyncCells, SharedCells, DEFAULT_SPIN_POLLS};
 
 // ---------------------------------------------------------------------------
 // Sender
@@ -59,21 +54,15 @@ use crate::handle::{
 /// `Clone` exactly when the engine is (the MPMC producer); clones share
 /// the wait cells, keeping every producer's commits visible to parked
 /// receivers.
+#[derive(Clone, Debug)]
 pub struct AsyncBytesSender<P: BytesProducer + Send> {
-    inner: ManuallyDrop<P>,
-    cells: Arc<AsyncCells>,
+    inner: P,
+    // Must follow `inner`: its drop wakes the peers (see `SharedCells`).
+    cells: SharedCells,
     spin_polls: u16,
 }
 
 impl<P: BytesProducer + Send> AsyncBytesSender<P> {
-    pub(crate) fn new(inner: P, cells: Arc<AsyncCells>) -> Self {
-        Self {
-            inner: ManuallyDrop::new(inner),
-            cells,
-            spin_polls: DEFAULT_SPIN_POLLS,
-        }
-    }
-
     /// Sets the reschedule-spin budget for this handle's futures (see
     /// [`DEFAULT_SPIN_POLLS`]); 0 parks on the first full queue.
     pub fn set_spin_polls(&mut self, polls: u16) {
@@ -97,15 +86,19 @@ impl<P: BytesProducer + Send> AsyncBytesSender<P> {
             self.cells.not_empty.notify_all();
             return Err(e);
         }
-        let cells: &AsyncCells = &self.cells;
-        let slot = self
-            .inner
-            .pending_slot()
-            .expect("reservation just succeeded");
-        Ok(AsyncWriteSlot {
-            slot: Some(slot),
-            cells,
-        })
+        Ok(self.pending_slot())
+    }
+
+    /// The guard over the reservation the engine holds.
+    fn pending_slot(&mut self) -> AsyncWriteSlot<'_, P> {
+        AsyncWriteSlot {
+            slot: Some(
+                self.inner
+                    .pending_slot()
+                    .expect("reservation just succeeded"),
+            ),
+            cells: &self.cells,
+        }
     }
 
     /// Reserves space for a `len`-byte payload, waiting for room if the
@@ -121,8 +114,7 @@ impl<P: BytesProducer + Send> AsyncBytesSender<P> {
         Reserve {
             tx: Some(self),
             len,
-            tok: None,
-            spins: 0,
+            wait: AsyncWait::new(),
         }
     }
 
@@ -143,36 +135,6 @@ impl<P: BytesProducer + Send> AsyncBytesSender<P> {
     /// Mutable access to the wrapped sync engine; see [`Self::sync_ref`].
     pub fn sync_mut(&mut self) -> &mut P {
         &mut self.inner
-    }
-}
-
-impl<P: BytesProducer + Send + Clone> Clone for AsyncBytesSender<P> {
-    fn clone(&self) -> Self {
-        Self {
-            inner: ManuallyDrop::new((*self.inner).clone()),
-            cells: Arc::clone(&self.cells),
-            spin_polls: self.spin_polls,
-        }
-    }
-}
-
-impl<P: BytesProducer + Send> Drop for AsyncBytesSender<P> {
-    fn drop(&mut self) {
-        // Engine drop first (aborts any leaked pending reservation and
-        // runs the sync disconnect), broadcast second — same ordering as
-        // `AsyncSender`, so no receiver re-parks past the disconnect.
-        // SAFETY: `inner` is dropped exactly once, here.
-        unsafe { ManuallyDrop::drop(&mut self.inner) };
-        self.cells.not_empty.notify_all();
-        self.cells.not_full.notify_all();
-    }
-}
-
-impl<P: BytesProducer + Send + core::fmt::Debug> core::fmt::Debug for AsyncBytesSender<P> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("AsyncBytesSender")
-            .field("inner", &*self.inner)
-            .finish_non_exhaustive()
     }
 }
 
@@ -244,8 +206,7 @@ impl<P: BytesProducer> core::fmt::Debug for AsyncWriteSlot<'_, P> {
 pub struct Reserve<'a, P: BytesProducer + Send> {
     tx: Option<&'a mut AsyncBytesSender<P>>,
     len: usize,
-    tok: Option<WaitToken>,
-    spins: u16,
+    wait: AsyncWait,
 }
 
 impl<P: BytesProducer + Send> Unpin for Reserve<'_, P> {}
@@ -256,64 +217,36 @@ impl<'a, P: BytesProducer + Send> Future for Reserve<'a, P> {
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let me = self.get_mut();
         let len = me.len;
-        {
-            let tx = me
-                .tx
-                .as_deref_mut()
-                .expect("reserve future polled after completion");
-            let spin_limit = tx.spin_polls;
-            match tx.inner.try_reserve_pending(len) {
-                Ok(()) => {}
-                Err(TryReserveError::TooLarge { len, max }) => {
-                    settle_token(&tx.cells.not_full, &mut me.tok);
-                    return Poll::Ready(Err(ReserveError::TooLarge { len, max }));
-                }
-                Err(TryReserveError::Full) => {
-                    if me.tok.is_none() && me.spins < spin_limit {
-                        // Reschedule-spin phase (see DEFAULT_SPIN_POLLS):
-                        // stay out of the registry, yield to the executor.
-                        me.spins += 1;
-                        // A failed scan can still have burned gap ranks.
-                        tx.cells.not_empty.notify_all();
-                        spin_yield(me.spins, spin_limit);
-                        cx.waker().wake_by_ref();
-                        return Poll::Pending;
-                    }
-                    ensure_registered(&tx.cells.not_full, &mut me.tok, cx.waker());
-                    // Mandatory post-registration re-check: a run freed
-                    // between the first attempt and the registration must
-                    // be observed here, or its wake has already passed us.
-                    match tx.inner.try_reserve_pending(len) {
-                        Ok(()) => {}
-                        Err(TryReserveError::TooLarge { len, max }) => {
-                            settle_token(&tx.cells.not_full, &mut me.tok);
-                            return Poll::Ready(Err(ReserveError::TooLarge { len, max }));
-                        }
-                        Err(TryReserveError::Full) => {
-                            tx.cells.not_empty.notify_all();
-                            return Poll::Pending;
-                        }
-                    }
-                }
+        let tx = me
+            .tx
+            .as_deref_mut()
+            .expect("reserve future polled after completion");
+        let (inner, cells) = (&mut tx.inner, &*tx.cells);
+        // No notify on success: the guard's commit (or abort) does it.
+        let attempt = || match inner.try_reserve_pending(len) {
+            Ok(()) => Poll::Ready(Ok(())),
+            Err(TryReserveError::TooLarge { len, max }) => {
+                Poll::Ready(Err(ReserveError::TooLarge { len, max }))
             }
-            settle_token(&tx.cells.not_full, &mut me.tok);
-        }
-        // Success: surrender the full-lifetime borrow and build the guard
-        // over the reservation the engine now holds.
+            Err(TryReserveError::Full) => Poll::Pending,
+        };
+        ready!(me.wait.poll(
+            &cells.not_full,
+            Some(&cells.not_empty),
+            tx.spin_polls,
+            cx,
+            attempt
+        ))?;
+        // Surrender the full-lifetime borrow to the guard.
         let tx = me.tx.take().expect("just reserved through it");
-        let cells: &'a AsyncCells = &tx.cells;
-        let slot = tx.inner.pending_slot().expect("reservation just succeeded");
-        Poll::Ready(Ok(AsyncWriteSlot {
-            slot: Some(slot),
-            cells,
-        }))
+        Poll::Ready(Ok(tx.pending_slot()))
     }
 }
 
 impl<P: BytesProducer + Send> Drop for Reserve<'_, P> {
     fn drop(&mut self) {
         if let Some(tx) = self.tx.as_ref() {
-            abandon_token(&tx.cells.not_full, &mut self.tok);
+            self.wait.abandon(&tx.cells.not_full);
         }
     }
 }
@@ -326,21 +259,15 @@ impl<P: BytesProducer + Send> Drop for Reserve<'_, P> {
 ///
 /// `Clone` exactly when the engine is (the shared-head MPMC/SPMC
 /// consumers); each clone owns its private pending-rank state.
+#[derive(Clone, Debug)]
 pub struct AsyncBytesReceiver<C: BytesConsumer + Send> {
-    inner: ManuallyDrop<C>,
-    cells: Arc<AsyncCells>,
+    inner: C,
+    // Must follow `inner`: its drop wakes the peers (see `SharedCells`).
+    cells: SharedCells,
     spin_polls: u16,
 }
 
 impl<C: BytesConsumer + Send> AsyncBytesReceiver<C> {
-    pub(crate) fn new(inner: C, cells: Arc<AsyncCells>) -> Self {
-        Self {
-            inner: ManuallyDrop::new(inner),
-            cells,
-            spin_polls: DEFAULT_SPIN_POLLS,
-        }
-    }
-
     /// Sets the reschedule-spin budget for this handle's futures (see
     /// [`DEFAULT_SPIN_POLLS`]); 0 parks on the first empty queue.
     pub fn set_spin_polls(&mut self, polls: u16) {
@@ -359,12 +286,15 @@ impl<C: BytesConsumer + Send> AsyncBytesReceiver<C> {
             self.cells.not_full.notify_all();
             return Err(e);
         }
-        let cells: &AsyncCells = &self.cells;
-        let view = self.inner.try_recv().expect("payload already claimed");
-        Ok(AsyncPayloadRef {
-            view: Some(view),
-            cells,
-        })
+        Ok(self.claimed())
+    }
+
+    /// The guard over the payload the engine has claimed.
+    fn claimed(&mut self) -> AsyncPayloadRef<'_, C> {
+        AsyncPayloadRef {
+            view: Some(self.inner.try_recv().expect("payload already claimed")),
+            cells: &self.cells,
+        }
     }
 
     /// Claims the next payload, waiting for one if the queue is empty;
@@ -377,8 +307,7 @@ impl<C: BytesConsumer + Send> AsyncBytesReceiver<C> {
     pub fn recv(&mut self) -> RecvPayload<'_, C> {
         RecvPayload {
             rx: Some(self),
-            tok: None,
-            spins: 0,
+            wait: AsyncWait::new(),
         }
     }
 
@@ -398,35 +327,6 @@ impl<C: BytesConsumer + Send> AsyncBytesReceiver<C> {
     /// Mutable access to the wrapped sync engine; see [`Self::sync_ref`].
     pub fn sync_mut(&mut self) -> &mut C {
         &mut self.inner
-    }
-}
-
-impl<C: BytesConsumer + Send + Clone> Clone for AsyncBytesReceiver<C> {
-    fn clone(&self) -> Self {
-        Self {
-            inner: ManuallyDrop::new((*self.inner).clone()),
-            cells: Arc::clone(&self.cells),
-            spin_polls: self.spin_polls,
-        }
-    }
-}
-
-impl<C: BytesConsumer + Send> Drop for AsyncBytesReceiver<C> {
-    fn drop(&mut self) {
-        // Engine drop first (releases any claimed-but-unread payload and
-        // runs the sync disconnect), broadcast second.
-        // SAFETY: `inner` is dropped exactly once, here.
-        unsafe { ManuallyDrop::drop(&mut self.inner) };
-        self.cells.not_empty.notify_all();
-        self.cells.not_full.notify_all();
-    }
-}
-
-impl<C: BytesConsumer + Send + core::fmt::Debug> core::fmt::Debug for AsyncBytesReceiver<C> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("AsyncBytesReceiver")
-            .field("inner", &*self.inner)
-            .finish_non_exhaustive()
     }
 }
 
@@ -472,8 +372,7 @@ impl<C: BytesConsumer> core::fmt::Debug for AsyncPayloadRef<'_, C> {
 #[must_use = "futures do nothing unless polled"]
 pub struct RecvPayload<'a, C: BytesConsumer + Send> {
     rx: Option<&'a mut AsyncBytesReceiver<C>>,
-    tok: Option<WaitToken>,
-    spins: u16,
+    wait: AsyncWait,
 }
 
 impl<C: BytesConsumer + Send> Unpin for RecvPayload<'_, C> {}
@@ -483,60 +382,33 @@ impl<'a, C: BytesConsumer + Send> Future for RecvPayload<'a, C> {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let me = self.get_mut();
-        {
-            let rx = me
-                .rx
-                .as_deref_mut()
-                .expect("recv future polled after completion");
-            let spin_limit = rx.spin_polls;
-            match rx.inner.try_claim_payload() {
-                Ok(()) => {}
-                Err(TryDequeueError::Disconnected) => {
-                    settle_token(&rx.cells.not_empty, &mut me.tok);
-                    return Poll::Ready(Err(Disconnected));
-                }
-                Err(TryDequeueError::Empty) => {
-                    if me.tok.is_none() && me.spins < spin_limit {
-                        me.spins += 1;
-                        // The attempt can still have claimed a fresh head
-                        // rank or skipped tombstones.
-                        rx.cells.not_full.notify_all();
-                        spin_yield(me.spins, spin_limit);
-                        cx.waker().wake_by_ref();
-                        return Poll::Pending;
-                    }
-                    ensure_registered(&rx.cells.not_empty, &mut me.tok, cx.waker());
-                    // Mandatory post-registration re-check (a publish — or
-                    // a disconnect — raced the registration).
-                    match rx.inner.try_claim_payload() {
-                        Ok(()) => {}
-                        Err(TryDequeueError::Disconnected) => {
-                            settle_token(&rx.cells.not_empty, &mut me.tok);
-                            return Poll::Ready(Err(Disconnected));
-                        }
-                        Err(TryDequeueError::Empty) => {
-                            rx.cells.not_full.notify_all();
-                            return Poll::Pending;
-                        }
-                    }
-                }
-            }
-            settle_token(&rx.cells.not_empty, &mut me.tok);
-        }
+        let rx = me
+            .rx
+            .as_deref_mut()
+            .expect("recv future polled after completion");
+        let (inner, cells) = (&mut rx.inner, &*rx.cells);
+        // No notify on success: dropping the payload guard does it.
+        let attempt = || match inner.try_claim_payload() {
+            Ok(()) => Poll::Ready(Ok(())),
+            Err(TryDequeueError::Disconnected) => Poll::Ready(Err(Disconnected)),
+            Err(TryDequeueError::Empty) => Poll::Pending,
+        };
+        ready!(me.wait.poll(
+            &cells.not_empty,
+            Some(&cells.not_full),
+            rx.spin_polls,
+            cx,
+            attempt
+        ))?;
         let rx = me.rx.take().expect("just claimed through it");
-        let cells: &'a AsyncCells = &rx.cells;
-        let view = rx.inner.try_recv().expect("payload already claimed");
-        Poll::Ready(Ok(AsyncPayloadRef {
-            view: Some(view),
-            cells,
-        }))
+        Poll::Ready(Ok(rx.claimed()))
     }
 }
 
 impl<C: BytesConsumer + Send> Drop for RecvPayload<'_, C> {
     fn drop(&mut self) {
         if let Some(rx) = self.rx.as_ref() {
-            abandon_token(&rx.cells.not_empty, &mut self.tok);
+            self.wait.abandon(&rx.cells.not_empty);
         }
     }
 }
@@ -555,10 +427,18 @@ pub fn wrap_bytes<P: BytesProducer + Send, C: BytesConsumer + Send>(
     tx: P,
     rx: C,
 ) -> (AsyncBytesSender<P>, AsyncBytesReceiver<C>) {
-    let cells = Arc::new(AsyncCells::new());
+    let cells = SharedCells::default();
     (
-        AsyncBytesSender::new(tx, Arc::clone(&cells)),
-        AsyncBytesReceiver::new(rx, cells),
+        AsyncBytesSender {
+            inner: tx,
+            cells: cells.clone(),
+            spin_polls: DEFAULT_SPIN_POLLS,
+        },
+        AsyncBytesReceiver {
+            inner: rx,
+            cells,
+            spin_polls: DEFAULT_SPIN_POLLS,
+        },
     )
 }
 

@@ -1,15 +1,13 @@
 //! Flavor-specific async channel constructors and the generic [`wrap`].
 //!
 //! Each `channel(capacity)` builds the sync queue and wraps *both* ends
-//! around one shared [`AsyncCells`] pair — the invariant the whole wait
+//! around one shared `AsyncCells` pair — the invariant the whole wait
 //! protocol rests on (see the `handle` module docs: an unwrapped end never
 //! notifies async waiters). To async-wrap a queue you built yourself (a
 //! custom `CellSlot`, an shm-backed pair, …), use [`wrap`] with both of
 //! its handles.
 
-use std::sync::Arc;
-
-use crate::handle::{AsyncCells, AsyncReceiver, AsyncSender};
+use crate::handle::{AsyncReceiver, AsyncSender, SharedCells};
 use crate::traits::{TryRecv, TrySend};
 
 /// Wraps an existing sync producer/consumer pair for async use.
@@ -19,9 +17,9 @@ use crate::traits::{TryRecv, TrySend};
 /// Additional SPMC/MPMC handles are obtained by cloning the returned
 /// wrappers, which keeps every clone on the same wait cells.
 pub fn wrap<S: TrySend, R: TryRecv>(tx: S, rx: R) -> (AsyncSender<S>, AsyncReceiver<R>) {
-    let cells = Arc::new(AsyncCells::new());
+    let cells = SharedCells::default();
     (
-        AsyncSender::new(tx, Arc::clone(&cells)),
+        AsyncSender::new(tx, cells.clone()),
         AsyncReceiver::new(rx, cells),
     )
 }

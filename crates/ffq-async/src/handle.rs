@@ -18,14 +18,14 @@
 //! ## Cancellation safety
 //!
 //! Every future here holds only (a) a `&mut` borrow of its endpoint, (b)
-//! possibly the item(s) it has not yet enqueued, and (c) an optional
-//! [`WaitToken`]. Claimed-but-unsatisfied dequeue ranks live in the
-//! *handle's* pending-rank FIFO (PR 1 machinery), never in the future —
-//! dropping a dequeue future abandons no rank and cannot reorder FIFO
-//! delivery; the next dequeue on the same handle resumes exactly where the
-//! dropped future left off. The token is settled by `Drop`: a live
+//! possibly the item(s) it has not yet enqueued, and (c) its
+//! [`AsyncWait`]. Claimed-but-unsatisfied dequeue ranks live in the
+//! *handle's* pending-rank FIFO, never in the future — dropping a dequeue
+//! future abandons no rank and cannot reorder FIFO delivery; the next
+//! dequeue on the same handle resumes exactly where the dropped future
+//! left off. `Drop` ends the wait with [`AsyncWait::abandon`]: a live
 //! registration is removed, and a registration a notifier already consumed
-//! means the future swallowed a wake — `Drop` passes it on with one more
+//! means the future swallowed a wake, which it passes on with one more
 //! `notify(1)` so no other waiter can starve (ALGORITHM.md §12).
 //!
 //! ## Notification discipline
@@ -34,11 +34,12 @@
 //! deliberate, not lazy: FFQ consumers *own* the rank they claimed, so a
 //! single wake aimed at consumer A is wasted if the published rank belongs
 //! to consumer B's pending FIFO — B stays parked even though its item is
-//! ready (the wrong-wakee hazard; the sync futex path has the same narrow
-//! window, tracked in ROADMAP.md). Broadcasting plus each waiter's
-//! post-register re-check makes the wake protocol insensitive to who
-//! "deserved" the wake; the cost is bounded by the number of actually
-//! parked tasks and is zero (one fence + one load) when nobody waits.
+//! ready (the wrong-wakee hazard; the sync futex path broadcasts
+//! unconditionally for the same reason, ALGORITHM.md §11). Broadcasting
+//! plus each waiter's post-register re-check makes the wake protocol
+//! insensitive to who "deserved" the wake; the cost is bounded by the
+//! number of actually parked tasks and is zero (one fence + one load)
+//! when nobody waits.
 //! Batched operations notify once per poll, not once per item.
 //!
 //! *Failure paths notify too.* A failed FFQ attempt is not a no-op: a
@@ -49,20 +50,20 @@
 //! waiters never hear), and an `Empty` `try_recv` can claim a fresh head
 //! rank, advancing `head` — exactly what a producer parked on a full
 //! queue is waiting to observe. So every path that returns `Pending`
-//! (or a wrapper `try_*` that fails) broadcasts to the *opposite* cell.
-//! This cannot livelock: each gap-burn/skip round-trip advances the
+//! (or a wrapper `try_*` that fails) broadcasts to the *opposite* cell;
+//! [`AsyncWait::poll`] does it on every miss. This cannot livelock: each gap-burn/skip round-trip advances the
 //! cell's gap word or `head` monotonically, so within at most one lap of
 //! the ring the stalled rank is superseded and an item flows; and when
 //! nobody is parked the extra notify is the free fence + relaxed load.
 
 use std::future::Future;
-use std::mem::ManuallyDrop;
+use std::ops::Deref;
 use std::pin::Pin;
 use std::sync::Arc;
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll};
 
 use ffq::error::{Disconnected, Full, TryDequeueError};
-use ffq_sync::{AsyncWaitCell, WaitToken};
+use ffq_sync::{AsyncWait, AsyncWaitCell};
 
 use crate::traits::{TryRecv, TrySend};
 
@@ -95,12 +96,28 @@ pub(crate) struct AsyncCells {
     pub(crate) not_full: AsyncWaitCell,
 }
 
-impl AsyncCells {
-    pub(crate) const fn new() -> Self {
-        Self {
-            not_empty: AsyncWaitCell::new(),
-            not_full: AsyncWaitCell::new(),
-        }
+/// One endpoint's share of its queue's [`AsyncCells`]; dropping it wakes
+/// both directions.
+///
+/// Every endpoint declares it after its sync handle. Fields drop in
+/// declaration order, so the handle's own drop (its disconnect, or a bytes
+/// engine's abort of a leaked reservation) is visible before the wake: a
+/// woken peer's re-check sees it and cannot re-park past it.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct SharedCells(Arc<AsyncCells>);
+
+impl Deref for SharedCells {
+    type Target = AsyncCells;
+
+    fn deref(&self) -> &AsyncCells {
+        &self.0
+    }
+}
+
+impl Drop for SharedCells {
+    fn drop(&mut self) {
+        self.not_empty.notify_all();
+        self.not_full.notify_all();
     }
 }
 
@@ -126,52 +143,6 @@ impl<T> core::fmt::Display for SendError<T> {
 
 impl<T: core::fmt::Debug> std::error::Error for SendError<T> {}
 
-/// Back half of the reschedule-spin phase: donate the worker's OS
-/// timeslice, the async mirror of the sync `Backoff` yield rounds. The
-/// first half costs only the executor round-trip (the multicore-friendly
-/// case — the peer is running elsewhere); once that alone hasn't helped,
-/// the peer is probably sharing this core, and `sched_yield` hands it the
-/// CPU directly. Bounded by the spin budget, so this never blocks a
-/// worker longer than the handful of polls the budget allows.
-pub(crate) fn spin_yield(spins: u16, limit: u16) {
-    if spins > limit / 2 {
-        std::thread::yield_now();
-    }
-}
-
-/// Registers `waker` on `cell`, reusing a still-live registration in
-/// place (keeps FIFO position, no count churn). A consumed token means a
-/// wake was delivered to this very task — it is being acted on right now
-/// by this poll — so it is simply discarded and a fresh registration made.
-pub(crate) fn ensure_registered(cell: &AsyncWaitCell, tok: &mut Option<WaitToken>, waker: &Waker) {
-    if let Some(t) = tok.as_ref() {
-        if cell.update(t, waker) {
-            return;
-        }
-        *tok = None;
-    }
-    *tok = Some(cell.register(waker));
-}
-
-/// Settles a token on the *completion* path: the future made progress, so
-/// a consumed wake is accounted for by that progress and is kept.
-pub(crate) fn settle_token(cell: &AsyncWaitCell, tok: &mut Option<WaitToken>) {
-    if let Some(t) = tok.take() {
-        let _ = cell.deregister(t);
-    }
-}
-
-/// Settles a token on the *abandonment* path (future dropped while
-/// pending): a consumed wake was meant to produce progress that will now
-/// never happen here, so it is handed to the next waiter.
-pub(crate) fn abandon_token(cell: &AsyncWaitCell, tok: &mut Option<WaitToken>) {
-    if let Some(t) = tok.take() {
-        if !cell.deregister(t) {
-            cell.notify(1);
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Sender
 // ---------------------------------------------------------------------------
@@ -182,18 +153,18 @@ pub(crate) fn abandon_token(cell: &AsyncWaitCell, tok: &mut Option<WaitToken>) {
 /// ([`crate::spsc::channel`], [`crate::spmc::channel`],
 /// [`crate::mpmc::channel`]). `Clone` exactly when the underlying handle
 /// is (MPMC producers).
+#[derive(Clone, Debug)]
 pub struct AsyncSender<S: TrySend> {
-    /// `ManuallyDrop` so our `Drop` can run the inner disconnect *first*
-    /// and broadcast to async waiters *after* it is visible.
-    inner: ManuallyDrop<S>,
-    cells: Arc<AsyncCells>,
+    inner: S,
+    // Must follow `inner`: its drop wakes the peers (see `SharedCells`).
+    pub(crate) cells: SharedCells,
     spin_polls: u16,
 }
 
 impl<S: TrySend> AsyncSender<S> {
-    pub(crate) fn new(inner: S, cells: Arc<AsyncCells>) -> Self {
+    pub(crate) fn new(inner: S, cells: SharedCells) -> Self {
         Self {
-            inner: ManuallyDrop::new(inner),
+            inner,
             cells,
             spin_polls: DEFAULT_SPIN_POLLS,
         }
@@ -223,8 +194,7 @@ impl<S: TrySend> AsyncSender<S> {
         Enqueue {
             tx: self,
             value: Some(value),
-            tok: None,
-            spins: 0,
+            wait: AsyncWait::new(),
         }
     }
 
@@ -244,8 +214,7 @@ impl<S: TrySend> AsyncSender<S> {
             tx: self,
             items: items.into_iter().collect(),
             sent: 0,
-            tok: None,
-            spins: 0,
+            wait: AsyncWait::new(),
         }
     }
 
@@ -272,108 +241,40 @@ impl<S: TrySend> AsyncSender<S> {
     pub fn into_sink(self) -> crate::adapters::SendSink<S> {
         crate::adapters::SendSink::new(self)
     }
-
-    pub(crate) fn cells(&self) -> &Arc<AsyncCells> {
-        &self.cells
-    }
-
-    pub(crate) fn parts(&mut self) -> (&mut S, &AsyncCells) {
-        (&mut self.inner, &self.cells)
-    }
 }
 
-impl<S: TrySend + Clone> Clone for AsyncSender<S> {
-    fn clone(&self) -> Self {
-        Self {
-            inner: ManuallyDrop::new((*self.inner).clone()),
-            cells: Arc::clone(&self.cells),
-            spin_polls: self.spin_polls,
-        }
-    }
-}
-
-impl<S: TrySend> Drop for AsyncSender<S> {
-    fn drop(&mut self) {
-        // Disconnect order matters: run the sync handle's drop first so
-        // the producer count decrement is visible, *then* broadcast —
-        // otherwise a woken receiver could re-check, still see a live
-        // producer, park again, and miss the disconnect forever.
-        // SAFETY: `inner` is dropped exactly once, here, and never
-        // touched again.
-        unsafe { ManuallyDrop::drop(&mut self.inner) };
-        self.cells.not_empty.notify_all();
-        self.cells.not_full.notify_all();
-    }
-}
-
-impl<S: TrySend + core::fmt::Debug> core::fmt::Debug for AsyncSender<S> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("AsyncSender")
-            .field("inner", &*self.inner)
-            .finish_non_exhaustive()
-    }
-}
-
-/// One send step shared by [`Enqueue`] and the sink adapter: tries, then
-/// registers on `not_full`, re-checks, and returns `Pending` only with a
-/// registration in place. `slot` keeps the unsent item between polls.
+/// One send step shared by [`Enqueue`] and the sink adapter. `slot` keeps
+/// the unsent item between polls.
 pub(crate) fn poll_send_value<S: TrySend>(
     tx: &mut AsyncSender<S>,
     slot: &mut Option<S::Item>,
-    tok: &mut Option<WaitToken>,
-    spins: &mut u16,
+    wait: &mut AsyncWait,
     cx: &mut Context<'_>,
 ) -> Poll<Result<(), SendError<S::Item>>> {
-    let spin_limit = tx.spin_polls;
-    let (inner, cells) = tx.parts();
-    let value = slot.take().expect("send future polled after completion");
-    if inner.peers_gone() {
-        settle_token(&cells.not_full, tok);
-        return Poll::Ready(Err(SendError(value)));
-    }
-    let value = match inner.try_send(value) {
-        Ok(()) => {
-            *spins = 0;
-            settle_token(&cells.not_full, tok);
-            cells.not_empty.notify_all();
-            return Poll::Ready(Ok(()));
+    let (inner, cells) = (&mut tx.inner, &*tx.cells);
+    let attempt = || {
+        let value = slot.take().expect("send future polled after completion");
+        if inner.peers_gone() {
+            return Poll::Ready(Err(SendError(value)));
         }
-        Err(Full(v)) => v,
-    };
-    if tok.is_none() && *spins < spin_limit {
-        // Reschedule-spin phase (see DEFAULT_SPIN_POLLS): stay out of
-        // the registry, just yield this task back to its executor.
-        *spins += 1;
-        *slot = Some(value);
-        // A failed attempt can still have burned gap ranks.
-        cells.not_empty.notify_all();
-        spin_yield(*spins, spin_limit);
-        cx.waker().wake_by_ref();
-        return Poll::Pending;
-    }
-    ensure_registered(&cells.not_full, tok, cx.waker());
-    // Mandatory post-registration re-check (see AsyncWaitCell docs): a
-    // slot freed — or a disconnect — between the first attempt and the
-    // registration must be observed here, or its wake may already have
-    // passed us by.
-    match inner.try_send(value) {
-        Ok(()) => {
-            settle_token(&cells.not_full, tok);
-            cells.not_empty.notify_all();
-            Poll::Ready(Ok(()))
-        }
-        Err(Full(v)) => {
-            if inner.peers_gone() {
-                settle_token(&cells.not_full, tok);
-                return Poll::Ready(Err(SendError(v)));
+        match inner.try_send(value) {
+            Ok(()) => {
+                cells.not_empty.notify_all();
+                Poll::Ready(Ok(()))
             }
-            *slot = Some(v);
-            // The failed attempts may have burned gap ranks; a receiver
-            // parked on a now-superseded pending rank needs this wake.
-            cells.not_empty.notify_all();
-            Poll::Pending
+            Err(Full(v)) => {
+                *slot = Some(v);
+                Poll::Pending
+            }
         }
-    }
+    };
+    wait.poll(
+        &cells.not_full,
+        Some(&cells.not_empty),
+        tx.spin_polls,
+        cx,
+        attempt,
+    )
 }
 
 /// Future of [`AsyncSender::enqueue`].
@@ -381,8 +282,7 @@ pub(crate) fn poll_send_value<S: TrySend>(
 pub struct Enqueue<'a, S: TrySend> {
     tx: &'a mut AsyncSender<S>,
     value: Option<S::Item>,
-    tok: Option<WaitToken>,
-    spins: u16,
+    wait: AsyncWait,
 }
 
 impl<S: TrySend> Unpin for Enqueue<'_, S> {}
@@ -392,13 +292,13 @@ impl<S: TrySend> Future for Enqueue<'_, S> {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let me = self.get_mut();
-        poll_send_value(me.tx, &mut me.value, &mut me.tok, &mut me.spins, cx)
+        poll_send_value(me.tx, &mut me.value, &mut me.wait, cx)
     }
 }
 
 impl<S: TrySend> Drop for Enqueue<'_, S> {
     fn drop(&mut self) {
-        abandon_token(&self.tx.cells.not_full, &mut self.tok);
+        self.wait.abandon(&self.tx.cells.not_full);
     }
 }
 
@@ -408,8 +308,7 @@ pub struct EnqueueMany<'a, S: TrySend> {
     tx: &'a mut AsyncSender<S>,
     items: std::collections::VecDeque<S::Item>,
     sent: usize,
-    tok: Option<WaitToken>,
-    spins: u16,
+    wait: AsyncWait,
 }
 
 impl<S: TrySend> Unpin for EnqueueMany<'_, S> {}
@@ -419,69 +318,53 @@ impl<S: TrySend> Future for EnqueueMany<'_, S> {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let me = self.get_mut();
-        let spin_limit = me.tx.spin_polls;
-        let (inner, cells) = me.tx.parts();
+        let (inner, cells, items) = (&mut me.tx.inner, &*me.tx.cells, &mut me.items);
         let mut pushed = 0usize;
-        let out = loop {
-            // Drain as far as space allows.
-            while let Some(v) = me.items.pop_front() {
-                match inner.try_send(v) {
-                    Ok(()) => pushed += 1,
-                    Err(Full(v)) => {
-                        me.items.push_front(v);
-                        break;
-                    }
+        // `Ready(true)`: done. `Ready(false)`: items moved but some are
+        // left; as a `Ready` it restarts the spin budget, like the sync
+        // adaptive wait restarting per blocking call.
+        let attempt = || {
+            let before = pushed;
+            while let Some(v) = items.pop_front() {
+                if let Err(Full(v)) = inner.try_send(v) {
+                    items.push_front(v);
+                    break;
                 }
+                pushed += 1;
             }
-            if me.items.is_empty() || inner.peers_gone() {
-                settle_token(&cells.not_full, &mut me.tok);
-                break Poll::Ready(me.sent + pushed);
-            }
-            if pushed > 0 {
-                // Progress restarts the spin budget, like the sync
-                // adaptive wait restarting per blocking call.
-                me.spins = 0;
-            }
-            if me.tok.is_none() && me.spins < spin_limit {
-                // Reschedule-spin phase (see DEFAULT_SPIN_POLLS); the
-                // shared notify below covers published items and any
-                // burned gap ranks.
-                me.spins += 1;
-                spin_yield(me.spins, spin_limit);
-                cx.waker().wake_by_ref();
-                break Poll::Pending;
-            }
-            ensure_registered(&cells.not_full, &mut me.tok, cx.waker());
-            // Post-registration re-check; on success resume the drain so
-            // a whole freed run is published under this poll's single
-            // notification.
-            let v = me.items.pop_front().expect("checked non-empty");
-            match inner.try_send(v) {
-                Ok(()) => pushed += 1,
-                Err(Full(v)) => {
-                    me.items.push_front(v);
-                    if inner.peers_gone() {
-                        settle_token(&cells.not_full, &mut me.tok);
-                        break Poll::Ready(me.sent + pushed);
-                    }
-                    break Poll::Pending;
-                }
+            if items.is_empty() || inner.peers_gone() {
+                Poll::Ready(true)
+            } else if pushed > before {
+                Poll::Ready(false)
+            } else {
+                Poll::Pending
             }
         };
+        // No opposite cell: the receivers are notified once, below.
+        let step = me
+            .wait
+            .poll(&cells.not_full, None, me.tx.spin_polls, cx, attempt);
         me.sent += pushed;
-        if pushed > 0 || out.is_pending() {
+        if pushed > 0 || step != Poll::Ready(true) {
             // One broadcast per poll: for however many items it
-            // published, and — on the Pending path — for any gap ranks
-            // the failed attempts burned (module docs).
+            // published, and for any gap ranks the failed attempts
+            // burned (module docs).
             cells.not_empty.notify_all();
         }
-        out
+        match step {
+            Poll::Ready(true) => Poll::Ready(me.sent),
+            Poll::Ready(false) => {
+                cx.waker().wake_by_ref();
+                Poll::Pending
+            }
+            Poll::Pending => Poll::Pending,
+        }
     }
 }
 
 impl<S: TrySend> Drop for EnqueueMany<'_, S> {
     fn drop(&mut self) {
-        abandon_token(&self.tx.cells.not_full, &mut self.tok);
+        self.wait.abandon(&self.tx.cells.not_full);
     }
 }
 
@@ -494,16 +377,18 @@ impl<S: TrySend> Drop for EnqueueMany<'_, S> {
 /// `Clone` exactly when the underlying handle is (SPMC/MPMC consumers);
 /// each clone owns its private head/pending-rank state, exactly like the
 /// sync handles.
+#[derive(Clone, Debug)]
 pub struct AsyncReceiver<R: TryRecv> {
-    inner: ManuallyDrop<R>,
-    cells: Arc<AsyncCells>,
+    inner: R,
+    // Must follow `inner`: its drop wakes the peers (see `SharedCells`).
+    pub(crate) cells: SharedCells,
     spin_polls: u16,
 }
 
 impl<R: TryRecv> AsyncReceiver<R> {
-    pub(crate) fn new(inner: R, cells: Arc<AsyncCells>) -> Self {
+    pub(crate) fn new(inner: R, cells: SharedCells) -> Self {
         Self {
-            inner: ManuallyDrop::new(inner),
+            inner,
             cells,
             spin_polls: DEFAULT_SPIN_POLLS,
         }
@@ -536,8 +421,7 @@ impl<R: TryRecv> AsyncReceiver<R> {
     pub fn dequeue(&mut self) -> Dequeue<'_, R> {
         Dequeue {
             rx: self,
-            tok: None,
-            spins: 0,
+            wait: AsyncWait::new(),
         }
     }
 
@@ -552,8 +436,7 @@ impl<R: TryRecv> AsyncReceiver<R> {
         DequeueBatch {
             rx: self,
             max,
-            tok: None,
-            spins: 0,
+            wait: AsyncWait::new(),
         }
     }
 
@@ -576,105 +459,37 @@ impl<R: TryRecv> AsyncReceiver<R> {
     pub fn into_stream(self) -> crate::adapters::RecvStream<R> {
         crate::adapters::RecvStream::new(self)
     }
-
-    pub(crate) fn cells(&self) -> &Arc<AsyncCells> {
-        &self.cells
-    }
-
-    pub(crate) fn parts(&mut self) -> (&mut R, &AsyncCells) {
-        (&mut self.inner, &self.cells)
-    }
-}
-
-impl<R: TryRecv + Clone> Clone for AsyncReceiver<R> {
-    fn clone(&self) -> Self {
-        Self {
-            inner: ManuallyDrop::new((*self.inner).clone()),
-            cells: Arc::clone(&self.cells),
-            spin_polls: self.spin_polls,
-        }
-    }
-}
-
-impl<R: TryRecv> Drop for AsyncReceiver<R> {
-    fn drop(&mut self) {
-        // Same ordering as the sender: sync disconnect first, broadcast
-        // second.
-        // SAFETY: `inner` is dropped exactly once, here.
-        unsafe { ManuallyDrop::drop(&mut self.inner) };
-        self.cells.not_empty.notify_all();
-        self.cells.not_full.notify_all();
-    }
-}
-
-impl<R: TryRecv + core::fmt::Debug> core::fmt::Debug for AsyncReceiver<R> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("AsyncReceiver")
-            .field("inner", &*self.inner)
-            .finish_non_exhaustive()
-    }
 }
 
 /// One receive step shared by [`Dequeue`] and the stream adapter.
 pub(crate) fn poll_recv_value<R: TryRecv>(
     rx: &mut AsyncReceiver<R>,
-    tok: &mut Option<WaitToken>,
-    spins: &mut u16,
+    wait: &mut AsyncWait,
     cx: &mut Context<'_>,
 ) -> Poll<Result<R::Item, Disconnected>> {
-    let spin_limit = rx.spin_polls;
-    let (inner, cells) = rx.parts();
-    match inner.try_recv() {
+    let (inner, cells) = (&mut rx.inner, &*rx.cells);
+    let attempt = || match inner.try_recv() {
         Ok(v) => {
-            *spins = 0;
-            settle_token(&cells.not_empty, tok);
-            cells.not_full.notify_all();
-            return Poll::Ready(Ok(v));
-        }
-        Err(TryDequeueError::Disconnected) => {
-            settle_token(&cells.not_empty, tok);
-            return Poll::Ready(Err(Disconnected));
-        }
-        Err(TryDequeueError::Empty) => {}
-    }
-    if tok.is_none() && *spins < spin_limit {
-        // Reschedule-spin phase (see DEFAULT_SPIN_POLLS).
-        *spins += 1;
-        // The attempt may still have claimed a head rank (module docs).
-        cells.not_full.notify_all();
-        spin_yield(*spins, spin_limit);
-        cx.waker().wake_by_ref();
-        return Poll::Pending;
-    }
-    ensure_registered(&cells.not_empty, tok, cx.waker());
-    // Post-registration re-check: a publish (or last-producer drop)
-    // racing the registration must be caught here.
-    match inner.try_recv() {
-        Ok(v) => {
-            settle_token(&cells.not_empty, tok);
             cells.not_full.notify_all();
             Poll::Ready(Ok(v))
         }
-        Err(TryDequeueError::Disconnected) => {
-            settle_token(&cells.not_empty, tok);
-            Poll::Ready(Err(Disconnected))
-        }
-        Err(TryDequeueError::Empty) => {
-            // The Empty attempts may still have claimed a head rank; a
-            // producer parked on a full queue is waiting for exactly
-            // that `head` advance (module docs).
-            cells.not_full.notify_all();
-            Poll::Pending
-        }
-    }
+        Err(TryDequeueError::Disconnected) => Poll::Ready(Err(Disconnected)),
+        Err(TryDequeueError::Empty) => Poll::Pending,
+    };
+    wait.poll(
+        &cells.not_empty,
+        Some(&cells.not_full),
+        rx.spin_polls,
+        cx,
+        attempt,
+    )
 }
 
 /// Future of [`AsyncReceiver::dequeue`].
 #[must_use = "futures do nothing unless polled"]
 pub struct Dequeue<'a, R: TryRecv> {
     rx: &'a mut AsyncReceiver<R>,
-    tok: Option<WaitToken>,
-    spins: u16,
+    wait: AsyncWait,
 }
 
 impl<R: TryRecv> Unpin for Dequeue<'_, R> {}
@@ -684,13 +499,13 @@ impl<R: TryRecv> Future for Dequeue<'_, R> {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let me = self.get_mut();
-        poll_recv_value(me.rx, &mut me.tok, &mut me.spins, cx)
+        poll_recv_value(me.rx, &mut me.wait, cx)
     }
 }
 
 impl<R: TryRecv> Drop for Dequeue<'_, R> {
     fn drop(&mut self) {
-        abandon_token(&self.rx.cells.not_empty, &mut self.tok);
+        self.wait.abandon(&self.rx.cells.not_empty);
     }
 }
 
@@ -699,91 +514,53 @@ impl<R: TryRecv> Drop for Dequeue<'_, R> {
 pub struct DequeueBatch<'a, R: TryRecv> {
     rx: &'a mut AsyncReceiver<R>,
     max: usize,
-    tok: Option<WaitToken>,
-    spins: u16,
+    wait: AsyncWait,
 }
 
 impl<R: TryRecv> Unpin for DequeueBatch<'_, R> {}
-
-impl<R: TryRecv> DequeueBatch<'_, R> {
-    /// Harvest attempt: fills `buf` and reports whether the future can
-    /// complete. `Ok(true)` = items harvested, `Ok(false)` = nothing yet,
-    /// `Err` = drained + disconnected.
-    fn harvest(inner: &mut R, buf: &mut Vec<R::Item>, max: usize) -> Result<bool, Disconnected> {
-        if inner.recv_batch_now(buf, max) > 0 {
-            return Ok(true);
-        }
-        // A zero batch cannot distinguish empty from disconnected; probe
-        // with a single try_recv (which can also race an item in).
-        match inner.try_recv() {
-            Ok(v) => {
-                buf.push(v);
-                if max > 1 {
-                    let _ = inner.recv_batch_now(buf, max - 1);
-                }
-                Ok(true)
-            }
-            Err(TryDequeueError::Disconnected) => Err(Disconnected),
-            Err(TryDequeueError::Empty) => Ok(false),
-        }
-    }
-}
 
 impl<R: TryRecv> Future for DequeueBatch<'_, R> {
     type Output = Result<Vec<R::Item>, Disconnected>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let me = self.get_mut();
-        if me.max == 0 {
+        let max = me.max;
+        if max == 0 {
             return Poll::Ready(Ok(Vec::new()));
         }
-        let spin_limit = me.rx.spin_polls;
-        let (inner, cells) = me.rx.parts();
-        let mut buf = Vec::new();
-        match Self::harvest(inner, &mut buf, me.max) {
-            Ok(true) => {
-                settle_token(&cells.not_empty, &mut me.tok);
-                cells.not_full.notify_all();
-                return Poll::Ready(Ok(buf));
+        let (inner, cells) = (&mut me.rx.inner, &*me.rx.cells);
+        // Items are harvested only by the attempt that completes the
+        // future, so none is ever buffered across `Pending`.
+        let attempt = || {
+            let mut buf = Vec::new();
+            if inner.recv_batch_now(&mut buf, max) == 0 {
+                // A zero batch cannot distinguish empty from disconnected;
+                // probe with a single try_recv (which can also race an
+                // item in).
+                match inner.try_recv() {
+                    Ok(v) => buf.push(v),
+                    Err(TryDequeueError::Disconnected) => return Poll::Ready(Err(Disconnected)),
+                    Err(TryDequeueError::Empty) => return Poll::Pending,
+                }
+                if max > 1 {
+                    inner.recv_batch_now(&mut buf, max - 1);
+                }
             }
-            Err(Disconnected) => {
-                settle_token(&cells.not_empty, &mut me.tok);
-                return Poll::Ready(Err(Disconnected));
-            }
-            Ok(false) => {}
-        }
-        if me.tok.is_none() && me.spins < spin_limit {
-            // Reschedule-spin phase (see DEFAULT_SPIN_POLLS).
-            me.spins += 1;
-            // The probe may have claimed a head rank (module docs).
             cells.not_full.notify_all();
-            spin_yield(me.spins, spin_limit);
-            cx.waker().wake_by_ref();
-            return Poll::Pending;
-        }
-        ensure_registered(&cells.not_empty, &mut me.tok, cx.waker());
-        match Self::harvest(inner, &mut buf, me.max) {
-            Ok(true) => {
-                settle_token(&cells.not_empty, &mut me.tok);
-                cells.not_full.notify_all();
-                Poll::Ready(Ok(buf))
-            }
-            Err(Disconnected) => {
-                settle_token(&cells.not_empty, &mut me.tok);
-                Poll::Ready(Err(Disconnected))
-            }
-            Ok(false) => {
-                // Same as `poll_recv_value`: the probe may have claimed
-                // a head rank a parked producer is waiting on.
-                cells.not_full.notify_all();
-                Poll::Pending
-            }
-        }
+            Poll::Ready(Ok(buf))
+        };
+        me.wait.poll(
+            &cells.not_empty,
+            Some(&cells.not_full),
+            me.rx.spin_polls,
+            cx,
+            attempt,
+        )
     }
 }
 
 impl<R: TryRecv> Drop for DequeueBatch<'_, R> {
     fn drop(&mut self) {
-        abandon_token(&self.rx.cells.not_empty, &mut self.tok);
+        self.wait.abandon(&self.rx.cells.not_empty);
     }
 }

@@ -16,10 +16,12 @@
 //!   stream; a slow subscriber observes `Lagged` instead of
 //!   backpressuring the (wait-free, synchronous) sender
 //!
-//! The waiting primitive is [`ffq_sync::AsyncWaitCell`] — the PR 4
+//! The waiting primitive is [`ffq_sync::AsyncWaitCell`] — the
 //! model-checked `{seq, waiters}` eventcount with a waker registry in
-//! place of a futex (ALGORITHM.md §12). The sync hot path is untouched:
-//! an uncontended notify is one `SeqCst` fence plus one relaxed load.
+//! place of a futex — and every future and adapter polls through one
+//! wait step on it, [`ffq_sync::AsyncWait`] (ALGORITHM.md §12). The sync
+//! hot path is untouched: an uncontended notify is one `SeqCst` fence
+//! plus one relaxed load.
 //!
 //! ## Cancellation safety
 //!
@@ -34,6 +36,10 @@
 //! - A dropped future whose wait registration was already consumed by a
 //!   notifier re-notifies one waiter on drop (wake handoff), so a
 //!   cancelled task can never swallow the only wake.
+//!
+//! The crate has no `unsafe`: each endpoint declares its wait cells after
+//! its sync handle, so field drop order puts the handle's disconnect
+//! before the wake that announces it.
 //!
 //! ## Runtimes
 //!
@@ -64,6 +70,7 @@
 //! a parked task. Wrapped ends still wake blocking futex waiters, so
 //! mixing an async end with a *blocking* sync end works.
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod adapters;
 pub mod broadcast;
@@ -71,6 +78,8 @@ pub mod bytes;
 mod channel;
 mod handle;
 pub mod rt;
+#[cfg(test)]
+mod tests;
 mod traits;
 
 pub use adapters::{RecvStream, SendSink};

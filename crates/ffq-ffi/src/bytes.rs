@@ -24,8 +24,9 @@
 //! (`FFQ_TOO_LARGE`) — never truncation, exactly like the Rust API.
 
 use crate::{
-    guard, out_ptr, region_of, set_last_error, status_of, FfqRegion, FFQ_DISCONNECTED, FFQ_EMPTY,
-    FFQ_ERR_NULL, FFQ_ERR_STATE, FFQ_FULL, FFQ_OK, FFQ_POISONED, FFQ_TOO_LARGE,
+    attach_handle, dequeue_status, guard, handle, out_ptr, poisoned, set_last_error, status_of,
+    try_dequeue_status, FfqRegion, FFQ_ERR_NULL, FFQ_ERR_STATE, FFQ_FULL, FFQ_OK, FFQ_POISONED,
+    FFQ_TOO_LARGE,
 };
 use std::time::Duration;
 
@@ -33,24 +34,8 @@ use ffq::bytes::{McConsumer, PayloadRef, SpProducer, SpscConsumer, WriteSlot};
 use ffq::error::TryReserveError;
 use ffq_shm::{
     spmc_bytes, spsc_bytes, ShmBytesProducer, ShmBytesSpmcConsumer, ShmBytesSpscConsumer,
-    ShmDequeueError, ShmReserveError, ShmTryDequeueError,
+    ShmReserveError,
 };
-
-/// Null-checks a handle pointer and reborrows it mutably.
-macro_rules! handle {
-    ($p:expr) => {
-        // SAFETY: per the header contract the pointer is either NULL
-        // (rejected here) or a live handle created by this library and not
-        // yet closed, used from one thread at a time.
-        match unsafe { $p.as_mut() } {
-            Some(h) => h,
-            None => {
-                set_last_error(concat!(stringify!($p), " handle is NULL"));
-                return FFQ_ERR_NULL;
-            }
-        }
-    };
-}
 
 /// Extends a [`WriteSlot`]'s borrow to `'static` so it can live inside the
 /// same heap allocation as the producer it borrows from.
@@ -73,6 +58,15 @@ pub struct FfqBytesProducer {
     /// aborts) before the producer it borrows from.
     pending: Option<WriteSlot<'static, SpProducer>>,
     inner: ShmBytesProducer,
+}
+
+impl FfqBytesProducer {
+    fn new(inner: ShmBytesProducer) -> Self {
+        Self {
+            pending: None,
+            inner,
+        }
+    }
 }
 
 /// Borrowed payload, parameterized by which consumer engine lent it. The
@@ -98,6 +92,15 @@ pub struct FfqBytesConsumer {
     /// recycles its cell) before the consumer it borrows from.
     borrowed: Option<Borrowed>,
     inner: ConsumerInner,
+}
+
+impl FfqBytesConsumer {
+    fn new(inner: ConsumerInner) -> Self {
+        Self {
+            borrowed: None,
+            inner,
+        }
+    }
 }
 
 fn reserve_status(e: ShmReserveError) -> i32 {
@@ -153,26 +156,10 @@ macro_rules! bytes_setup {
             slot_bytes: usize,
             out: *mut *mut FfqBytesProducer,
         ) -> i32 {
-            guard(|| {
-                out_ptr!(out);
-                // SAFETY: per header contract, a live region handle or NULL.
-                let region = match unsafe { region_of(region) } {
-                    Ok(r) => r,
-                    Err(s) => return s,
-                };
-                match $variant::create(region, capacity, slot_bytes) {
-                    Ok(inner) => {
-                        let h = Box::new(FfqBytesProducer {
-                            pending: None,
-                            inner,
-                        });
-                        // SAFETY: out was null-checked.
-                        unsafe { *out = Box::into_raw(h) };
-                        FFQ_OK
-                    }
-                    Err(e) => status_of(&e),
-                }
-            })
+            let make = |r| $variant::create(r, capacity, slot_bytes);
+            // SAFETY: per header contract, `region` is a live region handle
+            // or NULL, and `out` is writable or NULL.
+            unsafe { attach_handle(region, out, |r| make(r).map(FfqBytesProducer::new)) }
         }
 
         #[doc = concat!(
@@ -184,26 +171,9 @@ macro_rules! bytes_setup {
             region: *const FfqRegion,
             out: *mut *mut FfqBytesProducer,
         ) -> i32 {
-            guard(|| {
-                out_ptr!(out);
-                // SAFETY: per header contract, a live region handle or NULL.
-                let region = match unsafe { region_of(region) } {
-                    Ok(r) => r,
-                    Err(s) => return s,
-                };
-                match $variant::attach_producer(region) {
-                    Ok(inner) => {
-                        let h = Box::new(FfqBytesProducer {
-                            pending: None,
-                            inner,
-                        });
-                        // SAFETY: out was null-checked.
-                        unsafe { *out = Box::into_raw(h) };
-                        FFQ_OK
-                    }
-                    Err(e) => status_of(&e),
-                }
-            })
+            let make = $variant::attach_producer;
+            // SAFETY: as in the creator path.
+            unsafe { attach_handle(region, out, |r| make(r).map(FfqBytesProducer::new)) }
         }
 
         #[doc = concat!(
@@ -215,26 +185,10 @@ macro_rules! bytes_setup {
             region: *const FfqRegion,
             out: *mut *mut FfqBytesConsumer,
         ) -> i32 {
-            guard(|| {
-                out_ptr!(out);
-                // SAFETY: per header contract, a live region handle or NULL.
-                let region = match unsafe { region_of(region) } {
-                    Ok(r) => r,
-                    Err(s) => return s,
-                };
-                match $variant::attach_consumer(region) {
-                    Ok(inner) => {
-                        let h = Box::new(FfqBytesConsumer {
-                            borrowed: None,
-                            inner: ConsumerInner::$wrap(inner),
-                        });
-                        // SAFETY: out was null-checked.
-                        unsafe { *out = Box::into_raw(h) };
-                        FFQ_OK
-                    }
-                    Err(e) => status_of(&e),
-                }
-            })
+            let make = $variant::attach_consumer;
+            let wrap = |c| FfqBytesConsumer::new(ConsumerInner::$wrap(c));
+            // SAFETY: as in the creator path.
+            unsafe { attach_handle(region, out, |r| make(r).map(wrap)) }
         }
     };
 }
@@ -273,8 +227,7 @@ pub unsafe extern "C" fn ffq_bytes_reserve(
             return FFQ_ERR_STATE;
         }
         if h.inner.is_poisoned() {
-            set_last_error("shared-memory queue poisoned");
-            return FFQ_POISONED;
+            return poisoned();
         }
         match h.inner.reserve(len) {
             Ok(mut slot) => {
@@ -307,8 +260,7 @@ pub unsafe extern "C" fn ffq_bytes_try_reserve(
             return FFQ_ERR_STATE;
         }
         if h.inner.is_poisoned() {
-            set_last_error("shared-memory queue poisoned");
-            return FFQ_POISONED;
+            return poisoned();
         }
         let err = match h.inner.try_reserve(len) {
             Ok(mut slot) => {
@@ -328,10 +280,7 @@ pub unsafe extern "C" fn ffq_bytes_try_reserve(
                 ));
                 FFQ_TOO_LARGE
             }
-            TryReserveError::Full if h.inner.is_poisoned() => {
-                set_last_error("shared-memory queue poisoned");
-                FFQ_POISONED
-            }
+            TryReserveError::Full if h.inner.is_poisoned() => poisoned(),
             TryReserveError::Full => FFQ_FULL,
         }
     })
@@ -400,8 +349,7 @@ pub unsafe extern "C" fn ffq_bytes_send(
             unsafe { std::slice::from_raw_parts(data, len) }
         };
         if h.inner.is_poisoned() {
-            set_last_error("shared-memory queue poisoned");
-            return FFQ_POISONED;
+            return poisoned();
         }
         match h.inner.send_bytes(payload) {
             Ok(()) => FFQ_OK,
@@ -531,28 +479,6 @@ macro_rules! payload_claim {
     }};
 }
 
-fn recv_status(e: ShmDequeueError) -> i32 {
-    set_last_error(&e.to_string());
-    match e {
-        ShmDequeueError::Disconnected => FFQ_DISCONNECTED,
-        ShmDequeueError::Poisoned => FFQ_POISONED,
-    }
-}
-
-fn try_recv_status(e: ShmTryDequeueError) -> i32 {
-    match e {
-        ShmTryDequeueError::Empty => FFQ_EMPTY,
-        ShmTryDequeueError::Disconnected => {
-            set_last_error(&e.to_string());
-            FFQ_DISCONNECTED
-        }
-        ShmTryDequeueError::Poisoned => {
-            set_last_error(&e.to_string());
-            FFQ_POISONED
-        }
-    }
-}
-
 /// Claims the next payload, blocking while the queue is empty. On `FFQ_OK`
 /// the bytes at `*data` stay valid — and their cell stays out of
 /// circulation — until [`ffq_payload_release`]. One ref may be outstanding
@@ -567,7 +493,7 @@ pub unsafe extern "C" fn ffq_payload_ref(
         out_ptr!(data);
         out_ptr!(len);
         let h = handle!(c);
-        payload_claim!(h, data, len, recv(), recv_status)
+        payload_claim!(h, data, len, recv(), dequeue_status)
     })
 }
 
@@ -583,7 +509,7 @@ pub unsafe extern "C" fn ffq_payload_try_ref(
         out_ptr!(data);
         out_ptr!(len);
         let h = handle!(c);
-        payload_claim!(h, data, len, try_recv(), try_recv_status)
+        payload_claim!(h, data, len, try_recv(), try_dequeue_status)
     })
 }
 
@@ -605,7 +531,7 @@ pub unsafe extern "C" fn ffq_payload_ref_timeout_ms(
             data,
             len,
             recv_timeout(Duration::from_millis(timeout_ms)),
-            try_recv_status
+            try_dequeue_status
         )
     })
 }
@@ -689,7 +615,7 @@ pub unsafe extern "C" fn ffq_bytes_consumer_close(c: *mut FfqBytesConsumer) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ffq_region_close, ffq_region_create, ffq_region_unlink};
+    use crate::{ffq_region_close, ffq_region_create, ffq_region_unlink, FFQ_EMPTY};
     use std::ffi::CString;
     use std::ptr;
 

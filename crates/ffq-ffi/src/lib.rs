@@ -43,7 +43,7 @@ use std::cell::RefCell;
 use std::ffi::{c_char, CStr, CString};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use ffq_shm::{ShmError, ShmRegion};
+use ffq_shm::{ShmDequeueError, ShmError, ShmRegion, ShmTryDequeueError};
 
 pub mod bytes;
 pub mod header_gen;
@@ -165,6 +165,94 @@ macro_rules! out_ptr {
 }
 pub(crate) use out_ptr;
 
+/// Null-checks a handle pointer and reborrows it mutably.
+macro_rules! handle {
+    ($p:expr) => {
+        // SAFETY: per the header contract the pointer is either NULL
+        // (rejected here) or a live handle created by this library and not
+        // yet closed, used from one thread at a time.
+        match unsafe { $p.as_mut() } {
+            Some(h) => h,
+            None => {
+                $crate::set_last_error(concat!(stringify!($p), " handle is NULL"));
+                return $crate::FFQ_ERR_NULL;
+            }
+        }
+    };
+}
+pub(crate) use handle;
+
+/// Records the poisoned-queue reason and returns [`FFQ_POISONED`].
+pub(crate) fn poisoned() -> i32 {
+    set_last_error("shared-memory queue poisoned");
+    FFQ_POISONED
+}
+
+/// Status of a failed blocking dequeue, on every lane.
+pub(crate) fn dequeue_status(e: ShmDequeueError) -> i32 {
+    set_last_error(&e.to_string());
+    match e {
+        ShmDequeueError::Disconnected => FFQ_DISCONNECTED,
+        ShmDequeueError::Poisoned => FFQ_POISONED,
+    }
+}
+
+/// Status of a failed non-blocking or timed dequeue, on every lane.
+pub(crate) fn try_dequeue_status(e: ShmTryDequeueError) -> i32 {
+    match e {
+        // Empty is the common retry path — skip the last-error write.
+        ShmTryDequeueError::Empty => FFQ_EMPTY,
+        ShmTryDequeueError::Disconnected => {
+            set_last_error(&e.to_string());
+            FFQ_DISCONNECTED
+        }
+        ShmTryDequeueError::Poisoned => {
+            set_last_error(&e.to_string());
+            FFQ_POISONED
+        }
+    }
+}
+
+/// Boxes a newly built handle into `*out`, or maps the error to its
+/// status.
+///
+/// # Safety
+/// `out` must be non-NULL and writable.
+pub(crate) unsafe fn new_handle<H>(out: *mut *mut H, made: Result<H, ShmError>) -> i32 {
+    match made {
+        Ok(h) => {
+            // SAFETY: writable per the caller's contract.
+            unsafe { *out = Box::into_raw(Box::new(h)) };
+            FFQ_OK
+        }
+        Err(e) => status_of(&e),
+    }
+}
+
+/// The body of every constructor that attaches a queue handle to a
+/// region: NULL-checks `out` and `region`, builds the handle with `make`
+/// from the region's mapping, and boxes it into `*out`. Each queue handle
+/// keeps the mapping alive independently of the caller's region handle.
+///
+/// # Safety
+/// `region` is NULL or a live region handle; `out` is NULL or writable.
+pub(crate) unsafe fn attach_handle<H>(
+    region: *const FfqRegion,
+    out: *mut *mut H,
+    make: impl FnOnce(ShmRegion) -> Result<H, ShmError>,
+) -> i32 {
+    guard(|| {
+        out_ptr!(out);
+        // SAFETY: NULL or a live region handle, per the caller's contract.
+        let Some(region) = (unsafe { region.as_ref() }) else {
+            set_last_error("region handle is NULL");
+            return FFQ_ERR_NULL;
+        };
+        // SAFETY: out was null-checked.
+        unsafe { new_handle(out, make(region.region.clone())) }
+    })
+}
+
 /// Reads a required C string argument.
 pub(crate) unsafe fn read_name(name: *const c_char) -> Result<String, i32> {
     if name.is_null() {
@@ -214,14 +302,9 @@ pub unsafe extern "C" fn ffq_region_create(
             Ok(n) => n,
             Err(s) => return s,
         };
-        match ShmRegion::create(&name, len) {
-            Ok(region) => {
-                // SAFETY: out was null-checked.
-                unsafe { *out = Box::into_raw(Box::new(FfqRegion { region })) };
-                FFQ_OK
-            }
-            Err(e) => status_of(&e),
-        }
+        let made = ShmRegion::create(&name, len).map(|region| FfqRegion { region });
+        // SAFETY: out was null-checked.
+        unsafe { new_handle(out, made) }
     })
 }
 
@@ -237,14 +320,9 @@ pub unsafe extern "C" fn ffq_region_open(name: *const c_char, out: *mut *mut Ffq
             Ok(n) => n,
             Err(s) => return s,
         };
-        match ShmRegion::open(&name) {
-            Ok(region) => {
-                // SAFETY: out was null-checked.
-                unsafe { *out = Box::into_raw(Box::new(FfqRegion { region })) };
-                FFQ_OK
-            }
-            Err(e) => status_of(&e),
-        }
+        let made = ShmRegion::open(&name).map(|region| FfqRegion { region });
+        // SAFETY: out was null-checked.
+        unsafe { new_handle(out, made) }
     })
 }
 
@@ -289,17 +367,6 @@ pub unsafe extern "C" fn ffq_region_close(region: *mut FfqRegion) {
         drop(unsafe { Box::from_raw(region) });
         FFQ_OK
     });
-}
-
-/// Clones the underlying region for a queue handle (each queue handle
-/// keeps the mapping alive independently of the caller's region handle).
-pub(crate) unsafe fn region_of(region: *const FfqRegion) -> Result<ShmRegion, i32> {
-    if region.is_null() {
-        set_last_error("region handle is NULL");
-        return Err(FFQ_ERR_NULL);
-    }
-    // SAFETY: non-null handle created by this library, per header contract.
-    Ok(unsafe { (*region).region.clone() })
 }
 
 #[cfg(test)]

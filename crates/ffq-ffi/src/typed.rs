@@ -26,49 +26,9 @@
 use std::time::Duration;
 
 use crate::{
-    guard, out_ptr, region_of, set_last_error, status_of, FfqRegion, FFQ_DISCONNECTED, FFQ_EMPTY,
-    FFQ_ERR_NULL, FFQ_FULL, FFQ_OK, FFQ_POISONED,
+    attach_handle, dequeue_status, guard, handle, out_ptr, poisoned, set_last_error, status_of,
+    try_dequeue_status, FfqRegion, FFQ_ERR_NULL, FFQ_FULL, FFQ_OK, FFQ_POISONED,
 };
-use ffq_shm::{ShmDequeueError, ShmTryDequeueError};
-
-/// Null-checks a handle pointer and reborrows it mutably.
-macro_rules! handle {
-    ($p:expr) => {
-        // SAFETY: per the header contract the pointer is either NULL
-        // (rejected here) or a live handle created by this library and not
-        // yet closed, used from one thread at a time.
-        match unsafe { $p.as_mut() } {
-            Some(h) => h,
-            None => {
-                $crate::set_last_error(concat!(stringify!($p), " handle is NULL"));
-                return $crate::FFQ_ERR_NULL;
-            }
-        }
-    };
-}
-
-fn dequeue_status(e: ShmDequeueError) -> i32 {
-    set_last_error(&e.to_string());
-    match e {
-        ShmDequeueError::Disconnected => FFQ_DISCONNECTED,
-        ShmDequeueError::Poisoned => FFQ_POISONED,
-    }
-}
-
-fn try_dequeue_status(e: ShmTryDequeueError) -> i32 {
-    match e {
-        // Empty is the common retry path — skip the last-error write.
-        ShmTryDequeueError::Empty => FFQ_EMPTY,
-        ShmTryDequeueError::Disconnected => {
-            set_last_error(&e.to_string());
-            FFQ_DISCONNECTED
-        }
-        ShmTryDequeueError::Poisoned => {
-            set_last_error(&e.to_string());
-            FFQ_POISONED
-        }
-    }
-}
 
 /// Stamps the element-type-independent half of one typed lane: handle
 /// types, region setup, lifecycle and introspection.
@@ -128,22 +88,10 @@ macro_rules! queue_core {
             capacity: usize,
             out: *mut *mut $Producer,
         ) -> i32 {
-            guard(|| {
-                out_ptr!(out);
-                // SAFETY: per header contract, a live region handle or NULL.
-                let region = match unsafe { region_of(region) } {
-                    Ok(r) => r,
-                    Err(s) => return s,
-                };
-                match ffq_shm::$variant::create::<$elem>(region, capacity) {
-                    Ok(inner) => {
-                        // SAFETY: out was null-checked.
-                        unsafe { *out = Box::into_raw(Box::new($Producer { inner })) };
-                        FFQ_OK
-                    }
-                    Err(e) => status_of(&e),
-                }
-            })
+            let make = |r| ffq_shm::$variant::create::<$elem>(r, capacity);
+            // SAFETY: per header contract, `region` is a live region handle
+            // or NULL, and `out` is writable or NULL.
+            unsafe { attach_handle(region, out, |r| make(r).map(|inner| $Producer { inner })) }
         }
 
         #[doc = concat!(
@@ -156,22 +104,9 @@ macro_rules! queue_core {
             region: *const FfqRegion,
             out: *mut *mut $Producer,
         ) -> i32 {
-            guard(|| {
-                out_ptr!(out);
-                // SAFETY: per header contract, a live region handle or NULL.
-                let region = match unsafe { region_of(region) } {
-                    Ok(r) => r,
-                    Err(s) => return s,
-                };
-                match ffq_shm::$variant::attach_producer::<$elem>(region) {
-                    Ok(inner) => {
-                        // SAFETY: out was null-checked.
-                        unsafe { *out = Box::into_raw(Box::new($Producer { inner })) };
-                        FFQ_OK
-                    }
-                    Err(e) => status_of(&e),
-                }
-            })
+            let make = ffq_shm::$variant::attach_producer::<$elem>;
+            // SAFETY: as in the creator path.
+            unsafe { attach_handle(region, out, |r| make(r).map(|inner| $Producer { inner })) }
         }
 
         #[doc = concat!(
@@ -183,22 +118,9 @@ macro_rules! queue_core {
             region: *const FfqRegion,
             out: *mut *mut $Consumer,
         ) -> i32 {
-            guard(|| {
-                out_ptr!(out);
-                // SAFETY: per header contract, a live region handle or NULL.
-                let region = match unsafe { region_of(region) } {
-                    Ok(r) => r,
-                    Err(s) => return s,
-                };
-                match ffq_shm::$variant::attach_consumer::<$elem>(region) {
-                    Ok(inner) => {
-                        // SAFETY: out was null-checked.
-                        unsafe { *out = Box::into_raw(Box::new($Consumer { inner })) };
-                        FFQ_OK
-                    }
-                    Err(e) => status_of(&e),
-                }
-            })
+            let make = ffq_shm::$variant::attach_consumer::<$elem>;
+            // SAFETY: as in the creator path.
+            unsafe { attach_handle(region, out, |r| make(r).map(|inner| $Consumer { inner })) }
         }
 
         #[doc = "Queue capacity in elements (0 for NULL)."]
@@ -311,8 +233,7 @@ macro_rules! scalar_io {
             guard(|| {
                 let h = handle!(p);
                 if h.inner.is_poisoned() {
-                    set_last_error("shared-memory queue poisoned");
-                    return FFQ_POISONED;
+                    return poisoned();
                 }
                 match h.inner.enqueue(value) {
                     Ok(()) => FFQ_OK,
@@ -331,15 +252,11 @@ macro_rules! scalar_io {
             guard(|| {
                 let h = handle!(p);
                 if h.inner.is_poisoned() {
-                    set_last_error("shared-memory queue poisoned");
-                    return FFQ_POISONED;
+                    return poisoned();
                 }
                 match h.inner.try_enqueue(value) {
                     Ok(()) => FFQ_OK,
-                    Err(_) if h.inner.is_poisoned() => {
-                        set_last_error("shared-memory queue poisoned");
-                        FFQ_POISONED
-                    }
+                    Err(_) if h.inner.is_poisoned() => poisoned(),
                     Err(_) => FFQ_FULL,
                 }
             })
@@ -425,8 +342,7 @@ macro_rules! blob_io {
                 out_ptr!(value);
                 let h = handle!(p);
                 if h.inner.is_poisoned() {
-                    set_last_error("shared-memory queue poisoned");
-                    return FFQ_POISONED;
+                    return poisoned();
                 }
                 // SAFETY: per the header contract `value` points at N
                 // readable bytes; read_unaligned imposes no alignment.
@@ -451,18 +367,14 @@ macro_rules! blob_io {
                 out_ptr!(value);
                 let h = handle!(p);
                 if h.inner.is_poisoned() {
-                    set_last_error("shared-memory queue poisoned");
-                    return FFQ_POISONED;
+                    return poisoned();
                 }
                 // SAFETY: per the header contract `value` points at N
                 // readable bytes; read_unaligned imposes no alignment.
                 let v: [u8; $n] = unsafe { core::ptr::read_unaligned(value.cast()) };
                 match h.inner.try_enqueue(v) {
                     Ok(()) => FFQ_OK,
-                    Err(_) if h.inner.is_poisoned() => {
-                        set_last_error("shared-memory queue poisoned");
-                        FFQ_POISONED
-                    }
+                    Err(_) if h.inner.is_poisoned() => poisoned(),
                     Err(_) => FFQ_FULL,
                 }
             })
@@ -691,7 +603,10 @@ blob_io! {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ffq_region_close, ffq_region_create, ffq_region_open, ffq_region_unlink};
+    use crate::{
+        ffq_region_close, ffq_region_create, ffq_region_open, ffq_region_unlink, FFQ_DISCONNECTED,
+        FFQ_EMPTY,
+    };
     use std::ffi::CString;
     use std::ptr;
 

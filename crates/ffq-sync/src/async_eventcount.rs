@@ -1,4 +1,5 @@
-//! Waker-registry eventcount: the async twin of [`crate::WaitCell`].
+//! Waker-registry eventcount: the async twin of [`crate::WaitCell`], and
+//! [`AsyncWait`], the one wait step every async future polls through.
 //!
 //! The blocking eventcount parks OS threads on a futex word. An async
 //! executor cannot park a thread — a pending task must instead leave a
@@ -23,11 +24,12 @@
 //! before its waker is visible the producer publishes an item and loads
 //! `waiters == 0`. Both sides close it with the same SC-fence pair:
 //!
-//! * **Waiter:** [`AsyncWaitCell::register`] inserts the waker *and*
-//!   increments `waiters` (SeqCst RMW) inside the registry lock, then
-//!   issues a SeqCst fence before returning. The caller MUST re-check its
-//!   condition after `register` and before returning `Poll::Pending` —
-//!   the re-check is ordered after the registration in the SC total order.
+//! * **Waiter:** registration inserts the waker *and* increments `waiters`
+//!   (SeqCst RMW) inside the registry lock, then issues a SeqCst fence.
+//!   The condition must be re-checked after registering and before
+//!   returning `Poll::Pending` — the re-check is ordered after the
+//!   registration in the SC total order. [`AsyncWait::poll`] is the only
+//!   way to register, and it always re-checks.
 //! * **Notifier:** [`AsyncWaitCell::notify`] issues a SeqCst fence after
 //!   the caller's publication and before its `waiters` load.
 //!
@@ -42,21 +44,21 @@
 //! job, and `seq` survives as the wake-generation counter (bumped Release
 //! before wakers are drained) for parity and diagnostics.
 //!
-//! The `loom_async_*` models at the bottom of this file check exactly this:
-//! a registered waker that parks on a model futex until woken turns a lost
-//! wake into a model deadlock, and the `should_panic` model demonstrates
-//! that skipping the post-register re-check resurrects the race.
+//! The `loom_async_*` models at the bottom of this file check exactly this,
+//! driving [`AsyncWait`] itself: a registered waker that parks on a model
+//! futex until woken turns a lost wake into a model deadlock, and two
+//! `should_panic` models show that skipping the post-register re-check,
+//! or the opposite-cell notify on a miss, resurrects a hang.
 //!
 //! ## Consumed registrations and wake handoff
 //!
 //! A notifier *consumes* registrations: it takes the waker out and the
-//! token becomes stale. [`AsyncWaitCell::deregister`] reports this — `false`
-//! means "your waker was already taken; a wake was (or is being) delivered
-//! to you". A future that is dropped while its token is consumed has
-//! swallowed a wake some other task may have needed; cancellation-safe
-//! callers MUST pass it on by calling [`AsyncWaitCell::notify`] again.
-//! This is the rank-handoff-on-drop protocol `ffq-async` builds on (see
-//! ALGORITHM.md §12).
+//! token becomes stale. A wait that ends in progress keeps a consumed
+//! wake (the progress is what the wake was for). A wait that is abandoned
+//! — its future dropped while pending — has swallowed a wake some other
+//! task may have needed, so [`AsyncWait::abandon`] passes it on with one
+//! more [`AsyncWaitCell::notify`]`(1)`. This is the rank-handoff-on-drop
+//! protocol `ffq-async` builds on (see ALGORITHM.md §12).
 //!
 //! Wakers are process-local by construction, so unlike the blocking cell
 //! there is no `shared` parameter: an `AsyncWaitCell` must not be placed
@@ -64,9 +66,9 @@
 
 use core::cell::UnsafeCell;
 use std::collections::VecDeque;
-use std::task::Waker;
+use std::task::{Context, Poll, Waker};
 
-use crate::atomic::{fence, spin_loop, AtomicU32, Ordering};
+use crate::atomic::{fence, spin_loop, yield_now, AtomicU32, Ordering};
 
 /// Proof of a live waker registration, returned by
 /// [`AsyncWaitCell::register`].
@@ -75,7 +77,7 @@ use crate::atomic::{fence, spin_loop, AtomicU32, Ordering};
 /// [`AsyncWaitCell::deregister`] (explicitly) or by a notifier (implicitly,
 /// which `deregister` then reports as `false`).
 #[derive(Debug)]
-pub struct WaitToken {
+pub(crate) struct WaitToken {
     slot: u32,
     epoch: u32,
 }
@@ -173,7 +175,7 @@ impl AsyncWaitCell {
     /// is the waiter half of the SC-fence pair described in the module
     /// docs.
     #[must_use]
-    pub fn register(&self, waker: &Waker) -> WaitToken {
+    pub(crate) fn register(&self, waker: &Waker) -> WaitToken {
         let token;
         {
             let guard = self.lock();
@@ -214,7 +216,7 @@ impl AsyncWaitCell {
     /// afresh and re-check its condition. This is the re-poll fast path:
     /// a future polled again with a different task waker updates rather
     /// than churning deregister/register.
-    pub fn update(&self, token: &WaitToken, waker: &Waker) -> bool {
+    pub(crate) fn update(&self, token: &WaitToken, waker: &Waker) -> bool {
         let guard = self.lock();
         let reg = guard.registry();
         match reg.slots.get_mut(token.slot as usize) {
@@ -238,7 +240,7 @@ impl AsyncWaitCell {
     /// MUST call [`Self::notify`]`(1)` to pass the swallowed wake to the
     /// next waiter**; a caller that is completing its operation may keep
     /// the wake (it represents the very progress being consumed).
-    pub fn deregister(&self, token: WaitToken) -> bool {
+    pub(crate) fn deregister(&self, token: WaitToken) -> bool {
         let stale_waker;
         let removed;
         {
@@ -335,6 +337,113 @@ impl AsyncWaitCell {
 impl Default for AsyncWaitCell {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// One task's wait on an [`AsyncWaitCell`], kept across polls: its
+/// registration, if any, and how many reschedule-spin polls it has used.
+///
+/// Every async future and stream polls through [`Self::poll`], which runs
+/// the whole protocol of ALGORITHM.md §12, and ends an unfinished wait
+/// with [`Self::abandon`] when it is dropped.
+#[derive(Debug, Default)]
+pub struct AsyncWait {
+    token: Option<WaitToken>,
+    spins: u16,
+}
+
+impl AsyncWait {
+    /// A wait that has neither spun nor registered.
+    #[inline]
+    #[must_use]
+    pub const fn new() -> Self {
+        Self {
+            token: None,
+            spins: 0,
+        }
+    }
+
+    /// One poll of a wait for `attempt` to succeed; the task waits on
+    /// `cell`.
+    ///
+    /// 1. Try. `Ready` ends the wait: a live registration is removed, one
+    ///    a notifier consumed is kept (its wake produced this progress),
+    ///    and the spin budget restarts.
+    /// 2. On a miss, while unregistered and under `spin_polls` spins:
+    ///    reschedule-spin. Notify `opposite`, yield the OS thread in the
+    ///    back half of the budget, `wake_by_ref`, return `Pending`.
+    /// 3. Otherwise register (or update the live registration's waker)
+    ///    and try again: the mandatory re-check. On a second miss notify
+    ///    `opposite` and return `Pending`.
+    ///
+    /// `opposite` is the cell the other side of the queue waits on. A
+    /// failed FFQ attempt is not a no-op — it can burn gap ranks or
+    /// advance `head` — so every miss tells that side. `None` when a miss
+    /// writes nothing anyone waits on (broadcast), or when the caller
+    /// notifies once per poll itself.
+    #[inline]
+    pub fn poll<T>(
+        &mut self,
+        cell: &AsyncWaitCell,
+        opposite: Option<&AsyncWaitCell>,
+        spin_polls: u16,
+        cx: &mut Context<'_>,
+        mut attempt: impl FnMut() -> Poll<T>,
+    ) -> Poll<T> {
+        if let Poll::Ready(v) = attempt() {
+            self.settle(cell);
+            return Poll::Ready(v);
+        }
+        if self.token.is_none() && self.spins < spin_polls {
+            self.spins += 1;
+            if let Some(o) = opposite {
+                o.notify_all();
+            }
+            // The first half of the budget costs an executor round-trip;
+            // after that the peer probably shares this core, so hand it
+            // the timeslice, as the sync `Backoff` yield rounds do.
+            if self.spins > spin_polls / 2 {
+                yield_now();
+            }
+            cx.waker().wake_by_ref();
+            return Poll::Pending;
+        }
+        match &self.token {
+            Some(t) if cell.update(t, cx.waker()) => {}
+            _ => self.token = Some(cell.register(cx.waker())),
+        }
+        if let Poll::Ready(v) = attempt() {
+            self.settle(cell);
+            return Poll::Ready(v);
+        }
+        if let Some(o) = opposite {
+            o.notify_all();
+        }
+        Poll::Pending
+    }
+
+    /// Ends the wait in progress: the spin budget restarts, and a
+    /// consumed registration's wake is kept, since it produced that
+    /// progress.
+    #[inline]
+    fn settle(&mut self, cell: &AsyncWaitCell) {
+        self.spins = 0;
+        if let Some(t) = self.token.take() {
+            let _ = cell.deregister(t);
+        }
+    }
+
+    /// Ends the wait without the progress it waited for (its future or
+    /// stream is dropped). A registration a notifier already consumed
+    /// swallowed a wake meant for that progress, so it is handed to the
+    /// next waiter with `notify(1)`.
+    #[inline]
+    pub fn abandon(&mut self, cell: &AsyncWaitCell) {
+        if let Some(t) = self.token.take() {
+            if !cell.deregister(t) {
+                cell.notify(1);
+            }
+        }
     }
 }
 
@@ -536,6 +645,130 @@ mod tests {
         assert_eq!(c2.0.load(StdOrdering::SeqCst), 1);
     }
 
+    /// Runs one `AsyncWait::poll` whose attempt succeeds on the `hit`-th
+    /// call of this poll (never, for `None`); returns the result and how
+    /// many attempts the step made.
+    fn step(
+        wait: &mut AsyncWait,
+        cells: (&AsyncWaitCell, &AsyncWaitCell),
+        spin_polls: u16,
+        waker: &Waker,
+        hit: Option<u32>,
+    ) -> (Poll<()>, u32) {
+        let mut attempts = 0;
+        let mut cx = Context::from_waker(waker);
+        let r = wait.poll(cells.0, Some(cells.1), spin_polls, &mut cx, || {
+            attempts += 1;
+            if Some(attempts) == hit {
+                Poll::Ready(())
+            } else {
+                Poll::Pending
+            }
+        });
+        (r, attempts)
+    }
+
+    fn count(c: &Counter) -> usize {
+        c.0.load(StdOrdering::SeqCst)
+    }
+
+    #[test]
+    fn async_wait_spin_poll_reschedules_once_and_notifies_opposite_once() {
+        let (cell, opposite) = (AsyncWaitCell::new(), AsyncWaitCell::new());
+        let (task, w) = counting_waker();
+        let (peer, pw) = counting_waker();
+        let mut wait = AsyncWait::new();
+        for i in 1..=3 {
+            // A peer waiting on the opposite cell hears every miss.
+            let peer_tok = opposite.register(&pw);
+            let (r, attempts) = step(&mut wait, (&cell, &opposite), 3, &w, None);
+            assert!(r.is_pending());
+            assert_eq!(attempts, 1, "a spin poll tries once");
+            assert_eq!(count(&task), i, "one wake_by_ref per spin poll");
+            assert_eq!(count(&peer), i, "one opposite notify per spin poll");
+            assert_eq!(cell.waiters(), 0, "spinning stays out of the registry");
+            assert!(!opposite.deregister(peer_tok));
+        }
+    }
+
+    #[test]
+    fn async_wait_registers_once_the_budget_is_spent() {
+        let (cell, opposite) = (AsyncWaitCell::new(), AsyncWaitCell::new());
+        let (task, w) = counting_waker();
+        let (peer, pw) = counting_waker();
+        let mut wait = AsyncWait::new();
+        for _ in 0..2 {
+            assert!(step(&mut wait, (&cell, &opposite), 2, &w, None)
+                .0
+                .is_pending());
+        }
+        assert_eq!(cell.waiters(), 0);
+        let peer_tok = opposite.register(&pw);
+        let (r, attempts) = step(&mut wait, (&cell, &opposite), 2, &w, None);
+        assert!(r.is_pending());
+        assert_eq!(attempts, 2, "register, then re-check");
+        assert_eq!(cell.waiters(), 1);
+        assert_eq!(count(&task), 2, "a registered miss does not reschedule");
+        assert_eq!(count(&peer), 1, "the re-check miss notifies opposite");
+        assert!(!opposite.deregister(peer_tok));
+        // A later poll updates the live registration in place.
+        assert!(step(&mut wait, (&cell, &opposite), 2, &w, None)
+            .0
+            .is_pending());
+        assert_eq!(cell.waiters(), 1);
+        cell.notify_all();
+        assert_eq!(count(&task), 3, "the registered waker is woken");
+    }
+
+    #[test]
+    fn async_wait_recheck_hit_settles_and_restarts_the_budget() {
+        let (cell, opposite) = (AsyncWaitCell::new(), AsyncWaitCell::new());
+        let (task, w) = counting_waker();
+        let (peer, pw) = counting_waker();
+        let mut wait = AsyncWait::new();
+        assert!(step(&mut wait, (&cell, &opposite), 1, &w, None)
+            .0
+            .is_pending());
+        assert_eq!(count(&task), 1);
+        let peer_tok = opposite.register(&pw);
+        // Budget spent: the step registers and the re-check hits.
+        let (r, attempts) = step(&mut wait, (&cell, &opposite), 1, &w, Some(2));
+        assert!(r.is_ready());
+        assert_eq!(attempts, 2);
+        assert_eq!(cell.waiters(), 0, "the hit removes the registration");
+        assert_eq!(count(&peer), 0, "success leaves notifying to the caller");
+        assert!(opposite.deregister(peer_tok));
+        // The next miss spins again: the budget restarted.
+        assert!(step(&mut wait, (&cell, &opposite), 1, &w, None)
+            .0
+            .is_pending());
+        assert_eq!(count(&task), 2);
+        assert_eq!(cell.waiters(), 0);
+    }
+
+    #[test]
+    fn async_wait_abandon_hands_a_consumed_wake_to_the_next_waiter() {
+        let (cell, opposite) = (AsyncWaitCell::new(), AsyncWaitCell::new());
+        let (a, wa) = counting_waker();
+        let (b, wb) = counting_waker();
+        let (mut wait_a, mut wait_b) = (AsyncWait::new(), AsyncWait::new());
+        assert!(step(&mut wait_a, (&cell, &opposite), 0, &wa, None)
+            .0
+            .is_pending());
+        assert!(step(&mut wait_b, (&cell, &opposite), 0, &wb, None)
+            .0
+            .is_pending());
+        assert_eq!(cell.waiters(), 2);
+        cell.notify(1); // consumes A's registration, the oldest
+        assert_eq!((count(&a), count(&b)), (1, 0));
+        wait_a.abandon(&cell);
+        assert_eq!(count(&b), 1, "A's swallowed wake passes to B");
+        assert_eq!(cell.waiters(), 0);
+        // Abandoning a wait with no registration is a no-op.
+        wait_a.abandon(&cell);
+        assert_eq!((count(&a), count(&b)), (1, 1));
+    }
+
     /// Cross-thread smoke: waiters park on a std condvar-ish loop via
     /// thread::park wakers while a publisher notifies; every waiter must
     /// observe the flag. Exercises the fence pair with real threads.
@@ -586,7 +819,8 @@ mod tests {
 
 /// Model checks. Run with `RUSTFLAGS="--cfg loom" cargo test -p ffq-sync
 /// --release -- loom_`. A registered waker parks its thread on a *model*
-/// futex with no timeout, so a lost wake is a hard model deadlock.
+/// futex with no timeout, so a lost wake is a hard model deadlock. The
+/// waiters drive the shipped [`AsyncWait`] step with a spin budget of 0.
 #[cfg(all(test, loom))]
 mod loom_tests {
     use super::*;
@@ -622,8 +856,35 @@ mod loom_tests {
         signal.store(0, Ordering::Relaxed);
     }
 
-    /// The core protocol: publish → notify on one side, register →
-    /// re-check → park on the other. Every interleaving must terminate.
+    /// A task awaiting `ready` on `cell`: polls the [`AsyncWait`] step
+    /// and parks on its model waker whenever the step returns `Pending`.
+    fn wait_until(
+        cell: &AsyncWaitCell,
+        opposite: Option<&AsyncWaitCell>,
+        mut ready: impl FnMut() -> bool,
+    ) {
+        let signal = Arc::new(AtomicU32::new(0));
+        let waker = model_waker(&signal);
+        let mut cx = Context::from_waker(&waker);
+        let mut wait = AsyncWait::new();
+        let mut attempt = || {
+            if ready() {
+                Poll::Ready(())
+            } else {
+                Poll::Pending
+            }
+        };
+        while wait
+            .poll(cell, opposite, 0, &mut cx, &mut attempt)
+            .is_pending()
+        {
+            park_on(&signal);
+        }
+    }
+
+    /// The core protocol: publish → notify on one side, the wait step
+    /// (try → register → re-check → park) on the other. Every
+    /// interleaving must terminate.
     #[test]
     fn loom_async_waitcell_no_lost_wake() {
         ffq_loom::model(|| {
@@ -639,34 +900,27 @@ mod loom_tests {
                 })
             };
 
-            let signal = Arc::new(AtomicU32::new(0));
-            let waker = model_waker(&signal);
-            loop {
-                if flag.load(Ordering::Acquire) != 0 {
-                    break;
-                }
-                let tok = cell.register(&waker);
-                // The mandatory post-registration re-check.
-                if flag.load(Ordering::Acquire) != 0 {
-                    let _ = cell.deregister(tok);
-                    break;
-                }
-                park_on(&signal);
-            }
+            wait_until(&cell, None, || flag.load(Ordering::Acquire) != 0);
             producer.join().unwrap();
         });
     }
 
-    /// Drop-handoff: waiter A cancels; if its registration was consumed it
-    /// re-notifies, so waiter B's wake can never be swallowed. B parks
-    /// unboundedly — a swallowed wake deadlocks the model.
+    /// Drop-handoff: waiter A abandons its wait; if its registration was
+    /// consumed, `abandon` re-notifies, so waiter B's wake can never be
+    /// swallowed. B parks unboundedly — a swallowed wake deadlocks the
+    /// model.
     #[test]
     fn loom_async_waitcell_handoff_on_cancel() {
         ffq_loom::model(|| {
             let cell = Arc::new(AsyncWaitCell::new());
 
-            let sig_a = Arc::new(AtomicU32::new(0));
-            let tok_a = cell.register(&model_waker(&sig_a));
+            // A's step finds nothing and, with no spin budget, registers.
+            let waker_a = model_waker(&Arc::new(AtomicU32::new(0)));
+            let mut wait_a = AsyncWait::new();
+            let mut cx = Context::from_waker(&waker_a);
+            assert!(wait_a
+                .poll(&cell, None, 0, &mut cx, || Poll::<()>::Pending)
+                .is_pending());
 
             let producer = {
                 let cell = Arc::clone(&cell);
@@ -680,9 +934,7 @@ mod loom_tests {
 
             // A abandons its wait. FIFO order means any notify that ran so
             // far consumed A, not B; the handoff passes that wake on.
-            if !cell.deregister(tok_a) {
-                cell.notify(1);
-            }
+            wait_a.abandon(&cell);
 
             // B must be woken in every interleaving.
             park_on(&sig_b);
@@ -749,14 +1001,11 @@ mod loom_tests {
     /// prevents. A consumer's *failed* dequeue is not a no-op: it claims
     /// a fresh head rank (advancing `head` — exactly what a producer
     /// parked on `not_full` is waiting to observe), finds nothing
-    /// published, and then parks itself on `not_empty`. The rule: every
-    /// failing attempt broadcasts to the *opposite* cell before waiting.
-    /// Drop the consumer's `not_full.notify_all()` and both threads park
-    /// on opposite cells, each holding the event the other needs — the
-    /// model reports the deadlock in a handful of executions.
-    #[test]
-    fn loom_async_failed_attempt_notifies_opposite_cell() {
-        ffq_loom::model(|| {
+    /// published, and waits on `not_empty`. The consumer's step names
+    /// `not_full` as its opposite cell when `notify_opposite` is set, as
+    /// every shipped consumer does.
+    fn failed_attempt_then_wait(notify_opposite: bool) {
+        ffq_loom::model(move || {
             let not_empty = Arc::new(AsyncWaitCell::new());
             let not_full = Arc::new(AsyncWaitCell::new());
             // The shared state a failed try_recv mutates: the head rank
@@ -768,48 +1017,44 @@ mod loom_tests {
                 let (not_empty, not_full) = (Arc::clone(&not_empty), Arc::clone(&not_full));
                 let (head, published) = (Arc::clone(&head), Arc::clone(&published));
                 ffq_loom::thread::spawn(move || {
-                    // Failed try_recv: claim a head rank, find the cell
-                    // unpublished — Empty.
-                    head.fetch_add(1, Ordering::AcqRel);
-                    // The rule under test: the failure mutated state the
-                    // opposite side may be parked on, so announce it.
-                    not_full.notify_all();
-                    // Then wait for a publish like any empty-handed
-                    // receiver (register → re-check → park).
-                    let signal = Arc::new(AtomicU32::new(0));
-                    let waker = model_waker(&signal);
-                    loop {
-                        if published.load(Ordering::Acquire) != 0 {
-                            break;
+                    let opposite = notify_opposite.then_some(&*not_full);
+                    // Failed try_recv: claim a head rank (once: it stays
+                    // pending in the handle) and find it unpublished.
+                    let mut claimed = false;
+                    wait_until(&not_empty, opposite, || {
+                        if !claimed {
+                            head.fetch_add(1, Ordering::AcqRel);
+                            claimed = true;
                         }
-                        let tok = not_empty.register(&waker);
-                        if published.load(Ordering::Acquire) != 0 {
-                            let _ = not_empty.deregister(tok);
-                            break;
-                        }
-                        park_on(&signal);
-                    }
+                        published.load(Ordering::Acquire) != 0
+                    });
                 })
             };
 
             // Producer blocked on a full ring: waits for `head` to
             // advance, then publishes and notifies its own opposite cell.
-            let signal = Arc::new(AtomicU32::new(0));
-            let waker = model_waker(&signal);
-            loop {
-                if head.load(Ordering::Acquire) != 0 {
-                    break;
-                }
-                let tok = not_full.register(&waker);
-                if head.load(Ordering::Acquire) != 0 {
-                    let _ = not_full.deregister(tok);
-                    break;
-                }
-                park_on(&signal);
-            }
+            wait_until(&not_full, Some(&not_empty), || {
+                head.load(Ordering::Acquire) != 0
+            });
             published.store(1, Ordering::Release);
             not_empty.notify_all();
             consumer.join().unwrap();
         });
+    }
+
+    /// With the opposite-cell notify on every miss, every schedule
+    /// completes.
+    #[test]
+    fn loom_async_failed_attempt_notifies_opposite_cell() {
+        failed_attempt_then_wait(true);
+    }
+
+    /// Without it, both sides can wait on opposite cells, each holding the
+    /// event the other needs (consumer on `not_empty`, producer on
+    /// `not_full`). Pinned as a must-deadlock model.
+    #[test]
+    #[should_panic(expected = "deadlock")]
+    fn loom_async_miss_without_opposite_notify_deadlocks() {
+        failed_attempt_then_wait(false);
     }
 }

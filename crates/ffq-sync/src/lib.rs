@@ -19,7 +19,10 @@
 //! * [`AsyncWaitCell`] — the waker-registry twin of [`WaitCell`] for async
 //!   callers: the same `{seq, waiters}` protocol with the symmetric
 //!   `SeqCst` fence pair, wakers in a slot list instead of threads on a
-//!   futex. See [`async_eventcount`].
+//!   futex. [`AsyncWait`] is the one wait step on it — try,
+//!   reschedule-spin, register, re-check, notify the opposite cell on a
+//!   miss — that every `ffq-async` future polls through. See
+//!   [`async_eventcount`].
 //! * [`EraRegistry`] — per-handle era slots for deferred reclamation of the
 //!   unbounded tier's ring segments. See [`epoch`].
 //! * `sys` — the glibc functions, constants and structs the workspace
@@ -50,7 +53,7 @@ mod seqlock;
 ))]
 pub mod sys;
 
-pub use async_eventcount::{AsyncWaitCell, WaitToken};
+pub use async_eventcount::{AsyncWait, AsyncWaitCell};
 pub use backoff::Backoff;
 pub use dwcas::DoubleWord;
 pub use epoch::{EraRegistry, ERA_IDLE};
