@@ -8,15 +8,27 @@
 //! benchmarks run in fully offline environments where no external runtime
 //! crate can be built. It is intentionally minimal — a global injector
 //! queue, no work stealing, no IO reactor — but it is a *correct* executor:
-//! wakes are never lost (condvar-protected queue), tasks never run
-//! concurrently with themselves (single-slot future storage behind a
-//! mutex), and panics in a task surface at `JoinHandle::await`.
+//! wakes are never lost, tasks never run concurrently with themselves
+//! (single-slot future storage behind a mutex), and panics in a task
+//! surface at `JoinHandle::await`.
+//!
+//! Why no wake is lost: the run queue keeps a count of the workers asleep
+//! on its condvar, written and read only under the queue lock. A worker
+//! that finds the queue empty raises the count and enters `Condvar::wait`
+//! without letting go of the lock in between, and lowers the count once
+//! `wait` returns. A wake pushes its task and reads the count under that
+//! same lock, and signals the condvar only when the count is nonzero. So
+//! a push either lands before a worker's empty check, which then finds
+//! the task, or finds that worker counted, hence inside `wait`, and
+//! signals it. The gate is what keeps a busy executor's wakes out of the
+//! kernel: std's Linux condvar keeps no waiter count, so every
+//! `notify_one` is a `FUTEX_WAKE` syscall, waiter or not.
 
 use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, Weak};
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::{Duration, Instant};
 
@@ -61,19 +73,37 @@ pub fn block_on<F: Future>(fut: F) -> F::Output {
 
 type BoxFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
 
+/// Everything a worker decides to sleep on, behind one lock.
+struct RunQueue {
+    tasks: VecDeque<Arc<Task>>,
+    /// Workers blocked in `ExecShared::cv.wait`: raised just before the
+    /// wait, lowered once it returns.
+    sleepers: usize,
+    shutdown: bool,
+}
+
 struct ExecShared {
-    queue: Mutex<VecDeque<Arc<Task>>>,
+    queue: Mutex<RunQueue>,
     cv: Condvar,
-    shutdown: AtomicBool,
 }
 
 impl ExecShared {
-    fn push(&self, task: Arc<Task>) {
+    fn lock(&self) -> MutexGuard<'_, RunQueue> {
         self.queue
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push_back(task);
-        self.cv.notify_one();
+    }
+
+    fn push(&self, task: Arc<Task>) {
+        let mut q = self.lock();
+        q.tasks.push_back(task);
+        // Zero here means every worker is awake and re-checks `tasks`
+        // under this lock before it sleeps (module docs).
+        let sleeping = q.sleepers > 0;
+        drop(q);
+        if sleeping {
+            self.cv.notify_one();
+        }
     }
 }
 
@@ -115,9 +145,12 @@ impl Executor {
     #[must_use]
     pub fn new(threads: usize) -> Self {
         let shared = Arc::new(ExecShared {
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(RunQueue {
+                tasks: VecDeque::new(),
+                sleepers: 0,
+                shutdown: false,
+            }),
             cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
         });
         let workers = (0..threads.max(1))
             .map(|i| {
@@ -171,7 +204,10 @@ impl Executor {
 
 impl Drop for Executor {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        // Set under the lock, like every other sleep condition: a worker
+        // between its shutdown check and its `wait` would miss the
+        // notify otherwise.
+        self.shared.lock().shutdown = true;
         self.shared.cv.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -182,21 +218,20 @@ impl Drop for Executor {
 fn worker(shared: &ExecShared) {
     loop {
         let task = {
-            let mut q = shared
-                .queue
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut q = shared.lock();
             loop {
-                if shared.shutdown.load(Ordering::Acquire) {
+                if q.shutdown {
                     return;
                 }
-                if let Some(t) = q.pop_front() {
+                if let Some(t) = q.tasks.pop_front() {
                     break t;
                 }
+                q.sleepers += 1;
                 q = shared
                     .cv
                     .wait(q)
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
+                q.sleepers -= 1;
             }
         };
         // Clear before polling: a wake arriving mid-poll must re-queue.
@@ -562,6 +597,59 @@ mod tests {
         let inner = ex.spawn(async { 5 });
         let outer = ex.spawn(async move { inner.await + 1 });
         assert_eq!(block_on(outer), 6);
+    }
+
+    /// Waits until every worker of `ex` is blocked in `cv.wait` with
+    /// nothing queued, as its sleeper count reports it.
+    fn wait_until_idle(ex: &Executor, deadline: Instant) {
+        loop {
+            {
+                let q = ex.shared.lock();
+                if q.sleepers == ex.workers.len() && q.tasks.is_empty() {
+                    return;
+                }
+            }
+            assert!(
+                Instant::now() < deadline,
+                "the sleeper count never reached the worker count"
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    /// A wake delivered while every worker sleeps reaches one: each round
+    /// waits until both workers are blocked, then wakes a parked echo
+    /// task from this thread, whose push is the only thing that can
+    /// rouse a worker.
+    #[test]
+    #[cfg_attr(miri, ignore)] // a thousand futex sleep/wake round trips
+    fn wake_reaches_an_idle_executor() {
+        const ROUNDS: u64 = 1000;
+        let ex = Executor::new(2);
+        let (mut ping_tx, mut ping_rx) = crate::spsc::channel::<u64>(4);
+        let (mut pong_tx, mut pong_rx) = crate::spsc::channel::<u64>(4);
+        let echo = ex.spawn(async move {
+            while let Ok(v) = ping_rx.dequeue().await {
+                pong_tx
+                    .enqueue(v)
+                    .await
+                    .expect("the test holds the receiver");
+            }
+        });
+        for round in 0..ROUNDS {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            wait_until_idle(&ex, deadline);
+            ping_tx
+                .try_enqueue(round)
+                .expect("the echo drained the last ping");
+            let echoed = block_on(timeout(
+                deadline.saturating_duration_since(Instant::now()),
+                pong_rx.dequeue(),
+            ));
+            assert_eq!(echoed, Ok(Ok(round)), "round {round}: the wake was lost");
+        }
+        drop(ping_tx);
+        block_on(echo);
     }
 
     #[test]

@@ -235,11 +235,13 @@ fn full_queue_try_enqueue_storm_stays_consistent() {
     for i in 0..4 {
         tx.try_enqueue(i).unwrap();
     }
-    // 100 hopeless attempts: each burns a full scan's worth of ranks.
+    // 100 hopeless attempts: the pre-check rejects each before the scan,
+    // so none burns a rank.
     for _ in 0..100 {
         assert!(tx.try_enqueue(999).is_err());
     }
     assert_eq!(tx.stats().full_rejections, 100);
+    assert_eq!(tx.stats().gaps_created, 0);
     // Drain and refill repeatedly; FIFO per producer must survive.
     let mut expected = vec![0, 1, 2, 3];
     let drained: Vec<u64> = std::iter::from_fn(|| rx.try_dequeue().ok()).collect();
