@@ -1,5 +1,5 @@
 //! CC-Queue: a FIFO queue synchronized with the CC-Synch combining protocol
-//! (Fatourou & Kallimanis, PPoPP '12 — reference [5] of the paper).
+//! (Fatourou & Kallimanis, PPoPP '12 — reference \[5\] of the paper).
 //!
 //! Instead of every thread fighting over head/tail pointers, threads publish
 //! *requests* into a combining list (a single `swap` on the list tail) and

@@ -1,5 +1,5 @@
 //! LCRQ — Morrison & Afek's linked concurrent ring queue (PPoPP '13,
-//! reference [17] of the paper).
+//! reference \[17\] of the paper).
 //!
 //! A CRQ is a bounded ring whose head and tail advance by fetch-and-add;
 //! each cell packs `(value, ⟨safe, idx⟩)` into a 128-byte... *bit* pair that

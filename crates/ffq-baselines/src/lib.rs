@@ -2,16 +2,16 @@
 //!
 //! Figure 8 of the paper compares FFQ-m against five state-of-the-art
 //! concurrent queues inside the benchmark framework of Yang &
-//! Mellor-Crummey [21]; Figure 7 additionally uses a generic bounded MPMC
+//! Mellor-Crummey \[21\]; Figure 7 additionally uses a generic bounded MPMC
 //! queue (Vyukov's, footnote 8) as the non-FFQ syscall queue. This crate
 //! implements all of them behind one [`BenchQueue`] interface:
 //!
 //! | Module | Queue | Origin |
 //! |--------|-------|--------|
-//! | [`msqueue`] | Michael–Scott two-pointer linked queue | PODC '96 [15] |
-//! | [`ccqueue`] | CC-Queue: combining-synchronized queue | PPoPP '12 [5] |
-//! | [`lcrq`] | LCRQ: linked list of concurrent ring queues | PPoPP '13 [17] |
-//! | [`wfqueue`] | Yang & Mellor-Crummey FAA-based queue | PPoPP '16 [21] |
+//! | [`msqueue`] | Michael–Scott two-pointer linked queue | PODC '96 \[15\] |
+//! | [`ccqueue`] | CC-Queue: combining-synchronized queue | PPoPP '12 \[5\] |
+//! | [`lcrq`] | LCRQ: linked list of concurrent ring queues | PPoPP '13 \[17\] |
+//! | [`wfqueue`] | Yang & Mellor-Crummey FAA-based queue | PPoPP '16 \[21\] |
 //! | [`vyukov`] | Bounded MPMC ring (the paper's "MPMC queue") | 1024cores |
 //! | [`htmqueue`] | Circular buffer inside transactions | paper §V-G |
 //! | [`mutexqueue`] | `Mutex<VecDeque>` reference model | (testing) |

@@ -1,4 +1,4 @@
-//! The Michael–Scott non-blocking queue (PODC '96), reference [15] of the
+//! The Michael–Scott non-blocking queue (PODC '96), reference \[15\] of the
 //! paper.
 //!
 //! A linked list with a dummy head node; `head` and `tail` are manipulated

@@ -1,5 +1,5 @@
 //! BatchQueue (Preud'homme, Sopena, Thomas, Folliot — ICPADS 2012,
-//! reference [19]).
+//! reference \[19\]).
 //!
 //! The buffer is split into two halves that producer and consumer exchange
 //! wholesale: the producer fills one half while the consumer drains the

@@ -1,4 +1,4 @@
-//! B-Queue (Wang, Zhang, Tang, Hua — IJPP 2013, reference [20]).
+//! B-Queue (Wang, Zhang, Tang, Hua — IJPP 2013, reference \[20\]).
 //!
 //! FastForward-style data-dependent slots plus *self-tuning batching with
 //! backtracking*: instead of testing its own next slot, each side probes a

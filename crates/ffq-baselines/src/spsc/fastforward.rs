@@ -1,4 +1,4 @@
-//! FastForward (Giacomoni et al., PPoPP 2008 — reference [7]).
+//! FastForward (Giacomoni et al., PPoPP 2008 — reference \[7\]).
 //!
 //! The insight: make the *slot itself* carry the full/empty information, so
 //! producer and consumer never read each other's counter. Each side keeps a

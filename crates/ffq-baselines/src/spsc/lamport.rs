@@ -1,5 +1,5 @@
 //! Lamport's classic single-producer/single-consumer ring buffer
-//! ("Specifying concurrent program modules", TOPLAS 1983 — reference [11]).
+//! ("Specifying concurrent program modules", TOPLAS 1983 — reference \[11\]).
 //!
 //! Both the head and tail counters are shared: the producer reads `head` on
 //! every enqueue to test fullness and the consumer reads `tail` on every

@@ -1,4 +1,4 @@
-//! MCRingBuffer (Lee, Bu, Chandranmenon — IPDPS 2010, reference [13]).
+//! MCRingBuffer (Lee, Bu, Chandranmenon — IPDPS 2010, reference \[13\]).
 //!
 //! Lamport's ring with *batched control-variable updates*: each side works
 //! against a cached copy of the other side's counter and only re-reads the

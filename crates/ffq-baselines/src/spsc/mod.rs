@@ -6,11 +6,11 @@
 //!
 //! | Queue | Idea | Paper's remark |
 //! |-------|------|----------------|
-//! | [`lamport`] | head/tail counters, both shared | the 1983 baseline [11] |
-//! | [`fastforward`] | data-dependent slots, no shared counters | needs system-specific slip tuning [7] |
-//! | [`mcringbuffer`] | Lamport + batched control-variable updates | improves control-variable locality [13] |
-//! | [`batchqueue`] | two buffer halves exchanged wholesale | fewer control variables [19] |
-//! | [`bqueue`] | FastForward + self-tuning batch probe with backtracking | no tuning parameters [20] |
+//! | [`lamport`] | head/tail counters, both shared | the 1983 baseline \[11\] |
+//! | [`fastforward`] | data-dependent slots, no shared counters | needs system-specific slip tuning \[7\] |
+//! | [`mcringbuffer`] | Lamport + batched control-variable updates | improves control-variable locality \[13\] |
+//! | [`batchqueue`] | two buffer halves exchanged wholesale | fewer control variables \[19\] |
+//! | [`bqueue`] | FastForward + self-tuning batch probe with backtracking | no tuning parameters \[20\] |
 //!
 //! All carry `u64` payloads like the comparative benchmarks. `ffq::spsc`
 //! itself adapts to the same interface ([`ffqspsc`]) so the shootout

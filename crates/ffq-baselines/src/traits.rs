@@ -1,6 +1,6 @@
 //! The common interface all comparator queues implement.
 //!
-//! Modeled on the benchmark framework of Yang & Mellor-Crummey [21] that the
+//! Modeled on the benchmark framework of Yang & Mellor-Crummey \[21\] that the
 //! paper plugs FFQ into: a queue is shared (`Arc`) among threads, and each
 //! thread *registers* to obtain a private handle it performs operations
 //! through. Handles exist because several queues need genuine per-thread

@@ -1,5 +1,5 @@
 //! wfqueue — Yang & Mellor-Crummey's fetch-and-add queue (PPoPP '16,
-//! reference [21] of the paper; the paper compares against its "fast WF-10"
+//! reference \[21\] of the paper; the paper compares against its "fast WF-10"
 //! configuration).
 //!
 //! The design's core is an *infinite array* realized as a linked list of

@@ -1,6 +1,6 @@
 //! Figure 8: the comparative study. All threads repeatedly execute
 //! enqueue/dequeue pairs on one shared queue — the benchmark of Yang &
-//! Mellor-Crummey [21] that the paper plugged FFQ into — with a 50–150 ns
+//! Mellor-Crummey \[21\] that the paper plugged FFQ into — with a 50–150 ns
 //! think time between operations. The MPMC variant of FFQ faces wfqueue,
 //! lcrq, ccqueue, msqueue and the HTM queue; single-threaded SPSC and SPMC
 //! FFQ marks are reported alongside.

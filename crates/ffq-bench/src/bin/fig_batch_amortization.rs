@@ -1,5 +1,5 @@
 //! Batch-amortization sweep: SPMC drain throughput as a function of the
-//! consumer harvest bound, against the per-item `drain_into` baseline.
+//! consumer harvest bound, against the per-item `try_iter` baseline.
 //!
 //! This is the evaluation for the batch API (not a paper figure): consumers
 //! claiming rank *runs* with one `fetch_add` and producers publishing runs

@@ -1,8 +1,8 @@
 //! Dependency-free HDR-style latency histogram.
 //!
 //! Log-linear bucketing in the spirit of HdrHistogram: values below
-//! [`SUB_COUNT`] land in unit-width buckets; above that, each power-of-two
-//! range is split into [`SUB_HALF`] sub-buckets, bounding the relative
+//! `SUB_COUNT` land in unit-width buckets; above that, each power-of-two
+//! range is split into `SUB_HALF` sub-buckets, bounding the relative
 //! quantization error at `1 / SUB_HALF` (< 0.8%) across the full `u64`
 //! range. Recording is two shifts and an increment — cheap enough to sit
 //! on the consumer hot path of a latency harness — and the whole table is

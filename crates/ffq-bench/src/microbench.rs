@@ -281,8 +281,9 @@ pub fn spsc_roundtrips(queue_size: usize, duration: Duration, label: &str) -> Me
 /// How the consumers of [`spmc_batch_drain`] harvest the queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DrainMode {
-    /// The per-item path: `drain_into` with a large cap, which claims one
-    /// head rank per item — the baseline the batch API amortizes against.
+    /// The per-item path: `try_iter` capped at the queue size, which
+    /// claims one head rank per item (and none on an empty queue) — the
+    /// baseline the batch API amortizes against.
     PerItem,
     /// `dequeue_batch` with this harvest bound: one head fetch-and-add
     /// claims a whole run of ranks.
@@ -346,7 +347,10 @@ pub fn spmc_batch_drain(
                 loop {
                     buf.clear();
                     let n = match mode {
-                        DrainMode::PerItem => rx.drain_into(&mut buf, queue_size),
+                        DrainMode::PerItem => {
+                            buf.extend(rx.try_iter().take(queue_size));
+                            buf.len()
+                        }
                         DrainMode::Batch(k) => rx.dequeue_batch(&mut buf, k),
                     };
                     if n > 0 {

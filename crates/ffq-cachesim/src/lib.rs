@@ -16,7 +16,7 @@
 //!   implementation touches (cell words + payload, shared head, mirrored
 //!   tail), with the paper's cell layouts (padded vs. compact);
 //! * [`engine`] — interleaved execution of the two simulated threads under
-//!   a [`Placement`]-like mapping onto simulated cores/hardware threads,
+//!   a `Placement`-like mapping onto simulated cores/hardware threads,
 //!   producing a [`report::SimReport`].
 //!
 //! The mechanisms the paper attributes its curves to — queue footprint vs.

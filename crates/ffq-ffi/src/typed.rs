@@ -3,9 +3,9 @@
 //! C has no generics, so each fixed payload size the ABI supports is
 //! stamped out as its own family of functions over its own opaque handle
 //! pair. Two macros do the stamping: [`queue_core!`](self) (create /
-//! attach / close / poison / capacity — identical for every element type)
-//! and `scalar_io!` / `blob_io!` (enqueue / dequeue — by value for `u64`,
-//! by pointer for the `[u8; N]` blobs). Eight lanes ship:
+//! attach / close / poison / capacity) and `typed_io!` (enqueue / dequeue
+//! over the element's codec: by value for `u64`, by pointer for the
+//! `[u8; N]` blobs). Eight lanes ship:
 //!
 //! | prefix            | element    | C-side value        |
 //! |-------------------|------------|---------------------|
@@ -219,9 +219,80 @@ macro_rules! queue_core {
     };
 }
 
-/// Stamps the enqueue/dequeue half for the by-value `u64` lanes.
-macro_rules! scalar_io {
+/// How a lane's element crosses the C boundary: `u64` by value, a
+/// `[u8; N]` blob through a byte pointer of any alignment (exactly `N`
+/// bytes are copied each way).
+trait Elem: Copy {
+    /// What an enqueue takes the element as.
+    type In: Copy;
+    /// What a dequeue writes the element through a pointer to.
+    type Unit;
+    /// Whether `value` is a NULL pointer (never, for a by-value element).
+    fn is_null(value: Self::In) -> bool;
+    /// # Safety
+    /// A pointer `value` is non-NULL and addresses one readable element.
+    unsafe fn read(value: Self::In) -> Self;
+    /// # Safety
+    /// `out` is non-NULL and addresses one writable element.
+    unsafe fn write(self, out: *mut Self::Unit);
+}
+
+impl Elem for u64 {
+    type In = u64;
+    type Unit = u64;
+    fn is_null(_: u64) -> bool {
+        false
+    }
+    unsafe fn read(value: u64) -> u64 {
+        value
+    }
+    unsafe fn write(self, out: *mut u64) {
+        // SAFETY: per this function's contract.
+        unsafe { *out = self };
+    }
+}
+
+impl<const N: usize> Elem for [u8; N] {
+    type In = *const u8;
+    type Unit = u8;
+    fn is_null(value: *const u8) -> bool {
+        value.is_null()
+    }
+    unsafe fn read(value: *const u8) -> Self {
+        // SAFETY: per this function's contract `value` points at N
+        // readable bytes; read_unaligned imposes no alignment.
+        unsafe { core::ptr::read_unaligned(value.cast()) }
+    }
+    unsafe fn write(self, out: *mut u8) {
+        // SAFETY: per this function's contract `out` points at N writable
+        // bytes; plain byte copy, no alignment.
+        unsafe { core::ptr::copy_nonoverlapping(self.as_ptr(), out, N) };
+    }
+}
+
+/// Writes a dequeued element through `out`, or maps the error to its
+/// status with `status`.
+///
+/// # Safety
+/// `out` is non-NULL and addresses one writable element.
+unsafe fn deliver<E: Elem, X>(got: Result<E, X>, out: *mut E::Unit, status: fn(X) -> i32) -> i32 {
+    match got {
+        Ok(v) => {
+            // SAFETY: per this function's contract.
+            unsafe { v.write(out) };
+            FFQ_OK
+        }
+        Err(e) => status(e),
+    }
+}
+
+/// Stamps the enqueue/dequeue half of one typed lane over its [`Elem`]
+/// codec; `value` and `out` name the codec's `In` and `Unit` types (the C
+/// signatures spell them out). The header contract gives every non-NULL
+/// element pointer room for exactly one element.
+macro_rules! typed_io {
     (
+        elem: $elem:ty, value: $In:ty, out: $Unit:ty,
         producer_handle: $Producer:ident, consumer_handle: $Consumer:ident,
         fns: $enqueue:ident, $try_enqueue:ident,
              $dequeue:ident, $try_dequeue:ident, $dequeue_timeout_ms:ident
@@ -229,13 +300,18 @@ macro_rules! scalar_io {
         #[doc = "Enqueues `value`, blocking while the queue is full. \
                  `FFQ_POISONED` if a peer died."]
         #[no_mangle]
-        pub unsafe extern "C" fn $enqueue(p: *mut $Producer, value: u64) -> i32 {
+        pub unsafe extern "C" fn $enqueue(p: *mut $Producer, value: $In) -> i32 {
             guard(|| {
+                if <$elem>::is_null(value) {
+                    set_last_error("value is NULL");
+                    return FFQ_ERR_NULL;
+                }
                 let h = handle!(p);
                 if h.inner.is_poisoned() {
                     return poisoned();
                 }
-                match h.inner.enqueue(value) {
+                // SAFETY: NULL-checked above; one element per the header.
+                match h.inner.enqueue(unsafe { <$elem>::read(value) }) {
                     Ok(()) => FFQ_OK,
                     Err(e) => {
                         set_last_error(&e.to_string());
@@ -248,13 +324,18 @@ macro_rules! scalar_io {
         #[doc = "Enqueues `value` without blocking: `FFQ_FULL` when no cell \
                  is free, `FFQ_POISONED` if a peer died."]
         #[no_mangle]
-        pub unsafe extern "C" fn $try_enqueue(p: *mut $Producer, value: u64) -> i32 {
+        pub unsafe extern "C" fn $try_enqueue(p: *mut $Producer, value: $In) -> i32 {
             guard(|| {
+                if <$elem>::is_null(value) {
+                    set_last_error("value is NULL");
+                    return FFQ_ERR_NULL;
+                }
                 let h = handle!(p);
                 if h.inner.is_poisoned() {
                     return poisoned();
                 }
-                match h.inner.try_enqueue(value) {
+                // SAFETY: NULL-checked above; one element per the header.
+                match h.inner.try_enqueue(unsafe { <$elem>::read(value) }) {
                     Ok(()) => FFQ_OK,
                     Err(_) if h.inner.is_poisoned() => poisoned(),
                     Err(_) => FFQ_FULL,
@@ -262,189 +343,45 @@ macro_rules! scalar_io {
             })
         }
 
-        #[doc = "Dequeues into `*out`, blocking while the queue is empty. \
+        #[doc = "Dequeues into `out`, blocking while the queue is empty. \
                  `FFQ_DISCONNECTED` once the producer detached cleanly and \
                  the queue drained; `FFQ_POISONED` if a peer died."]
         #[no_mangle]
-        pub unsafe extern "C" fn $dequeue(c: *mut $Consumer, out: *mut u64) -> i32 {
+        pub unsafe extern "C" fn $dequeue(c: *mut $Consumer, out: *mut $Unit) -> i32 {
             guard(|| {
                 out_ptr!(out);
                 let h = handle!(c);
-                match h.inner.dequeue() {
-                    Ok(v) => {
-                        // SAFETY: out was null-checked.
-                        unsafe { *out = v };
-                        FFQ_OK
-                    }
-                    Err(e) => dequeue_status(e),
-                }
+                // SAFETY: NULL-checked above; one element per the header.
+                unsafe { deliver(h.inner.dequeue(), out, dequeue_status) }
             })
         }
 
-        #[doc = "Dequeues into `*out` without blocking: `FFQ_EMPTY` when \
+        #[doc = "Dequeues into `out` without blocking: `FFQ_EMPTY` when \
                  nothing is ready."]
         #[no_mangle]
-        pub unsafe extern "C" fn $try_dequeue(c: *mut $Consumer, out: *mut u64) -> i32 {
+        pub unsafe extern "C" fn $try_dequeue(c: *mut $Consumer, out: *mut $Unit) -> i32 {
             guard(|| {
                 out_ptr!(out);
                 let h = handle!(c);
-                match h.inner.try_dequeue() {
-                    Ok(v) => {
-                        // SAFETY: out was null-checked.
-                        unsafe { *out = v };
-                        FFQ_OK
-                    }
-                    Err(e) => try_dequeue_status(e),
-                }
+                // SAFETY: NULL-checked above; one element per the header.
+                unsafe { deliver(h.inner.try_dequeue(), out, try_dequeue_status) }
             })
         }
 
-        #[doc = "Dequeues into `*out`, giving up with `FFQ_EMPTY` after \
+        #[doc = "Dequeues into `out`, giving up with `FFQ_EMPTY` after \
                  `timeout_ms` milliseconds."]
         #[no_mangle]
         pub unsafe extern "C" fn $dequeue_timeout_ms(
             c: *mut $Consumer,
-            out: *mut u64,
+            out: *mut $Unit,
             timeout_ms: u64,
         ) -> i32 {
             guard(|| {
                 out_ptr!(out);
                 let h = handle!(c);
-                match h.inner.dequeue_timeout(Duration::from_millis(timeout_ms)) {
-                    Ok(v) => {
-                        // SAFETY: out was null-checked.
-                        unsafe { *out = v };
-                        FFQ_OK
-                    }
-                    Err(e) => try_dequeue_status(e),
-                }
-            })
-        }
-    };
-}
-
-/// Stamps the enqueue/dequeue half for the by-pointer `[u8; N]` lanes.
-/// Caller buffers need no alignment; exactly `N` bytes are copied.
-macro_rules! blob_io {
-    (
-        n: $n:literal,
-        producer_handle: $Producer:ident, consumer_handle: $Consumer:ident,
-        fns: $enqueue:ident, $try_enqueue:ident,
-             $dequeue:ident, $try_dequeue:ident, $dequeue_timeout_ms:ident
-    ) => {
-        #[doc = concat!(
-                            "Enqueues the ", stringify!($n), " bytes at `value`, blocking ",
-                            "while the queue is full. `FFQ_POISONED` if a peer died."
-                        )]
-        #[no_mangle]
-        pub unsafe extern "C" fn $enqueue(p: *mut $Producer, value: *const u8) -> i32 {
-            guard(|| {
-                out_ptr!(value);
-                let h = handle!(p);
-                if h.inner.is_poisoned() {
-                    return poisoned();
-                }
-                // SAFETY: per the header contract `value` points at N
-                // readable bytes; read_unaligned imposes no alignment.
-                let v: [u8; $n] = unsafe { core::ptr::read_unaligned(value.cast()) };
-                match h.inner.enqueue(v) {
-                    Ok(()) => FFQ_OK,
-                    Err(e) => {
-                        set_last_error(&e.to_string());
-                        FFQ_POISONED
-                    }
-                }
-            })
-        }
-
-        #[doc = concat!(
-                            "Enqueues the ", stringify!($n), " bytes at `value` without ",
-                            "blocking: `FFQ_FULL` when no cell is free."
-                        )]
-        #[no_mangle]
-        pub unsafe extern "C" fn $try_enqueue(p: *mut $Producer, value: *const u8) -> i32 {
-            guard(|| {
-                out_ptr!(value);
-                let h = handle!(p);
-                if h.inner.is_poisoned() {
-                    return poisoned();
-                }
-                // SAFETY: per the header contract `value` points at N
-                // readable bytes; read_unaligned imposes no alignment.
-                let v: [u8; $n] = unsafe { core::ptr::read_unaligned(value.cast()) };
-                match h.inner.try_enqueue(v) {
-                    Ok(()) => FFQ_OK,
-                    Err(_) if h.inner.is_poisoned() => poisoned(),
-                    Err(_) => FFQ_FULL,
-                }
-            })
-        }
-
-        #[doc = concat!(
-                            "Dequeues ", stringify!($n), " bytes into `out`, blocking while ",
-                            "the queue is empty. `FFQ_DISCONNECTED` once the producer ",
-                            "detached cleanly and the queue drained."
-                        )]
-        #[no_mangle]
-        pub unsafe extern "C" fn $dequeue(c: *mut $Consumer, out: *mut u8) -> i32 {
-            guard(|| {
-                out_ptr!(out);
-                let h = handle!(c);
-                match h.inner.dequeue() {
-                    Ok(v) => {
-                        // SAFETY: per the header contract `out` points at N
-                        // writable bytes; plain byte copy, no alignment.
-                        unsafe { core::ptr::copy_nonoverlapping(v.as_ptr(), out, $n) };
-                        FFQ_OK
-                    }
-                    Err(e) => dequeue_status(e),
-                }
-            })
-        }
-
-        #[doc = concat!(
-                            "Dequeues ", stringify!($n), " bytes into `out` without ",
-                            "blocking: `FFQ_EMPTY` when nothing is ready."
-                        )]
-        #[no_mangle]
-        pub unsafe extern "C" fn $try_dequeue(c: *mut $Consumer, out: *mut u8) -> i32 {
-            guard(|| {
-                out_ptr!(out);
-                let h = handle!(c);
-                match h.inner.try_dequeue() {
-                    Ok(v) => {
-                        // SAFETY: per the header contract `out` points at N
-                        // writable bytes; plain byte copy, no alignment.
-                        unsafe { core::ptr::copy_nonoverlapping(v.as_ptr(), out, $n) };
-                        FFQ_OK
-                    }
-                    Err(e) => try_dequeue_status(e),
-                }
-            })
-        }
-
-        #[doc = concat!(
-                            "Dequeues ", stringify!($n), " bytes into `out`, giving up with ",
-                            "`FFQ_EMPTY` after `timeout_ms` milliseconds."
-                        )]
-        #[no_mangle]
-        pub unsafe extern "C" fn $dequeue_timeout_ms(
-            c: *mut $Consumer,
-            out: *mut u8,
-            timeout_ms: u64,
-        ) -> i32 {
-            guard(|| {
-                out_ptr!(out);
-                let h = handle!(c);
-                match h.inner.dequeue_timeout(Duration::from_millis(timeout_ms)) {
-                    Ok(v) => {
-                        // SAFETY: per the header contract `out` points at N
-                        // writable bytes; plain byte copy, no alignment.
-                        unsafe { core::ptr::copy_nonoverlapping(v.as_ptr(), out, $n) };
-                        FFQ_OK
-                    }
-                    Err(e) => try_dequeue_status(e),
-                }
+                let got = h.inner.dequeue_timeout(Duration::from_millis(timeout_ms));
+                // SAFETY: NULL-checked above; one element per the header.
+                unsafe { deliver(got, out, try_dequeue_status) }
             })
         }
     };
@@ -464,7 +401,8 @@ queue_core! {
          ffq_spsc_u64_consumer_capacity, ffq_spsc_u64_consumer_is_poisoned,
          ffq_spsc_u64_consumer_poison, ffq_spsc_u64_consumer_close
 }
-scalar_io! {
+typed_io! {
+    elem: u64, value: u64, out: u64,
     producer_handle: FfqSpscU64Producer, consumer_handle: FfqSpscU64Consumer,
     fns: ffq_spsc_u64_enqueue, ffq_spsc_u64_try_enqueue,
          ffq_spsc_u64_dequeue, ffq_spsc_u64_try_dequeue, ffq_spsc_u64_dequeue_timeout_ms
@@ -480,7 +418,8 @@ queue_core! {
          ffq_spmc_u64_consumer_capacity, ffq_spmc_u64_consumer_is_poisoned,
          ffq_spmc_u64_consumer_poison, ffq_spmc_u64_consumer_close
 }
-scalar_io! {
+typed_io! {
+    elem: u64, value: u64, out: u64,
     producer_handle: FfqSpmcU64Producer, consumer_handle: FfqSpmcU64Consumer,
     fns: ffq_spmc_u64_enqueue, ffq_spmc_u64_try_enqueue,
          ffq_spmc_u64_dequeue, ffq_spmc_u64_try_dequeue, ffq_spmc_u64_dequeue_timeout_ms
@@ -500,8 +439,8 @@ queue_core! {
          ffq_spsc_16b_consumer_capacity, ffq_spsc_16b_consumer_is_poisoned,
          ffq_spsc_16b_consumer_poison, ffq_spsc_16b_consumer_close
 }
-blob_io! {
-    n: 16,
+typed_io! {
+    elem: [u8; 16], value: *const u8, out: u8,
     producer_handle: FfqSpsc16bProducer, consumer_handle: FfqSpsc16bConsumer,
     fns: ffq_spsc_16b_enqueue, ffq_spsc_16b_try_enqueue,
          ffq_spsc_16b_dequeue, ffq_spsc_16b_try_dequeue, ffq_spsc_16b_dequeue_timeout_ms
@@ -517,8 +456,8 @@ queue_core! {
          ffq_spmc_16b_consumer_capacity, ffq_spmc_16b_consumer_is_poisoned,
          ffq_spmc_16b_consumer_poison, ffq_spmc_16b_consumer_close
 }
-blob_io! {
-    n: 16,
+typed_io! {
+    elem: [u8; 16], value: *const u8, out: u8,
     producer_handle: FfqSpmc16bProducer, consumer_handle: FfqSpmc16bConsumer,
     fns: ffq_spmc_16b_enqueue, ffq_spmc_16b_try_enqueue,
          ffq_spmc_16b_dequeue, ffq_spmc_16b_try_dequeue, ffq_spmc_16b_dequeue_timeout_ms
@@ -538,8 +477,8 @@ queue_core! {
          ffq_spsc_32b_consumer_capacity, ffq_spsc_32b_consumer_is_poisoned,
          ffq_spsc_32b_consumer_poison, ffq_spsc_32b_consumer_close
 }
-blob_io! {
-    n: 32,
+typed_io! {
+    elem: [u8; 32], value: *const u8, out: u8,
     producer_handle: FfqSpsc32bProducer, consumer_handle: FfqSpsc32bConsumer,
     fns: ffq_spsc_32b_enqueue, ffq_spsc_32b_try_enqueue,
          ffq_spsc_32b_dequeue, ffq_spsc_32b_try_dequeue, ffq_spsc_32b_dequeue_timeout_ms
@@ -555,8 +494,8 @@ queue_core! {
          ffq_spmc_32b_consumer_capacity, ffq_spmc_32b_consumer_is_poisoned,
          ffq_spmc_32b_consumer_poison, ffq_spmc_32b_consumer_close
 }
-blob_io! {
-    n: 32,
+typed_io! {
+    elem: [u8; 32], value: *const u8, out: u8,
     producer_handle: FfqSpmc32bProducer, consumer_handle: FfqSpmc32bConsumer,
     fns: ffq_spmc_32b_enqueue, ffq_spmc_32b_try_enqueue,
          ffq_spmc_32b_dequeue, ffq_spmc_32b_try_dequeue, ffq_spmc_32b_dequeue_timeout_ms
@@ -576,8 +515,8 @@ queue_core! {
          ffq_spsc_64b_consumer_capacity, ffq_spsc_64b_consumer_is_poisoned,
          ffq_spsc_64b_consumer_poison, ffq_spsc_64b_consumer_close
 }
-blob_io! {
-    n: 64,
+typed_io! {
+    elem: [u8; 64], value: *const u8, out: u8,
     producer_handle: FfqSpsc64bProducer, consumer_handle: FfqSpsc64bConsumer,
     fns: ffq_spsc_64b_enqueue, ffq_spsc_64b_try_enqueue,
          ffq_spsc_64b_dequeue, ffq_spsc_64b_try_dequeue, ffq_spsc_64b_dequeue_timeout_ms
@@ -593,8 +532,8 @@ queue_core! {
          ffq_spmc_64b_consumer_capacity, ffq_spmc_64b_consumer_is_poisoned,
          ffq_spmc_64b_consumer_poison, ffq_spmc_64b_consumer_close
 }
-blob_io! {
-    n: 64,
+typed_io! {
+    elem: [u8; 64], value: *const u8, out: u8,
     producer_handle: FfqSpmc64bProducer, consumer_handle: FfqSpmc64bConsumer,
     fns: ffq_spmc_64b_enqueue, ffq_spmc_64b_try_enqueue,
          ffq_spmc_64b_dequeue, ffq_spmc_64b_try_dequeue, ffq_spmc_64b_dequeue_timeout_ms

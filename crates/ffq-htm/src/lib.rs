@@ -2,7 +2,7 @@
 //!
 //! The paper's comparative study (Figure 8) includes "a simple concurrent
 //! queue algorithm that uses hardware transactional memory (HTM) extensions
-//! of Intel and IBM CPUs ... based on a bounded circular buffer [that]
+//! of Intel and IBM CPUs ... based on a bounded circular buffer \[that\]
 //! simply executes the enqueue and dequeue operations inside hardware
 //! transactions". No TM hardware is available in this environment, so this
 //! crate provides the documented substitution (DESIGN.md §4.2): a

@@ -355,7 +355,7 @@ pub mod atomic {
     /// model thread runs its operations in program order, so there is no
     /// reordering for it to forbid; what a compiler fence buys the real
     /// code — a `membarrier` landing between the two accesses it
-    /// separates — is modeled by [`heavy_barrier`](super::heavy_barrier).
+    /// separates — is modeled by [`super::heavy_barrier`].
     pub fn compiler_fence(ord: Ordering) {
         if ord == Ordering::Relaxed {
             panic!("there is no such thing as a relaxed compiler fence");

@@ -41,7 +41,7 @@ use ffq::error::{BroadcastTryRecvError, Full, TryDequeueError, TryReserveError};
 use ffq::layout::{IndexMap, LinearMap};
 use ffq::raw::{QueueState, RawConsumer, RawProducer, RawQueue, RawSpscConsumer, ShmSafe};
 use ffq::stats::{ConsumerStats, ProducerStats, SubscriberStats};
-use ffq_sync::{sys, WaitRound, WaitStrategy};
+use ffq_sync::sys;
 
 use crate::error::{
     Poisoned, ShmBroadcastRecvError, ShmBroadcastTryRecvError, ShmDequeueError, ShmError,
@@ -1077,21 +1077,12 @@ impl ShmBytesProducer {
     pub fn reserve(&mut self, len: usize) -> Result<WriteSlot<'_, SpProducer>, ShmReserveError> {
         let engine = &mut self.engine;
         let reserved = self.att.block(None, |slice| {
-            let mut strat = WaitStrategy::new(engine.wait_config());
-            let mut end = None;
-            loop {
-                match engine.try_reserve_pending(len) {
-                    Ok(()) => return Some(Ok(())),
-                    Err(TryReserveError::TooLarge { len, max }) => {
-                        return Some(Err(ShmReserveError::TooLarge { len, max }))
-                    }
-                    Err(TryReserveError::Full) => {
-                        let d = *end.get_or_insert_with(|| Instant::now() + slice);
-                        if engine.full_wait_round(len, &mut strat, Some(d)) == WaitRound::Expired {
-                            return None;
-                        }
-                    }
+            match engine.reserve_pending(len, Some(slice)) {
+                Ok(()) => Some(Ok(())),
+                Err(TryReserveError::TooLarge { len, max }) => {
+                    Some(Err(ShmReserveError::TooLarge { len, max }))
                 }
+                Err(TryReserveError::Full) => None,
             }
         });
         reserved.unwrap_or(Err(ShmReserveError::Poisoned))?;
@@ -1184,21 +1175,12 @@ macro_rules! bytes_consumer_common_impl {
 
         fn claim(&mut self, deadline: Option<Instant>) -> Result<(), ShmTryDequeueError> {
             let engine = &mut self.engine;
-            let claimed = self.att.block(deadline, |slice| {
-                let mut strat = WaitStrategy::new(engine.wait_config());
-                let mut end = None;
-                loop {
-                    match engine.try_claim_payload() {
-                        Err(TryDequeueError::Empty) => {
-                            let d = *end.get_or_insert_with(|| Instant::now() + slice);
-                            if engine.empty_wait_round(&mut strat, Some(d)) == WaitRound::Expired {
-                                return None;
-                            }
-                        }
-                        r => return Some(r),
-                    }
-                }
-            })?;
+            let claimed =
+                self.att
+                    .block(deadline, |slice| match engine.claim_payload(Some(slice)) {
+                        Err(TryDequeueError::Empty) => None,
+                        r => Some(r),
+                    })?;
             claimed.map_err(|_| ShmTryDequeueError::Disconnected)
         }
 

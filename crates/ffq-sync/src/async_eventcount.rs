@@ -271,7 +271,7 @@ impl AsyncWaitCell {
     /// Wakes up to `n` registered waiters, in registration order.
     ///
     /// Call *after* publishing the condition the waiters poll; the SeqCst
-    /// fence pairs with the one in [`Self::register`], as in the blocking
+    /// fence pairs with the one in `register`, as in the blocking
     /// cell's symmetric pair. Costs one fence + one relaxed load when
     /// nobody is registered.
     #[inline]

@@ -393,13 +393,14 @@ pub enum WaitRound {
 /// Per-wait-loop driver: owns the spin/yield/park progression for one
 /// blocking or timed operation.
 ///
-/// Usage shape (the queue crates wrap this):
+/// Usage shape (the queue crates wrap this; a blocking call and its timed
+/// twin share the loop, the untimed one passing `timeout = None`):
 ///
 /// ```ignore
 /// let mut strat = WaitStrategy::new(cfg);
 /// loop {
 ///     if let Some(v) = try_the_operation() { return Ok(v); }
-///     match strat.wait_round(&cell, shared, deadline, &mut || condition_ready()) {
+///     match strat.wait_round_for(&cell, shared, timeout, &mut || condition_ready()) {
 ///         WaitRound::Expired => return Err(Timeout),
 ///         _ => {}
 ///     }
@@ -413,6 +414,8 @@ pub struct WaitStrategy {
     backoff: Backoff,
     /// Wait rounds since the last deadline sample (spin phase only).
     since_deadline_check: u32,
+    /// The deadline of [`Self::wait_round_for`], fixed by its first round.
+    deadline: Option<Instant>,
     /// Parks performed, for the `parks` statistics counters.
     parks: u64,
 }
@@ -425,6 +428,7 @@ impl WaitStrategy {
             cfg,
             backoff: Backoff::with_limits(cfg.spin_limit, cfg.yield_limit),
             since_deadline_check: 0,
+            deadline: None,
             parks: 0,
         }
     }
@@ -512,6 +516,22 @@ impl WaitStrategy {
         cell.cancel_wait();
         self.parks += 1;
         WaitRound::Parked
+    }
+
+    /// [`wait_round`](Self::wait_round) for a blocking call that gives up
+    /// `timeout` after its first miss (`None`: never). This strategy's
+    /// first round reads the deadline off the clock, so a call whose first
+    /// attempt succeeds reads no clock at all — `ffq-shm` runs every
+    /// blocking call as a series of such timed calls, one per slice.
+    pub fn wait_round_for(
+        &mut self,
+        cell: &WaitCell,
+        shared: bool,
+        timeout: Option<Duration>,
+        ready: &mut dyn FnMut() -> bool,
+    ) -> WaitRound {
+        let deadline = timeout.map(|t| *self.deadline.get_or_insert_with(|| Instant::now() + t));
+        self.wait_round(cell, shared, deadline, ready)
     }
 }
 

@@ -6,9 +6,10 @@
 //! the opposite contract on both counts: *all* subscribers observe the full
 //! stream, and a subscriber that cannot keep up detects loss and resyncs
 //! rather than slowing anyone down. This module provides that shape over
-//! the same [`crate::raw`] memory layout — a [`QueueState`] counter block
-//! plus a cell array — so it works in-heap here and over POSIX shared
-//! memory in `ffq-shm`, unchanged.
+//! the same [`crate::raw`] memory layout — a
+//! [`QueueState`](crate::raw::QueueState) counter block plus a cell array
+//! — so it works in-heap here and over POSIX shared memory in `ffq-shm`,
+//! unchanged.
 //!
 //! # Protocol: version-stamped seqlock cells
 //!
@@ -67,7 +68,7 @@
 //! ```
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ffq_sync::atomic::{fence, Ordering};
 use ffq_sync::{WaitConfig, WaitRound, WaitStrategy};
@@ -335,61 +336,46 @@ impl<T: Copy + Send, C: CellSlot<T>, M: IndexMap> RawBroadcastSubscriber<T, C, M
     /// whether to keep consuming after loss (the next `recv` resumes at
     /// the oldest retained item).
     pub fn recv(&mut self) -> Result<T, BroadcastRecvError> {
+        // Without a timeout the wait never ends `Empty`.
+        self.recv_for(None).map_err(|e| match e {
+            BroadcastTryRecvError::Lagged(n) => BroadcastRecvError::Lagged(n),
+            _ => BroadcastRecvError::Closed,
+        })
+    }
+
+    /// Receives the next item, giving up after `timeout` (returning
+    /// `Empty`) if nothing new is published by then.
+    pub fn recv_timeout(&mut self, timeout: Duration) -> Result<T, BroadcastTryRecvError> {
+        self.recv_for(Some(timeout))
+    }
+
+    /// The one wait loop of [`recv`](Self::recv) and
+    /// [`recv_timeout`](Self::recv_timeout).
+    fn recv_for(&mut self, timeout: Option<Duration>) -> Result<T, BroadcastTryRecvError> {
         let mut strat = WaitStrategy::new(self.wait);
         let q = self.queue;
         let res = loop {
             match self.try_recv() {
-                Ok(v) => break Ok(v),
-                Err(BroadcastTryRecvError::Lagged(n)) => break Err(BroadcastRecvError::Lagged(n)),
-                Err(BroadcastTryRecvError::Closed) => break Err(BroadcastRecvError::Closed),
                 Err(BroadcastTryRecvError::Empty) => {
                     let cursor = self.cursor;
                     let state = q.state();
                     // Ready = something new was published past our cursor,
                     // or the producer is gone. Fresh Acquire loads on
                     // purpose — this predicate runs between park rounds.
-                    strat.wait_round(state.not_empty(), state.wait_is_shared(), None, &mut || {
-                        state.tail().load(Ordering::Acquire) > cursor
-                            || state.producers().load(Ordering::Acquire) == 0
-                    });
-                }
-            }
-        };
-        self.stats.parks += strat.parks();
-        res
-    }
-
-    /// Receives the next item, giving up after `timeout` (returning
-    /// `Empty`) if nothing new is published by then.
-    pub fn recv_timeout(&mut self, timeout: Duration) -> Result<T, BroadcastTryRecvError> {
-        // Deadline materializes on the first empty round: a hit must not
-        // pay a clock read.
-        let mut deadline = None;
-        let mut strat = WaitStrategy::new(self.wait);
-        let q = self.queue;
-        let res = loop {
-            match self.try_recv() {
-                Ok(v) => break Ok(v),
-                e @ Err(BroadcastTryRecvError::Lagged(_) | BroadcastTryRecvError::Closed) => {
-                    break e
-                }
-                e @ Err(BroadcastTryRecvError::Empty) => {
-                    let d = *deadline.get_or_insert_with(|| Instant::now() + timeout);
-                    let cursor = self.cursor;
-                    let state = q.state();
-                    let round = strat.wait_round(
+                    let round = strat.wait_round_for(
                         state.not_empty(),
                         state.wait_is_shared(),
-                        Some(d),
+                        timeout,
                         &mut || {
                             state.tail().load(Ordering::Acquire) > cursor
                                 || state.producers().load(Ordering::Acquire) == 0
                         },
                     );
                     if round == WaitRound::Expired {
-                        break e;
+                        break Err(BroadcastTryRecvError::Empty);
                     }
                 }
+                res => break res,
             }
         };
         self.stats.parks += strat.parks();

@@ -56,7 +56,7 @@
 use core::ops::{Deref, DerefMut};
 use core::ptr::NonNull;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ffq_sync::atomic::Ordering;
 use ffq_sync::{WaitConfig, WaitRound, WaitStrategy};
@@ -66,7 +66,7 @@ use crate::cell::{
 };
 use crate::error::{CapacityError, Disconnected, ReserveError, TryDequeueError, TryReserveError};
 use crate::layout::{normalize_capacity, normalize_slot_bytes, IndexMap, LinearMap};
-use crate::mpmc::{claim_rank_cell, publish_claimed_rank};
+use crate::mpmc::{self, claim_rank_cell, publish_claimed_rank};
 use crate::raw::{QueueState, RawConsumer, RawProducer, RawQueue, RawSpscConsumer};
 use crate::stats::{ConsumerStats, ProducerStats};
 
@@ -294,10 +294,33 @@ pub trait BytesProducer: sealed::Sealed + Sized {
         &mut self,
         len: usize,
         strat: &mut WaitStrategy,
-        deadline: Option<Instant>,
+        timeout: Option<Duration>,
     ) -> WaitRound;
     #[doc(hidden)]
     fn wait_config(&self) -> WaitConfig;
+
+    /// The one wait loop of every blocking reserve: holds a reservation
+    /// like [`try_reserve_pending`](Self::try_reserve_pending), waiting
+    /// while the queue is full; [`TryReserveError::Full`] once `timeout`
+    /// has passed since the first full round (never without one).
+    #[doc(hidden)]
+    fn reserve_pending(
+        &mut self,
+        len: usize,
+        timeout: Option<Duration>,
+    ) -> Result<(), TryReserveError> {
+        let mut strat = WaitStrategy::new(self.wait_config());
+        loop {
+            match self.try_reserve_pending(len) {
+                Err(TryReserveError::Full) => {
+                    if self.full_wait_round(len, &mut strat, timeout) == WaitRound::Expired {
+                        return Err(TryReserveError::Full);
+                    }
+                }
+                res => return res,
+            }
+        }
+    }
 
     /// Reserves space for a `len`-byte payload without blocking.
     ///
@@ -326,17 +349,9 @@ pub trait BytesProducer: sealed::Sealed + Sized {
     /// Only the permanent failure remains: a payload no reservation on
     /// this queue can ever satisfy.
     fn reserve(&mut self, len: usize) -> Result<WriteSlot<'_, Self>, ReserveError> {
-        let mut strat = WaitStrategy::new(self.wait_config());
-        loop {
-            match self.try_reserve_pending(len) {
-                Ok(()) => break,
-                Err(TryReserveError::TooLarge { len, max }) => {
-                    return Err(ReserveError::TooLarge { len, max });
-                }
-                Err(TryReserveError::Full) => {
-                    self.full_wait_round(len, &mut strat, None);
-                }
-            }
+        // Without a timeout the wait never ends `Full`.
+        if let Err(TryReserveError::TooLarge { len, max }) = self.reserve_pending(len, None) {
+            return Err(ReserveError::TooLarge { len, max });
         }
         let (ptr, n) = self.pending_parts();
         Ok(WriteSlot {
@@ -393,10 +408,29 @@ pub trait BytesConsumer: sealed::Sealed + Sized {
     fn empty_wait_round(
         &mut self,
         strat: &mut WaitStrategy,
-        deadline: Option<Instant>,
+        timeout: Option<Duration>,
     ) -> WaitRound;
     #[doc(hidden)]
     fn wait_config(&self) -> WaitConfig;
+
+    /// The one wait loop of every blocking receive: holds a claim like
+    /// [`try_claim_payload`](Self::try_claim_payload), waiting while the
+    /// queue is empty; [`TryDequeueError::Empty`] once `timeout` has passed
+    /// since the first empty round (never without one).
+    #[doc(hidden)]
+    fn claim_payload(&mut self, timeout: Option<Duration>) -> Result<(), TryDequeueError> {
+        let mut strat = WaitStrategy::new(self.wait_config());
+        loop {
+            match self.try_claim_payload() {
+                Err(TryDequeueError::Empty) => {
+                    if self.empty_wait_round(&mut strat, timeout) == WaitRound::Expired {
+                        return Err(TryDequeueError::Empty);
+                    }
+                }
+                res => return res,
+            }
+        }
+    }
 
     /// Claims the next payload without blocking.
     ///
@@ -412,36 +446,15 @@ pub trait BytesConsumer: sealed::Sealed + Sized {
     /// Claims the next payload, waiting — spinning, then parking per the
     /// configured [`WaitConfig`] — while the queue is empty.
     fn recv(&mut self) -> Result<PayloadRef<'_, Self>, Disconnected> {
-        let mut strat = WaitStrategy::new(self.wait_config());
-        loop {
-            match self.try_claim_payload() {
-                Ok(()) => break,
-                Err(TryDequeueError::Disconnected) => return Err(Disconnected),
-                Err(TryDequeueError::Empty) => {
-                    self.empty_wait_round(&mut strat, None);
-                }
-            }
-        }
+        // Without a timeout only a disconnect ends the wait.
+        self.claim_payload(None).map_err(|_| Disconnected)?;
         let (ptr, len) = self.claimed_parts();
         Ok(PayloadRef { rx: self, ptr, len })
     }
 
     /// Claims the next payload, giving up after `timeout`.
     fn recv_timeout(&mut self, timeout: Duration) -> Result<PayloadRef<'_, Self>, TryDequeueError> {
-        let mut strat = WaitStrategy::new(self.wait_config());
-        let mut deadline = None;
-        loop {
-            match self.try_claim_payload() {
-                Ok(()) => break,
-                Err(TryDequeueError::Disconnected) => return Err(TryDequeueError::Disconnected),
-                Err(TryDequeueError::Empty) => {
-                    let d = *deadline.get_or_insert_with(|| Instant::now() + timeout);
-                    if self.empty_wait_round(&mut strat, Some(d)) == WaitRound::Expired {
-                        return Err(TryDequeueError::Empty);
-                    }
-                }
-            }
-        }
+        self.claim_payload(Some(timeout))?;
         let (ptr, len) = self.claimed_parts();
         Ok(PayloadRef { rx: self, ptr, len })
     }
@@ -755,16 +768,16 @@ impl BytesProducer for SpProducer {
         &mut self,
         len: usize,
         strat: &mut WaitStrategy,
-        deadline: Option<Instant>,
+        timeout: Option<Duration>,
     ) -> WaitRound {
         let need = self.cells_for(len) as i64;
         let tail = self.raw.tail_rank();
         let cap = self.raw.capacity() as i64;
         let state = self.raw.queue().state();
-        strat.wait_round(
+        strat.wait_round_for(
             state.not_full(),
             state.wait_is_shared(),
-            deadline,
+            timeout,
             &mut || {
                 // Ready once consumers have drained far enough that a run of
                 // `need` cells *can* be free. (The single producer's tail is
@@ -879,15 +892,11 @@ impl BytesProducer for MpProducer {
         }
         // Counter pre-check: reject a clearly full queue in O(1) without
         // consuming tail ranks.
-        let state = self.queue.state();
-        let cap = self.queue.capacity();
-        let tail = state.tail().load(Ordering::Relaxed);
-        let head = state.head().load(Ordering::Acquire);
-        if tail - head >= cap as i64 {
+        if mpmc::looks_full(&self.queue) {
             self.stats.full_rejections += 1;
             return Err(TryReserveError::Full);
         }
-        let rank = claim_rank_cell(&self.queue, &mut self.stats, cap)
+        let rank = claim_rank_cell(&self.queue, &mut self.stats, self.queue.capacity())
             .map_err(|_| TryReserveError::Full)?;
         self.pending = Some(if len <= slot_bytes {
             PendingWrite::Inline { rank, len }
@@ -944,20 +953,9 @@ impl BytesProducer for MpProducer {
         &mut self,
         _len: usize,
         strat: &mut WaitStrategy,
-        deadline: Option<Instant>,
+        timeout: Option<Duration>,
     ) -> WaitRound {
-        let state = self.queue.state();
-        let cap = self.queue.capacity() as i64;
-        strat.wait_round(
-            state.not_full(),
-            state.wait_is_shared(),
-            deadline,
-            &mut || {
-                let tail = state.tail().load(Ordering::Acquire);
-                let head = state.head().load(Ordering::Acquire);
-                tail - head < cap
-            },
-        )
+        mpmc::full_wait_round(&self.queue, strat, timeout)
     }
 
     fn wait_config(&self) -> WaitConfig {
@@ -1186,13 +1184,13 @@ impl BytesConsumer for SpscConsumer {
     fn empty_wait_round(
         &mut self,
         strat: &mut WaitStrategy,
-        deadline: Option<Instant>,
+        timeout: Option<Duration>,
     ) -> WaitRound {
         let state = self.raw.queue().state();
-        strat.wait_round(
+        strat.wait_round_for(
             state.not_empty(),
             state.wait_is_shared(),
-            deadline,
+            timeout,
             &mut || self.raw.wake_ready(),
         )
     }
@@ -1327,13 +1325,13 @@ impl<const MP: bool> BytesConsumer for McConsumer<MP> {
     fn empty_wait_round(
         &mut self,
         strat: &mut WaitStrategy,
-        deadline: Option<Instant>,
+        timeout: Option<Duration>,
     ) -> WaitRound {
         let state = self.raw.queue().state();
-        strat.wait_round(
+        strat.wait_round_for(
             state.not_empty(),
             state.wait_is_shared(),
-            deadline,
+            timeout,
             &mut || self.raw.wake_ready(),
         )
     }

@@ -19,21 +19,24 @@
 //! lock-free — a producer preempted between claim and publish stalls the
 //! consumer assigned that rank.
 //!
-//! Dequeue is Algorithm 1's `FFQ_DEQ`, unchanged — shared with the SPMC
-//! variant via [`crate::shared::dequeue_core`]. The batched enqueue claims a
-//! rank *run* with one `fetch_add(k)` and resolves every claimed rank with
-//! the same per-cell DWCAS protocol; a claimed rank is never left unresolved
-//! (it is published or becomes a gap before the call blocks or returns),
-//! because an unresolved rank stalls the consumer assigned to it.
+//! Dequeue is Algorithm 1's `FFQ_DEQ`, unchanged — the shared-head engine
+//! [`crate::raw::RawConsumer`] with `MP = true`, as the SPMC variant runs it
+//! with `MP = false`. The batched enqueue claims a rank *run* with one
+//! `fetch_add(k)` and resolves every claimed rank with the same per-cell
+//! DWCAS protocol; a claimed rank is never left unresolved (it is published
+//! or becomes a gap before the call blocks or returns), because an
+//! unresolved rank stalls the consumer assigned to it.
 //!
-//! The multi-producer enqueue engine lives in this module (it is the one
-//! part of the protocol `ffq-shm` does not reuse); the consumer side wraps
-//! [`crate::raw::RawConsumer`] with `MP = true` like the SPMC variant wraps
-//! it with `MP = false`.
+//! Algorithm 2's claim-or-gap step (lines 5–9) exists once, in this module,
+//! over a [`RawQueue`] view: `claim_cell`. Every multi-producer path runs
+//! it — the enqueues here (through `claim_rank_cell` or `resolve_rank`),
+//! the zero-copy bytes reserve, and the unbounded tier's producer — and
+//! publishes with `publish_claimed_rank`. The fullness pre-check and the
+//! not-full wait round on the shared counters are here once too.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ffq_sync::atomic::Ordering;
 
@@ -49,7 +52,7 @@ use crate::WaitConfig;
 
 /// Creates an MPMC queue with the default layout (cache-line aligned cells,
 /// linear mapping) and at least the given capacity (rounded up to a power of
-/// two; see [`normalize_capacity`][crate::layout::normalize_capacity]).
+/// two; see [`crate::layout::normalize_capacity`]).
 ///
 /// Clone either handle for more producers/consumers.
 ///
@@ -119,39 +122,28 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> Producer<T, C, M> {
     /// never-full assumption (the wait machinery only engages once a pass
     /// finds the queue full).
     pub fn enqueue(&mut self, value: T) {
-        let mut value = value;
-        let mut strat = WaitStrategy::new(self.wait);
-        let cap = self.queue.capacity();
-        loop {
-            if !self.looks_full() {
-                match self.enqueue_ranks(value, cap) {
-                    Ok(()) => break,
-                    Err(Full(v)) => value = v,
-                }
-            }
-            self.full_wait_round(&mut strat, None);
-        }
-        self.stats.parks += strat.parks();
+        // Without a timeout the wait never expires, so the value never
+        // comes back.
+        let _ = self.enqueue_for(value, None);
     }
 
     /// Enqueues `value`, giving up (and returning it back) once `timeout`
     /// has elapsed with the queue still full.
     pub fn enqueue_timeout(&mut self, value: T, timeout: Duration) -> Result<(), Full<T>> {
-        // Deadline materializes on the first full round: a successful
-        // enqueue must not pay a clock read (see `raw::enqueue_timeout`).
-        let mut deadline = None;
-        let mut value = value;
+        self.enqueue_for(value, Some(timeout))
+    }
+
+    /// The one wait loop of [`enqueue`](Self::enqueue) and
+    /// [`enqueue_timeout`](Self::enqueue_timeout).
+    #[inline]
+    fn enqueue_for(&mut self, value: T, timeout: Option<Duration>) -> Result<(), Full<T>> {
         let mut strat = WaitStrategy::new(self.wait);
-        let cap = self.queue.capacity();
         let res = loop {
-            if !self.looks_full() {
-                match self.enqueue_ranks(value, cap) {
-                    Ok(()) => break Ok(()),
-                    Err(Full(v)) => value = v,
-                }
+            if let Some(rank) = claim(&self.queue, &mut self.stats) {
+                publish_claimed_rank(&self.queue, &mut self.stats, rank, value);
+                break Ok(());
             }
-            let d = *deadline.get_or_insert_with(|| Instant::now() + timeout);
-            if self.full_wait_round(&mut strat, Some(d)) == WaitRound::Expired {
+            if full_wait_round(&self.queue, &mut strat, timeout) == WaitRound::Expired {
                 self.stats.full_rejections += 1;
                 break Err(Full(value));
             }
@@ -166,34 +158,6 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> Producer<T, C, M> {
         self.wait = cfg;
     }
 
-    /// One wait round on the not-full eventcount; ready as soon as the
-    /// shared counters stop reporting full.
-    #[inline]
-    fn full_wait_round(&self, strat: &mut WaitStrategy, deadline: Option<Instant>) -> WaitRound {
-        let state = self.queue.state();
-        let cap = self.queue.capacity() as i64;
-        strat.wait_round(
-            state.not_full(),
-            state.wait_is_shared(),
-            deadline,
-            &mut || {
-                let tail = state.tail().load(Ordering::Acquire);
-                let head = state.head().load(Ordering::Acquire);
-                tail - head < cap
-            },
-        )
-    }
-
-    /// Fullness pre-check on the shared counters; conservative in the safe
-    /// direction (see [`crate::spmc::Producer::try_enqueue`]). Avoids
-    /// consuming tail ranks when a scan clearly cannot succeed.
-    #[inline]
-    fn looks_full(&self) -> bool {
-        let tail = self.queue.state().tail().load(Ordering::Acquire);
-        let head = self.queue.state().head().load(Ordering::Acquire);
-        tail - head >= self.queue.capacity() as i64
-    }
-
     /// Attempts to enqueue, consuming at most one array's worth of ranks.
     ///
     /// May still spin briefly while another producer that has *claimed* the
@@ -201,16 +165,16 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> Producer<T, C, M> {
     /// abandoned mid-protocol (the consumer assigned to it would stall), so
     /// boundedness is in ranks, not in loop iterations.
     pub fn try_enqueue(&mut self, value: T) -> Result<(), Full<T>> {
-        if self.looks_full() {
-            self.stats.full_rejections += 1;
-            return Err(Full(value));
+        match claim(&self.queue, &mut self.stats) {
+            Some(rank) => {
+                publish_claimed_rank(&self.queue, &mut self.stats, rank, value);
+                Ok(())
+            }
+            None => {
+                self.stats.full_rejections += 1;
+                Err(Full(value))
+            }
         }
-        let cap = self.queue.capacity();
-        let r = self.enqueue_ranks(value, cap);
-        if r.is_err() {
-            self.stats.full_rejections += 1;
-        }
-        r
     }
 
     /// Attempts to enqueue without ever consuming a rank it cannot
@@ -241,7 +205,7 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> Producer<T, C, M> {
         debug_assert!(rank >= 0, "tail overflowed i64");
         self.stats.ranks_taken += 1;
         self.stats.tail_rmws += 1;
-        match self.resolve_rank(rank, value) {
+        match resolve_rank(&self.queue, &mut self.stats, rank, value) {
             Ok(()) => Ok(()),
             Err(value) => {
                 self.stats.full_rejections += 1;
@@ -301,7 +265,7 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> Producer<T, C, M> {
         let mut published = 0usize;
         for j in 0..k {
             let value = buf.pop_front().expect("run sized to buf");
-            match self.resolve_rank(start + j as i64, value) {
+            match resolve_rank(&self.queue, &mut self.stats, start + j as i64, value) {
                 Ok(()) => published += 1,
                 Err(value) => {
                     // Only reachable when a producer clone raced the free
@@ -348,8 +312,8 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> Producer<T, C, M> {
             }
             let mut strat = WaitStrategy::new(self.wait);
             while !chunk.is_empty() {
-                if self.looks_full() {
-                    self.full_wait_round(&mut strat, None);
+                if looks_full(&self.queue) {
+                    full_wait_round(&self.queue, &mut strat, None);
                     continue;
                 }
                 strat.reset();
@@ -373,7 +337,7 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> Producer<T, C, M> {
                     let value = chunk.pop_front().expect("run sized to chunk");
                     let rank = start + resolved as i64;
                     resolved += 1;
-                    match self.resolve_rank(rank, value) {
+                    match resolve_rank(&self.queue, &mut self.stats, rank, value) {
                         Ok(()) => {
                             n += 1;
                             published += 1;
@@ -398,102 +362,6 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> Producer<T, C, M> {
                 }
             }
             self.stats.parks += strat.parks();
-        }
-    }
-
-    /// `FFQ_ENQ` of Algorithm 2, bounded to `limit` rank acquisitions.
-    fn enqueue_ranks(&mut self, value: T, limit: usize) -> Result<(), Full<T>> {
-        let mut value = value;
-        for _ in 0..limit {
-            // Line 4: acquire a unique rank. Relaxed — uniqueness comes from
-            // atomicity; publication synchronizes through the cell words.
-            let rank = self.queue.state().tail().fetch_add(1, Ordering::Relaxed);
-            debug_assert!(rank >= 0, "tail overflowed i64");
-            self.stats.ranks_taken += 1;
-            self.stats.tail_rmws += 1;
-            match self.resolve_rank(rank, value) {
-                Ok(()) => return Ok(()),
-                Err(v) => value = v,
-            }
-        }
-        Err(Full(value))
-    }
-
-    /// Resolves one claimed tail rank (Algorithm 2 lines 5–12): publishes
-    /// `value` at the rank's cell, or — when the cell is occupied or the
-    /// rank superseded — leaves the rank a *gap* and hands the value back.
-    /// Either way the rank is resolved when this returns; consumers
-    /// assigned it will not stall.
-    fn resolve_rank(&mut self, rank: i64, value: T) -> Result<(), T> {
-        let cell = self.queue.cell(rank);
-        let words = cell.words();
-        let mut backoff = Backoff::new();
-
-        // Line 6: while no gap announcement supersedes our rank.
-        loop {
-            let g = words.load_hi(Ordering::Acquire);
-            if g >= rank {
-                // Another producer skipped this cell for a rank at or past
-                // ours: enqueueing here would be "in the past". Abandon
-                // *the cell*, not the rank — the rank is the gap now, so
-                // consumers step over it.
-                return Err(value);
-            }
-            let r = words.load_lo(Ordering::Acquire);
-            if r >= 0 {
-                // Line 8: occupied by an unconsumed item — announce our
-                // rank as a gap. The double CAS fails if either the
-                // occupant changed (cell may have become free: retry and
-                // use it) or another producer raced the gap forward.
-                if words.compare_exchange((r, g), (r, rank)).is_ok() {
-                    self.stats.gaps_created += 1;
-                    // A consumer parked on this rank is unblocked by the
-                    // gap announcement: it can now step over the cell.
-                    // Broadcast — a single wake could land on a consumer
-                    // parked on a different rank (see
-                    // `QueueState::wake_consumers_all`).
-                    self.queue.state().wake_consumers_all();
-                    return Err(value);
-                }
-                self.stats.cas_failures += 1;
-                continue;
-            }
-            if r == RANK_CLAIMED {
-                // Another producer is between claim and publish. Its
-                // publish is imminent (no user code in that window), but
-                // it may be descheduled — this is precisely where FFQ-m
-                // stops being lock-free (§III-B).
-                backoff.wait();
-                continue;
-            }
-            debug_assert_eq!(r, RANK_FREE);
-            // Line 9: claim the free cell, atomically verifying the gap
-            // did not move (second race above). Rank values are unique
-            // over the queue's lifetime and gap is monotonic per cell,
-            // so the pair CAS is ABA-free.
-            match words.compare_exchange((RANK_FREE, g), (RANK_CLAIMED, g)) {
-                Ok(()) => {
-                    // Lines 10–11: write data, then publish the rank.
-                    // The Release store is the linearization point and
-                    // pairs with the consumer's Acquire rank load.
-                    unsafe { (*cell.data()).write(value) };
-                    words.store_lo(rank, Ordering::Release);
-                    self.stats.enqueued += 1;
-                    // Broadcast, not a counted wake: the published rank may
-                    // already sit in one specific consumer's pending FIFO
-                    // (claims run ahead of publication here), and a single
-                    // wake can land on a consumer parked on a *different*
-                    // rank, which re-parks while the owner sleeps — the
-                    // same wrong-wakee hazard the gap paths always
-                    // broadcast around (`QueueState::wake_consumers_all`).
-                    self.queue.state().wake_consumers_all();
-                    return Ok(());
-                }
-                Err(_) => {
-                    self.stats.cas_failures += 1;
-                    continue;
-                }
-            }
         }
     }
 
@@ -586,76 +454,170 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> Drop for Producer<T, C, M> {
     }
 }
 
-/// Claims one tail rank *and* its cell for a deferred in-place write: the
-/// multi-producer half of the zero-copy reserve path (`crate::bytes`).
+/// One pass of `FFQ_ENQ` (Algorithm 2) up to the publish: unless the
+/// counters report the queue full, takes up to one array's worth of tail
+/// ranks until one claims its cell.
+#[inline]
+fn claim<T, C: CellSlot<T>, M: IndexMap>(
+    queue: &RawQueue<T, C, M>,
+    stats: &mut ProducerStats,
+) -> Option<i64> {
+    if looks_full(queue) {
+        return None;
+    }
+    claim_rank_cell(queue, stats, queue.capacity()).ok()
+}
+
+/// Algorithm 2's claim-or-gap step (lines 5–9) for a tail rank the caller
+/// took: claims the rank's cell — leaves it `RANK_CLAIMED`, ready for
+/// [`publish_claimed_rank`] — and returns `true`, or leaves the rank a
+/// *gap* and returns `false`. A gap is a rank the producer skipped and
+/// announced in the cell's `gap` word (or that a later rank's announcement
+/// already covers), so consumers assigned it step over it. Either way no
+/// consumer stalls on the rank once the caller has published a claim.
+#[inline]
+pub(crate) fn claim_cell<T, C: CellSlot<T>, M: IndexMap>(
+    queue: &RawQueue<T, C, M>,
+    rank: i64,
+    stats: &mut ProducerStats,
+) -> bool {
+    let words = queue.cell(rank).words();
+    let mut backoff = Backoff::new();
+    // Line 6: while no gap announcement supersedes our rank.
+    loop {
+        let g = words.load_hi(Ordering::Acquire);
+        if g >= rank {
+            // Another producer skipped this cell for a rank at or past
+            // ours: enqueueing here would be "in the past". Abandon *the
+            // cell*, not the rank — the rank is the gap now, so consumers
+            // step over it.
+            return false;
+        }
+        let r = words.load_lo(Ordering::Acquire);
+        if r >= 0 {
+            // Line 8: occupied by an unconsumed item — announce our rank
+            // as a gap. The double CAS fails if either the occupant changed
+            // (cell may have become free: retry and use it) or another
+            // producer raced the gap forward.
+            if words.compare_exchange((r, g), (r, rank)).is_ok() {
+                stats.gaps_created += 1;
+                // A consumer parked on this rank is unblocked by the gap
+                // announcement: it can now step over the cell. Broadcast —
+                // a single wake could land on a consumer parked on a
+                // different rank (see `QueueState::wake_consumers_all`).
+                queue.state().wake_consumers_all();
+                return false;
+            }
+            stats.cas_failures += 1;
+            continue;
+        }
+        if r == RANK_CLAIMED {
+            // Another producer is between claim and publish. Its publish
+            // is imminent (no user code in that window), but it may be
+            // descheduled — this is precisely where FFQ-m stops being
+            // lock-free (§III-B).
+            backoff.wait();
+            continue;
+        }
+        debug_assert_eq!(r, RANK_FREE);
+        // Line 9: claim the free cell, atomically verifying the gap did
+        // not move (second race above). Rank values are unique over the
+        // queue's lifetime and gap is monotonic per cell, so the pair CAS
+        // is ABA-free.
+        if words
+            .compare_exchange((RANK_FREE, g), (RANK_CLAIMED, g))
+            .is_ok()
+        {
+            return true;
+        }
+        stats.cas_failures += 1;
+    }
+}
+
+/// Resolves one claimed tail rank (Algorithm 2 lines 5–12): publishes
+/// `value` at the rank's cell, or — when the cell is occupied or the rank
+/// superseded — leaves the rank a gap and hands the value back. Either way
+/// the rank is resolved when this returns; consumers assigned it will not
+/// stall.
+#[inline]
+pub(crate) fn resolve_rank<T: Send, C: CellSlot<T>, M: IndexMap>(
+    queue: &RawQueue<T, C, M>,
+    stats: &mut ProducerStats,
+    rank: i64,
+    value: T,
+) -> Result<(), T> {
+    if !claim_cell(queue, rank, stats) {
+        return Err(value);
+    }
+    publish_claimed_rank(queue, stats, rank, value);
+    Ok(())
+}
+
+/// Takes tail ranks (Algorithm 2 line 4, one `fetch_add` each) until one
+/// lands on a cell [`claim_cell`] claims, at most `limit` of them; returns
+/// that rank with its cell claimed and nothing written. Every rank taken
+/// before it is resolved as a gap, so no consumer ever stalls on a rank
+/// this function consumed.
 ///
-/// Runs the rank-acquisition loop of [`Producer::enqueue_ranks`] but stops
-/// right after `resolve_rank`'s claim CAS — the cell is left `RANK_CLAIMED`
-/// with nothing written, which is exactly the state a publishing producer
-/// sits in between lines 9 and 11 of Algorithm 2, except the window now
-/// lasts until the caller commits (or aborts) through
-/// [`publish_claimed_rank`]. Ranks that land on occupied or superseded
-/// cells are resolved as gaps along the way, so no consumer ever stalls on
-/// a rank this function consumed.
-///
-/// Unlike an enqueue the claim must *always* be resolved eventually —
-/// abandonment is expressed by publishing a `DESC_ABORT` descriptor, never
-/// by leaving the cell claimed.
-pub(crate) fn claim_rank_cell<T: Send, C: CellSlot<T>, M: IndexMap>(
+/// The claimed cell is exactly the state a publishing producer sits in
+/// between lines 9 and 11 of Algorithm 2; an enqueue publishes right away,
+/// the zero-copy reserve path (`crate::bytes`) only once its payload is
+/// written. The claim must *always* be resolved through
+/// [`publish_claimed_rank`] — a bytes reservation abandons it by
+/// publishing a `DESC_ABORT` descriptor, never by leaving the cell claimed.
+#[inline]
+pub(crate) fn claim_rank_cell<T, C: CellSlot<T>, M: IndexMap>(
     queue: &RawQueue<T, C, M>,
     stats: &mut ProducerStats,
     limit: usize,
 ) -> Result<i64, Full<()>> {
     for _ in 0..limit {
+        // Relaxed — uniqueness comes from atomicity; publication
+        // synchronizes through the cell words.
         let rank = queue.state().tail().fetch_add(1, Ordering::Relaxed);
         debug_assert!(rank >= 0, "tail overflowed i64");
         stats.ranks_taken += 1;
         stats.tail_rmws += 1;
-        let cell = queue.cell(rank);
-        let words = cell.words();
-        let mut backoff = Backoff::new();
-        let claimed = loop {
-            // Same pair-CAS discipline (and the same ABA-freedom argument)
-            // as `resolve_rank`; see the comments there.
-            let g = words.load_hi(Ordering::Acquire);
-            if g >= rank {
-                break false;
-            }
-            let r = words.load_lo(Ordering::Acquire);
-            if r >= 0 {
-                if words.compare_exchange((r, g), (r, rank)).is_ok() {
-                    stats.gaps_created += 1;
-                    queue.state().wake_consumers_all();
-                    break false;
-                }
-                stats.cas_failures += 1;
-                continue;
-            }
-            if r == RANK_CLAIMED {
-                backoff.wait();
-                continue;
-            }
-            debug_assert_eq!(r, RANK_FREE);
-            match words.compare_exchange((RANK_FREE, g), (RANK_CLAIMED, g)) {
-                Ok(()) => break true,
-                Err(_) => {
-                    stats.cas_failures += 1;
-                    continue;
-                }
-            }
-        };
-        if claimed {
+        if claim_cell(queue, rank, stats) {
             return Ok(rank);
         }
     }
     Err(Full(()))
 }
 
+/// The multi-producer fullness pre-check on the shared counters: a full
+/// array's worth of ranks outstanding means a pass cannot succeed, so no
+/// tail rank is taken. Conservative in the safe direction (see
+/// [`crate::spmc::Producer::try_enqueue`]).
+#[inline]
+pub(crate) fn looks_full<T, C: CellSlot<T>, M: IndexMap>(queue: &RawQueue<T, C, M>) -> bool {
+    let tail = queue.state().tail().load(Ordering::Acquire);
+    let head = queue.state().head().load(Ordering::Acquire);
+    tail - head >= queue.capacity() as i64
+}
+
+/// One wait round of a multi-producer enqueue or reserve on the not-full
+/// eventcount; ready as soon as the shared counters stop reporting full.
+pub(crate) fn full_wait_round<T, C: CellSlot<T>, M: IndexMap>(
+    queue: &RawQueue<T, C, M>,
+    strat: &mut WaitStrategy,
+    timeout: Option<Duration>,
+) -> WaitRound {
+    let state = queue.state();
+    strat.wait_round_for(
+        state.not_full(),
+        state.wait_is_shared(),
+        timeout,
+        &mut || !looks_full(queue),
+    )
+}
+
 /// Publishes `value` at a cell previously claimed by [`claim_rank_cell`]
 /// (lines 10–11 of Algorithm 2, deferred): the Release rank store orders
 /// every prior write by this thread — the descriptor *and* the payload
 /// bytes written into the rank's slot buffer — before the publication.
-pub(crate) fn publish_claimed_rank<T: Send, C: CellSlot<T>, M: IndexMap>(
+#[inline]
+pub(crate) fn publish_claimed_rank<T, C: CellSlot<T>, M: IndexMap>(
     queue: &RawQueue<T, C, M>,
     stats: &mut ProducerStats,
     rank: i64,
@@ -668,7 +630,12 @@ pub(crate) fn publish_claimed_rank<T: Send, C: CellSlot<T>, M: IndexMap>(
     unsafe { (*cell.data()).write(value) };
     cell.words().store_lo(rank, Ordering::Release);
     stats.enqueued += 1;
-    // Broadcast for the same wrong-wakee reason as `resolve_rank`.
+    // Broadcast, not a counted wake: the published rank may already sit in
+    // one specific consumer's pending FIFO (claims run ahead of publication
+    // here), and a single wake can land on a consumer parked on a
+    // *different* rank, which re-parks while the owner sleeps — the same
+    // wrong-wakee hazard the gap paths always broadcast around
+    // (`QueueState::wake_consumers_all`).
     queue.state().wake_consumers_all();
 }
 
@@ -778,16 +745,6 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> Consumer<T, C, M> {
     /// not yet all.
     pub fn wake_ready_items(&self) -> bool {
         self.raw.wake_ready_items()
-    }
-
-    /// Moves up to `max` currently available items into `buf`, one rank
-    /// claim per item; returns the count. Never blocks, and never claims a
-    /// rank on a queue whose tail shows nothing available.
-    ///
-    /// This is the *per-item* drain; prefer
-    /// [`dequeue_batch`](Self::dequeue_batch), which claims rank runs.
-    pub fn drain_into(&mut self, buf: &mut Vec<T>, max: usize) -> usize {
-        self.raw.drain_into(buf, max)
     }
 
     /// Capacity of the underlying cell array.

@@ -12,6 +12,17 @@
 //! two pieces, build a `RawQueue` over them, and tie its lifetime to an
 //! `Arc`.
 //!
+//! Each step of the paper's procedures is written once. `FFQ_ENQ`
+//! (Algorithm 1) is the gap-announcing scan `skip_busy` plus `publish`,
+//! which every single-producer enqueue runs (the zero-copy reserve through
+//! [`RawProducer::reserve_next`] and [`RawProducer::publish_reserved`]);
+//! `FFQ_DEQ`'s cell step is
+//! `crate::shared::visit`, which both consumer engines here run — the
+//! shared-head [`RawConsumer`] with pending ranks, and the private-head
+//! [`RawSpscConsumer`]. Algorithm 2's claim-or-gap step lives in
+//! [`crate::mpmc`]. Each blocking call and its timed twin share one wait
+//! loop.
+//!
 //! Everything reachable from a `RawQueue` is offset-based and `#[repr(C)]`:
 //! no field of [`QueueState`] or of a cell is a pointer, ranks and gap
 //! announcements are array-relative, and the counter block's layout is
@@ -32,7 +43,7 @@
 
 use core::marker::PhantomData;
 use core::ptr::NonNull;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ffq_sync::atomic::{AtomicI64, AtomicU32, Ordering};
 
@@ -42,9 +53,7 @@ use crate::cell::{CellSlot, PaddedCell, RANK_FREE};
 use crate::error::{Disconnected, Full, TryDequeueError};
 use crate::layout::{IndexMap, LinearMap};
 use crate::shared::{
-    claim_batch_core, dequeue_batch_capped_core, dequeue_batch_core, dequeue_blocking,
-    dequeue_claim_core, dequeue_core, enqueue_many_sp, looks_full_sp, recover_pending, wake_ready,
-    wake_ready_items, PendingRanks,
+    enqueue_many_sp, looks_full_sp, visit, wake_ready, wake_ready_items, PendingRanks, Probe, Visit,
 };
 use crate::stats::{ConsumerStats, ProducerStats};
 
@@ -434,53 +443,39 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> RawProducer<T, C, M> {
     /// [`WaitConfig`] — until a consumer advances the head (footnote 2 of
     /// the paper).
     pub fn enqueue(&mut self, value: T) {
-        let mut value = value;
-        let mut strat = WaitStrategy::new(self.wait);
-        let q = self.queue;
-        loop {
-            if !self.looks_full() {
-                match self.enqueue_scan(value, self.queue.capacity()) {
-                    Ok(()) => break,
-                    Err(Full(v)) => value = v,
-                }
-            }
-            let (tail, cap) = (self.tail, q.capacity() as i64);
-            let state = q.state();
-            // Ready = the head moved past our fullness bound. Fresh Acquire
-            // load on purpose — the shadow cache is what we are waiting to
-            // be able to refresh.
-            strat.wait_round(state.not_full(), state.wait_is_shared(), None, &mut || {
-                state.head().load(Ordering::Acquire) > tail - cap
-            });
-        }
-        self.stats.parks += strat.parks();
+        // Without a timeout the wait never expires, so the value never
+        // comes back.
+        let _ = self.enqueue_for(value, None);
     }
 
     /// Enqueues `value`, giving up (and handing the value back) if the
     /// queue stays full past `timeout`. The wait escalates from spinning to
     /// parking exactly like [`enqueue`](Self::enqueue).
     pub fn enqueue_timeout(&mut self, value: T, timeout: Duration) -> Result<(), Full<T>> {
-        // Deadline materializes on the first full round: a successful
-        // enqueue must not pay a clock read (`ffq-shm` routes every
-        // blocking enqueue through here in bounded slices).
-        let mut deadline = None;
+        self.enqueue_for(value, Some(timeout))
+    }
+
+    /// The one wait loop of [`enqueue`](Self::enqueue) and
+    /// [`enqueue_timeout`](Self::enqueue_timeout).
+    #[inline]
+    fn enqueue_for(&mut self, value: T, timeout: Option<Duration>) -> Result<(), Full<T>> {
         let mut strat = WaitStrategy::new(self.wait);
         let q = self.queue;
-        let mut value = value;
+        let (state, cap) = (q.state(), q.capacity() as i64);
         let res = loop {
-            if !self.looks_full() {
-                match self.enqueue_scan(value, self.queue.capacity()) {
-                    Ok(()) => break Ok(()),
-                    Err(Full(v)) => value = v,
-                }
+            let (tail, stats) = (&mut self.tail, &mut self.stats);
+            if let Some(cell) = skip_busy(&self.queue, tail, &mut self.head_cache, stats) {
+                publish(&self.queue, cell, tail, stats, value);
+                break Ok(());
             }
-            let d = *deadline.get_or_insert_with(|| Instant::now() + timeout);
-            let (tail, cap) = (self.tail, q.capacity() as i64);
-            let state = q.state();
-            let round = strat.wait_round(
+            // Ready = the head moved past our fullness bound. Fresh Acquire
+            // load on purpose — the shadow cache is what we are waiting to
+            // be able to refresh.
+            let tail = self.tail;
+            let round = strat.wait_round_for(
                 state.not_full(),
                 state.wait_is_shared(),
-                Some(d),
+                timeout,
                 &mut || state.head().load(Ordering::Acquire) > tail - cap,
             );
             if round == WaitRound::Expired {
@@ -517,15 +512,13 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> RawProducer<T, C, M> {
     /// scan has already skipped (and announced gaps for) every busy cell it
     /// saw, consuming ranks; see [`Full`].
     pub fn try_enqueue(&mut self, value: T) -> Result<(), Full<T>> {
-        if self.looks_full() {
-            self.stats.full_rejections += 1;
+        let (tail, stats) = (&mut self.tail, &mut self.stats);
+        let Some(cell) = skip_busy(&self.queue, tail, &mut self.head_cache, stats) else {
+            stats.full_rejections += 1;
             return Err(Full(value));
-        }
-        let r = self.enqueue_scan(value, self.queue.capacity());
-        if r.is_err() {
-            self.stats.full_rejections += 1;
-        }
-        r
+        };
+        publish(&self.queue, cell, tail, stats, value);
+        Ok(())
     }
 
     /// Enqueues every item of `iter` (blocking as needed); returns the
@@ -549,66 +542,6 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> RawProducer<T, C, M> {
         )
     }
 
-    /// The body of `FFQ_ENQ` (Algorithm 1 lines 9–19), bounded to `limit`
-    /// cells inspected.
-    fn enqueue_scan(&mut self, value: T, limit: usize) -> Result<(), Full<T>> {
-        for _ in 0..limit {
-            let rank = self.tail;
-            debug_assert!(rank >= 0, "tail overflowed i64");
-            let cell = self.queue.cell(rank);
-            let words = cell.words();
-
-            // Line 13: cell still holds an unconsumed item? The Acquire
-            // pairs with the consumer's Release reset, so when we observe
-            // rank == -1 the consumer's read of the previous payload
-            // happened-before our overwrite below.
-            if words.load_lo(Ordering::Acquire) >= 0 {
-                // Line 14: skip it and announce the gap. `gap` only grows:
-                // we are the only writer and tail is monotonic. Release so a
-                // consumer acting on the announcement also sees every prior
-                // producer write (not required for correctness of the skip
-                // itself, but keeps the cell words causally consistent).
-                // Unpaired: single-producer queues never pair-CAS the words.
-                words.store_hi_unpaired(rank, Ordering::Release);
-                self.stats.gaps_created += 1;
-                self.advance_tail();
-                // A consumer holding this rank may be parked waiting for it;
-                // the announcement is what lets it move on. Broadcast — a
-                // single wake could land on a consumer parked on a
-                // different rank (see `QueueState::wake_consumers_all`).
-                self.queue.state().wake_consumers_all();
-                continue;
-            }
-
-            // Lines 16–17: publish. The data write must precede the rank
-            // store; Release makes the rank store the linearization point.
-            // SAFETY: a free cell stays free until this unique producer
-            // publishes its rank.
-            unsafe { (*cell.data()).write(value) };
-            words.store_lo_unpaired(rank, Ordering::Release);
-            self.stats.enqueued += 1;
-            self.advance_tail();
-            // The published rank may belong to one specific parked
-            // consumer's pending FIFO (see `QueueState::wake_consumers_all`).
-            self.queue.state().wake_consumers_all();
-            return Ok(());
-        }
-        Err(Full(value))
-    }
-
-    #[inline(always)]
-    fn advance_tail(&mut self) {
-        self.tail += 1;
-        self.stats.ranks_taken += 1;
-        // Mirror for len_hint() and the consumers' claim sizing; ordered
-        // after the rank store above so a rank below the mirrored tail is
-        // always already resolved.
-        self.queue
-            .state()
-            .tail()
-            .store(self.tail, Ordering::Release);
-    }
-
     /// The next rank this producer will publish (its private tail).
     #[inline(always)]
     pub fn tail_rank(&self) -> i64 {
@@ -625,11 +558,11 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> RawProducer<T, C, M> {
     /// Reserves the cell at the current tail for an in-place payload write,
     /// without publishing anything.
     ///
-    /// Skips (and gap-announces) busy cells exactly like
-    /// [`try_enqueue`](Self::try_enqueue) until the tail lands on a free
-    /// cell, then returns that rank **with the tail not yet advanced**: the
-    /// zero-copy bytes lane writes the payload into the rank's slot buffer
-    /// and only then calls [`publish_reserved`](Self::publish_reserved).
+    /// Runs the scan every enqueue runs — skipping (and gap-announcing) busy
+    /// cells until the tail lands on a free cell — then returns that rank
+    /// **with the tail not yet advanced**: the zero-copy bytes lane writes
+    /// the payload into the rank's slot buffer and only then calls
+    /// [`publish_reserved`](Self::publish_reserved).
     /// Until that publication the reservation is invisible to consumers
     /// (the tail mirror never covered the rank), so abandoning it is a
     /// no-op — the next reservation returns the same rank.
@@ -637,26 +570,12 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> RawProducer<T, C, M> {
     /// The returned rank stays valid because this is the unique producer: a
     /// free cell only leaves the free state through this handle.
     pub fn reserve_next(&mut self) -> Result<i64, Full<()>> {
-        if self.looks_full() {
-            self.stats.full_rejections += 1;
+        let (tail, stats) = (&mut self.tail, &mut self.stats);
+        if skip_busy(&self.queue, tail, &mut self.head_cache, stats).is_none() {
+            stats.full_rejections += 1;
             return Err(Full(()));
         }
-        for _ in 0..self.queue.capacity() {
-            let rank = self.tail;
-            debug_assert!(rank >= 0, "tail overflowed i64");
-            let words = self.queue.cell(rank).words();
-            if words.load_lo(Ordering::Acquire) >= 0 {
-                // Busy cell: same skip-and-announce as enqueue_scan.
-                words.store_hi_unpaired(rank, Ordering::Release);
-                self.stats.gaps_created += 1;
-                self.advance_tail();
-                self.queue.state().wake_consumers_all();
-                continue;
-            }
-            return Ok(rank);
-        }
-        self.stats.full_rejections += 1;
-        Err(Full(()))
+        Ok(self.tail)
     }
 
     /// Reserves a run of `n` **consecutive** ranks whose cells are all
@@ -725,30 +644,26 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> RawProducer<T, C, M> {
                     .words()
                     .store_hi_unpaired(rank, Ordering::Release);
                 self.stats.gaps_created += 1;
-                self.advance_tail();
+                advance_tail(&self.queue, &mut self.tail, &mut self.stats);
             }
             self.queue.state().wake_consumers_all();
         }
     }
 
     /// Publishes `value` at a rank previously returned by
-    /// [`reserve_next`](Self::reserve_next) / [`reserve_run`](Self::reserve_run).
+    /// [`reserve_next`](Self::reserve_next) / [`reserve_run`](Self::reserve_run)
+    /// (Algorithm 1 lines 16–19, the step every enqueue ends with).
     ///
     /// `rank` must be the producer's current tail — i.e. reservations
     /// publish in ascending rank order with nothing enqueued in between.
     /// The Release rank store is the linearization point and orders every
     /// prior write by this thread (the descriptor *and* the payload bytes
     /// written into the rank's slot buffer) before the publication.
+    #[inline]
     pub fn publish_reserved(&mut self, rank: i64, value: T) {
         assert_eq!(rank, self.tail, "reserved ranks publish in order");
         let cell = self.queue.cell(rank);
-        // SAFETY: the cell was observed free under this unique producer and
-        // stays free until this rank store.
-        unsafe { (*cell.data()).write(value) };
-        cell.words().store_lo_unpaired(rank, Ordering::Release);
-        self.stats.enqueued += 1;
-        self.advance_tail();
-        self.queue.state().wake_consumers_all();
+        publish(&self.queue, cell, &mut self.tail, &mut self.stats, value);
     }
 
     /// Capacity of the underlying cell array.
@@ -773,11 +688,95 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> RawProducer<T, C, M> {
     }
 }
 
+/// `FFQ_ENQ`'s scan (Algorithm 1 lines 9–15) for the single-producer
+/// engine's fields, bounded to one array's worth of cells: skips every busy
+/// cell, announcing it as a gap, until the private `tail` names a free one,
+/// and returns that cell (the tail is not advanced past it). `None` when
+/// the fullness pre-check fails or the scan finds no free cell. Over the
+/// fields rather than the handle, so the caller can publish into the
+/// returned cell without computing its address again.
+#[inline]
+fn skip_busy<'q, T, C: CellSlot<T>, M: IndexMap>(
+    q: &'q RawQueue<T, C, M>,
+    tail: &mut i64,
+    head_cache: &mut i64,
+    stats: &mut ProducerStats,
+) -> Option<&'q C> {
+    if looks_full_sp(q, *tail, head_cache, stats) {
+        return None;
+    }
+    for _ in 0..q.capacity() {
+        let rank = *tail;
+        debug_assert!(rank >= 0, "tail overflowed i64");
+        let cell = q.cell(rank);
+        let words = cell.words();
+        // Line 13: cell still holds an unconsumed item? The Acquire pairs
+        // with the consumer's Release reset, so when we observe rank == -1
+        // the consumer's read of the previous payload happened-before the
+        // publisher's overwrite.
+        if words.load_lo(Ordering::Acquire) < 0 {
+            return Some(cell);
+        }
+        // Line 14: skip it and announce the gap. `gap` only grows: we are
+        // the only writer and tail is monotonic. Release so a consumer
+        // acting on the announcement also sees every prior producer write
+        // (not required for correctness of the skip itself, but keeps the
+        // cell words causally consistent). Unpaired: single-producer
+        // queues never pair-CAS the words.
+        words.store_hi_unpaired(rank, Ordering::Release);
+        stats.gaps_created += 1;
+        advance_tail(q, tail, stats);
+        // A consumer holding this rank may be parked waiting for it; the
+        // announcement is what lets it move on. Broadcast — a single wake
+        // could land on a consumer parked on a different rank (see
+        // `QueueState::wake_consumers_all`).
+        q.state().wake_consumers_all();
+    }
+    None
+}
+
+/// Lines 16–19: publishes `value` into `cell`, the free cell the private
+/// `tail` names. The data write precedes the Release rank store, the
+/// linearization point.
+#[inline]
+fn publish<T, C: CellSlot<T>, M: IndexMap>(
+    q: &RawQueue<T, C, M>,
+    cell: &C,
+    tail: &mut i64,
+    stats: &mut ProducerStats,
+    value: T,
+) {
+    // SAFETY: the cell was observed free under this unique producer and
+    // stays free until this rank store.
+    unsafe { (*cell.data()).write(value) };
+    cell.words().store_lo_unpaired(*tail, Ordering::Release);
+    stats.enqueued += 1;
+    advance_tail(q, tail, stats);
+    // The published rank may belong to one specific parked consumer's
+    // pending FIFO (see `QueueState::wake_consumers_all`).
+    q.state().wake_consumers_all();
+}
+
+#[inline(always)]
+fn advance_tail<T, C: CellSlot<T>, M: IndexMap>(
+    q: &RawQueue<T, C, M>,
+    tail: &mut i64,
+    stats: &mut ProducerStats,
+) {
+    *tail += 1;
+    stats.ranks_taken += 1;
+    // Mirror for len_hint() and the consumers' claim sizing; ordered after
+    // the rank store above so a rank below the mirrored tail is always
+    // already resolved.
+    q.state().tail().store(*tail, Ordering::Release);
+}
+
 /// The shared-head consumer engine (SPMC and MPMC variants).
 ///
 /// `MP` selects, at compile time, whether cell-word resets must stay
-/// coherent with the multi-producer double-word CAS (see
-/// [`crate::shared::dequeue_core`]); `false` for SPMC, `true` for MPMC.
+/// coherent with the multi-producer double-word CAS: `false` for SPMC,
+/// `true` for MPMC. On x86_64 both compile to the same plain store; on the
+/// lock-striped emulation the MPMC reset goes through the stripe lock.
 pub struct RawConsumer<
     T: Send,
     C: CellSlot<T> = PaddedCell<T>,
@@ -826,14 +825,75 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap, const MP: bool> RawConsumer<T, C, M, 
 
     /// Attempts to dequeue one item without blocking (pending-rank
     /// semantics; see [`crate::spmc::Consumer::try_dequeue`]).
+    ///
+    /// A dequeue is a claim, a read, and a recycle of the cell.
+    #[inline]
     pub fn try_dequeue(&mut self) -> Result<T, TryDequeueError> {
-        dequeue_core::<T, C, M, MP>(&self.queue, &mut self.pending, &mut self.stats)
+        let (_, cell) = self.claim()?;
+        // SAFETY: a published cell's payload is initialized, and rank
+        // equality makes this consumer its unique owner.
+        let value = unsafe { (*cell.data()).assume_init_read() };
+        Self::recycle(cell);
+        Ok(value)
+    }
+
+    /// `FFQ_DEQ` (Algorithm 1, lines 20–33) up to the payload read: the
+    /// next rank this handle owns whose cell publishes it, with that cell.
+    /// Resumes the oldest parked rank before claiming a fresh one from the
+    /// shared head, and re-parks at the front the rank it could not
+    /// satisfy.
+    #[inline]
+    fn claim(&mut self) -> Result<(i64, &C), TryDequeueError> {
+        let q = &self.queue;
+        let mut probe = Probe::Armed;
+        loop {
+            let rank = match self.pending.pop_front() {
+                Some(r) => r,
+                None => {
+                    self.stats.ranks_claimed += 1;
+                    self.stats.head_rmws += 1;
+                    // Relaxed: the fetch_add only hands out unique ranks;
+                    // all inter-thread publication goes through the cell's
+                    // rank word (Acquire/Release).
+                    let rank = q.state().head().fetch_add(1, Ordering::Relaxed);
+                    // The head advance is what unblocks a producer parked
+                    // on a full queue.
+                    q.state().wake_producers(1);
+                    rank
+                }
+            };
+            match visit(q, rank, &mut probe, &mut self.stats) {
+                Visit::Published(cell) => {
+                    self.stats.dequeued += 1;
+                    return Ok((rank, cell));
+                }
+                Visit::Gap => {}
+                Visit::Missing(e) => {
+                    self.pending.push_front(rank);
+                    return Err(e);
+                }
+            }
+        }
+    }
+
+    /// Line 27: recycles a consumed rank's cell. Release pairs with the
+    /// producer's Acquire rank load, so every read of the payload (or of
+    /// the rank's slot buffer) happens-before any reuse.
+    #[inline(always)]
+    fn recycle(cell: &C) {
+        let words = cell.words();
+        if MP {
+            words.store_lo(RANK_FREE, Ordering::Release);
+        } else {
+            words.store_lo_unpaired(RANK_FREE, Ordering::Release);
+        }
     }
 
     /// Dequeues one item, waiting — spinning, then parking on the
     /// not-empty eventcount — while the queue is empty.
     pub fn dequeue(&mut self) -> Result<T, Disconnected> {
-        dequeue_blocking::<T, C, M, MP>(&self.queue, &mut self.pending, &mut self.stats, self.wait)
+        // Without a timeout only a disconnect ends the wait.
+        self.dequeue_for(None).map_err(|_| Disconnected)
     }
 
     /// Dequeues one item, giving up after `timeout`.
@@ -844,34 +904,34 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap, const MP: bool> RawConsumer<T, C, M, 
     /// remaining — once parked, so even a parked consumer wakes within
     /// about a millisecond of its deadline.
     pub fn dequeue_timeout(&mut self, timeout: Duration) -> Result<T, TryDequeueError> {
-        // Deadline materializes on the first empty round: a hit must not
-        // pay a clock read (`ffq-shm` routes every blocking dequeue
-        // through here in bounded slices).
-        let mut deadline = None;
+        self.dequeue_for(Some(timeout))
+    }
+
+    /// The one wait loop of [`dequeue`](Self::dequeue) and
+    /// [`dequeue_timeout`](Self::dequeue_timeout).
+    fn dequeue_for(&mut self, timeout: Option<Duration>) -> Result<T, TryDequeueError> {
         let mut strat = WaitStrategy::new(self.wait);
         let q = self.queue;
         let res = loop {
             match self.try_dequeue() {
-                Ok(v) => break Ok(v),
-                e @ Err(TryDequeueError::Disconnected) => break e,
-                e @ Err(TryDequeueError::Empty) => {
-                    let d = *deadline.get_or_insert_with(|| Instant::now() + timeout);
+                Err(TryDequeueError::Empty) => {
                     // The wake condition for the rank this handle is parked
                     // on (try_dequeue re-parked it at the front): published,
                     // gap-announced, or producers gone. Snapshotted here —
                     // it cannot change until our next try_dequeue.
                     let front = self.pending.front_rank();
                     let state = q.state();
-                    let round = strat.wait_round(
+                    let round = strat.wait_round_for(
                         state.not_empty(),
                         state.wait_is_shared(),
-                        Some(d),
+                        timeout,
                         &mut || wake_ready(&q, front),
                     );
                     if round == WaitRound::Expired {
-                        break e;
+                        break Err(TryDequeueError::Empty);
                     }
                 }
+                res => break res,
             }
         };
         self.stats.parks += strat.parks();
@@ -880,15 +940,30 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap, const MP: bool> RawConsumer<T, C, M, 
 
     /// Claims a run of `k` ranks with a single `head.fetch_add(k)` and
     /// parks it as pending (see [`crate::spmc::Consumer::claim_batch`]).
+    /// The amortization core of the batch API: one RMW — one coherence
+    /// transaction on the queue's most contended word — buys `k` ranks
+    /// instead of one.
     pub fn claim_batch(&mut self, k: usize) {
-        claim_batch_core(&self.queue, &mut self.pending, &mut self.stats, k);
+        if k == 0 {
+            return;
+        }
+        let start = self
+            .queue
+            .state()
+            .head()
+            .fetch_add(k as i64, Ordering::Relaxed);
+        debug_assert!(start >= 0, "head counter overflowed i64");
+        self.stats.ranks_claimed += k as u64;
+        self.stats.head_rmws += 1;
+        self.queue.state().wake_producers(k);
+        self.pending.push_run(start, k as i64);
     }
 
     /// Harvests up to `max` ready items into `buf`; returns the count.
     /// Never blocks, and claims nothing on an empty queue (see
     /// [`crate::spmc::Consumer::dequeue_batch`]).
     pub fn dequeue_batch(&mut self, buf: &mut Vec<T>, max: usize) -> usize {
-        dequeue_batch_core::<T, C, M, MP>(&self.queue, &mut self.pending, &mut self.stats, buf, max)
+        self.dequeue_batch_capped(buf, max, i64::MAX)
     }
 
     /// [`dequeue_batch`](Self::dequeue_batch) whose *fresh* rank claims
@@ -896,15 +971,108 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap, const MP: bool> RawConsumer<T, C, M, 
     /// still harvest — they honored the cap in force when claimed). The
     /// enforcement primitive behind the sharded frontend's bounded
     /// reordering; see `crate::shard`.
+    ///
+    /// Parked ranks from earlier claims are always harvested first, in
+    /// claim order. When they run out, a new run is claimed only for ranks
+    /// the mirrored tail reports as resolved — so a drain on an empty queue
+    /// claims nothing, and (for single-producer queues, whose tail mirror
+    /// trails rank publication) a run claimed here never parks: every rank
+    /// in it is already published or gap-announced. Reports neither
+    /// emptiness nor disconnection — a `0` return means no item was ready.
     pub fn dequeue_batch_capped(&mut self, buf: &mut Vec<T>, max: usize, head_cap: i64) -> usize {
-        dequeue_batch_capped_core::<T, C, M, MP>(
-            &self.queue,
-            &mut self.pending,
-            &mut self.stats,
-            buf,
-            max,
-            head_cap,
-        )
+        let q = self.queue;
+        let mut n = 0usize;
+        'harvest: while n < max {
+            // Take the oldest parked run whole, or claim a fresh one — the
+            // run is then walked with a plain local cursor, touching the
+            // pending deque again only for leftovers.
+            let (start, end) = match self.pending.pop_run() {
+                Some(run) => run,
+                None => match self.claim_run_capped((max - n) as i64, head_cap) {
+                    Some(run) => run,
+                    None => break,
+                },
+            };
+            // Ranks past the harvest bound go straight back; gap skips
+            // below may leave `n` short of that bound, in which case the
+            // outer loop claims again.
+            let stop = end.min(start + (max - n) as i64);
+            for rank in start..stop {
+                match visit(&q, rank, &mut Probe::Off, &mut self.stats) {
+                    Visit::Published(cell) => {
+                        // SAFETY: published cell, unique owner by rank
+                        // equality.
+                        let value = unsafe { (*cell.data()).assume_init_read() };
+                        Self::recycle(cell);
+                        buf.push(value);
+                        n += 1;
+                    }
+                    Visit::Gap => {}
+                    Visit::Missing(_) => {
+                        // Not produced yet (multi-producer claims can
+                        // outrun publication): park the rest of the run
+                        // and stop.
+                        self.stats.not_ready += 1;
+                        self.pending.push_front_run(rank, end);
+                        break 'harvest;
+                    }
+                }
+            }
+            if stop < end {
+                self.pending.push_front_run(stop, end);
+            }
+        }
+        self.stats.dequeued += n as u64;
+        self.stats.batch_dequeues += 1;
+        self.stats.batch_items += n as u64;
+        n
+    }
+
+    /// Claims a run of up to `want` ranks below the mirrored tail, or
+    /// `None` when nothing is claimable. `head_cap` is an *absolute rank*
+    /// the claim must not reach (`i64::MAX`: no cap). Sharded consumers use
+    /// the cap to keep their shard's head within the documented reordering
+    /// window of the laggard shard (ALGORITHM.md §13).
+    ///
+    /// The claim is a CAS loop, not a `fetch_add`: a `fetch_add` sized from
+    /// a head that another consumer advances before the RMW lands its run
+    /// past the tail snapshot (and past the cap). Past the tail, a
+    /// single-producer queue's ranks are unpublished, so the run would park
+    /// in this handle while later ranks go to other consumers — a FIFO
+    /// inversion for a batch call that returns before its parked ranks
+    /// publish. The CAS re-reads the head on every failure, so both bounds
+    /// hold under any interleaving.
+    #[inline]
+    fn claim_run_capped(&mut self, want: i64, head_cap: i64) -> Option<(i64, i64)> {
+        let state = self.queue.state();
+        // Emptiness pre-check and claim sizing in one: only ranks below the
+        // mirrored tail are worth claiming.
+        let tail = state.tail().load(Ordering::Acquire);
+        let mut head = state.head().load(Ordering::Relaxed);
+        loop {
+            let avail = (tail - head).min(want).min(head_cap - head);
+            if avail <= 0 {
+                return None;
+            }
+            self.stats.head_rmws += 1;
+            // Relaxed: the CAS only hands out unique rank runs; publication
+            // synchronizes through the cell words. Strong, so `head_rmws`
+            // counts only claims another consumer actually raced.
+            match state.head().compare_exchange(
+                head,
+                head + avail,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => {
+                    debug_assert!(head >= 0, "head counter overflowed i64");
+                    self.stats.ranks_claimed += avail as u64;
+                    state.wake_producers(avail as usize);
+                    return Some((head, head + avail));
+                }
+                Err(cur) => head = cur,
+            }
+        }
     }
 
     /// The next unclaimed rank of this queue — a monotone snapshot (stale
@@ -928,43 +1096,24 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap, const MP: bool> RawConsumer<T, C, M, 
     /// The wake condition of a blocked dequeue on this handle: its front
     /// pending rank's cell was published or gap-announced — or, with no
     /// pending rank, the mirrored tail shows something to claim, or no
-    /// producer is left. Precise on the pending side on purpose (see
-    /// [`crate::shared::wake_ready`]): `true` means a retry on this handle
-    /// can make progress, not merely that the queue moved.
+    /// producer is left. Precise on the pending side on purpose: for
+    /// multi-producer queues the shared tail advances at claim time, long
+    /// before publication, so "tail moved" would wake a parked consumer
+    /// into a still-unpublished cell over and over. `true` means a retry on
+    /// this handle can make progress, not merely that the queue moved.
     pub fn wake_ready(&self) -> bool {
         wake_ready(&self.queue, self.pending.front_rank())
     }
 
     /// [`wake_ready`](Self::wake_ready) without the producers-gone
-    /// disconnect term — see [`crate::shared::wake_ready_items`] for why
-    /// aggregating callers need the split.
+    /// disconnect term. Aggregating callers need the split: a sharded
+    /// consumer's member queues lose their producer handles one at a time
+    /// during a sharded producer's drop, so "any member's producers gone"
+    /// holds from the first decrement while the drain keeps coming up
+    /// empty until the last. They `any()` this half and `all()` the
+    /// producer counts themselves.
     pub fn wake_ready_items(&self) -> bool {
         wake_ready_items(&self.queue, self.pending.front_rank())
-    }
-
-    /// Moves up to `max` currently available items into `buf`, one rank
-    /// claim per item; returns the count. Never blocks, and never claims a
-    /// rank on a queue whose tail shows nothing available.
-    ///
-    /// This is the *per-item* drain; prefer
-    /// [`dequeue_batch`](Self::dequeue_batch), which claims rank runs.
-    pub fn drain_into(&mut self, buf: &mut Vec<T>, max: usize) -> usize {
-        let mut n = 0;
-        while n < max {
-            // Claim-free emptiness pre-check: a drain on an empty queue
-            // must not park a rank it cannot satisfy.
-            if self.pending.is_empty() && self.queue.looks_empty() {
-                break;
-            }
-            match self.try_dequeue() {
-                Ok(v) => {
-                    buf.push(v);
-                    n += 1;
-                }
-                Err(_) => break,
-            }
-        }
-        n
     }
 
     /// Discards every pending rank `>= bound`, returning how many were
@@ -984,7 +1133,15 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap, const MP: bool> RawConsumer<T, C, M, 
     /// to circulation. Unpublished ranks are forfeited (the paper's
     /// consumers are immortal worker threads; see the README caveat).
     pub fn recover_pending(&mut self) {
-        recover_pending::<T, C, M, MP>(&self.queue, &mut self.pending);
+        while let Some(rank) = self.pending.pop_front() {
+            let cell = self.queue.cell(rank);
+            if cell.words().load_lo(Ordering::Acquire) == rank {
+                // SAFETY: rank equality makes this handle the payload's
+                // unique owner.
+                unsafe { (*cell.data()).assume_init_drop() };
+                Self::recycle(cell);
+            }
+        }
     }
 
     /// Capacity of the underlying cell array.
@@ -1021,20 +1178,19 @@ impl<T: Send + Copy, C: CellSlot<T>, M: IndexMap, const MP: bool> RawConsumer<T,
     /// pure-degradation, never corruption, but it does consume ring
     /// capacity; retire promptly. Restricted to `T: Copy` because the value
     /// is copied out while the cell stays initialized.
+    #[inline]
     pub fn try_claim(&mut self) -> Result<(i64, T), TryDequeueError> {
-        dequeue_claim_core::<T, C, M, MP>(&self.queue, &mut self.pending, &mut self.stats)
+        let (rank, cell) = self.claim()?;
+        // SAFETY: published cell, unique owner by rank equality; T is Copy,
+        // so reading without un-initializing is sound.
+        Ok((rank, unsafe { (*cell.data()).assume_init_read() }))
     }
 
     /// Recycles the cell of a rank obtained from [`try_claim`](Self::try_claim).
     /// The Release reset orders the caller's final read of the cell's slot
     /// buffer before any producer reuse.
     pub fn retire(&mut self, rank: i64) {
-        let words = self.queue.cell(rank).words();
-        if MP {
-            words.store_lo(RANK_FREE, Ordering::Release);
-        } else {
-            words.store_lo_unpaired(RANK_FREE, Ordering::Release);
-        }
+        Self::recycle(self.queue.cell(rank));
     }
 }
 
@@ -1088,121 +1244,99 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> RawSpscConsumer<T, C, M> {
     }
 
     /// Attempts to dequeue one item without blocking.
+    ///
+    /// A dequeue is a claim, a read, and a recycle of the cell.
+    #[inline]
     pub fn try_dequeue(&mut self) -> Result<T, TryDequeueError> {
-        // Sticky within this call: one Acquire load of `producers() == 0`
-        // makes every completed enqueue visible globally, so gap skips after
-        // it must not reset the flag (resetting could bounce a drained,
-        // producer-less queue back to `Empty`).
-        let mut disconnect_checked = false;
+        let q = self.queue;
+        let cell = self.claim(&q)?;
+        // SAFETY: published cell owned by the unique consumer.
+        let value = unsafe { (*cell.data()).assume_init_read() };
+        self.recycle(cell);
+        Ok(value)
+    }
+
+    /// `FFQ_DEQ` (Algorithm 1, lines 20–33) up to the payload read, from
+    /// the private head: steps over gap-announced ranks and returns the
+    /// head's cell once it publishes the head. The head stays put on a
+    /// miss. `q` is the caller's local copy of the view, which the
+    /// returned cell borrows, so the caller can still advance the head.
+    #[inline]
+    fn claim<'q>(&mut self, q: &'q RawQueue<T, C, M>) -> Result<&'q C, TryDequeueError> {
+        let mut probe = Probe::Armed;
         loop {
-            let rank = self.head;
-            let cell = self.queue.cell(rank);
-            let words = cell.words();
-
-            // One untorn (rank, gap) read per iteration; on the emulated
-            // DWCAS path this is stripe-locked so it can never observe a
-            // half-applied pair update.
-            let (r, g) = words.load_pair_untorn(Ordering::Acquire);
-            if r == rank {
-                // SAFETY: published cell owned by the unique consumer.
-                let value = unsafe { (*cell.data()).assume_init_read() };
-                words.store_lo_unpaired(RANK_FREE, Ordering::Release);
-                self.head += 1;
-                // Mirror for the producer's fullness pre-check and
-                // len_hint; nothing synchronizes on it beyond Acquire/
-                // Release pairing of the counter value itself.
-                self.queue
-                    .state()
-                    .head()
-                    .store(self.head, Ordering::Release);
-                // A producer parked on a full queue waits for exactly this
-                // head advance.
-                self.queue.state().wake_producers(1);
-                self.stats.dequeued += 1;
-                self.stats.ranks_claimed += 1;
-                return Ok(value);
-            }
-
-            if g >= rank {
-                // The paper's `c.rank != rank` guard: the producer may have
-                // published our rank after the pair read above.
-                if words.load_lo(Ordering::Acquire) == rank {
-                    continue;
+            match visit(q, self.head, &mut probe, &mut self.stats) {
+                Visit::Published(cell) => {
+                    self.stats.dequeued += 1;
+                    return Ok(cell);
                 }
-                self.head += 1;
-                self.queue
-                    .state()
-                    .head()
-                    .store(self.head, Ordering::Release);
-                self.queue.state().wake_producers(1);
-                self.stats.gaps_skipped += 1;
-                self.stats.ranks_claimed += 1;
-                continue;
+                Visit::Gap => self.advance(),
+                Visit::Missing(e) => return Err(e),
             }
-
-            self.stats.not_ready += 1;
-            if !disconnect_checked && self.queue.state().producers().load(Ordering::Acquire) == 0 {
-                disconnect_checked = true;
-                continue;
-            }
-            return Err(if disconnect_checked {
-                TryDequeueError::Disconnected
-            } else {
-                TryDequeueError::Empty
-            });
         }
+    }
+
+    /// Recycles the head's cell (the Release reset orders every read of its
+    /// payload before producer reuse) and advances past it.
+    #[inline(always)]
+    fn recycle(&mut self, cell: &C) {
+        cell.words().store_lo_unpaired(RANK_FREE, Ordering::Release);
+        self.advance();
+    }
+
+    /// Moves the private head one rank on and mirrors it.
+    #[inline(always)]
+    fn advance(&mut self) {
+        self.head += 1;
+        // Mirror for the producer's fullness pre-check and len_hint;
+        // nothing synchronizes on it beyond Acquire/Release pairing of the
+        // counter value itself.
+        self.queue
+            .state()
+            .head()
+            .store(self.head, Ordering::Release);
+        // A producer parked on a full queue waits for exactly this head
+        // advance.
+        self.queue.state().wake_producers(1);
+        self.stats.ranks_claimed += 1;
     }
 
     /// Dequeues one item, waiting — spinning, then parking on the
     /// not-empty eventcount — while the queue is empty.
     pub fn dequeue(&mut self) -> Result<T, Disconnected> {
-        let mut strat = WaitStrategy::new(self.wait);
-        let q = self.queue;
-        let res = loop {
-            match self.try_dequeue() {
-                Ok(v) => break Ok(v),
-                Err(TryDequeueError::Empty) => {
-                    // The private head does not advance on Empty, so the
-                    // wake condition is our own next rank's cell.
-                    let front = Some(self.head);
-                    let state = q.state();
-                    strat.wait_round(state.not_empty(), state.wait_is_shared(), None, &mut || {
-                        wake_ready(&q, front)
-                    });
-                }
-                Err(TryDequeueError::Disconnected) => break Err(Disconnected),
-            }
-        };
-        self.stats.parks += strat.parks();
-        res
+        // Without a timeout only a disconnect ends the wait.
+        self.dequeue_for(None).map_err(|_| Disconnected)
     }
 
     /// Dequeues one item, giving up after `timeout` (phase-adaptive
     /// deadline checks; see [`crate::spmc::Consumer::dequeue_timeout`]).
     pub fn dequeue_timeout(&mut self, timeout: Duration) -> Result<T, TryDequeueError> {
-        // Lazy deadline, same as the shared-head consumer: hits stay
-        // clock-free.
-        let mut deadline = None;
+        self.dequeue_for(Some(timeout))
+    }
+
+    /// The one wait loop of [`dequeue`](Self::dequeue) and
+    /// [`dequeue_timeout`](Self::dequeue_timeout).
+    fn dequeue_for(&mut self, timeout: Option<Duration>) -> Result<T, TryDequeueError> {
         let mut strat = WaitStrategy::new(self.wait);
         let q = self.queue;
         let res = loop {
             match self.try_dequeue() {
-                Ok(v) => break Ok(v),
-                e @ Err(TryDequeueError::Disconnected) => break e,
-                e @ Err(TryDequeueError::Empty) => {
-                    let d = *deadline.get_or_insert_with(|| Instant::now() + timeout);
+                Err(TryDequeueError::Empty) => {
+                    // The private head does not advance on Empty, so the
+                    // wake condition is our own next rank's cell.
                     let front = Some(self.head);
                     let state = q.state();
-                    let round = strat.wait_round(
+                    let round = strat.wait_round_for(
                         state.not_empty(),
                         state.wait_is_shared(),
-                        Some(d),
+                        timeout,
                         &mut || wake_ready(&q, front),
                     );
                     if round == WaitRound::Expired {
-                        break e;
+                        break Err(TryDequeueError::Empty);
                     }
                 }
+                res => break res,
             }
         };
         self.stats.parks += strat.parks();
@@ -1213,34 +1347,23 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> RawSpscConsumer<T, C, M> {
     /// Never blocks. The head mirror is stored once per harvested run
     /// instead of once per item.
     pub fn dequeue_batch(&mut self, buf: &mut Vec<T>, max: usize) -> usize {
+        let q = self.queue;
         let start = self.head;
         let mut n = 0usize;
         while n < max {
-            let rank = self.head;
-            let cell = self.queue.cell(rank);
-            let words = cell.words();
-
-            // Untorn (rank, gap) read — see try_dequeue.
-            let (r, g) = words.load_pair_untorn(Ordering::Acquire);
-            if r == rank {
-                // SAFETY: published cell owned by the unique consumer.
-                let value = unsafe { (*cell.data()).assume_init_read() };
-                words.store_lo_unpaired(RANK_FREE, Ordering::Release);
-                self.head += 1;
-                self.stats.dequeued += 1;
-                buf.push(value);
-                n += 1;
-                continue;
-            }
-            if g >= rank {
-                if words.load_lo(Ordering::Acquire) == rank {
-                    continue;
+            match visit(&q, self.head, &mut Probe::Off, &mut self.stats) {
+                Visit::Published(cell) => {
+                    // SAFETY: published cell owned by the unique consumer.
+                    let value = unsafe { (*cell.data()).assume_init_read() };
+                    cell.words().store_lo_unpaired(RANK_FREE, Ordering::Release);
+                    buf.push(value);
+                    self.stats.dequeued += 1;
+                    n += 1;
                 }
-                self.head += 1;
-                self.stats.gaps_skipped += 1;
-                continue;
+                Visit::Gap => {}
+                Visit::Missing(_) => break,
             }
-            break;
+            self.head += 1;
         }
         if self.head != start {
             self.stats.ranks_claimed += (self.head - start) as u64;
@@ -1254,25 +1377,6 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> RawSpscConsumer<T, C, M> {
         }
         self.stats.batch_dequeues += 1;
         self.stats.batch_items += n as u64;
-        n
-    }
-
-    /// Moves up to `max` currently available items into `buf`, one head
-    /// mirror store per item; returns the count. Never blocks.
-    ///
-    /// This is the *per-item* drain; prefer
-    /// [`dequeue_batch`](Self::dequeue_batch), which mirrors once per run.
-    pub fn drain_into(&mut self, buf: &mut Vec<T>, max: usize) -> usize {
-        let mut n = 0;
-        while n < max {
-            match self.try_dequeue() {
-                Ok(v) => {
-                    buf.push(v);
-                    n += 1;
-                }
-                Err(_) => break,
-            }
-        }
         n
     }
 
@@ -1317,45 +1421,13 @@ impl<T: Send + Copy, C: CellSlot<T>, M: IndexMap> RawSpscConsumer<T, C, M> {
     /// (see [`RawConsumer::try_claim`]). The claim must be handed back with
     /// [`retire`](Self::retire) before the next claim — the private head
     /// does not move until then.
+    #[inline]
     pub fn try_claim(&mut self) -> Result<(i64, T), TryDequeueError> {
-        let mut disconnect_checked = false;
-        loop {
-            let rank = self.head;
-            let cell = self.queue.cell(rank);
-            let words = cell.words();
-            let (r, g) = words.load_pair_untorn(Ordering::Acquire);
-            if r == rank {
-                // SAFETY: published cell owned by the unique consumer; T is
-                // Copy, so reading without un-initializing is sound.
-                let value = unsafe { (*cell.data()).assume_init_read() };
-                self.stats.dequeued += 1;
-                return Ok((rank, value));
-            }
-            if g >= rank {
-                if words.load_lo(Ordering::Acquire) == rank {
-                    continue;
-                }
-                self.head += 1;
-                self.queue
-                    .state()
-                    .head()
-                    .store(self.head, Ordering::Release);
-                self.queue.state().wake_producers(1);
-                self.stats.gaps_skipped += 1;
-                self.stats.ranks_claimed += 1;
-                continue;
-            }
-            self.stats.not_ready += 1;
-            if !disconnect_checked && self.queue.state().producers().load(Ordering::Acquire) == 0 {
-                disconnect_checked = true;
-                continue;
-            }
-            return Err(if disconnect_checked {
-                TryDequeueError::Disconnected
-            } else {
-                TryDequeueError::Empty
-            });
-        }
+        let q = self.queue;
+        let cell = self.claim(&q)?;
+        // SAFETY: published cell owned by the unique consumer; T is Copy,
+        // so reading without un-initializing is sound.
+        Ok((self.head, unsafe { (*cell.data()).assume_init_read() }))
     }
 
     /// Recycles the cell of a rank obtained from
@@ -1364,15 +1436,8 @@ impl<T: Send + Copy, C: CellSlot<T>, M: IndexMap> RawSpscConsumer<T, C, M> {
     /// slot buffer before any producer reuse.
     pub fn retire(&mut self, rank: i64) {
         debug_assert_eq!(rank, self.head, "SPSC claims retire in order");
-        let words = self.queue.cell(rank).words();
-        words.store_lo_unpaired(RANK_FREE, Ordering::Release);
-        self.head += 1;
-        self.queue
-            .state()
-            .head()
-            .store(self.head, Ordering::Release);
-        self.queue.state().wake_producers(1);
-        self.stats.ranks_claimed += 1;
+        let q = self.queue;
+        self.recycle(q.cell(rank));
     }
 }
 
@@ -1450,5 +1515,39 @@ mod tests {
         assert_eq!(rx.try_dequeue(), Ok(1));
         assert_eq!(rx.try_dequeue(), Ok(2));
         assert_eq!(rx.try_dequeue(), Ok(3));
+    }
+
+    /// Forges gap announcements at ranks `0..GAPS` over local memory with
+    /// no producer left, then makes one `call` on a fresh private-head
+    /// consumer: it must step over every gap, storing the head mirror as
+    /// it goes, and report the disconnect once it reaches the empty cell.
+    fn skips_forged_gaps_into_disconnect(
+        call: impl FnOnce(&mut RawSpscConsumer<u64>) -> Result<(), TryDequeueError>,
+    ) {
+        const GAPS: i64 = 5;
+        let state = QueueState::new(3, 0, 1);
+        let cells: Vec<PaddedCell<u64>> = (0..8).map(|_| CellSlot::<u64>::empty()).collect();
+        for rank in 0..GAPS {
+            cells[rank as usize]
+                .words()
+                .store_hi_unpaired(rank, Ordering::Release);
+        }
+        // SAFETY: state/cells outlive the handle; it is the only one.
+        let q = unsafe { RawQueue::<u64>::from_raw(&state, cells.as_ptr()) };
+        let mut rx = unsafe { RawSpscConsumer::attach(q) };
+        assert_eq!(call(&mut rx), Err(TryDequeueError::Disconnected));
+        assert_eq!(rx.stats().gaps_skipped, GAPS as u64);
+        assert_eq!(rx.head_rank(), GAPS);
+        assert_eq!(state.head().load(Ordering::Acquire), GAPS);
+    }
+
+    #[test]
+    fn private_head_try_dequeue_skips_gaps_into_disconnect() {
+        skips_forged_gaps_into_disconnect(|rx| rx.try_dequeue().map(drop));
+    }
+
+    #[test]
+    fn private_head_try_claim_skips_gaps_into_disconnect() {
+        skips_forged_gaps_into_disconnect(|rx| rx.try_claim().map(drop));
     }
 }

@@ -35,7 +35,7 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ffq_sync::atomic::{AtomicU64, Ordering as MemOrder};
 use ffq_sync::{WaitCell, WaitConfig, WaitRound, WaitStrategy};
@@ -584,40 +584,33 @@ impl<T: Send> ShardedConsumer<T> {
     /// Dequeues one item, waiting — spinning, then parking on the
     /// aggregate not-empty eventcount — while every shard is empty.
     pub fn dequeue(&mut self) -> Result<T, Disconnected> {
-        let mut strat = WaitStrategy::new(self.wait);
-        loop {
-            match self.try_dequeue() {
-                Ok(v) => return Ok(v),
-                Err(TryDequeueError::Disconnected) => return Err(Disconnected),
-                Err(TryDequeueError::Empty) => {
-                    let ctl = Arc::clone(&self.ctl);
-                    let shards = &self.shards;
-                    strat.wait_round(&ctl.not_empty, false, None, &mut || consumer_ready(shards));
-                }
-            }
-        }
+        // Without a timeout only a disconnect ends the wait.
+        self.dequeue_for(None).map_err(|_| Disconnected)
     }
 
     /// Dequeues one item, giving up after `timeout` (same deadline
     /// discipline as [`mpmc::Consumer::dequeue_timeout`]).
     pub fn dequeue_timeout(&mut self, timeout: Duration) -> Result<T, TryDequeueError> {
-        let mut deadline = None;
+        self.dequeue_for(Some(timeout))
+    }
+
+    /// The one wait loop of [`dequeue`](Self::dequeue) and
+    /// [`dequeue_timeout`](Self::dequeue_timeout).
+    fn dequeue_for(&mut self, timeout: Option<Duration>) -> Result<T, TryDequeueError> {
         let mut strat = WaitStrategy::new(self.wait);
         loop {
             match self.try_dequeue() {
-                Ok(v) => return Ok(v),
-                e @ Err(TryDequeueError::Disconnected) => return e,
-                e @ Err(TryDequeueError::Empty) => {
-                    let d = *deadline.get_or_insert_with(|| Instant::now() + timeout);
+                Err(TryDequeueError::Empty) => {
                     let ctl = Arc::clone(&self.ctl);
                     let shards = &self.shards;
-                    let round = strat.wait_round(&ctl.not_empty, false, Some(d), &mut || {
+                    let round = strat.wait_round_for(&ctl.not_empty, false, timeout, &mut || {
                         consumer_ready(shards)
                     });
                     if round == WaitRound::Expired {
-                        return e;
+                        return Err(TryDequeueError::Empty);
                     }
                 }
+                res => return res,
             }
         }
     }

@@ -1,17 +1,18 @@
-//! The heap-backed queue container, the consumer-side dequeue cores, and
-//! the batched single-producer enqueue path.
+//! The heap-backed queue container, FFQ_DEQ's cell step, and the batched
+//! single-producer enqueue path.
 //!
-//! Since the raw-memory split (see [`crate::raw`]) every core algorithm here
+//! Since the raw-memory split (see [`crate::raw`]) every protocol step here
 //! operates on a [`RawQueue`] view — the same code path serves heap queues
 //! and shared-memory queues. [`Shared`] is the heap backing: it owns the
 //! `#[repr(C)]` [`QueueState`] and the cell array, hands out views into
 //! itself, and drops unconsumed payloads when the last handle goes away.
 //!
-//! The dequeue protocol (Algorithm 1, `FFQ_DEQ`) is identical for the SPMC
-//! and MPMC variants, so both delegate to [`dequeue_core`] /
-//! [`dequeue_batch_core`] here. The generic parameter `MP` selects, at
-//! compile time, whether cell words must stay coherent with double-word CAS
-//! operations (only the multi-producer variant performs any).
+//! The dequeue protocol (Algorithm 1, `FFQ_DEQ`) is identical for every
+//! variant, so its per-cell step — the untorn `(rank, gap)` read, the rank
+//! match, the gap skip with the paper's re-check guard and the sticky
+//! disconnect probe — is the one function [`visit`] here. The consumer
+//! engines in [`crate::raw`] differ only in where a rank comes from: the
+//! shared head (SPMC and MPMC, with pending ranks) or the SPSC private head.
 
 use core::marker::PhantomData;
 use std::collections::VecDeque;
@@ -20,7 +21,7 @@ use ffq_sync::atomic::{fence, Ordering};
 
 use ffq_sync::{WaitConfig, WaitStrategy};
 
-use crate::cell::{CellSlot, RANK_FREE};
+use crate::cell::CellSlot;
 use crate::error::TryDequeueError;
 use crate::layout::IndexMap;
 use crate::raw::{QueueState, RawQueue};
@@ -190,336 +191,93 @@ impl PendingRanks {
     }
 }
 
-/// Claims one rank from the shared head (one RMW).
-#[inline]
-fn claim_one<T, C: CellSlot<T>, M: IndexMap>(
-    q: &RawQueue<T, C, M>,
-    stats: &mut ConsumerStats,
-) -> i64 {
-    stats.ranks_claimed += 1;
-    stats.head_rmws += 1;
-    // Relaxed: the fetch_add only hands out unique ranks; all inter-thread
-    // publication goes through the cell's rank word (Acquire/Release).
-    let rank = q.state().head().fetch_add(1, Ordering::Relaxed);
-    // The head advance is what unblocks a producer parked on a full queue.
-    q.state().wake_producers(1);
-    rank
+/// How [`visit`] treats a rank whose item is not there yet. Carried across
+/// the cells of one call, so the disconnect verdict is sticky.
+#[derive(Clone, Copy)]
+pub(crate) enum Probe {
+    /// A harvest: stop at the cell, uncounted. Harvests never report
+    /// disconnection, so they never read the producer count.
+    Off,
+    /// Count the miss and read `producers` once: at 0, look at the cell
+    /// once more before answering.
+    Armed,
+    /// `producers` read 0 earlier in this call. That one Acquire load made
+    /// *every* completed enqueue visible, not just the cell's it was read
+    /// at, so a miss now is final — even after gap skips, which must not
+    /// re-arm the probe (that could bounce a drained, producer-less queue
+    /// back to `Empty`).
+    Gone,
 }
 
-/// Claims a run of `k` ranks with a single `head.fetch_add(k)` and parks it
-/// as pending. The amortization core of the batch API: one RMW — one
-/// coherence transaction on the queue's most contended word — buys `k`
-/// ranks instead of one.
-pub(crate) fn claim_batch_core<T, C: CellSlot<T>, M: IndexMap>(
-    q: &RawQueue<T, C, M>,
-    pending: &mut PendingRanks,
-    stats: &mut ConsumerStats,
-    k: usize,
-) {
-    if k == 0 {
-        return;
-    }
-    let start = q.state().head().fetch_add(k as i64, Ordering::Relaxed);
-    debug_assert!(start >= 0, "head counter overflowed i64");
-    stats.ranks_claimed += k as u64;
-    stats.head_rmws += 1;
-    q.state().wake_producers(k);
-    pending.push_run(start, k as i64);
+/// What [`visit`] found at a rank's cell.
+pub(crate) enum Visit<'q, C> {
+    /// The cell publishes the rank: its payload belongs to the caller.
+    Published(&'q C),
+    /// The rank was announced as a gap: step over it.
+    Gap,
+    /// Nothing there yet (`Empty`), or nothing ever will be
+    /// (`Disconnected`, only after [`Probe::Armed`] read no producer).
+    Missing(TryDequeueError),
 }
 
-/// One attempt at `FFQ_DEQ` (Algorithm 1, lines 20–33) on behalf of a
-/// consumer that persists its claimed-but-unsatisfied ranks in `pending`.
+/// FFQ_DEQ's cell step (Algorithm 1, lines 25–33) for a rank the caller
+/// owns — claimed from the shared head, parked, or the SPSC private head.
+/// Every consumer engine and harvest runs it.
 ///
-/// `MP` must be `true` for queues whose producers use double-word CAS on the
-/// cell words (FFQ-m): the rank reset then goes through the DWCAS-coherent
-/// store so the lock-striped emulation on non-x86_64 targets stays sound.
-/// On x86_64 both paths compile to the same plain store.
-#[inline]
-pub(crate) fn dequeue_core<T, C: CellSlot<T>, M: IndexMap, const MP: bool>(
-    q: &RawQueue<T, C, M>,
-    pending: &mut PendingRanks,
+/// Lines 25/29 share one untorn `(rank, gap)` read per look; on the
+/// emulated DWCAS path it is stripe-locked, so it can never observe a
+/// half-applied pair update from a racing producer CAS. Its rank half's
+/// Acquire pairs with the producer's Release rank store (or release fence,
+/// on the batched path) and orders the caller's payload read after the
+/// producer's payload write.
+#[inline(always)]
+pub(crate) fn visit<'q, T, C: CellSlot<T>, M: IndexMap>(
+    q: &'q RawQueue<T, C, M>,
+    rank: i64,
+    probe: &mut Probe,
     stats: &mut ConsumerStats,
-) -> Result<T, TryDequeueError> {
-    // Resume the oldest previously claimed rank, or claim the next one.
-    let mut rank = match pending.pop_front() {
-        Some(r) => r,
-        None => claim_one(q, stats),
-    };
+) -> Visit<'q, C> {
     debug_assert!(rank >= 0, "rank counter overflowed i64");
-
-    // After observing "producers == 0" we re-examine the cell once before
-    // reporting disconnection: every enqueue completed before the producer
-    // count dropped (Release on decrement), so the re-examination sees it
-    // (Acquire on load). Sticky within this call: that one Acquire load
-    // made *every* completed enqueue visible, not just the current cell's,
-    // so gap skips after it must not reset the flag — resetting could
-    // bounce a drained, producer-less queue back to `Empty`.
-    let mut disconnect_checked = false;
-
+    let cell = q.cell(rank);
+    let words = cell.words();
     loop {
-        let cell = q.cell(rank);
-        let words = cell.words();
-
-        // Lines 25/29 share one untorn (rank, gap) read per iteration; on
-        // the emulated DWCAS path it is stripe-locked, so it can never
-        // observe a half-applied pair update from a racing producer CAS.
-        // The rank half's Acquire pairs with the producer's Release
-        // rank-store (or release fence, on the batched path) and orders our
-        // data read after the producer's data write.
         let (r, g) = words.load_pair_untorn(Ordering::Acquire);
-
         // Line 25: is this cell publishing exactly our rank?
         if r == rank {
-            // SAFETY: a published cell's payload is initialized, and rank
-            // equality makes this consumer its unique owner.
-            let value = unsafe { (*cell.data()).assume_init_read() };
-            // Line 27: recycle the cell. Release pairs with the producer's
-            // Acquire rank-load so our data read happens-before any reuse.
-            if MP {
-                words.store_lo(RANK_FREE, Ordering::Release);
-            } else {
-                words.store_lo_unpaired(RANK_FREE, Ordering::Release);
-            }
-            stats.dequeued += 1;
-            return Ok(value);
+            return Visit::Published(cell);
         }
-
-        // Line 29: was our rank announced as a gap? `gap` is monotonically
-        // increasing per cell, so `>= rank` also covers announcements that
-        // superseded ours N positions later.
+        // Line 29: was our rank announced as a gap? `gap` only grows per
+        // cell, so `>= rank` also covers announcements that superseded
+        // ours N positions later.
         if g >= rank {
-            // Re-check the rank (the paper's `c.rank != rank` guard): the
-            // producer may have published our rank after the pair read — a
-            // gap announcement for a *later* rank does not cancel it.
+            // The paper's `c.rank != rank` guard: the producer may have
+            // published our rank after the pair read — a gap announcement
+            // for a *later* rank does not cancel it.
             if words.load_lo(Ordering::Acquire) == rank {
                 continue;
             }
             stats.gaps_skipped += 1;
-            // Oldest parked rank first; only claim fresh when none parked.
-            rank = match pending.pop_front() {
-                Some(r) => r,
-                None => claim_one(q, stats),
-            };
-            continue;
+            return Visit::Gap;
         }
-
         // Line 32: the item for our rank has not been produced yet.
-        stats.not_ready += 1;
-        if !disconnect_checked && q.state().producers().load(Ordering::Acquire) == 0 {
-            // Give the cell one more look now that all completed enqueues
-            // are guaranteed visible.
-            disconnect_checked = true;
-            continue;
-        }
-        pending.push_front(rank);
-        return Err(if disconnect_checked {
-            TryDequeueError::Disconnected
-        } else {
-            TryDequeueError::Empty
-        });
-    }
-}
-
-/// [`dequeue_core`] without the cell recycle: dequeues one item, leaving
-/// its cell publishing the rank until the caller hands the rank back
-/// through `RawConsumer::retire`. The borrowed-read primitive of the
-/// zero-copy bytes lane — the un-recycled cell is what keeps the rank's
-/// slot buffer safe from producer reuse while a `PayloadRef` borrows it.
-/// `T: Copy` because the value is copied out of a still-initialized cell.
-#[inline]
-pub(crate) fn dequeue_claim_core<T: Copy, C: CellSlot<T>, M: IndexMap, const MP: bool>(
-    q: &RawQueue<T, C, M>,
-    pending: &mut PendingRanks,
-    stats: &mut ConsumerStats,
-) -> Result<(i64, T), TryDequeueError> {
-    let mut rank = match pending.pop_front() {
-        Some(r) => r,
-        None => claim_one(q, stats),
-    };
-    debug_assert!(rank >= 0, "rank counter overflowed i64");
-    let mut disconnect_checked = false;
-    loop {
-        let cell = q.cell(rank);
-        let words = cell.words();
-        // Same untorn pair read and ordering discipline as dequeue_core.
-        let (r, g) = words.load_pair_untorn(Ordering::Acquire);
-        if r == rank {
-            // SAFETY: published cell, unique owner by rank equality; T is
-            // Copy, so reading without un-initializing is sound.
-            let value = unsafe { (*cell.data()).assume_init_read() };
-            stats.dequeued += 1;
-            return Ok((rank, value));
-        }
-        if g >= rank {
-            if words.load_lo(Ordering::Acquire) == rank {
-                continue;
-            }
-            stats.gaps_skipped += 1;
-            rank = match pending.pop_front() {
-                Some(r) => r,
-                None => claim_one(q, stats),
-            };
-            continue;
-        }
-        stats.not_ready += 1;
-        if !disconnect_checked && q.state().producers().load(Ordering::Acquire) == 0 {
-            disconnect_checked = true;
-            continue;
-        }
-        pending.push_front(rank);
-        return Err(if disconnect_checked {
-            TryDequeueError::Disconnected
-        } else {
-            TryDequeueError::Empty
-        });
-    }
-}
-
-/// Claims a run of up to `want` ranks below the mirrored tail, or `None`
-/// when nothing is claimable. `head_cap` is an *absolute rank* the claim
-/// must not reach (`i64::MAX`: no cap). Sharded consumers use the cap to
-/// keep their shard's head within the documented reordering window of the
-/// laggard shard (ALGORITHM.md §13).
-///
-/// The claim is a CAS loop, not a `fetch_add`: a `fetch_add` sized from a
-/// head that another consumer advances before the RMW lands its run past
-/// the tail snapshot (and past the cap). Past the tail, a single-producer
-/// queue's ranks are unpublished, so the run would park in this handle
-/// while later ranks go to other consumers — a FIFO inversion for a batch
-/// call that returns before its parked ranks publish. The CAS re-reads the
-/// head on every failure, so both bounds hold under any interleaving.
-#[inline]
-fn claim_run_capped<T, C: CellSlot<T>, M: IndexMap>(
-    q: &RawQueue<T, C, M>,
-    stats: &mut ConsumerStats,
-    want: i64,
-    head_cap: i64,
-) -> Option<(i64, i64)> {
-    // Emptiness pre-check and claim sizing in one: only ranks below the
-    // mirrored tail are worth claiming.
-    let tail = q.state().tail().load(Ordering::Acquire);
-    let mut head = q.state().head().load(Ordering::Relaxed);
-    loop {
-        let avail = (tail - head).min(want).min(head_cap - head);
-        if avail <= 0 {
-            return None;
-        }
-        stats.head_rmws += 1;
-        // Relaxed: the CAS only hands out unique rank runs; publication
-        // synchronizes through the cell words. Strong, so `head_rmws`
-        // counts only claims another consumer actually raced.
-        match q.state().head().compare_exchange(
-            head,
-            head + avail,
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        ) {
-            Ok(_) => {
-                debug_assert!(head >= 0, "head counter overflowed i64");
-                stats.ranks_claimed += avail as u64;
-                q.state().wake_producers(avail as usize);
-                return Some((head, head + avail));
-            }
-            Err(cur) => head = cur,
-        }
-    }
-}
-
-/// Harvests up to `max` ready items into `buf`, claiming head ranks in runs
-/// (one CAS per run, uncontended) instead of one at a time. Returns the
-/// number of items appended; never blocks.
-///
-/// Parked ranks from earlier claims are always harvested first, in claim
-/// order. When they run out, a new run is claimed only for ranks the
-/// mirrored tail reports as resolved — so a drain on an empty queue claims
-/// nothing, and (for single-producer queues, whose tail mirror trails rank
-/// publication) a run claimed here never parks: every rank in it is already
-/// published or gap-announced.
-///
-/// Reports neither emptiness nor disconnection — a `0` return means no item
-/// was ready; use the per-item path to distinguish `Disconnected`.
-pub(crate) fn dequeue_batch_core<T, C: CellSlot<T>, M: IndexMap, const MP: bool>(
-    q: &RawQueue<T, C, M>,
-    pending: &mut PendingRanks,
-    stats: &mut ConsumerStats,
-    buf: &mut Vec<T>,
-    max: usize,
-) -> usize {
-    dequeue_batch_capped_core::<T, C, M, MP>(q, pending, stats, buf, max, i64::MAX)
-}
-
-/// [`dequeue_batch_core`] with a `head_cap` bound on *fresh* claims: no
-/// rank at or past `head_cap` is claimed by this call (parked runs from
-/// earlier claims are still harvested — they were bounded when claimed).
-/// This is the consumer-side enforcement primitive for the sharded
-/// frontend's k-relaxed FIFO contract.
-pub(crate) fn dequeue_batch_capped_core<T, C: CellSlot<T>, M: IndexMap, const MP: bool>(
-    q: &RawQueue<T, C, M>,
-    pending: &mut PendingRanks,
-    stats: &mut ConsumerStats,
-    buf: &mut Vec<T>,
-    max: usize,
-    head_cap: i64,
-) -> usize {
-    let mut n = 0usize;
-    'harvest: while n < max {
-        // Take the oldest parked run whole, or claim a fresh one — the run
-        // is then walked with a plain local cursor, touching the pending
-        // deque again only for leftovers.
-        let (start, end) = match pending.pop_run() {
-            Some(run) => run,
-            None => match claim_run_capped(q, stats, (max - n) as i64, head_cap) {
-                Some(run) => run,
-                None => break,
-            },
-        };
-        // Ranks past the harvest bound go straight back; gap skips below
-        // may leave `n` short of that bound, in which case the outer loop
-        // claims again.
-        let stop = end.min(start + (max - n) as i64);
-        let mut rank = start;
-        while rank < stop {
-            let cell = q.cell(rank);
-            let words = cell.words();
-            loop {
-                // Same cell protocol and ordering discipline as dequeue_core
-                // (one untorn pair read, then the rank re-check guard).
-                let (r, g) = words.load_pair_untorn(Ordering::Acquire);
-                if r == rank {
-                    // SAFETY: published cell, unique owner by rank equality.
-                    let value = unsafe { (*cell.data()).assume_init_read() };
-                    if MP {
-                        words.store_lo(RANK_FREE, Ordering::Release);
-                    } else {
-                        words.store_lo_unpaired(RANK_FREE, Ordering::Release);
-                    }
-                    buf.push(value);
-                    n += 1;
-                    break;
-                }
-                if g >= rank {
-                    if words.load_lo(Ordering::Acquire) == rank {
-                        continue;
-                    }
-                    stats.gaps_skipped += 1;
-                    break;
-                }
-                // Not produced yet (multi-producer claims can outrun
-                // publication): park the rest of the run and stop.
+        match *probe {
+            Probe::Off => return Visit::Missing(TryDequeueError::Empty),
+            Probe::Gone => {
                 stats.not_ready += 1;
-                pending.push_front_run(rank, end);
-                break 'harvest;
+                return Visit::Missing(TryDequeueError::Disconnected);
             }
-            rank += 1;
-        }
-        if stop < end {
-            pending.push_front_run(stop, end);
+            Probe::Armed => {
+                stats.not_ready += 1;
+                // Every enqueue completed before the producer count
+                // dropped (Release on decrement), so once this Acquire
+                // load reads 0 the next look sees it.
+                if q.state().producers().load(Ordering::Acquire) != 0 {
+                    return Visit::Missing(TryDequeueError::Empty);
+                }
+                *probe = Probe::Gone;
+            }
         }
     }
-    stats.dequeued += n as u64;
-    stats.batch_dequeues += 1;
-    stats.batch_items += n as u64;
-    n
 }
 
 /// The wake condition of a consumer blocked after an `Empty`: its front
@@ -560,61 +318,6 @@ pub(crate) fn wake_ready_items<T, C: CellSlot<T>, M: IndexMap>(
             r == rank || g >= rank
         }
         None => !q.looks_empty(),
-    }
-}
-
-/// Blocking wrapper around [`dequeue_core`]: waits — spinning, then
-/// parking on the not-empty eventcount — while empty, returns
-/// `Err(Disconnected)` once no item can ever arrive.
-#[inline]
-pub(crate) fn dequeue_blocking<T, C: CellSlot<T>, M: IndexMap, const MP: bool>(
-    q: &RawQueue<T, C, M>,
-    pending: &mut PendingRanks,
-    stats: &mut ConsumerStats,
-    cfg: WaitConfig,
-) -> Result<T, crate::error::Disconnected> {
-    let mut strat = WaitStrategy::new(cfg);
-    let res = loop {
-        match dequeue_core::<T, C, M, MP>(q, pending, stats) {
-            Ok(value) => break Ok(value),
-            Err(TryDequeueError::Empty) => {
-                // dequeue_core re-parked the rank it was blocked on at the
-                // front; that rank's state cannot change except by a
-                // producer, so the snapshot stays valid across the park.
-                let front = pending.front_rank();
-                let state = q.state();
-                strat.wait_round(state.not_empty(), state.wait_is_shared(), None, &mut || {
-                    wake_ready(q, front)
-                });
-            }
-            Err(TryDequeueError::Disconnected) => break Err(crate::error::Disconnected),
-        }
-    };
-    stats.parks += strat.parks();
-    res
-}
-
-/// Best-effort recovery for a dropping consumer: consume and drop any
-/// already-published item among its parked ranks so those cells return to
-/// circulation. Unpublished ranks are forfeited (the paper's consumers are
-/// immortal worker threads; see the README caveat).
-pub(crate) fn recover_pending<T, C: CellSlot<T>, M: IndexMap, const MP: bool>(
-    q: &RawQueue<T, C, M>,
-    pending: &mut PendingRanks,
-) {
-    while let Some(rank) = pending.pop_front() {
-        let cell = q.cell(rank);
-        let words = cell.words();
-        if words.load_lo(Ordering::Acquire) == rank {
-            // SAFETY: rank equality makes this handle the payload's unique
-            // owner.
-            unsafe { (*cell.data()).assume_init_drop() };
-            if MP {
-                words.store_lo(RANK_FREE, Ordering::Release);
-            } else {
-                words.store_lo_unpaired(RANK_FREE, Ordering::Release);
-            }
-        }
     }
 }
 

@@ -43,7 +43,7 @@ use crate::WaitConfig;
 
 /// Creates an SPMC queue with the default layout (cache-line aligned cells,
 /// linear index mapping) and at least the given capacity (rounded up to a
-/// power of two; see [`normalize_capacity`][crate::layout::normalize_capacity]).
+/// power of two; see [`crate::layout::normalize_capacity`]).
 ///
 /// Returns the unique producer and one consumer; clone the consumer for more.
 ///
@@ -298,17 +298,6 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> Consumer<T, C, M> {
         TryIter { consumer: self }
     }
 
-    /// Moves up to `max` currently available items into `buf`, one rank
-    /// claim per item; returns the count. Never blocks, and never claims a
-    /// rank on a queue whose tail shows nothing available.
-    ///
-    /// This is the *per-item* drain — one head RMW per item. Prefer
-    /// [`dequeue_batch`](Self::dequeue_batch), which claims rank runs
-    /// instead and only falls back to per-item cost at batch size 1.
-    pub fn drain_into(&mut self, buf: &mut Vec<T>, max: usize) -> usize {
-        self.raw.drain_into(buf, max)
-    }
-
     /// Capacity of the underlying cell array.
     pub fn capacity(&self) -> usize {
         self.raw.capacity()
@@ -373,8 +362,8 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> Iterator for TryIter<'_, T, C, M> {
     type Item = T;
 
     fn next(&mut self) -> Option<T> {
-        // Same claim-free pre-check as drain_into: ending an iteration on
-        // an empty queue must not park a rank.
+        // Claim-free emptiness pre-check: ending an iteration on an empty
+        // queue must not park a rank.
         if self.consumer.raw.pending_is_empty() && self.consumer.raw.queue().looks_empty() {
             return None;
         }

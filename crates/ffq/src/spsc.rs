@@ -33,7 +33,7 @@ use crate::WaitConfig;
 
 /// Creates an SPSC queue with the default layout and at least the given
 /// capacity (rounded up to a power of two; see
-/// [`normalize_capacity`][crate::layout::normalize_capacity]).
+/// [`crate::layout::normalize_capacity`]).
 ///
 /// # Panics
 /// If `capacity` is 0 or exceeds [`crate::layout::MAX_CAPACITY`].
@@ -210,15 +210,6 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> Consumer<T, C, M> {
     /// pending.)
     pub fn dequeue_batch(&mut self, buf: &mut Vec<T>, max: usize) -> usize {
         self.raw.dequeue_batch(buf, max)
-    }
-
-    /// Moves up to `max` currently available items into `buf`, one head
-    /// mirror store per item; returns the count. Never blocks.
-    ///
-    /// This is the *per-item* drain; prefer
-    /// [`dequeue_batch`](Self::dequeue_batch), which mirrors once per run.
-    pub fn drain_into(&mut self, buf: &mut Vec<T>, max: usize) -> usize {
-        self.raw.drain_into(buf, max)
     }
 
     /// Capacity of the underlying cell array.

@@ -3,8 +3,9 @@
 //! FFQ is bounded by design — the paper sizes the ring so it "never fills
 //! up". This module removes the sizing obligation without touching the ring
 //! protocol: an unbounded queue is a singly-linked list of fixed-capacity
-//! [`crate::segment`] rings. Enqueues run the ordinary bounded protocol on
-//! the newest segment; when it fills, the producer *rolls* — allocates (or
+//! `segment` rings. Enqueues run the ordinary bounded protocol on
+//! the newest segment — [`crate::raw::RawProducer`] for one producer,
+//! [`crate::mpmc`]'s claim-or-gap step for many; when it fills, the producer *rolls* — allocates (or
 //! reuses, via a one-slot freelist) a fresh segment, links it, and seals the
 //! old one — instead of waiting for consumers. **An unbounded enqueue never
 //! blocks and never parks**; its cost beyond the bounded enqueue is one
@@ -31,7 +32,7 @@
 //! roll; a CAS on the `next` link elects one winner (losers donate their
 //! fresh segment to the freelist). The winner then *poisons* the segment's
 //! rank dispenser with a huge addend — claims landing at or past
-//! [`POISON_CUTOFF`] abandon the segment — and the dispenser value at
+//! `POISON_CUTOFF` (2^59) abandon the segment — and the dispenser value at
 //! poison time becomes the seal boundary: every rank below it was claimed
 //! by some producer and will be resolved (published or gap-announced) right
 //! there; no rank at or past it ever will be. Consumers prune claimed ranks
@@ -67,15 +68,16 @@
 use core::cell::UnsafeCell;
 use core::ptr;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ffq_sync::atomic::{spin_loop, AtomicPtr, AtomicU32, AtomicU64, Ordering};
-use ffq_sync::{Backoff, DoubleWord, EraRegistry, WaitConfig, WaitRound, WaitStrategy};
+use ffq_sync::{DoubleWord, EraRegistry, WaitConfig, WaitRound, WaitStrategy};
 
-use crate::cell::{CellSlot, PaddedCell, RANK_CLAIMED, RANK_FREE};
+use crate::cell::PaddedCell;
 use crate::error::{Disconnected, Full, TryDequeueError};
 use crate::layout::{normalize_capacity, LinearMap};
-use crate::raw::{RawConsumer, RawProducer, RawQueue, RawSpscConsumer};
+use crate::mpmc::resolve_rank;
+use crate::raw::{RawConsumer, RawProducer, RawSpscConsumer};
 use crate::segment::Segment;
 use crate::stats::{ConsumerStats, ProducerStats, SegmentStats};
 
@@ -431,8 +433,8 @@ impl<T: Send> Drop for SpProducer<T> {
 /// for more producers.
 ///
 /// Claims ranks with `fetch_add` on the newest segment's dispenser and
-/// resolves them with the bounded MPMC double-word-CAS protocol
-/// ([`crate::mpmc`]); a full segment triggers an elected roll instead of
+/// resolves them with the bounded MPMC claim-or-gap step (Algorithm 2,
+/// [`crate::mpmc`]); a full segment triggers an elected roll instead of
 /// blocking.
 pub struct MpProducer<T: Send> {
     ctl: Arc<Ctl<T>>,
@@ -484,7 +486,7 @@ impl<T: Send> MpProducer<T> {
                 continue;
             }
             self.stats.ranks_taken += 1;
-            match resolve_rank_mp(&q, rank, value, &mut self.stats) {
+            match resolve_rank(&q, &mut self.stats, rank, value) {
                 Ok(()) => return,
                 Err(v) => {
                     // Cell busy: the rank became a gap. A segment's worth
@@ -642,64 +644,6 @@ impl<T: Send> Drop for MpProducer<T> {
     }
 }
 
-/// The bounded MPMC rank-resolution protocol ([`crate::mpmc`], Algorithm 2
-/// lines 6–11), over a raw segment view: publish `value` at `rank`'s cell,
-/// or turn the rank into a gap (`Err`) if the cell is unusable.
-fn resolve_rank_mp<T: Send>(
-    q: &RawQueue<T, PaddedCell<T>, LinearMap>,
-    rank: i64,
-    value: T,
-    stats: &mut ProducerStats,
-) -> Result<(), T> {
-    let cell = q.cell(rank);
-    let words = cell.words();
-    let mut backoff = Backoff::new();
-    loop {
-        let g = words.load_hi(Ordering::Acquire);
-        if g >= rank {
-            // A later rank already skipped this cell: enqueueing here
-            // would be "in the past". The rank is a gap; consumers step
-            // over it.
-            return Err(value);
-        }
-        let r = words.load_lo(Ordering::Acquire);
-        if r >= 0 {
-            // Occupied by an unconsumed item — announce our rank as a gap.
-            if words.compare_exchange((r, g), (r, rank)).is_ok() {
-                stats.gaps_created += 1;
-                // Broadcast: the consumer parked on this rank may not be
-                // the one a counted wake lands on.
-                q.state().wake_consumers_all();
-                return Err(value);
-            }
-            stats.cas_failures += 1;
-            continue;
-        }
-        if r == RANK_CLAIMED {
-            // Another producer is between claim and publish.
-            backoff.wait();
-            continue;
-        }
-        debug_assert_eq!(r, RANK_FREE);
-        match words.compare_exchange((RANK_FREE, g), (RANK_CLAIMED, g)) {
-            Ok(()) => {
-                // SAFETY: the claim sentinel gives us exclusive ownership
-                // of the cell's data until the rank store below.
-                unsafe { (*cell.data()).write(value) };
-                words.store_lo(rank, Ordering::Release);
-                stats.enqueued += 1;
-                // Broadcast — wrong-wakee hazard; see `crate::mpmc`.
-                q.state().wake_consumers_all();
-                return Ok(());
-            }
-            Err(_) => {
-                stats.cas_failures += 1;
-                continue;
-            }
-        }
-    }
-}
-
 // ---- consumers ----------------------------------------------------------
 
 /// What a consumer should do after its ring reported `Disconnected`.
@@ -800,9 +744,7 @@ impl<T: Send> SpscConsumer<T> {
         }
         self.seg = next;
         // SAFETY: `next` is alive (protected by our raised slot).
-        let mut raw = unsafe { RawSpscConsumer::attach((*next).raw()) };
-        raw.set_wait_config(self.wait);
-        self.raw = raw;
+        self.raw = unsafe { RawSpscConsumer::attach((*next).raw()) };
         self.seg_stats.segments_advanced += 1;
     }
 
@@ -824,43 +766,53 @@ impl<T: Send> SpscConsumer<T> {
     /// Dequeues one item, waiting — per the configured [`WaitConfig`] —
     /// while the queue is empty.
     pub fn dequeue(&mut self) -> Result<T, Disconnected> {
-        let mut backoff = Backoff::new();
-        loop {
-            match self.raw.dequeue() {
-                Ok(v) => return Ok(v),
-                // The ring reports Disconnected on a seal as well as on a
-                // real disconnect; `step` tells them apart.
-                Err(Disconnected) => match self.step() {
-                    Step::Moved => backoff.reset(),
-                    // Defensive only (`step` cannot return these for the
-                    // spsc seal/drop orderings): escalate spin → yield
-                    // rather than burning a core on a bare spin hint.
-                    Step::Retry | Step::Waiting => backoff.wait(),
-                    Step::Dead => return Err(Disconnected),
-                },
-            }
-        }
+        // Without a timeout only a disconnect ends the wait.
+        self.dequeue_for(None).map_err(|_| Disconnected)
     }
 
     /// Dequeues one item, giving up after `timeout`.
     pub fn dequeue_timeout(&mut self, timeout: Duration) -> Result<T, TryDequeueError> {
-        let deadline = Instant::now() + timeout;
-        let mut backoff = Backoff::new();
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return self.try_dequeue();
-            }
-            match self.raw.dequeue_timeout(deadline - now) {
-                Ok(v) => return Ok(v),
-                Err(TryDequeueError::Empty) => return Err(TryDequeueError::Empty),
+        self.dequeue_for(Some(timeout))
+    }
+
+    /// The one wait loop of [`dequeue`](Self::dequeue) and
+    /// [`dequeue_timeout`](Self::dequeue_timeout): the ring engine's, plus
+    /// seam crossings.
+    fn dequeue_for(&mut self, timeout: Option<Duration>) -> Result<T, TryDequeueError> {
+        let mut strat = WaitStrategy::new(self.wait);
+        let res = loop {
+            match self.raw.try_dequeue() {
+                Ok(v) => break Ok(v),
+                Err(TryDequeueError::Empty) => {}
+                // The ring reports Disconnected on a seal as well as on a
+                // real disconnect; `step` tells them apart.
                 Err(TryDequeueError::Disconnected) => match self.step() {
-                    Step::Moved => backoff.reset(),
-                    Step::Retry | Step::Waiting => backoff.wait(),
-                    Step::Dead => return Err(TryDequeueError::Disconnected),
+                    Step::Moved => {
+                        strat.reset();
+                        continue;
+                    }
+                    Step::Dead => break Err(TryDequeueError::Disconnected),
+                    // Defensive only (`step` cannot return these for the
+                    // spsc seal/drop orderings): wait a round like `Empty`
+                    // rather than burning a core on a bare retry.
+                    Step::Retry | Step::Waiting => {}
                 },
             }
-        }
+            // SAFETY: protected by our era slot.
+            let state = unsafe { &*self.seg }.state();
+            let raw = &self.raw;
+            let round = strat.wait_round_for(
+                state.not_empty(),
+                state.wait_is_shared(),
+                timeout,
+                &mut || raw.wake_ready(),
+            );
+            if round == WaitRound::Expired {
+                break Err(TryDequeueError::Empty);
+            }
+        };
+        self.acc.parks += strat.parks();
+        res
     }
 
     /// Harvests up to `max` ready items into `buf`, crossing segment seams
@@ -891,7 +843,6 @@ impl<T: Send> SpscConsumer<T> {
     /// Replaces the wait policy used by blocking dequeues.
     pub fn set_wait_config(&mut self, cfg: WaitConfig) {
         self.wait = cfg;
-        self.raw.set_wait_config(cfg);
     }
 
     /// Capacity of one segment (the queue itself is unbounded).
@@ -1016,9 +967,7 @@ impl<T: Send, const MP: bool> McConsumer<T, MP> {
         }
         self.seg = next;
         // SAFETY: `next` is alive (protected by our raised slot).
-        let mut raw = unsafe { RawConsumer::attach((*next).raw()) };
-        raw.set_wait_config(self.wait);
-        self.raw = raw;
+        self.raw = unsafe { RawConsumer::attach((*next).raw()) };
         self.seg_stats.segments_advanced += 1;
     }
 
@@ -1045,64 +994,55 @@ impl<T: Send, const MP: bool> McConsumer<T, MP> {
     /// Dequeues one item, waiting — per the configured [`WaitConfig`] —
     /// while the queue is empty.
     pub fn dequeue(&mut self) -> Result<T, Disconnected> {
-        let mut strat = WaitStrategy::new(self.wait);
-        let res = loop {
-            match self.raw.dequeue() {
-                Ok(v) => break Ok(v),
-                Err(Disconnected) => match self.step() {
-                    Step::Moved => strat.reset(),
-                    Step::Retry => {}
-                    Step::Waiting => {
-                        // Park on the sealed segment's not-empty cell
-                        // until the lagging producer resolves the front
-                        // rank — publish and gap-announce both broadcast
-                        // there.
-                        let state = unsafe { &*self.seg }.state();
-                        strat.wait_round(
-                            state.not_empty(),
-                            state.wait_is_shared(),
-                            None,
-                            &mut || self.raw.wake_ready_items(),
-                        );
-                    }
-                    Step::Dead => break Err(Disconnected),
-                },
-            }
-        };
-        self.acc.parks += strat.parks();
-        res
+        // Without a timeout only a disconnect ends the wait.
+        self.dequeue_for(None).map_err(|_| Disconnected)
     }
 
     /// Dequeues one item, giving up after `timeout`.
     pub fn dequeue_timeout(&mut self, timeout: Duration) -> Result<T, TryDequeueError> {
-        let deadline = Instant::now() + timeout;
+        self.dequeue_for(Some(timeout))
+    }
+
+    /// The one wait loop of [`dequeue`](Self::dequeue) and
+    /// [`dequeue_timeout`](Self::dequeue_timeout): the ring engine's, plus
+    /// seam crossings and the wait for a lagging producer.
+    fn dequeue_for(&mut self, timeout: Option<Duration>) -> Result<T, TryDequeueError> {
         let mut strat = WaitStrategy::new(self.wait);
         let res = loop {
-            let now = Instant::now();
-            if now >= deadline {
-                break self.try_dequeue();
-            }
-            match self.raw.dequeue_timeout(deadline - now) {
+            // Whether the wait is for a sealed segment's front rank, whose
+            // producer count already reads 0: its wake condition is the
+            // rank resolving (publish and gap-announce both broadcast on
+            // the segment's not-empty cell), not the count.
+            let sealed = match self.raw.try_dequeue() {
                 Ok(v) => break Ok(v),
-                Err(TryDequeueError::Empty) => break Err(TryDequeueError::Empty),
+                Err(TryDequeueError::Empty) => false,
                 Err(TryDequeueError::Disconnected) => match self.step() {
-                    Step::Moved => strat.reset(),
-                    Step::Retry => {}
-                    Step::Waiting => {
-                        // As in `dequeue`, but deadline-clamped.
-                        let state = unsafe { &*self.seg }.state();
-                        let round = strat.wait_round(
-                            state.not_empty(),
-                            state.wait_is_shared(),
-                            Some(deadline),
-                            &mut || self.raw.wake_ready_items(),
-                        );
-                        if round == WaitRound::Expired {
-                            break self.try_dequeue();
-                        }
+                    Step::Moved => {
+                        strat.reset();
+                        continue;
                     }
+                    Step::Retry => continue,
+                    Step::Waiting => true,
                     Step::Dead => break Err(TryDequeueError::Disconnected),
                 },
+            };
+            // SAFETY: protected by our era slot.
+            let state = unsafe { &*self.seg }.state();
+            let raw = &self.raw;
+            let round = strat.wait_round_for(
+                state.not_empty(),
+                state.wait_is_shared(),
+                timeout,
+                &mut || {
+                    if sealed {
+                        raw.wake_ready_items()
+                    } else {
+                        raw.wake_ready()
+                    }
+                },
+            );
+            if round == WaitRound::Expired {
+                break Err(TryDequeueError::Empty);
             }
         };
         self.acc.parks += strat.parks();
@@ -1136,7 +1076,6 @@ impl<T: Send, const MP: bool> McConsumer<T, MP> {
     /// Replaces the wait policy used by blocking dequeues.
     pub fn set_wait_config(&mut self, cfg: WaitConfig) {
         self.wait = cfg;
-        self.raw.set_wait_config(cfg);
     }
 
     /// Capacity of one segment (the queue itself is unbounded).
@@ -1204,8 +1143,7 @@ impl<T: Send, const MP: bool> Clone for McConsumer<T, MP> {
         self.ctl.consumers.fetch_add(1, Ordering::Relaxed);
         // SAFETY: `seg` is alive per the source's slot; the new slot set
         // above keeps it so for the clone.
-        let mut raw = unsafe { RawConsumer::attach((*self.seg).raw()) };
-        raw.set_wait_config(self.wait);
+        let raw = unsafe { RawConsumer::attach((*self.seg).raw()) };
         Self {
             ctl: Arc::clone(&self.ctl),
             seg: self.seg,

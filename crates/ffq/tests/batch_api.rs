@@ -6,12 +6,11 @@ use ffq::TryDequeueError;
 fn spmc_enqueue_many_and_drain() {
     let (mut tx, mut rx) = ffq::spmc::channel::<u64>(64);
     assert_eq!(tx.enqueue_many(0..40), 40);
-    let mut buf = Vec::new();
-    assert_eq!(rx.drain_into(&mut buf, 25), 25);
+    let mut buf: Vec<u64> = rx.try_iter().take(25).collect();
     assert_eq!(buf, (0..25).collect::<Vec<u64>>());
-    assert_eq!(rx.drain_into(&mut buf, 100), 15);
+    buf.extend(rx.try_iter().take(100));
     assert_eq!(buf.len(), 40);
-    assert_eq!(rx.drain_into(&mut buf, 100), 0);
+    assert_eq!(rx.try_iter().count(), 0);
 }
 
 #[test]
@@ -19,7 +18,7 @@ fn spsc_enqueue_many_and_drain() {
     let (mut tx, mut rx) = ffq::spsc::channel::<u64>(64);
     assert_eq!(tx.enqueue_many(vec![9, 8, 7]), 3);
     let mut buf = Vec::new();
-    assert_eq!(rx.drain_into(&mut buf, 10), 3);
+    assert_eq!(rx.dequeue_batch(&mut buf, 10), 3);
     assert_eq!(buf, vec![9, 8, 7]);
 }
 
@@ -28,7 +27,7 @@ fn mpmc_enqueue_many_and_drain() {
     let (mut tx, mut rx) = ffq::mpmc::channel::<u64>(64);
     assert_eq!(tx.enqueue_many(0..10), 10);
     let mut buf = Vec::new();
-    assert_eq!(rx.drain_into(&mut buf, 10), 10);
+    assert_eq!(rx.dequeue_batch(&mut buf, 10), 10);
     assert_eq!(buf, (0..10).collect::<Vec<u64>>());
 }
 
@@ -65,22 +64,20 @@ fn mpmc_into_iter_across_producers() {
 #[test]
 fn drain_respects_pending_rank_semantics() {
     let (mut tx, mut rx) = ffq::spmc::channel::<u64>(16);
-    let mut buf = Vec::new();
     // A drain on an empty queue claims nothing: the emptiness pre-check
     // rejects before any rank is taken from the shared head.
-    assert_eq!(rx.drain_into(&mut buf, 4), 0);
+    assert_eq!(rx.try_iter().take(4).count(), 0);
     assert_eq!(rx.stats().ranks_claimed, 0);
     assert_eq!(rx.pending_ranks(), 0);
     tx.enqueue(5);
-    assert_eq!(rx.drain_into(&mut buf, 4), 1);
+    let buf: Vec<u64> = rx.try_iter().take(4).collect();
     assert_eq!(buf, vec![5]);
     // A rank parked by an unsatisfied per-item attempt is still resumed —
     // never abandoned — by a later drain.
     assert_eq!(rx.try_dequeue(), Err(TryDequeueError::Empty));
     assert_eq!(rx.pending_ranks(), 1);
     tx.enqueue(6);
-    buf.clear();
-    assert_eq!(rx.drain_into(&mut buf, 4), 1);
+    let buf: Vec<u64> = rx.try_iter().take(4).collect();
     assert_eq!(buf, vec![6]);
     assert_eq!(rx.pending_ranks(), 0);
 }
