@@ -123,8 +123,8 @@ impl Drop for SharedCells {
 
 /// Sending on a queue whose consumers are all gone; returns the item.
 ///
-/// Only produced by flavors whose producer can observe the consumer count
-/// (SPMC/MPMC); see [`TrySend::peers_gone`].
+/// Produced once the producer observes the consumer count at zero; see
+/// [`TrySend::peers_gone`].
 #[derive(Debug, PartialEq, Eq)]
 pub struct SendError<T>(pub T);
 

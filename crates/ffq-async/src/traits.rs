@@ -12,10 +12,11 @@
 use ffq::cell::CellSlot;
 use ffq::error::{Full, TryDequeueError};
 use ffq::layout::IndexMap;
+use ffq::raw::ConsumerEngine;
 
 /// A queue endpoint that can attempt a non-blocking enqueue.
 ///
-/// Implemented for the three `ffq` producer handles. `Send` is required
+/// Implemented for the `ffq` producer handles. `Send` is required
 /// because async tasks migrate across executor threads.
 pub trait TrySend: Send {
     /// Payload type carried by the queue.
@@ -25,9 +26,7 @@ pub trait TrySend: Send {
     fn try_send(&mut self, value: Self::Item) -> Result<(), Full<Self::Item>>;
 
     /// `true` when every consumer handle is provably gone, so a send can
-    /// never be received. Flavors without a consumer count in the producer
-    /// view (SPSC) report `false` — parity with the sync API, which also
-    /// cannot detect it there.
+    /// never be received.
     fn peers_gone(&self) -> bool;
 
     /// Capacity of the underlying cell array.
@@ -56,28 +55,7 @@ pub trait TryRecv: Send {
     fn capacity(&self) -> usize;
 }
 
-impl<T: Send, C: CellSlot<T>, M: IndexMap> TrySend for ffq::spsc::Producer<T, C, M> {
-    type Item = T;
-
-    #[inline]
-    fn try_send(&mut self, value: T) -> Result<(), Full<T>> {
-        self.try_enqueue(value)
-    }
-
-    #[inline]
-    fn peers_gone(&self) -> bool {
-        // The SPSC producer has no consumer-count view (by design — the
-        // flavor strips every shared counter it can); sends to a dropped
-        // consumer behave as in the sync API.
-        false
-    }
-
-    #[inline]
-    fn capacity(&self) -> usize {
-        self.capacity()
-    }
-}
-
+/// The single-producer handle of SPSC and SPMC queues (one type).
 impl<T: Send, C: CellSlot<T>, M: IndexMap> TrySend for ffq::spmc::Producer<T, C, M> {
     type Item = T;
 
@@ -178,7 +156,10 @@ impl<T: Send> TrySend for ffq::unbounded::MpProducer<T> {
     }
 }
 
-impl<T: Send, C: CellSlot<T>, M: IndexMap> TryRecv for ffq::spsc::Consumer<T, C, M> {
+/// Every heap consumer: SPSC, SPMC and MPMC (one type over the engines).
+impl<T: Send, C: CellSlot<T>, M: IndexMap, E: ConsumerEngine<T, C, M>> TryRecv
+    for ffq::spmc::Consumer<T, C, M, E>
+{
     type Item = T;
 
     #[inline]
@@ -197,64 +178,8 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> TryRecv for ffq::spsc::Consumer<T, C,
     }
 }
 
-impl<T: Send, C: CellSlot<T>, M: IndexMap> TryRecv for ffq::spmc::Consumer<T, C, M> {
-    type Item = T;
-
-    #[inline]
-    fn try_recv(&mut self) -> Result<T, TryDequeueError> {
-        self.try_dequeue()
-    }
-
-    #[inline]
-    fn recv_batch_now(&mut self, buf: &mut Vec<T>, max: usize) -> usize {
-        self.dequeue_batch(buf, max)
-    }
-
-    #[inline]
-    fn capacity(&self) -> usize {
-        self.capacity()
-    }
-}
-
-impl<T: Send, C: CellSlot<T>, M: IndexMap> TryRecv for ffq::mpmc::Consumer<T, C, M> {
-    type Item = T;
-
-    #[inline]
-    fn try_recv(&mut self) -> Result<T, TryDequeueError> {
-        self.try_dequeue()
-    }
-
-    #[inline]
-    fn recv_batch_now(&mut self, buf: &mut Vec<T>, max: usize) -> usize {
-        self.dequeue_batch(buf, max)
-    }
-
-    #[inline]
-    fn capacity(&self) -> usize {
-        self.capacity()
-    }
-}
-
-impl<T: Send> TryRecv for ffq::unbounded::SpscConsumer<T> {
-    type Item = T;
-
-    #[inline]
-    fn try_recv(&mut self) -> Result<T, TryDequeueError> {
-        self.try_dequeue()
-    }
-
-    #[inline]
-    fn recv_batch_now(&mut self, buf: &mut Vec<T>, max: usize) -> usize {
-        self.dequeue_batch(buf, max)
-    }
-
-    #[inline]
-    fn capacity(&self) -> usize {
-        self.segment_capacity()
-    }
-}
-
-impl<T: Send, const MP: bool> TryRecv for ffq::unbounded::McConsumer<T, MP> {
+/// Every unbounded consumer (one type over the engines).
+impl<T: Send, E: ConsumerEngine<T>> TryRecv for ffq::unbounded::Consumer<T, E> {
     type Item = T;
 
     #[inline]

@@ -141,6 +141,21 @@ fn sender_sees_consumers_gone_mpmc() {
 }
 
 #[test]
+fn sender_sees_consumers_gone_spsc() {
+    let (mut tx, rx) = spsc::channel::<u32>(4);
+    block_on(async {
+        // The SPSC producer counts its consumer too: once the receiver is
+        // gone, a send resolves with SendError and returns the item.
+        for i in 0..4 {
+            tx.enqueue(i).await.unwrap();
+        }
+        drop(rx);
+        let err = tx.enqueue(99).await.expect_err("the consumer is gone");
+        assert_eq!(err.into_inner(), 99);
+    });
+}
+
+#[test]
 fn spmc_fanout_partitions_items() {
     let (mut tx, rx) = spmc::channel::<u64>(32);
     let ex = Executor::new(3);

@@ -30,53 +30,25 @@ use crate::{
 };
 use std::time::Duration;
 
-use ffq::bytes::{McConsumer, PayloadRef, SpProducer, SpscConsumer, WriteSlot};
+use ffq::cell::PayloadDesc;
 use ffq::error::TryReserveError;
+use ffq::raw::ConsumerEngine;
 use ffq_shm::{
-    spmc_bytes, spsc_bytes, ShmBytesProducer, ShmBytesSpmcConsumer, ShmBytesSpscConsumer,
-    ShmReserveError,
+    spmc_bytes, spsc_bytes, ShmBytesConsumer, ShmBytesProducer, ShmBytesSpmcConsumer,
+    ShmBytesSpscConsumer, ShmReserveError,
 };
 
-/// Extends a [`WriteSlot`]'s borrow to `'static` so it can live inside the
-/// same heap allocation as the producer it borrows from.
-///
-/// # Safety
-/// The caller must keep the producer at a stable address for as long as
-/// the slot is held, and must not touch the producer through any other
-/// path while it is. [`FfqBytesProducer`] guarantees both: the handle is
-/// boxed (stable address) and every entry point routes through the
-/// `pending` gate.
-unsafe fn extend_slot(s: WriteSlot<'_, SpProducer>) -> WriteSlot<'static, SpProducer> {
-    // SAFETY: lifetime-only transmute; validity is the caller's contract.
-    unsafe { std::mem::transmute(s) }
-}
-
 /// Opaque producer handle for a bytes queue (`ffq_bytes_producer_t` —
-/// shared by the SPSC and SPMC variants).
+/// shared by the SPSC and SPMC variants). An outstanding reservation is
+/// held by the engine between calls, not by a guard here.
 pub struct FfqBytesProducer {
-    /// Declared before `inner` so an uncommitted reservation drops (and
-    /// aborts) before the producer it borrows from.
-    pending: Option<WriteSlot<'static, SpProducer>>,
     inner: ShmBytesProducer,
 }
 
 impl FfqBytesProducer {
     fn new(inner: ShmBytesProducer) -> Self {
-        Self {
-            pending: None,
-            inner,
-        }
+        Self { inner }
     }
-}
-
-/// Borrowed payload, parameterized by which consumer engine lent it. The
-/// fields are never read back — they are held so the cell stays claimed
-/// until their `Drop` (at `ffq_payload_release`) recycles it.
-enum Borrowed {
-    #[allow(dead_code)]
-    Spsc(PayloadRef<'static, SpscConsumer>),
-    #[allow(dead_code)]
-    Spmc(PayloadRef<'static, McConsumer<false>>),
 }
 
 /// Either bytes-consumer engine behind the one C-visible handle type.
@@ -86,20 +58,15 @@ enum ConsumerInner {
 }
 
 /// Opaque consumer handle for a bytes queue (`ffq_bytes_consumer_t` —
-/// wraps either variant's engine, so `ffq_payload_*` is one family).
+/// wraps either variant's engine, so `ffq_payload_*` is one family). An
+/// outstanding payload ref is a claim the engine holds between calls.
 pub struct FfqBytesConsumer {
-    /// Declared before `inner` so a still-borrowed payload drops (and
-    /// recycles its cell) before the consumer it borrows from.
-    borrowed: Option<Borrowed>,
     inner: ConsumerInner,
 }
 
 impl FfqBytesConsumer {
     fn new(inner: ConsumerInner) -> Self {
-        Self {
-            borrowed: None,
-            inner,
-        }
+        Self { inner }
     }
 }
 
@@ -222,7 +189,7 @@ pub unsafe extern "C" fn ffq_bytes_reserve(
     guard(|| {
         out_ptr!(buf);
         let h = handle!(p);
-        if h.pending.is_some() {
+        if h.inner.has_pending() {
             set_last_error("a reservation is already outstanding on this producer");
             return FFQ_ERR_STATE;
         }
@@ -232,11 +199,11 @@ pub unsafe extern "C" fn ffq_bytes_reserve(
         match h.inner.reserve(len) {
             Ok(mut slot) => {
                 // SAFETY: buf was null-checked; the slot buffer is len
-                // writable bytes.
+                // writable bytes, stable until commit or abort.
                 unsafe { *buf = slot.as_mut_ptr() };
-                // SAFETY: the handle is boxed (stable address) and the
-                // pending gate above keeps the borrow exclusive.
-                h.pending = Some(unsafe { extend_slot(slot) });
+                // The engine keeps holding the reservation; only the guard
+                // that would abort it on drop goes.
+                std::mem::forget(slot);
                 FFQ_OK
             }
             Err(e) => reserve_status(e),
@@ -255,7 +222,7 @@ pub unsafe extern "C" fn ffq_bytes_try_reserve(
     guard(|| {
         out_ptr!(buf);
         let h = handle!(p);
-        if h.pending.is_some() {
+        if h.inner.has_pending() {
             set_last_error("a reservation is already outstanding on this producer");
             return FFQ_ERR_STATE;
         }
@@ -264,11 +231,9 @@ pub unsafe extern "C" fn ffq_bytes_try_reserve(
         }
         let err = match h.inner.try_reserve(len) {
             Ok(mut slot) => {
-                // SAFETY: buf was null-checked; the slot buffer is len
-                // writable bytes.
+                // SAFETY: as in reserve.
                 unsafe { *buf = slot.as_mut_ptr() };
-                // SAFETY: boxed handle + pending gate, as in reserve.
-                h.pending = Some(unsafe { extend_slot(slot) });
+                std::mem::forget(slot);
                 return FFQ_OK;
             }
             Err(e) => e,
@@ -292,7 +257,7 @@ pub unsafe extern "C" fn ffq_bytes_try_reserve(
 pub unsafe extern "C" fn ffq_bytes_commit(p: *mut FfqBytesProducer) -> i32 {
     guard(|| {
         let h = handle!(p);
-        match h.pending.take() {
+        match h.inner.pending_slot() {
             Some(slot) => {
                 slot.commit();
                 FFQ_OK
@@ -311,7 +276,7 @@ pub unsafe extern "C" fn ffq_bytes_commit(p: *mut FfqBytesProducer) -> i32 {
 pub unsafe extern "C" fn ffq_bytes_abort(p: *mut FfqBytesProducer) -> i32 {
     guard(|| {
         let h = handle!(p);
-        match h.pending.take() {
+        match h.inner.pending_slot() {
             Some(slot) => {
                 drop(slot);
                 FFQ_OK
@@ -337,7 +302,7 @@ pub unsafe extern "C" fn ffq_bytes_send(
             return FFQ_ERR_NULL;
         }
         let h = handle!(p);
-        if h.pending.is_some() {
+        if h.inner.has_pending() {
             set_last_error("a reservation is already outstanding on this producer");
             return FFQ_ERR_STATE;
         }
@@ -432,51 +397,52 @@ pub unsafe extern "C" fn ffq_bytes_producer_close(p: *mut FfqBytesProducer) {
 // Consumer: borrowed payload refs
 // ---------------------------------------------------------------------------
 
-/// Claims the next payload and exposes it borrowed through `*data`/`*len`,
-/// on success holding the cell until [`ffq_payload_release`]. `$recv` is
-/// the engine method to call.
-macro_rules! payload_claim {
-    ($h:ident, $data:ident, $len:ident, $recv:ident ( $($arg:expr),* ),
-     $map_err:ident) => {{
-        if $h.borrowed.is_some() {
-            set_last_error("a payload ref is already outstanding on this consumer");
-            return FFQ_ERR_STATE;
+/// How a payload claim waits.
+enum Claim {
+    Block,
+    Try,
+    Timeout(Duration),
+}
+
+/// Claims the next payload from either engine and exposes it borrowed
+/// through `*data`/`*len`. On success the claim stays held by the engine —
+/// its cell out of circulation, the bytes in place — until
+/// [`ffq_payload_release`]; only the guard that would release it on drop
+/// goes. One claim may be outstanding per handle.
+fn claim_ref(h: &mut FfqBytesConsumer, data: *mut *const u8, len: *mut usize, how: Claim) -> i32 {
+    match &mut h.inner {
+        ConsumerInner::Spsc(c) => claim_ref_from(c, data, len, how),
+        ConsumerInner::Spmc(c) => claim_ref_from(c, data, len, how),
+    }
+}
+
+fn claim_ref_from<E: ConsumerEngine<PayloadDesc>>(
+    c: &mut ShmBytesConsumer<E>,
+    data: *mut *const u8,
+    len: *mut usize,
+    how: Claim,
+) -> i32 {
+    if c.has_claimed() {
+        set_last_error("a payload ref is already outstanding on this consumer");
+        return FFQ_ERR_STATE;
+    }
+    let claimed = match how {
+        Claim::Block => c.recv().map_err(dequeue_status),
+        Claim::Try => c.try_recv().map_err(try_dequeue_status),
+        Claim::Timeout(t) => c.recv_timeout(t).map_err(try_dequeue_status),
+    };
+    match claimed {
+        Ok(payload) => {
+            // SAFETY: data/len were null-checked by the caller.
+            unsafe {
+                *data = payload.as_ptr();
+                *len = payload.len();
+            }
+            std::mem::forget(payload);
+            FFQ_OK
         }
-        match &mut $h.inner {
-            ConsumerInner::Spsc(c) => match c.$recv($($arg),*) {
-                Ok(payload) => {
-                    // SAFETY: data/len were null-checked; the borrow stays
-                    // valid until release because the handle is boxed and
-                    // the borrowed gate keeps it exclusive.
-                    unsafe {
-                        *$data = payload.as_ptr();
-                        *$len = payload.len();
-                        $h.borrowed = Some(Borrowed::Spsc(std::mem::transmute::<
-                            PayloadRef<'_, SpscConsumer>,
-                            PayloadRef<'static, SpscConsumer>,
-                        >(payload)));
-                    }
-                    FFQ_OK
-                }
-                Err(e) => $map_err(e),
-            },
-            ConsumerInner::Spmc(c) => match c.$recv($($arg),*) {
-                Ok(payload) => {
-                    // SAFETY: as above.
-                    unsafe {
-                        *$data = payload.as_ptr();
-                        *$len = payload.len();
-                        $h.borrowed = Some(Borrowed::Spmc(std::mem::transmute::<
-                            PayloadRef<'_, McConsumer<false>>,
-                            PayloadRef<'static, McConsumer<false>>,
-                        >(payload)));
-                    }
-                    FFQ_OK
-                }
-                Err(e) => $map_err(e),
-            },
-        }
-    }};
+        Err(status) => status,
+    }
 }
 
 /// Claims the next payload, blocking while the queue is empty. On `FFQ_OK`
@@ -493,7 +459,7 @@ pub unsafe extern "C" fn ffq_payload_ref(
         out_ptr!(data);
         out_ptr!(len);
         let h = handle!(c);
-        payload_claim!(h, data, len, recv(), dequeue_status)
+        claim_ref(h, data, len, Claim::Block)
     })
 }
 
@@ -509,7 +475,7 @@ pub unsafe extern "C" fn ffq_payload_try_ref(
         out_ptr!(data);
         out_ptr!(len);
         let h = handle!(c);
-        payload_claim!(h, data, len, try_recv(), try_dequeue_status)
+        claim_ref(h, data, len, Claim::Try)
     })
 }
 
@@ -526,13 +492,8 @@ pub unsafe extern "C" fn ffq_payload_ref_timeout_ms(
         out_ptr!(data);
         out_ptr!(len);
         let h = handle!(c);
-        payload_claim!(
-            h,
-            data,
-            len,
-            recv_timeout(Duration::from_millis(timeout_ms)),
-            try_dequeue_status
-        )
+        let timeout = Duration::from_millis(timeout_ms);
+        claim_ref(h, data, len, Claim::Timeout(timeout))
     })
 }
 
@@ -541,17 +502,15 @@ pub unsafe extern "C" fn ffq_payload_ref_timeout_ms(
 #[no_mangle]
 pub unsafe extern "C" fn ffq_payload_release(c: *mut FfqBytesConsumer) -> i32 {
     guard(|| {
-        let h = handle!(c);
-        match h.borrowed.take() {
-            Some(b) => {
-                drop(b);
-                FFQ_OK
-            }
-            None => {
-                set_last_error("release without an outstanding payload ref");
-                FFQ_ERR_STATE
-            }
+        let released = match &mut handle!(c).inner {
+            ConsumerInner::Spsc(c) => c.release_claimed(),
+            ConsumerInner::Spmc(c) => c.release_claimed(),
+        };
+        if !released {
+            set_last_error("release without an outstanding payload ref");
+            return FFQ_ERR_STATE;
         }
+        FFQ_OK
     })
 }
 

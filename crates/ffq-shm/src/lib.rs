@@ -87,8 +87,8 @@ pub use error::{
 };
 pub use queue::{
     broadcast, spmc, spmc_bytes, spsc, spsc_bytes, ShmBroadcastSender, ShmBroadcastSubscriber,
-    ShmBytesProducer, ShmBytesSpmcConsumer, ShmBytesSpscConsumer, ShmProducer, ShmSpmcConsumer,
-    ShmSpscConsumer,
+    ShmBytesConsumer, ShmBytesProducer, ShmBytesSpmcConsumer, ShmBytesSpscConsumer, ShmConsumer,
+    ShmProducer, ShmSpmcConsumer, ShmSpscConsumer,
 };
 pub use region::ShmRegion;
 

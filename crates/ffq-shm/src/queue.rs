@@ -28,18 +28,21 @@
 //! region contains no pointer anywhere.
 
 use core::fmt;
+use core::marker::PhantomData;
 use core::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use ffq::broadcast::{RawBroadcastProducer, RawBroadcastSubscriber};
 use ffq::bytes::{
-    BytesConsumer as _, BytesProducer as _, McConsumer, PayloadRef, SlotRegion, SpProducer,
-    SpillMode, SpscConsumer, WriteSlot,
+    self, BytesConsumer as _, BytesProducer as _, PayloadRef, SlotRegion, SpProducer, SpillMode,
+    WriteSlot,
 };
 use ffq::cell::{CellSlot, PaddedCell, PayloadDesc};
 use ffq::error::{BroadcastTryRecvError, Full, TryDequeueError, TryReserveError};
 use ffq::layout::{IndexMap, LinearMap};
-use ffq::raw::{QueueState, RawConsumer, RawProducer, RawQueue, RawSpscConsumer, ShmSafe};
+use ffq::raw::{
+    ConsumerEngine, QueueState, RawConsumer, RawProducer, RawQueue, RawSpscConsumer, ShmSafe,
+};
 use ffq::stats::{ConsumerStats, ProducerStats, SubscriberStats};
 use ffq_sync::sys;
 
@@ -623,105 +626,115 @@ impl<T: ShmSafe> ShmProducer<T> {
     attachment_api!();
 }
 
-macro_rules! consumer_common_impl {
-    () => {
-        /// Attempts to dequeue one item without blocking.
-        pub fn try_dequeue(&mut self) -> Result<T, ShmTryDequeueError> {
-            self.raw.try_dequeue().map_err(|e| self.att.miss(e))
-        }
-
-        /// Dequeues one item, waiting — spinning, then parked on the
-        /// queue's process-shared not-empty futex — while the queue is
-        /// empty. A blocked consumer burns no CPU between wakes.
-        ///
-        /// Between park slices it probes the producer: a stalled
-        /// heartbeat whose pid no longer exists poisons the queue and
-        /// returns [`ShmDequeueError::Poisoned`] — bounded by the slice
-        /// length, a crashed producer never leaves parked consumers
-        /// hanging.
-        pub fn dequeue(&mut self) -> Result<T, ShmDequeueError> {
-            self.wait(None).map_err(blocking)
-        }
-
-        /// Dequeues one item, giving up with
-        /// [`ShmTryDequeueError::Empty`] after `timeout`. Runs the same
-        /// liveness probes as [`dequeue`](Self::dequeue), the first one
-        /// before the deadline is checked.
-        pub fn dequeue_timeout(&mut self, timeout: Duration) -> Result<T, ShmTryDequeueError> {
-            self.wait(Some(Instant::now() + timeout))
-        }
-
-        fn wait(&mut self, deadline: Option<Instant>) -> Result<T, ShmTryDequeueError> {
-            let raw = &mut self.raw;
-            let got = self
-                .att
-                .block(deadline, |slice| match raw.dequeue_timeout(slice) {
-                    Err(TryDequeueError::Empty) => None,
-                    r => Some(r),
-                })?;
-            got.map_err(|_| ShmTryDequeueError::Disconnected)
-        }
-
-        /// Replaces the wait policy used inside blocked slices; see
-        /// [`ffq::WaitConfig`].
-        pub fn set_wait_config(&mut self, cfg: ffq::WaitConfig) {
-            self.raw.set_wait_config(cfg);
-        }
-
-        /// Harvests up to `max` ready items into `buf` without blocking;
-        /// returns the count.
-        pub fn dequeue_batch(&mut self, buf: &mut Vec<T>, max: usize) -> usize {
-            self.raw.dequeue_batch(buf, max)
-        }
-
-        /// Approximate number of items currently enqueued.
-        pub fn len_hint(&self) -> usize {
-            self.raw.len_hint()
-        }
-
-        /// Snapshot of this consumer's counters.
-        pub fn stats(&self) -> ConsumerStats {
-            self.raw.stats()
-        }
-
-        attachment_api!();
-    };
+/// A consumer on a shared-memory queue, generic over its engine: the
+/// unique private-head consumer of an SPSC queue ([`ShmSpscConsumer`] — no
+/// shared-counter RMW on dequeue) or a shared-head consumer of an SPMC
+/// queue ([`ShmSpmcConsumer`] — attach up to
+/// [`MAX_CONSUMERS`](crate::header::MAX_CONSUMERS), from any mix of
+/// processes and threads).
+pub struct ShmConsumer<T: ShmSafe, E: ConsumerEngine<T>> {
+    raw: E,
+    att: Attachment,
+    _item: PhantomData<T>,
 }
 
-/// A shared-head consumer on a shared-memory SPMC queue. Attach up to
-/// [`MAX_CONSUMERS`](crate::header::MAX_CONSUMERS) of these, from any mix
-/// of processes and threads.
-pub struct ShmSpmcConsumer<T: ShmSafe> {
-    raw: RawConsumer<T, PaddedCell<T>, LinearMap, false>,
-    att: Attachment,
+/// The unique consumer of a shared-memory SPSC queue.
+pub type ShmSpscConsumer<T> = ShmConsumer<T, RawSpscConsumer<T>>;
+
+/// A shared-head consumer on a shared-memory SPMC queue.
+pub type ShmSpmcConsumer<T> = ShmConsumer<T, RawConsumer<T, PaddedCell<T>, LinearMap, false>>;
+
+impl<T: ShmSafe, E: ConsumerEngine<T>> ShmConsumer<T, E> {
+    /// Attaches a `variant` consumer; each lane module pairs its variant
+    /// with the engine it admits.
+    fn attach(region: ShmRegion, variant: u8) -> Result<Self, ShmError> {
+        let (att, queue) = Attachment::new::<T>(region, variant, false)?;
+        // SAFETY: the slot claim enforces the variant's consumer
+        // cardinality (slot 0 only on SPSC); the attachment outlives the
+        // engine.
+        let mut raw = unsafe { E::attach(queue) };
+        raw.set_wait_config(shm_wait_config());
+        Ok(Self {
+            raw,
+            att,
+            _item: PhantomData,
+        })
+    }
+
+    /// Attempts to dequeue one item without blocking.
+    pub fn try_dequeue(&mut self) -> Result<T, ShmTryDequeueError> {
+        self.raw.try_dequeue().map_err(|e| self.att.miss(e))
+    }
+
+    /// Dequeues one item, waiting — spinning, then parked on the queue's
+    /// process-shared not-empty futex — while the queue is empty. A
+    /// blocked consumer burns no CPU between wakes.
+    ///
+    /// Between park slices it probes the producer: a stalled heartbeat
+    /// whose pid no longer exists poisons the queue and returns
+    /// [`ShmDequeueError::Poisoned`] — bounded by the slice length, a
+    /// crashed producer never leaves parked consumers hanging.
+    pub fn dequeue(&mut self) -> Result<T, ShmDequeueError> {
+        self.wait(None).map_err(blocking)
+    }
+
+    /// Dequeues one item, giving up with [`ShmTryDequeueError::Empty`]
+    /// after `timeout`. Runs the same liveness probes as
+    /// [`dequeue`](Self::dequeue), the first one before the deadline is
+    /// checked.
+    pub fn dequeue_timeout(&mut self, timeout: Duration) -> Result<T, ShmTryDequeueError> {
+        self.wait(Some(Instant::now() + timeout))
+    }
+
+    fn wait(&mut self, deadline: Option<Instant>) -> Result<T, ShmTryDequeueError> {
+        let raw = &mut self.raw;
+        let got = self
+            .att
+            .block(deadline, |slice| match raw.dequeue_timeout(slice) {
+                Err(TryDequeueError::Empty) => None,
+                r => Some(r),
+            })?;
+        got.map_err(|_| ShmTryDequeueError::Disconnected)
+    }
+
+    /// Replaces the wait policy used inside blocked slices; see
+    /// [`ffq::WaitConfig`].
+    pub fn set_wait_config(&mut self, cfg: ffq::WaitConfig) {
+        self.raw.set_wait_config(cfg);
+    }
+
+    /// Harvests up to `max` ready items into `buf` without blocking;
+    /// returns the count.
+    pub fn dequeue_batch(&mut self, buf: &mut Vec<T>, max: usize) -> usize {
+        self.raw.dequeue_batch(buf, max)
+    }
+
+    /// Approximate number of items currently enqueued.
+    pub fn len_hint(&self) -> usize {
+        self.raw.len_hint()
+    }
+
+    /// Snapshot of this consumer's counters.
+    pub fn stats(&self) -> ConsumerStats {
+        self.raw.stats()
+    }
+
+    attachment_api!();
 }
 
 impl<T: ShmSafe> ShmSpmcConsumer<T> {
-    consumer_common_impl!();
-
     /// Number of ranks this handle has claimed but not yet resolved.
     pub fn pending_ranks(&self) -> usize {
         self.raw.pending_ranks()
     }
 }
 
-impl<T: ShmSafe> Drop for ShmSpmcConsumer<T> {
+impl<T: ShmSafe, E: ConsumerEngine<T>> Drop for ShmConsumer<T, E> {
     fn drop(&mut self) {
         // Return published-but-pending cells to circulation; the
         // attachment detaches afterwards.
         self.raw.recover_pending();
     }
-}
-
-/// The unique consumer of a shared-memory SPSC queue (private head — no
-/// shared-counter RMW on dequeue).
-pub struct ShmSpscConsumer<T: ShmSafe> {
-    raw: RawSpscConsumer<T>,
-    att: Attachment,
-}
-
-impl<T: ShmSafe> ShmSpscConsumer<T> {
-    consumer_common_impl!();
 }
 
 /// `required_size`/`format`/`create` and the producer-side attach of one
@@ -775,12 +788,7 @@ pub mod spsc {
     /// (waits for `READY`). A second live consumer is refused with
     /// [`ShmError::SlotsFull`].
     pub fn attach_consumer<T: ShmSafe>(region: ShmRegion) -> Result<Consumer<T>, ShmError> {
-        let (att, queue) = Attachment::new::<T>(region, VARIANT_SPSC, false)?;
-        // SAFETY: consumer uniqueness enforced by the exclusive claim on
-        // header slot 0; the attachment outlives the engine.
-        let mut raw = unsafe { RawSpscConsumer::attach(queue) };
-        raw.set_wait_config(shm_wait_config());
-        Ok(Consumer { raw, att })
+        Consumer::attach(region, VARIANT_SPSC)
     }
 }
 
@@ -800,12 +808,7 @@ pub mod spmc {
     /// `READY`). Up to [`MAX_CONSUMERS`](crate::header::MAX_CONSUMERS) may
     /// be attached at once, from any mix of processes and threads.
     pub fn attach_consumer<T: ShmSafe>(region: ShmRegion) -> Result<Consumer<T>, ShmError> {
-        let (att, queue) = Attachment::new::<T>(region, VARIANT_SPMC, false)?;
-        // SAFETY: shared-head consumers may attach in any number up to the
-        // slot limit; the attachment outlives the engine.
-        let mut raw = unsafe { RawConsumer::attach(queue) };
-        raw.set_wait_config(shm_wait_config());
-        Ok(Consumer { raw, att })
+        Consumer::attach(region, VARIANT_SPMC)
     }
 }
 
@@ -894,7 +897,7 @@ impl<T: ShmSafe> ShmBroadcastSubscriber<T> {
     /// published.
     ///
     /// Between park slices it probes the sender exactly as
-    /// [`ShmSpmcConsumer::dequeue`] probes its producer: a stalled
+    /// [`ShmConsumer::dequeue`] probes its producer: a stalled
     /// heartbeat whose pid no longer exists poisons the queue and returns
     /// [`ShmBroadcastRecvError::Poisoned`] within one slice.
     pub fn recv(&mut self) -> Result<T, ShmBroadcastRecvError> {
@@ -1116,6 +1119,20 @@ impl ShmBytesProducer {
         Ok(())
     }
 
+    /// Whether a reservation is held — for the C ABI, which keeps a
+    /// reservation in the engine between calls instead of a guard.
+    #[doc(hidden)]
+    pub fn has_pending(&self) -> bool {
+        self.engine.has_pending()
+    }
+
+    /// The guard over the held reservation, to commit or abort it; `None`
+    /// when none is held.
+    #[doc(hidden)]
+    pub fn pending_slot(&mut self) -> Option<WriteSlot<'_, SpProducer>> {
+        self.engine.pending_slot()
+    }
+
     /// The largest payload a reserve on this queue can ever satisfy
     /// (`capacity/2 × slot_bytes` for the chained SPSC flavor, one slot
     /// buffer for SPMC).
@@ -1143,91 +1160,115 @@ impl ShmBytesProducer {
     attachment_api!();
 }
 
-macro_rules! bytes_consumer_common_impl {
-    ($engine_ty:ty) => {
-        /// Claims the next payload without blocking. The returned
-        /// [`PayloadRef`] borrows the bytes in the mapped slot region;
-        /// the cell recycles when it drops.
-        pub fn try_recv(&mut self) -> Result<PayloadRef<'_, $engine_ty>, ShmTryDequeueError> {
-            self.engine.try_recv().map_err(|e| self.att.miss(e))
-        }
-
-        /// Claims the next payload, waiting — bounded parks on the
-        /// process-shared futex, with the same producer liveness probes as
-        /// the typed [`dequeue`](ShmSpscConsumer::dequeue) — while the
-        /// queue is empty.
-        pub fn recv(&mut self) -> Result<PayloadRef<'_, $engine_ty>, ShmDequeueError> {
-            self.claim(None).map_err(blocking)?;
-            Ok(self.claimed())
-        }
-
-        /// Claims the next payload, giving up with
-        /// [`ShmTryDequeueError::Empty`] after `timeout`. Runs the same
-        /// liveness probes as [`recv`](Self::recv), the first one before
-        /// the deadline is checked.
-        pub fn recv_timeout(
-            &mut self,
-            timeout: Duration,
-        ) -> Result<PayloadRef<'_, $engine_ty>, ShmTryDequeueError> {
-            self.claim(Some(Instant::now() + timeout))?;
-            Ok(self.claimed())
-        }
-
-        fn claim(&mut self, deadline: Option<Instant>) -> Result<(), ShmTryDequeueError> {
-            let engine = &mut self.engine;
-            let claimed =
-                self.att
-                    .block(deadline, |slice| match engine.claim_payload(Some(slice)) {
-                        Err(TryDequeueError::Empty) => None,
-                        r => Some(r),
-                    })?;
-            claimed.map_err(|_| ShmTryDequeueError::Disconnected)
-        }
-
-        /// The guard over the payload [`claim`](Self::claim) holds.
-        fn claimed(&mut self) -> PayloadRef<'_, $engine_ty> {
-            // Infallible: the claim is already held (claiming is
-            // idempotent), so this only builds the guard.
-            self.engine.try_recv().expect("payload already claimed")
-        }
-
-        /// Replaces the wait policy used inside blocked slices; see
-        /// [`ffq::WaitConfig`].
-        pub fn set_wait_config(&mut self, cfg: ffq::WaitConfig) {
-            self.engine.set_wait_config(cfg);
-        }
-
-        /// Snapshot of this consumer's counters.
-        pub fn stats(&self) -> ConsumerStats {
-            self.engine.stats()
-        }
-
-        attachment_api!();
-    };
-}
-
-/// The unique consumer of a shared-memory SPSC bytes queue: payloads —
-/// including chain-spilled ones larger than a slot buffer — come out
-/// borrowed from (or reassembled out of) the mapped slot region.
-pub struct ShmBytesSpscConsumer {
-    engine: SpscConsumer,
+/// A consumer on a shared-memory zero-copy bytes queue, generic over its
+/// engine: the unique consumer of an SPSC bytes queue
+/// ([`ShmBytesSpscConsumer`] — payloads, including chain-spilled ones
+/// larger than a slot buffer, come out borrowed from or reassembled out
+/// of the mapped slot region) or a shared-head consumer of an SPMC bytes
+/// queue ([`ShmBytesSpmcConsumer`] — attach up to
+/// [`MAX_CONSUMERS`](crate::header::MAX_CONSUMERS), from any mix of
+/// processes and threads; each payload is delivered to exactly one).
+pub struct ShmBytesConsumer<E: ConsumerEngine<PayloadDesc>> {
+    engine: bytes::Consumer<E>,
     att: Attachment,
 }
 
-impl ShmBytesSpscConsumer {
-    bytes_consumer_common_impl!(SpscConsumer);
-}
+/// The unique consumer of a shared-memory SPSC bytes queue.
+pub type ShmBytesSpscConsumer = ShmBytesConsumer<RawSpscConsumer<PayloadDesc>>;
 
-/// A shared-head consumer on a shared-memory SPMC bytes queue. Attach up
-/// to [`MAX_CONSUMERS`](crate::header::MAX_CONSUMERS), from any mix of
-/// processes and threads; each payload is delivered to exactly one.
-pub struct ShmBytesSpmcConsumer {
-    engine: McConsumer<false>,
-    att: Attachment,
-}
+/// A shared-head consumer on a shared-memory SPMC bytes queue.
+pub type ShmBytesSpmcConsumer =
+    ShmBytesConsumer<RawConsumer<PayloadDesc, PaddedCell<PayloadDesc>, LinearMap, false>>;
 
-impl ShmBytesSpmcConsumer {
-    bytes_consumer_common_impl!(McConsumer<false>);
+impl<E: ConsumerEngine<PayloadDesc>> ShmBytesConsumer<E> {
+    /// Attaches a `variant` consumer under the lane's spill policy (the
+    /// producer's: chained on SPSC, refused on SPMC); each lane module
+    /// pairs its variant with the engine it admits.
+    fn attach(region: ShmRegion, variant: u8, spill: SpillMode) -> Result<Self, ShmError> {
+        let (att, queue) = Attachment::new::<PayloadDesc>(region, variant, false)?;
+        // SAFETY: the slot claim enforces the variant's consumer
+        // cardinality (chains only on the single-consumer lane); the spill
+        // mode matches the producer's and never needs a shared address
+        // space. The attachment outlives the engine.
+        let mut engine =
+            unsafe { bytes::Consumer::from_raw_parts(E::attach(queue), att.slots(), spill) };
+        engine.set_wait_config(shm_wait_config());
+        Ok(Self { engine, att })
+    }
+
+    /// Claims the next payload without blocking. The returned
+    /// [`PayloadRef`] borrows the bytes in the mapped slot region; the cell
+    /// recycles when it drops.
+    pub fn try_recv(&mut self) -> Result<PayloadRef<'_, bytes::Consumer<E>>, ShmTryDequeueError> {
+        self.engine.try_recv().map_err(|e| self.att.miss(e))
+    }
+
+    /// Claims the next payload, waiting — bounded parks on the
+    /// process-shared futex, with the same producer liveness probes as the
+    /// typed [`dequeue`](ShmConsumer::dequeue) — while the queue is empty.
+    pub fn recv(&mut self) -> Result<PayloadRef<'_, bytes::Consumer<E>>, ShmDequeueError> {
+        self.claim(None).map_err(blocking)?;
+        Ok(self.claimed())
+    }
+
+    /// Claims the next payload, giving up with
+    /// [`ShmTryDequeueError::Empty`] after `timeout`. Runs the same
+    /// liveness probes as [`recv`](Self::recv), the first one before the
+    /// deadline is checked.
+    pub fn recv_timeout(
+        &mut self,
+        timeout: Duration,
+    ) -> Result<PayloadRef<'_, bytes::Consumer<E>>, ShmTryDequeueError> {
+        self.claim(Some(Instant::now() + timeout))?;
+        Ok(self.claimed())
+    }
+
+    fn claim(&mut self, deadline: Option<Instant>) -> Result<(), ShmTryDequeueError> {
+        let engine = &mut self.engine;
+        let claimed =
+            self.att
+                .block(deadline, |slice| match engine.claim_payload(Some(slice)) {
+                    Err(TryDequeueError::Empty) => None,
+                    r => Some(r),
+                })?;
+        claimed.map_err(|_| ShmTryDequeueError::Disconnected)
+    }
+
+    /// The guard over the payload [`claim`](Self::claim) holds.
+    fn claimed(&mut self) -> PayloadRef<'_, bytes::Consumer<E>> {
+        // Infallible: the claim is already held (claiming is idempotent),
+        // so this only builds the guard.
+        self.engine.try_recv().expect("payload already claimed")
+    }
+
+    /// Whether a claimed payload is held — for the C ABI, which keeps a
+    /// claim in the engine between calls instead of a guard.
+    #[doc(hidden)]
+    pub fn has_claimed(&self) -> bool {
+        self.engine.has_claimed()
+    }
+
+    /// Releases the held claim, as dropping its guard would; `false` when
+    /// none is held.
+    #[doc(hidden)]
+    pub fn release_claimed(&mut self) -> bool {
+        let held = self.engine.has_claimed();
+        self.engine.release_claimed();
+        held
+    }
+
+    /// Replaces the wait policy used inside blocked slices; see
+    /// [`ffq::WaitConfig`].
+    pub fn set_wait_config(&mut self, cfg: ffq::WaitConfig) {
+        self.engine.set_wait_config(cfg);
+    }
+
+    /// Snapshot of this consumer's counters.
+    pub fn stats(&self) -> ConsumerStats {
+        self.engine.stats()
+    }
+
+    attachment_api!();
 }
 
 macro_rules! bytes_variant_module {
@@ -1298,20 +1339,7 @@ pub mod spsc_bytes {
     /// region (waits for `READY`). A second live consumer is refused with
     /// [`ShmError::SlotsFull`].
     pub fn attach_consumer(region: ShmRegion) -> Result<Consumer, ShmError> {
-        let (att, queue) = Attachment::new::<PayloadDesc>(region, VARIANT_SPSC_BYTES, false)?;
-        // SAFETY: consumer uniqueness enforced by the exclusive claim on
-        // header slot 0; Chain matches the producer's mode for this lane
-        // and needs no shared address space. The attachment outlives the
-        // engine.
-        let mut engine = unsafe {
-            SpscConsumer::from_raw_parts(
-                RawSpscConsumer::attach(queue),
-                att.slots(),
-                SpillMode::Chain,
-            )
-        };
-        engine.set_wait_config(shm_wait_config());
-        Ok(Consumer { engine, att })
+        Consumer::attach(region, VARIANT_SPSC_BYTES, SpillMode::Chain)
     }
 }
 
@@ -1336,15 +1364,7 @@ pub mod spmc_bytes {
     /// [`MAX_CONSUMERS`](crate::header::MAX_CONSUMERS) may be attached at
     /// once, from any mix of processes and threads.
     pub fn attach_consumer(region: ShmRegion) -> Result<Consumer, ShmError> {
-        let (att, queue) = Attachment::new::<PayloadDesc>(region, VARIANT_SPMC_BYTES, false)?;
-        // SAFETY: shared-head consumers may attach in any number up to the
-        // slot limit; Refuse matches the producer's mode for this lane.
-        // The attachment outlives the engine.
-        let mut engine = unsafe {
-            McConsumer::from_raw_parts(RawConsumer::attach(queue), att.slots(), SpillMode::Refuse)
-        };
-        engine.set_wait_config(shm_wait_config());
-        Ok(Consumer { engine, att })
+        Consumer::attach(region, VARIANT_SPMC_BYTES, SpillMode::Refuse)
     }
 }
 

@@ -75,7 +75,7 @@ use ffq_sync::{WaitConfig, WaitRound, WaitStrategy};
 
 use crate::cell::{CellSlot, PaddedCell};
 use crate::error::{BroadcastRecvError, BroadcastTryRecvError};
-use crate::layout::{normalize_capacity, IndexMap, LinearMap};
+use crate::layout::{IndexMap, LinearMap};
 use crate::raw::RawQueue;
 use crate::shared::Shared;
 use crate::stats::SubscriberStats;
@@ -445,13 +445,11 @@ pub fn channel<T: Copy + Send>(capacity: usize) -> (Sender<T>, Subscriber<T>) {
 pub fn channel_with<T: Copy + Send, C: CellSlot<T>, M: IndexMap>(
     capacity: usize,
 ) -> (Sender<T, C, M>, Subscriber<T, C, M>) {
-    let cap_log2 =
-        normalize_capacity(capacity).unwrap_or_else(|e| panic!("ffq::broadcast::channel: {e}"));
-    let shared = Arc::new(Shared::<T, C, M>::with_log2(cap_log2, 1));
+    let shared = Shared::<T, C, M>::heap(capacity, "broadcast");
     let raw = shared.raw();
     // SAFETY: the Arc in each handle keeps the allocation alive and pinned;
     // exactly one producer exists, and the producer/consumer counts were
-    // pre-set by `with_log2(_, 1)` (one producer, one consumer).
+    // pre-set by `Shared::heap` (one producer, one consumer).
     let tx = Sender {
         raw: unsafe { RawBroadcastProducer::attach(raw) },
         _shared: Arc::clone(&shared),

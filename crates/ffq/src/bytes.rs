@@ -44,8 +44,9 @@
 //!
 //! # Engines
 //!
-//! [`SpProducer`]/[`SpscConsumer`]/[`McConsumer`]/[`MpProducer`] are
-//! non-generic engines fixed to `PaddedCell<PayloadDesc>` + `LinearMap`
+//! [`SpProducer`], [`MpProducer`] and the one [`Consumer`] — over the
+//! private-head engine ([`SpscConsumer`]) or the shared-head one
+//! ([`McConsumer`]) — are fixed to `PaddedCell<PayloadDesc>` + `LinearMap`
 //! (cells and slot buffers must agree on the rank→slot mapping, and a
 //! padded descriptor cell is what keeps a producer's descriptor write off
 //! the consumer's slot-buffer cache lines). The `bytes_channel`
@@ -67,7 +68,7 @@ use crate::cell::{
 use crate::error::{CapacityError, Disconnected, ReserveError, TryDequeueError, TryReserveError};
 use crate::layout::{normalize_capacity, normalize_slot_bytes, IndexMap, LinearMap};
 use crate::mpmc::{self, claim_rank_cell, publish_claimed_rank};
-use crate::raw::{QueueState, RawConsumer, RawProducer, RawQueue, RawSpscConsumer};
+use crate::raw::{ConsumerEngine, QueueState, RawConsumer, RawProducer, RawQueue, RawSpscConsumer};
 use crate::stats::{ConsumerStats, ProducerStats};
 
 /// The cell type of every bytes-mode queue: one cache line per descriptor.
@@ -166,18 +167,22 @@ struct BytesShared {
 }
 
 impl BytesShared {
-    fn new(cap_log2: u32, slot_bytes: usize, producers: u32) -> Arc<Self> {
+    /// An empty queue of at least `capacity` cells with slot buffers of at
+    /// least `slot_bytes` bytes, counted for one producer and one consumer.
+    fn new(capacity: usize, slot_bytes: usize) -> Result<Arc<Self>, CapacityError> {
+        let cap_log2 = normalize_capacity(capacity)?;
+        let slot_bytes = normalize_slot_bytes(slot_bytes)?;
         let cap = 1usize << cap_log2;
         let cells: Box<[DescCell]> = (0..cap).map(|_| DescCell::empty()).collect();
         let slots: Box<[SlotLine]> = (0..cap * slot_bytes / 64)
             .map(|_| SlotLine([0; 64]))
             .collect();
-        Arc::new(Self {
-            state: QueueState::in_process(cap_log2, producers, 1),
+        Ok(Arc::new(Self {
+            state: QueueState::in_process(cap_log2, 1, 1),
             cells,
             slots,
             slot_bytes,
-        })
+        }))
     }
 
     fn raw(&self) -> RawQueue<PayloadDesc, DescCell, LinearMap> {
@@ -392,7 +397,7 @@ pub trait BytesProducer: sealed::Sealed + Sized {
 /// The consuming half of the zero-copy bytes protocol: claim a payload,
 /// read it borrowed, release to recycle the cell.
 ///
-/// Sealed — implemented by [`SpscConsumer`] and [`McConsumer`].
+/// Sealed — implemented by [`Consumer`], over either raw engine.
 pub trait BytesConsumer: sealed::Sealed + Sized {
     /// Whether a claimed-but-unreleased payload is currently held. (Always
     /// `false` outside a [`PayloadRef`]'s lifetime.)
@@ -997,46 +1002,59 @@ impl Drop for MpProducer {
     }
 }
 
-/// Single-consumer bytes engine (SPSC flavor): private head, and the only
-/// engine that reassembles chain spills.
-pub struct SpscConsumer {
-    raw: RawSpscConsumer<PayloadDesc, DescCell, LinearMap>,
+/// The consumer of every bytes flavor, generic over its raw engine: the
+/// private head ([`SpscConsumer`], SPSC) or the shared head with
+/// `fetch_add` rank claims and pending-rank semantics, exactly the typed
+/// consumers' discipline ([`McConsumer`]: SPMC `MP = false`, MPMC
+/// `MP = true`).
+///
+/// Chain reassembly runs only where the queue's [`SpillMode`] is
+/// [`Chain`](SpillMode::Chain) — single-consumer queues, since a chain run
+/// claimed from a shared head would be split across consumers — and heap
+/// takeover only where it is [`Heap`](SpillMode::Heap). Every other
+/// descriptor (an MPMC abort tombstone, a spill the queue does not run,
+/// unknown flags from a hostile shm peer) is retired unread.
+pub struct Consumer<E: ConsumerEngine<PayloadDesc>> {
+    raw: E,
     slots: SlotRegion,
-    /// Whether `DESC_HEAP` descriptors may be honored (same-address-space
-    /// queues only; over shm a heap pointer from a peer is garbage).
-    allow_heap: bool,
+    /// The producers' spill mode, which gates reassembly and takeover.
+    spill: SpillMode,
     /// Scratch that chain spills are reassembled into.
     spill_buf: Vec<u8>,
     claimed: Option<ClaimedView>,
-    _keep: Option<Arc<BytesShared>>,
+    keep: Option<Arc<BytesShared>>,
     owns_count: bool,
 }
 
-impl sealed::Sealed for SpscConsumer {}
+/// The single-consumer bytes engine (SPSC flavor): private head, and the
+/// only one that reassembles chain spills.
+pub type SpscConsumer = Consumer<RawSpscConsumer<PayloadDesc>>;
 
-impl SpscConsumer {
-    /// Wraps a raw SPSC consumer handle and its slot region.
+/// The shared-head bytes engine (SPMC `MP = false`, MPMC `MP = true`).
+pub type McConsumer<const MP: bool> = Consumer<RawConsumer<PayloadDesc, DescCell, LinearMap, MP>>;
+
+impl<E: ConsumerEngine<PayloadDesc>> sealed::Sealed for Consumer<E> {}
+
+impl<E: ConsumerEngine<PayloadDesc>> Consumer<E> {
+    /// Wraps a raw consumer engine and its slot region.
     ///
     /// # Safety
     ///
-    /// `raw`'s attach contract holds (unique consumer, single-producer
-    /// queue, live pinned region), and `slots` views the same slot region
-    /// as the producer (same base, `slot_bytes`, capacity), outliving this
-    /// engine. `spill` must match the producer's mode; [`SpillMode::Heap`]
-    /// additionally requires the producer to share this address space. The
-    /// caller manages the consumer count.
-    pub unsafe fn from_raw_parts(
-        raw: RawSpscConsumer<PayloadDesc, DescCell, LinearMap>,
-        slots: SlotRegion,
-        spill: SpillMode,
-    ) -> Self {
+    /// `raw`'s attach contract holds (live pinned region, an engine the
+    /// queue's variant admits), and `slots` views the same slot region as
+    /// every peer (same base, `slot_bytes`, capacity), outliving this
+    /// engine. `spill` must match the producers' mode;
+    /// [`SpillMode::Chain`] additionally requires `raw` to be the queue's
+    /// only consumer, and [`SpillMode::Heap`] requires every producer to
+    /// share this address space. The caller manages the consumer count.
+    pub unsafe fn from_raw_parts(raw: E, slots: SlotRegion, spill: SpillMode) -> Self {
         Self {
             raw,
             slots,
-            allow_heap: spill == SpillMode::Heap,
+            spill,
             spill_buf: Vec::new(),
             claimed: None,
-            _keep: None,
+            keep: None,
             owns_count: false,
         }
     }
@@ -1121,7 +1139,7 @@ impl SpscConsumer {
     }
 }
 
-impl BytesConsumer for SpscConsumer {
+impl<E: ConsumerEngine<PayloadDesc>> BytesConsumer for Consumer<E> {
     fn has_claimed(&self) -> bool {
         self.claimed.is_some()
     }
@@ -1140,24 +1158,25 @@ impl BytesConsumer for SpscConsumer {
                     self.claimed = Some(ClaimedView::Inline { rank, len });
                     return Ok(());
                 }
-                DESC_CHAIN_HEAD => match self.assemble_chain(rank, desc) {
-                    Ok(len) => {
-                        self.claimed = Some(ClaimedView::Spill { len });
-                        return Ok(());
-                    }
-                    Err(Disconnected) => return Err(TryDequeueError::Disconnected),
-                },
-                DESC_HEAP if self.allow_heap && desc.heap != 0 => {
+                DESC_CHAIN_HEAD if self.spill == SpillMode::Chain => {
+                    let len = self
+                        .assemble_chain(rank, desc)
+                        .map_err(|_| TryDequeueError::Disconnected)?;
+                    self.claimed = Some(ClaimedView::Spill { len });
+                    return Ok(());
+                }
+                DESC_HEAP if self.spill == SpillMode::Heap && desc.heap != 0 => {
                     // Take the allocation over; the cell can recycle now.
-                    // SAFETY: allow_heap means the producer shares this
+                    // SAFETY: heap spill means the producers share this
                     // address space and published ownership with the rank.
                     let buf = unsafe { heap_buf_from_desc(&desc) };
                     self.raw.retire(rank);
                     self.claimed = Some(ClaimedView::Heap { buf });
                     return Ok(());
                 }
-                // DESC_ABORT, disallowed heap, or unknown flags (hostile
-                // shm peer): retire and move on — degradation, never UB.
+                // DESC_ABORT (abandoned MP reservation), a spill this queue
+                // does not run, or unknown flags (hostile shm peer): retire
+                // and move on — degradation, never UB.
                 _ => self.raw.retire(rank),
             }
         }
@@ -1200,147 +1219,6 @@ impl BytesConsumer for SpscConsumer {
     }
 }
 
-impl Drop for SpscConsumer {
-    fn drop(&mut self) {
-        self.release_claimed();
-        if self.owns_count {
-            let state = self.raw.queue().state();
-            state.consumers().fetch_sub(1, Ordering::SeqCst);
-            state.wake_all();
-        }
-    }
-}
-
-/// Shared-head bytes consumer (SPMC `MP = false`, MPMC `MP = true`):
-/// `fetch_add` rank claims with pending-rank semantics, exactly the typed
-/// consumers' discipline.
-///
-/// Never sees chains (multi-consumer queues spill to heap or refuse): a
-/// chain run would be split across consumers.
-pub struct McConsumer<const MP: bool> {
-    raw: RawConsumer<PayloadDesc, DescCell, LinearMap, MP>,
-    slots: SlotRegion,
-    allow_heap: bool,
-    claimed: Option<ClaimedView>,
-    keep: Option<Arc<BytesShared>>,
-    owns_count: bool,
-}
-
-impl<const MP: bool> sealed::Sealed for McConsumer<MP> {}
-
-impl<const MP: bool> McConsumer<MP> {
-    /// Wraps a raw shared-head consumer handle and its slot region.
-    ///
-    /// # Safety
-    ///
-    /// `raw`'s attach contract holds (MP matches the queue's producer
-    /// variant, live pinned region), and `slots` views the same slot
-    /// region as every peer (same base, `slot_bytes`, capacity), outliving
-    /// this engine. `spill` must match the producers' mode;
-    /// [`SpillMode::Heap`] additionally requires all producers to share
-    /// this address space. The caller manages the consumer count.
-    pub unsafe fn from_raw_parts(
-        raw: RawConsumer<PayloadDesc, DescCell, LinearMap, MP>,
-        slots: SlotRegion,
-        spill: SpillMode,
-    ) -> Self {
-        Self {
-            raw,
-            slots,
-            allow_heap: spill == SpillMode::Heap,
-            claimed: None,
-            keep: None,
-            owns_count: false,
-        }
-    }
-
-    /// Replaces the wait policy used by blocking receives; see
-    /// [`WaitConfig`].
-    pub fn set_wait_config(&mut self, cfg: WaitConfig) {
-        self.raw.set_wait_config(cfg);
-    }
-
-    /// Capacity of the underlying cell array.
-    pub fn capacity(&self) -> usize {
-        self.raw.capacity()
-    }
-
-    /// Snapshot of this consumer's counters.
-    pub fn stats(&self) -> ConsumerStats {
-        self.raw.stats()
-    }
-}
-
-impl<const MP: bool> BytesConsumer for McConsumer<MP> {
-    fn has_claimed(&self) -> bool {
-        self.claimed.is_some()
-    }
-
-    fn try_claim_payload(&mut self) -> Result<(), TryDequeueError> {
-        if self.claimed.is_some() {
-            return Ok(());
-        }
-        loop {
-            let (rank, desc) = self.raw.try_claim()?;
-            match desc.flags {
-                DESC_INLINE => {
-                    let len = (desc.len as usize).min(self.slots.slot_bytes());
-                    self.claimed = Some(ClaimedView::Inline { rank, len });
-                    return Ok(());
-                }
-                DESC_HEAP if self.allow_heap && desc.heap != 0 => {
-                    // SAFETY: allow_heap means same-address-space producers
-                    // that published ownership with the rank.
-                    let buf = unsafe { heap_buf_from_desc(&desc) };
-                    self.raw.retire(rank);
-                    self.claimed = Some(ClaimedView::Heap { buf });
-                    return Ok(());
-                }
-                // DESC_ABORT (abandoned MP reservation), chain flags (never
-                // produced on multi-consumer queues), disallowed heap, or
-                // unknown garbage: retire and continue.
-                _ => self.raw.retire(rank),
-            }
-        }
-    }
-
-    fn claimed_parts(&self) -> (*const u8, usize) {
-        match self.claimed.as_ref().expect("no claimed payload") {
-            ClaimedView::Inline { rank, len } => (self.slots.slot_ptr(*rank) as *const u8, *len),
-            // Shared-head queues never produce chains; the claim loop
-            // retires anything chain-flagged instead of building a Spill.
-            ClaimedView::Spill { .. } => unreachable!("no chain spills on shared-head consumers"),
-            ClaimedView::Heap { buf } => (buf.as_ptr(), buf.len()),
-        }
-    }
-
-    fn release_claimed(&mut self) {
-        match self.claimed.take() {
-            None => {}
-            Some(ClaimedView::Inline { rank, .. }) => self.raw.retire(rank),
-            Some(ClaimedView::Spill { .. }) | Some(ClaimedView::Heap { .. }) => {}
-        }
-    }
-
-    fn empty_wait_round(
-        &mut self,
-        strat: &mut WaitStrategy,
-        timeout: Option<Duration>,
-    ) -> WaitRound {
-        let state = self.raw.queue().state();
-        strat.wait_round_for(
-            state.not_empty(),
-            state.wait_is_shared(),
-            timeout,
-            &mut || self.raw.wake_ready(),
-        )
-    }
-
-    fn wait_config(&self) -> WaitConfig {
-        self.raw.wait_config()
-    }
-}
-
 impl<const MP: bool> Clone for McConsumer<MP> {
     /// Adds a consumer. Heap-channel handles only.
     fn clone(&self) -> Self {
@@ -1355,7 +1233,8 @@ impl<const MP: bool> Clone for McConsumer<MP> {
         Self {
             raw,
             slots: self.slots,
-            allow_heap: self.allow_heap,
+            spill: self.spill,
+            spill_buf: Vec::new(),
             claimed: None,
             keep: Some(keep),
             owns_count: true,
@@ -1363,7 +1242,7 @@ impl<const MP: bool> Clone for McConsumer<MP> {
     }
 }
 
-impl<const MP: bool> Drop for McConsumer<MP> {
+impl<E: ConsumerEngine<PayloadDesc>> Drop for Consumer<E> {
     fn drop(&mut self) {
         self.release_claimed();
         // Re-circulate any published item among parked pending ranks.
@@ -1376,69 +1255,26 @@ impl<const MP: bool> Drop for McConsumer<MP> {
     }
 }
 
-/// Builds the heap-backed SPSC bytes queue (chain spill).
-pub(crate) fn heap_spsc(
+/// Builds the heap-backed single-producer bytes queue of one flavor: SPSC
+/// (chain spill, private-head consumer) or SPMC (heap spill, shared head).
+pub(crate) fn heap_sp<E: ConsumerEngine<PayloadDesc>>(
     capacity: usize,
     slot_bytes: usize,
-) -> Result<(SpProducer, SpscConsumer), CapacityError> {
-    let cap_log2 = normalize_capacity(capacity)?;
-    let slot_bytes = normalize_slot_bytes(slot_bytes)?;
-    let shared = BytesShared::new(cap_log2, slot_bytes, 1);
-    let slots = shared.region();
-    // SAFETY: the Arc in each handle pins the region; exactly one producer
-    // and one consumer are created with the counts pre-set to 1/1.
+    spill: SpillMode,
+) -> Result<(SpProducer, Consumer<E>), CapacityError> {
+    let shared = BytesShared::new(capacity, slot_bytes)?;
     let tx = SpProducer {
+        // SAFETY: the Arc in each handle pins the region; exactly one
+        // producer is created, with the count pre-set to 1.
         raw: unsafe { RawProducer::attach(shared.raw()) },
-        slots,
-        spill: SpillMode::Chain,
+        slots: shared.region(),
+        spill,
         chain_buf: Vec::new(),
         pending: None,
         _keep: Some(Arc::clone(&shared)),
         owns_count: true,
     };
-    let rx = SpscConsumer {
-        raw: unsafe { RawSpscConsumer::attach(shared.raw()) },
-        slots,
-        // Chain-spill queue: DESC_HEAP never appears, but honoring it is
-        // harmless in-process.
-        allow_heap: true,
-        spill_buf: Vec::new(),
-        claimed: None,
-        _keep: Some(shared),
-        owns_count: true,
-    };
-    Ok((tx, rx))
-}
-
-/// Builds the heap-backed SPMC bytes queue (heap spill).
-pub(crate) fn heap_spmc(
-    capacity: usize,
-    slot_bytes: usize,
-) -> Result<(SpProducer, McConsumer<false>), CapacityError> {
-    let cap_log2 = normalize_capacity(capacity)?;
-    let slot_bytes = normalize_slot_bytes(slot_bytes)?;
-    let shared = BytesShared::new(cap_log2, slot_bytes, 1);
-    let slots = shared.region();
-    let tx = SpProducer {
-        // SAFETY: as in heap_spsc.
-        raw: unsafe { RawProducer::attach(shared.raw()) },
-        slots,
-        spill: SpillMode::Heap,
-        chain_buf: Vec::new(),
-        pending: None,
-        _keep: Some(Arc::clone(&shared)),
-        owns_count: true,
-    };
-    let rx = McConsumer {
-        // SAFETY: MP = false matches the single-producer engine.
-        raw: unsafe { RawConsumer::attach(shared.raw()) },
-        slots,
-        allow_heap: true,
-        claimed: None,
-        keep: Some(shared),
-        owns_count: true,
-    };
-    Ok((tx, rx))
+    Ok((tx, heap_consumer(shared, spill)))
 }
 
 /// Builds the heap-backed MPMC bytes queue (heap spill).
@@ -1446,31 +1282,37 @@ pub(crate) fn heap_mpmc(
     capacity: usize,
     slot_bytes: usize,
 ) -> Result<(MpProducer, McConsumer<true>), CapacityError> {
-    let cap_log2 = normalize_capacity(capacity)?;
-    let slot_bytes = normalize_slot_bytes(slot_bytes)?;
-    let shared = BytesShared::new(cap_log2, slot_bytes, 1);
-    let slots = shared.region();
+    let shared = BytesShared::new(capacity, slot_bytes)?;
     let tx = MpProducer {
         queue: shared.raw(),
         stats: ProducerStats::default(),
         wait: WaitConfig::default(),
-        slots,
+        slots: shared.region(),
         spill: SpillMode::Heap,
         pending: None,
         keep: Some(Arc::clone(&shared)),
         owns_count: true,
     };
-    let rx = McConsumer {
-        // SAFETY: MP = true matches the fetch_add producer engine; the Arc
-        // pins the region and the counts were pre-set to 1/1.
-        raw: unsafe { RawConsumer::attach(shared.raw()) },
-        slots,
-        allow_heap: true,
+    Ok((tx, heap_consumer(shared, SpillMode::Heap)))
+}
+
+/// The one consumer of a fresh heap bytes queue.
+fn heap_consumer<E: ConsumerEngine<PayloadDesc>>(
+    shared: Arc<BytesShared>,
+    spill: SpillMode,
+) -> Consumer<E> {
+    // SAFETY: the Arc pins the region; each builder picks the engine its
+    // producer variant admits, and the consumer count was pre-set to 1.
+    let raw = unsafe { E::attach(shared.raw()) };
+    Consumer {
+        raw,
+        slots: shared.region(),
+        spill,
+        spill_buf: Vec::new(),
         claimed: None,
         keep: Some(shared),
         owns_count: true,
-    };
-    Ok((tx, rx))
+    }
 }
 
 #[cfg(test)]
@@ -1483,9 +1325,80 @@ mod tests {
             .collect()
     }
 
+    /// Publishes `descs` through a raw producer on a local queue of eight
+    /// descriptor cells with 64-byte slot buffers, then hands `check` a
+    /// consumer over engine `E` running under `spill`.
+    fn with_forged<E: ConsumerEngine<PayloadDesc>>(
+        spill: SpillMode,
+        descs: &[PayloadDesc],
+        check: impl FnOnce(&mut Consumer<E>),
+    ) {
+        let state = QueueState::new(3, 1, 1);
+        let cells: Vec<DescCell> = (0..8).map(|_| DescCell::empty()).collect();
+        let mut lines: Vec<SlotLine> = (0..8).map(|_| SlotLine([0; 64])).collect();
+        // SAFETY: state, cells and slot lines outlive both handles; one
+        // producer, one consumer.
+        unsafe {
+            let q = RawQueue::from_raw(&state, cells.as_ptr());
+            let mut tx = RawProducer::attach(q);
+            for &desc in descs {
+                tx.enqueue(desc);
+            }
+            let slots = SlotRegion::from_raw(lines.as_mut_ptr() as *mut u8, 64, 3);
+            check(&mut Consumer::<E>::from_raw_parts(
+                E::attach(q),
+                slots,
+                spill,
+            ));
+        }
+    }
+
+    #[test]
+    fn shared_head_retires_a_forged_chain_head() {
+        // A chain head claiming one continuation, then a 5-byte payload:
+        // reassembling would swallow the payload as the chain's tail.
+        let head = PayloadDesc {
+            len: 128,
+            flags: DESC_CHAIN_HEAD,
+            seg: 1,
+            heap: 0,
+        };
+        for spill in [SpillMode::Heap, SpillMode::Refuse] {
+            with_forged::<RawConsumer<PayloadDesc, DescCell, LinearMap, false>>(
+                spill,
+                &[head, PayloadDesc::inline(5)],
+                |rx| {
+                    assert_eq!(rx.try_recv().unwrap().len(), 5);
+                    assert!(matches!(rx.try_recv(), Err(TryDequeueError::Empty)));
+                    assert_eq!(rx.stats().dequeued, 2);
+                },
+            );
+        }
+    }
+
+    #[test]
+    fn forged_heap_descriptor_is_retired_unread() {
+        // Taking this "allocation" over would free a garbage pointer.
+        let heap = PayloadDesc {
+            len: 1 << 20,
+            flags: DESC_HEAP,
+            seg: 0,
+            heap: 0xdead_bee0,
+        };
+        let descs = [heap, PayloadDesc::inline(3)];
+        with_forged::<RawSpscConsumer<PayloadDesc>>(SpillMode::Chain, &descs, |rx| {
+            assert_eq!(rx.try_recv().unwrap().len(), 3);
+        });
+        with_forged::<RawConsumer<PayloadDesc, DescCell, LinearMap, false>>(
+            SpillMode::Refuse,
+            &descs,
+            |rx| assert_eq!(rx.try_recv().unwrap().len(), 3),
+        );
+    }
+
     #[test]
     fn spsc_inline_round_trip() {
-        let (mut tx, mut rx) = heap_spsc(8, 64).unwrap();
+        let (mut tx, mut rx) = crate::spsc::bytes_channel(8, 64).unwrap();
         assert_eq!(tx.slot_bytes(), 64);
         let msg = pattern(48, 7);
         let mut slot = tx.try_reserve(48).unwrap();
@@ -1499,7 +1412,7 @@ mod tests {
 
     #[test]
     fn spsc_zero_len_payload() {
-        let (mut tx, mut rx) = heap_spsc(4, 64).unwrap();
+        let (mut tx, mut rx) = crate::spsc::bytes_channel(4, 64).unwrap();
         tx.send_bytes(&[]).unwrap();
         let got = rx.try_recv().unwrap();
         assert!(got.is_empty());
@@ -1507,7 +1420,7 @@ mod tests {
 
     #[test]
     fn spsc_chain_spill_round_trip() {
-        let (mut tx, mut rx) = heap_spsc(16, 64).unwrap();
+        let (mut tx, mut rx) = crate::spsc::bytes_channel(16, 64).unwrap();
         // 3 cells: 64 + 64 + 32.
         let msg = pattern(160, 3);
         tx.send_bytes(&msg).unwrap();
@@ -1522,7 +1435,7 @@ mod tests {
 
     #[test]
     fn spsc_chain_too_large_is_permanent() {
-        let (mut tx, _rx) = heap_spsc(8, 64).unwrap();
+        let (mut tx, _rx) = crate::spsc::bytes_channel(8, 64).unwrap();
         // capacity 8 → max 4 chain cells → 256 bytes.
         assert_eq!(tx.max_payload(), 256);
         match tx.try_reserve(257) {
@@ -1540,7 +1453,7 @@ mod tests {
 
     #[test]
     fn abort_on_drop_publishes_nothing_spsc() {
-        let (mut tx, mut rx) = heap_spsc(8, 64).unwrap();
+        let (mut tx, mut rx) = crate::spsc::bytes_channel(8, 64).unwrap();
         {
             let mut slot = tx.try_reserve(10).unwrap();
             slot[..10].copy_from_slice(b"discard me");
@@ -1559,7 +1472,7 @@ mod tests {
 
     #[test]
     fn payload_ref_holds_cell_busy_until_drop() {
-        let (mut tx, mut rx) = heap_spsc(2, 64).unwrap();
+        let (mut tx, mut rx) = crate::spsc::bytes_channel(2, 64).unwrap();
         tx.send_bytes(b"a").unwrap();
         tx.send_bytes(b"b").unwrap();
         let held = rx.try_recv().unwrap();
@@ -1576,7 +1489,7 @@ mod tests {
 
     #[test]
     fn spmc_heap_spill_round_trip() {
-        let (mut tx, mut rx) = heap_spmc(8, 64).unwrap();
+        let (mut tx, mut rx) = crate::spmc::bytes_channel(8, 64).unwrap();
         assert_eq!(tx.max_payload(), usize::MAX);
         let big = pattern(1000, 9);
         tx.send_bytes(&big).unwrap();
@@ -1586,7 +1499,7 @@ mod tests {
 
     #[test]
     fn spmc_clone_shares_stream() {
-        let (mut tx, rx) = heap_spmc(64, 64).unwrap();
+        let (mut tx, rx) = crate::spmc::bytes_channel(64, 64).unwrap();
         let mut rx2 = rx.clone();
         let mut rx1 = rx;
         for i in 0..10u8 {
@@ -1643,7 +1556,7 @@ mod tests {
     fn unconsumed_heap_spills_freed_with_queue() {
         // Leak-checked under Miri/ASan: heap descriptors still in cells
         // when the last handle drops must be freed by BytesShared::drop.
-        let (mut tx, rx) = heap_spmc(8, 64).unwrap();
+        let (mut tx, rx) = crate::spmc::bytes_channel(8, 64).unwrap();
         tx.send_bytes(&pattern(500, 1)).unwrap();
         tx.send_bytes(&pattern(700, 2)).unwrap();
         drop(tx);
@@ -1652,7 +1565,7 @@ mod tests {
 
     #[test]
     fn reserve_overwrite_aborts_previous() {
-        let (mut tx, mut rx) = heap_spsc(8, 64).unwrap();
+        let (mut tx, mut rx) = crate::spsc::bytes_channel(8, 64).unwrap();
         tx.try_reserve_pending(5).unwrap();
         assert!(tx.has_pending());
         // Reserving again abandons the first reservation.
@@ -1667,7 +1580,7 @@ mod tests {
     #[cfg_attr(miri, ignore)]
     fn cross_thread_spsc_stream_mixed_sizes() {
         const ROUNDS: usize = 2_000;
-        let (mut tx, mut rx) = heap_spsc(64, 64).unwrap();
+        let (mut tx, mut rx) = crate::spsc::bytes_channel(64, 64).unwrap();
         let t = std::thread::spawn(move || {
             for i in 0..ROUNDS {
                 let len = [1usize, 40, 64, 100, 200][i % 5];

@@ -43,11 +43,11 @@ use ffq_sync::atomic::Ordering;
 use ffq_sync::{Backoff, WaitRound, WaitStrategy};
 
 use crate::cell::{CellSlot, PaddedCell, RANK_CLAIMED, RANK_FREE};
-use crate::error::{Disconnected, Full, TryDequeueError};
-use crate::layout::{normalize_capacity, IndexMap, LinearMap};
+use crate::error::Full;
+use crate::layout::{IndexMap, LinearMap};
 use crate::raw::{RawConsumer, RawQueue};
 use crate::shared::Shared;
-use crate::stats::{ConsumerStats, ProducerStats};
+use crate::stats::ProducerStats;
 use crate::WaitConfig;
 
 /// Creates an MPMC queue with the default layout (cache-line aligned cells,
@@ -86,23 +86,16 @@ pub fn bytes_channel(
 pub fn channel_with<T: Send, C: CellSlot<T>, M: IndexMap>(
     capacity: usize,
 ) -> (Producer<T, C, M>, Consumer<T, C, M>) {
-    let cap_log2 =
-        normalize_capacity(capacity).unwrap_or_else(|e| panic!("ffq::mpmc::channel: {e}"));
-    let shared = Arc::new(Shared::<T, C, M>::with_log2(cap_log2, 1));
-    let raw = shared.raw();
+    let shared = Shared::heap(capacity, "mpmc");
     let tx = Producer {
-        queue: raw,
+        queue: shared.raw(),
         _shared: Arc::clone(&shared),
         stats: ProducerStats::default(),
         wait: WaitConfig::default(),
     };
-    let rx = Consumer {
-        // SAFETY: the Arc in each handle keeps the allocation (and thus the
-        // raw view) alive and pinned; counts pre-set by `with_log2(_, 1)`.
-        raw: unsafe { RawConsumer::attach(raw) },
-        shared,
-    };
-    (tx, rx)
+    // SAFETY: the fresh queue's one consumer; `MP = true` matches the
+    // fetch_add producers.
+    (tx, unsafe { Consumer::new(shared) })
 }
 
 /// A producing handle of an MPMC queue. Clone it to add producers.
@@ -639,191 +632,29 @@ pub(crate) fn publish_claimed_rank<T, C: CellSlot<T>, M: IndexMap>(
     queue.state().wake_consumers_all();
 }
 
-/// A consuming handle of an MPMC queue. Clone it to add consumers.
+/// A consuming handle of an MPMC queue: [`crate::spmc::Consumer`] over the
+/// multi-producer shared-head engine. Clone it to add consumers.
 ///
 /// Identical protocol and pending-rank semantics to
-/// [`crate::spmc::Consumer`], including the batch operations.
-pub struct Consumer<T: Send, C: CellSlot<T> = PaddedCell<T>, M: IndexMap = LinearMap> {
-    raw: RawConsumer<T, C, M, true>,
-    /// Keeps the queue allocation alive (the raw view points into it).
-    shared: Arc<Shared<T, C, M>>,
-}
+/// [`crate::spmc::Consumer`], including the batch operations and the
+/// shard building blocks ([`dequeue_batch_capped`], [`head_rank`],
+/// [`wake_ready_items`]).
+///
+/// [`dequeue_batch_capped`]: crate::spmc::Consumer::dequeue_batch_capped
+/// [`head_rank`]: crate::spmc::Consumer::head_rank
+/// [`wake_ready_items`]: crate::spmc::Consumer::wake_ready_items
+pub type Consumer<T, C = PaddedCell<T>, M = LinearMap> =
+    crate::spmc::Consumer<T, C, M, RawConsumer<T, C, M, true>>;
 
-impl<T: Send, C: CellSlot<T>, M: IndexMap> Consumer<T, C, M> {
-    /// Attempts to dequeue one item without blocking (pending-rank
-    /// semantics; see [`crate::spmc::Consumer::try_dequeue`]).
-    pub fn try_dequeue(&mut self) -> Result<T, TryDequeueError> {
-        self.raw.try_dequeue()
-    }
-
-    /// Dequeues one item, waiting — spinning, then parking per the
-    /// configured [`WaitConfig`] — while the queue is empty.
-    pub fn dequeue(&mut self) -> Result<T, Disconnected> {
-        self.raw.dequeue()
-    }
-
-    /// Dequeues one item, giving up after `timeout`.
-    ///
-    /// While spinning, the deadline is only re-checked every few back-off
-    /// rounds (`Instant::now()` costs far more than a spin iteration); once
-    /// parked, every sleep is clamped to the remaining time, so the return
-    /// lands within about a millisecond of the deadline.
-    pub fn dequeue_timeout(&mut self, timeout: Duration) -> Result<T, TryDequeueError> {
-        self.raw.dequeue_timeout(timeout)
-    }
-
-    /// Replaces the wait policy used by blocking dequeues; see
-    /// [`WaitConfig`].
-    pub fn set_wait_config(&mut self, cfg: WaitConfig) {
-        self.raw.set_wait_config(cfg);
-    }
-
-    /// Claims a run of `k` ranks with a single `head.fetch_add(k)` and
-    /// parks it as pending (see [`crate::spmc::Consumer::claim_batch`]).
-    ///
-    /// FFQ-m caveat: claimed ranks below the shared tail may still be
-    /// mid-resolution by their producers, so a batch harvest can park
-    /// partway through a run and resume on a later call.
-    pub fn claim_batch(&mut self, k: usize) {
-        self.raw.claim_batch(k);
-    }
-
-    /// Harvests up to `max` ready items into `buf`; returns the count.
-    /// Never blocks, and claims nothing on an empty queue (see
-    /// [`crate::spmc::Consumer::dequeue_batch`]).
-    pub fn dequeue_batch(&mut self, buf: &mut Vec<T>, max: usize) -> usize {
-        self.raw.dequeue_batch(buf, max)
-    }
-
-    /// [`dequeue_batch`](Self::dequeue_batch) whose fresh rank claims stop
-    /// short of the absolute rank `head_cap`: no rank `>= head_cap` is
-    /// claimed by this call, under any interleaving with other consumers
-    /// (the claim is a CAS, not a blind `fetch_add`). Runs parked by
-    /// earlier calls still harvest — they honored the cap in force when
-    /// they were claimed.
-    ///
-    /// Building block for [`crate::shard`]'s k-relaxed FIFO bound: a
-    /// sharded consumer caps each shard's claims relative to the laggard
-    /// shard's [`head_rank`](Self::head_rank).
-    pub fn dequeue_batch_capped(&mut self, buf: &mut Vec<T>, max: usize, head_cap: i64) -> usize {
-        self.raw.dequeue_batch_capped(buf, max, head_cap)
-    }
-
-    /// The next unclaimed rank — a monotone snapshot (a stale read only
-    /// under-reports, never over-reports).
-    pub fn head_rank(&self) -> i64 {
-        self.raw.head_rank()
-    }
-
-    /// Number of live producer handles.
-    pub fn producers(&self) -> usize {
-        // Acquire per the QueueState handle-count rule: observing zero here
-        // makes every completed enqueue visible.
-        self.raw.queue().state().producers().load(Ordering::Acquire) as usize
-    }
-
-    /// Number of claimed-but-unsatisfied ranks currently parked on this
-    /// handle.
-    pub fn pending_ranks(&self) -> usize {
-        self.raw.pending_ranks()
-    }
-
-    /// The wake condition of a blocked dequeue on this handle — `true`
-    /// when a retry can make progress: the front pending rank's cell was
-    /// published or gap-announced, unclaimed items are visible, or every
-    /// producer is gone. Sharded consumers park on an aggregate eventcount
-    /// and use this as the per-shard readiness probe.
-    pub fn wake_ready(&self) -> bool {
-        self.raw.wake_ready()
-    }
-
-    /// [`wake_ready`](Self::wake_ready) minus the producers-gone term.
-    /// Aggregators (the sharded consumer) `any()` this and `all()` the
-    /// per-queue [`producers`](Self::producers) counts instead — any-ing
-    /// the full condition would spin through the window where a sharded
-    /// producer's drop has emptied some member queues' handle counts but
-    /// not yet all.
-    pub fn wake_ready_items(&self) -> bool {
-        self.raw.wake_ready_items()
-    }
-
-    /// Capacity of the underlying cell array.
-    pub fn capacity(&self) -> usize {
-        self.raw.capacity()
-    }
-
-    /// Approximate number of items currently enqueued.
-    pub fn len_hint(&self) -> usize {
-        self.raw.len_hint()
-    }
-
-    /// Snapshot of this consumer's counters.
-    pub fn stats(&self) -> ConsumerStats {
-        self.raw.stats()
-    }
-}
-
-impl<T: Send, C: CellSlot<T>, M: IndexMap> Clone for Consumer<T, C, M> {
-    fn clone(&self) -> Self {
-        self.raw
-            .queue()
-            .state()
-            .consumers()
-            .fetch_add(1, Ordering::Relaxed);
-        Self {
-            // SAFETY: same queue, kept alive by the cloned Arc; a fresh
-            // shared-head consumer may attach at any time.
-            raw: unsafe { RawConsumer::attach(*self.raw.queue()) },
-            shared: Arc::clone(&self.shared),
-        }
-    }
-}
-
-impl<T: Send, C: CellSlot<T>, M: IndexMap> Drop for Consumer<T, C, M> {
-    fn drop(&mut self) {
-        // Best-effort recovery of already-published pending ranks; see
-        // spmc::Consumer::drop. Uses the DWCAS-coherent store (MP variant).
-        self.raw.recover_pending();
-        // SeqCst per the QueueState handle-count rule: the Release half
-        // orders the recovery above before anyone observes the drop; the
-        // SC position keeps handle death visible to spinning producer-side
-        // wait predicates in bounded time (see Producer::drop).
-        self.raw
-            .queue()
-            .state()
-            .consumers()
-            .fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-impl<T: Send, C: CellSlot<T>, M: IndexMap> IntoIterator for Consumer<T, C, M> {
-    type Item = T;
-    type IntoIter = IntoIter<T, C, M>;
-
-    /// A blocking iterator: yields items until all producers disconnect
-    /// and the queue is drained.
-    fn into_iter(self) -> Self::IntoIter {
-        IntoIter { consumer: self }
-    }
-}
-
-/// Blocking consuming iterator; see [`Consumer::into_iter`].
-pub struct IntoIter<T: Send, C: CellSlot<T> = PaddedCell<T>, M: IndexMap = LinearMap> {
-    consumer: Consumer<T, C, M>,
-}
-
-impl<T: Send, C: CellSlot<T>, M: IndexMap> Iterator for IntoIter<T, C, M> {
-    type Item = T;
-
-    fn next(&mut self) -> Option<T> {
-        self.consumer.dequeue().ok()
-    }
-}
+/// Blocking consuming iterator; see [`crate::spmc::Consumer::into_iter`].
+pub type IntoIter<T, C = PaddedCell<T>, M = LinearMap> =
+    crate::spmc::IntoIter<T, C, M, RawConsumer<T, C, M, true>>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cell::CompactCell;
+    use crate::error::TryDequeueError;
     use crate::layout::RotateMap;
     use std::collections::HashSet;
 

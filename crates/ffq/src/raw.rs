@@ -19,9 +19,10 @@
 //! `FFQ_DEQ`'s cell step is
 //! `crate::shared::visit`, which both consumer engines here run — the
 //! shared-head [`RawConsumer`] with pending ranks, and the private-head
-//! [`RawSpscConsumer`]. Algorithm 2's claim-or-gap step lives in
-//! [`crate::mpmc`]. Each blocking call and its timed twin share one wait
-//! loop.
+//! [`RawSpscConsumer`] — behind one [`ConsumerEngine`] trait, so every
+//! front-end has one consumer type generic over the engine. Algorithm 2's
+//! claim-or-gap step lives in [`crate::mpmc`]. Each blocking call and its
+//! timed twin share one wait loop.
 //!
 //! Everything reachable from a `RawQueue` is offset-based and `#[repr(C)]`:
 //! no field of [`QueueState`] or of a cell is a pointer, ranks and gap
@@ -771,6 +772,165 @@ fn advance_tail<T, C: CellSlot<T>, M: IndexMap>(
     q.state().tail().store(*tail, Ordering::Release);
 }
 
+/// The consumer half of `FFQ_DEQ` as every front-end drives it.
+///
+/// Two engines implement it: [`RawSpscConsumer`], whose head is private
+/// (the SPSC specialization: no RMW, nothing ever pending), and
+/// [`RawConsumer`], which claims ranks from the shared head and parks the
+/// ones it could not satisfy yet. They stay two types — one claim step
+/// each, neither branching on its caller — and every front-end above this
+/// module defines *one* consumer type generic over this trait: the heap
+/// handles ([`crate::spmc::Consumer`], aliased by `spsc` and `mpmc`),
+/// [`crate::bytes::Consumer`], [`crate::unbounded::Consumer`], and the
+/// `ffq-shm` and `ffq-async` handles. A fix to a front-end, or a new
+/// engine, then lands once.
+///
+/// The trait carries only what those front-ends call. The pending-rank
+/// hooks ([`recover_pending`](Self::recover_pending),
+/// [`prune_pending_from`](Self::prune_pending_from),
+/// [`pending_is_empty`](Self::pending_is_empty)) are trivially empty on
+/// the private head.
+///
+/// Every non-blocking call steps over at most `capacity` gap ranks; one
+/// more gap ends it with `Empty` (or a batch with the count so far), the
+/// rank stepped over and none parked, so a queue whose gap words were
+/// forged cannot hold a call forever (ALGORITHM.md §3).
+pub trait ConsumerEngine<T: Send, C: CellSlot<T> = PaddedCell<T>, M: IndexMap = LinearMap>:
+    Send + Sized
+{
+    /// Attaches a consumer to `queue`. A private-head engine resumes from
+    /// the mirrored head; a shared-head one owns no pending rank until its
+    /// first claim.
+    ///
+    /// # Safety
+    ///
+    /// `queue` upholds [`RawQueue::from_raw`]'s contract for this handle's
+    /// lifetime, and the queue admits this engine: a [`RawSpscConsumer`]
+    /// is the only consumer handle of a single-producer queue while it
+    /// lives, and a [`RawConsumer`]'s `MP` matches the queue's producer
+    /// variant. The caller is responsible for the `consumers` count in
+    /// [`QueueState`] and for calling
+    /// [`recover_pending`](Self::recover_pending) before abandoning a
+    /// handle that may hold pending ranks.
+    unsafe fn attach(queue: RawQueue<T, C, M>) -> Self;
+
+    /// The underlying view.
+    fn queue(&self) -> &RawQueue<T, C, M>;
+
+    /// Attempts to dequeue one item without blocking (pending-rank
+    /// semantics on the shared head; see
+    /// [`crate::spmc::Consumer::try_dequeue`]).
+    fn try_dequeue(&mut self) -> Result<T, TryDequeueError>;
+
+    /// Dequeues one item, waiting — spinning, then parking on the
+    /// not-empty eventcount — while the queue is empty.
+    fn dequeue(&mut self) -> Result<T, Disconnected>;
+
+    /// Dequeues one item, giving up after `timeout`.
+    ///
+    /// The deadline check adapts to the wait phase: sampled on a stride
+    /// while spinning (`Instant::now()` costs far more than a spin
+    /// iteration), every round — with the sleep clamped to the time
+    /// remaining — once parked, so even a parked consumer wakes within
+    /// about a millisecond of its deadline.
+    fn dequeue_timeout(&mut self, timeout: Duration) -> Result<T, TryDequeueError>;
+
+    /// Harvests up to `max` ready items into `buf`; returns the count.
+    /// Never blocks, and claims nothing on an empty queue (see
+    /// [`crate::spmc::Consumer::dequeue_batch`]).
+    fn dequeue_batch(&mut self, buf: &mut Vec<T>, max: usize) -> usize;
+
+    /// Dequeues one item *without recycling its cell*: the borrowed-read
+    /// primitive of the zero-copy bytes lane.
+    ///
+    /// On success the caller owns rank `r` — its cell keeps publishing `r`,
+    /// so the producer side treats it as busy (skipping it with a gap
+    /// announcement if its slot comes around again) — until the caller
+    /// hands it back with [`retire`](Self::retire). Holding a claim is
+    /// pure-degradation, never corruption, but it does consume ring
+    /// capacity; retire promptly. The private head does not move until
+    /// then, so its claims retire in order, one at a time. Restricted to
+    /// `T: Copy` because the value is copied out while the cell stays
+    /// initialized.
+    fn try_claim(&mut self) -> Result<(i64, T), TryDequeueError>
+    where
+        T: Copy;
+
+    /// Recycles the cell of a rank obtained from [`try_claim`](Self::try_claim)
+    /// (and moves a private head past it). The Release reset orders the
+    /// caller's final read of the cell's slot buffer before any producer
+    /// reuse.
+    fn retire(&mut self, rank: i64)
+    where
+        T: Copy;
+
+    /// The wake condition of a blocked dequeue on this handle: the rank it
+    /// waits on (its front pending rank, or its private head) was
+    /// published or gap-announced — or, with no rank to wait on, the
+    /// mirrored tail shows something to claim — or no producer is left.
+    /// Precise on the rank side on purpose: for multi-producer queues the
+    /// shared tail advances at claim time, long before publication, so
+    /// "tail moved" would wake a parked consumer into a still-unpublished
+    /// cell over and over. `true` means a retry on this handle can make
+    /// progress, not merely that the queue moved.
+    fn wake_ready(&self) -> bool;
+
+    /// [`wake_ready`](Self::wake_ready) without the producers-gone
+    /// disconnect term. Aggregating callers need the split: a sharded
+    /// consumer's member queues lose their producer handles one at a time
+    /// during a sharded producer's drop, so "any member's producers gone"
+    /// holds from the first decrement while the drain keeps coming up
+    /// empty until the last. They `any()` this half and `all()` the
+    /// producer counts themselves.
+    fn wake_ready_items(&self) -> bool;
+
+    /// The next rank this consumer will look at: the private head, or the
+    /// next unclaimed rank of the shared head — a monotone snapshot (stale
+    /// reads only under-report). Sharded consumers compare heads across
+    /// shards to bound how far any one shard may run ahead.
+    fn head_rank(&self) -> i64;
+
+    /// Replaces the waiting profile used by the blocking dequeue paths
+    /// (default: [`WaitConfig::adaptive`]). Per-handle.
+    fn set_wait_config(&mut self, cfg: WaitConfig);
+
+    /// This handle's waiting profile (see
+    /// [`set_wait_config`](Self::set_wait_config)).
+    fn wait_config(&self) -> WaitConfig;
+
+    /// Snapshot of this consumer's counters.
+    fn stats(&self) -> ConsumerStats;
+
+    /// Capacity of the underlying cell array.
+    fn capacity(&self) -> usize {
+        self.queue().capacity()
+    }
+
+    /// Approximate number of items currently enqueued.
+    fn len_hint(&self) -> usize {
+        self.queue().len_hint()
+    }
+
+    /// Best-effort recovery for a detaching consumer: consume and drop any
+    /// already-published item among its parked ranks so those cells return
+    /// to circulation. Unpublished ranks are forfeited (the paper's
+    /// consumers are immortal worker threads; see the README caveat).
+    fn recover_pending(&mut self);
+
+    /// Discards every pending rank `>= bound`, returning how many were
+    /// dropped. The unbounded tier calls this when a consumer learns its
+    /// segment was sealed at `bound`: ranks claimed at or past the seal can
+    /// never be published there (enqueues moved to the next segment), so
+    /// holding them would block this handle forever. Sound because a
+    /// claimed rank is owned by this handle — nobody else will ever present
+    /// it — and the sealed cells at those ranks stay free until the segment
+    /// is recycled wholesale. Bounded queues never need this.
+    fn prune_pending_from(&mut self, bound: i64) -> usize;
+
+    /// `true` when this handle holds no pending rank.
+    fn pending_is_empty(&self) -> bool;
+}
+
 /// The shared-head consumer engine (SPMC and MPMC variants).
 ///
 /// `MP` selects, at compile time, whether cell-word resets must stay
@@ -786,23 +946,15 @@ pub struct RawConsumer<
     queue: RawQueue<T, C, M>,
     pending: PendingRanks,
     /// Waiting profile for the blocking dequeue paths; see
-    /// [`set_wait_config`](Self::set_wait_config).
+    /// [`ConsumerEngine::set_wait_config`].
     wait: WaitConfig,
     stats: ConsumerStats,
 }
 
-impl<T: Send, C: CellSlot<T>, M: IndexMap, const MP: bool> RawConsumer<T, C, M, MP> {
-    /// Attaches a consumer to `queue`. The new handle owns no pending
-    /// ranks; its first dequeue claims from the current head.
-    ///
-    /// # Safety
-    ///
-    /// `queue` upholds [`RawQueue::from_raw`]'s contract for this handle's
-    /// lifetime, and `MP` matches the queue's producer variant. The caller
-    /// is responsible for the `consumers` count in [`QueueState`] and for
-    /// calling [`recover_pending`](Self::recover_pending) before abandoning
-    /// a handle that may hold pending ranks.
-    pub unsafe fn attach(queue: RawQueue<T, C, M>) -> Self {
+impl<T: Send, C: CellSlot<T>, M: IndexMap, const MP: bool> ConsumerEngine<T, C, M>
+    for RawConsumer<T, C, M, MP>
+{
+    unsafe fn attach(queue: RawQueue<T, C, M>) -> Self {
         Self {
             queue,
             pending: PendingRanks::default(),
@@ -811,24 +963,14 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap, const MP: bool> RawConsumer<T, C, M, 
         }
     }
 
-    /// The underlying view.
     #[inline(always)]
-    pub fn queue(&self) -> &RawQueue<T, C, M> {
+    fn queue(&self) -> &RawQueue<T, C, M> {
         &self.queue
     }
 
-    /// Replaces the waiting profile used by the blocking dequeue paths
-    /// (default: [`WaitConfig::adaptive`]). Per-handle.
-    pub fn set_wait_config(&mut self, cfg: WaitConfig) {
-        self.wait = cfg;
-    }
-
-    /// Attempts to dequeue one item without blocking (pending-rank
-    /// semantics; see [`crate::spmc::Consumer::try_dequeue`]).
-    ///
     /// A dequeue is a claim, a read, and a recycle of the cell.
     #[inline]
-    pub fn try_dequeue(&mut self) -> Result<T, TryDequeueError> {
+    fn try_dequeue(&mut self) -> Result<T, TryDequeueError> {
         let (_, cell) = self.claim()?;
         // SAFETY: a published cell's payload is initialized, and rank
         // equality makes this consumer its unique owner.
@@ -837,15 +979,93 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap, const MP: bool> RawConsumer<T, C, M, 
         Ok(value)
     }
 
+    fn dequeue(&mut self) -> Result<T, Disconnected> {
+        // Without a timeout only a disconnect ends the wait.
+        self.dequeue_for(None).map_err(|_| Disconnected)
+    }
+
+    fn dequeue_timeout(&mut self, timeout: Duration) -> Result<T, TryDequeueError> {
+        self.dequeue_for(Some(timeout))
+    }
+
+    fn dequeue_batch(&mut self, buf: &mut Vec<T>, max: usize) -> usize {
+        self.dequeue_batch_capped(buf, max, i64::MAX)
+    }
+
+    #[inline]
+    fn try_claim(&mut self) -> Result<(i64, T), TryDequeueError>
+    where
+        T: Copy,
+    {
+        let (rank, cell) = self.claim()?;
+        // SAFETY: published cell, unique owner by rank equality; T is Copy,
+        // so reading without un-initializing is sound.
+        Ok((rank, unsafe { (*cell.data()).assume_init_read() }))
+    }
+
+    fn retire(&mut self, rank: i64)
+    where
+        T: Copy,
+    {
+        Self::recycle(self.queue.cell(rank));
+    }
+
+    fn wake_ready(&self) -> bool {
+        wake_ready(&self.queue, self.pending.front_rank())
+    }
+
+    fn wake_ready_items(&self) -> bool {
+        wake_ready_items(&self.queue, self.pending.front_rank())
+    }
+
+    fn head_rank(&self) -> i64 {
+        self.queue.state().head().load(Ordering::Relaxed)
+    }
+
+    fn set_wait_config(&mut self, cfg: WaitConfig) {
+        self.wait = cfg;
+    }
+
+    fn wait_config(&self) -> WaitConfig {
+        self.wait
+    }
+
+    fn stats(&self) -> ConsumerStats {
+        self.stats
+    }
+
+    fn recover_pending(&mut self) {
+        while let Some(rank) = self.pending.pop_front() {
+            let cell = self.queue.cell(rank);
+            if cell.words().load_lo(Ordering::Acquire) == rank {
+                // SAFETY: rank equality makes this handle the payload's
+                // unique owner.
+                unsafe { (*cell.data()).assume_init_drop() };
+                Self::recycle(cell);
+            }
+        }
+    }
+
+    fn prune_pending_from(&mut self, bound: i64) -> usize {
+        self.pending.truncate_from(bound)
+    }
+
+    fn pending_is_empty(&self) -> bool {
+        self.pending.is_empty()
+    }
+}
+
+impl<T: Send, C: CellSlot<T>, M: IndexMap, const MP: bool> RawConsumer<T, C, M, MP> {
     /// `FFQ_DEQ` (Algorithm 1, lines 20–33) up to the payload read: the
     /// next rank this handle owns whose cell publishes it, with that cell.
     /// Resumes the oldest parked rank before claiming a fresh one from the
     /// shared head, and re-parks at the front the rank it could not
-    /// satisfy.
+    /// satisfy. After `capacity` gaps, the next one ends the call `Empty`.
     #[inline]
     fn claim(&mut self) -> Result<(i64, &C), TryDequeueError> {
         let q = &self.queue;
         let mut probe = Probe::Armed;
+        let mut gaps = 0usize;
         loop {
             let rank = match self.pending.pop_front() {
                 Some(r) => r,
@@ -867,7 +1087,10 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap, const MP: bool> RawConsumer<T, C, M, 
                     self.stats.dequeued += 1;
                     return Ok((rank, cell));
                 }
-                Visit::Gap => {}
+                // The gap bound: the rank is stepped over, none is parked,
+                // and the next call resumes past it.
+                Visit::Gap if gaps == q.capacity() => return Err(TryDequeueError::Empty),
+                Visit::Gap => gaps += 1,
                 Visit::Missing(e) => {
                     self.pending.push_front(rank);
                     return Err(e);
@@ -889,26 +1112,8 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap, const MP: bool> RawConsumer<T, C, M, 
         }
     }
 
-    /// Dequeues one item, waiting — spinning, then parking on the
-    /// not-empty eventcount — while the queue is empty.
-    pub fn dequeue(&mut self) -> Result<T, Disconnected> {
-        // Without a timeout only a disconnect ends the wait.
-        self.dequeue_for(None).map_err(|_| Disconnected)
-    }
-
-    /// Dequeues one item, giving up after `timeout`.
-    ///
-    /// The deadline check adapts to the wait phase: sampled on a stride
-    /// while spinning (`Instant::now()` costs far more than a spin
-    /// iteration), every round — with the sleep clamped to the time
-    /// remaining — once parked, so even a parked consumer wakes within
-    /// about a millisecond of its deadline.
-    pub fn dequeue_timeout(&mut self, timeout: Duration) -> Result<T, TryDequeueError> {
-        self.dequeue_for(Some(timeout))
-    }
-
-    /// The one wait loop of [`dequeue`](Self::dequeue) and
-    /// [`dequeue_timeout`](Self::dequeue_timeout).
+    /// The one wait loop of [`ConsumerEngine::dequeue`] and
+    /// [`ConsumerEngine::dequeue_timeout`].
     fn dequeue_for(&mut self, timeout: Option<Duration>) -> Result<T, TryDequeueError> {
         let mut strat = WaitStrategy::new(self.wait);
         let q = self.queue;
@@ -959,18 +1164,11 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap, const MP: bool> RawConsumer<T, C, M, 
         self.pending.push_run(start, k as i64);
     }
 
-    /// Harvests up to `max` ready items into `buf`; returns the count.
-    /// Never blocks, and claims nothing on an empty queue (see
-    /// [`crate::spmc::Consumer::dequeue_batch`]).
-    pub fn dequeue_batch(&mut self, buf: &mut Vec<T>, max: usize) -> usize {
-        self.dequeue_batch_capped(buf, max, i64::MAX)
-    }
-
-    /// [`dequeue_batch`](Self::dequeue_batch) whose *fresh* rank claims
-    /// stop short of the absolute rank `head_cap` (previously parked runs
-    /// still harvest — they honored the cap in force when claimed). The
-    /// enforcement primitive behind the sharded frontend's bounded
-    /// reordering; see `crate::shard`.
+    /// [`dequeue_batch`](ConsumerEngine::dequeue_batch) whose *fresh* rank
+    /// claims stop short of the absolute rank `head_cap` (previously
+    /// parked runs still harvest — they honored the cap in force when
+    /// claimed). The enforcement primitive behind the sharded frontend's
+    /// bounded reordering; see `crate::shard`.
     ///
     /// Parked ranks from earlier claims are always harvested first, in
     /// claim order. When they run out, a new run is claimed only for ranks
@@ -982,13 +1180,16 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap, const MP: bool> RawConsumer<T, C, M, 
     pub fn dequeue_batch_capped(&mut self, buf: &mut Vec<T>, max: usize, head_cap: i64) -> usize {
         let q = self.queue;
         let mut n = 0usize;
+        // Gap ranks this call may still step over; the last one ends it.
+        let mut gaps_left = q.capacity() + 1;
         'harvest: while n < max {
             // Take the oldest parked run whole, or claim a fresh one — the
             // run is then walked with a plain local cursor, touching the
-            // pending deque again only for leftovers.
+            // pending deque again only for leftovers. A fresh run never
+            // outlasts the gap budget, so the bound parks no rank.
             let (start, end) = match self.pending.pop_run() {
                 Some(run) => run,
-                None => match self.claim_run_capped((max - n) as i64, head_cap) {
+                None => match self.claim_run_capped((max - n).min(gaps_left) as i64, head_cap) {
                     Some(run) => run,
                     None => break,
                 },
@@ -1007,7 +1208,15 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap, const MP: bool> RawConsumer<T, C, M, 
                         buf.push(value);
                         n += 1;
                     }
-                    Visit::Gap => {}
+                    Visit::Gap => {
+                        gaps_left -= 1;
+                        if gaps_left == 0 {
+                            if rank + 1 < end {
+                                self.pending.push_front_run(rank + 1, end);
+                            }
+                            break 'harvest;
+                        }
+                    }
                     Visit::Missing(_) => {
                         // Not produced yet (multi-producer claims can
                         // outrun publication): park the rest of the run
@@ -1075,122 +1284,10 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap, const MP: bool> RawConsumer<T, C, M, 
         }
     }
 
-    /// The next unclaimed rank of this queue — a monotone snapshot (stale
-    /// reads only under-report). Sharded consumers compare heads across
-    /// shards to bound how far any one shard may run ahead.
-    pub fn head_rank(&self) -> i64 {
-        self.queue.state().head().load(Ordering::Relaxed)
-    }
-
     /// Number of claimed-but-unsatisfied ranks currently parked on this
     /// handle.
     pub fn pending_ranks(&self) -> usize {
         self.pending.len()
-    }
-
-    /// `true` when this handle holds no pending rank.
-    pub fn pending_is_empty(&self) -> bool {
-        self.pending.is_empty()
-    }
-
-    /// The wake condition of a blocked dequeue on this handle: its front
-    /// pending rank's cell was published or gap-announced — or, with no
-    /// pending rank, the mirrored tail shows something to claim, or no
-    /// producer is left. Precise on the pending side on purpose: for
-    /// multi-producer queues the shared tail advances at claim time, long
-    /// before publication, so "tail moved" would wake a parked consumer
-    /// into a still-unpublished cell over and over. `true` means a retry on
-    /// this handle can make progress, not merely that the queue moved.
-    pub fn wake_ready(&self) -> bool {
-        wake_ready(&self.queue, self.pending.front_rank())
-    }
-
-    /// [`wake_ready`](Self::wake_ready) without the producers-gone
-    /// disconnect term. Aggregating callers need the split: a sharded
-    /// consumer's member queues lose their producer handles one at a time
-    /// during a sharded producer's drop, so "any member's producers gone"
-    /// holds from the first decrement while the drain keeps coming up
-    /// empty until the last. They `any()` this half and `all()` the
-    /// producer counts themselves.
-    pub fn wake_ready_items(&self) -> bool {
-        wake_ready_items(&self.queue, self.pending.front_rank())
-    }
-
-    /// Discards every pending rank `>= bound`, returning how many were
-    /// dropped. The unbounded tier calls this when a consumer learns its
-    /// segment was sealed at `bound`: ranks claimed at or past the seal can
-    /// never be published there (enqueues moved to the next segment), so
-    /// holding them would block this handle forever. Sound because a
-    /// claimed rank is owned by this handle — nobody else will ever present
-    /// it — and the sealed cells at those ranks stay free until the segment
-    /// is recycled wholesale. Bounded queues never need this.
-    pub fn prune_pending_from(&mut self, bound: i64) -> usize {
-        self.pending.truncate_from(bound)
-    }
-
-    /// Best-effort recovery for a detaching consumer: consume and drop any
-    /// already-published item among its parked ranks so those cells return
-    /// to circulation. Unpublished ranks are forfeited (the paper's
-    /// consumers are immortal worker threads; see the README caveat).
-    pub fn recover_pending(&mut self) {
-        while let Some(rank) = self.pending.pop_front() {
-            let cell = self.queue.cell(rank);
-            if cell.words().load_lo(Ordering::Acquire) == rank {
-                // SAFETY: rank equality makes this handle the payload's
-                // unique owner.
-                unsafe { (*cell.data()).assume_init_drop() };
-                Self::recycle(cell);
-            }
-        }
-    }
-
-    /// Capacity of the underlying cell array.
-    pub fn capacity(&self) -> usize {
-        self.queue.capacity()
-    }
-
-    /// Approximate number of items currently enqueued.
-    pub fn len_hint(&self) -> usize {
-        self.queue.len_hint()
-    }
-
-    /// Snapshot of this consumer's counters.
-    pub fn stats(&self) -> ConsumerStats {
-        self.stats
-    }
-
-    /// This handle's waiting profile (see [`set_wait_config`]).
-    ///
-    /// [`set_wait_config`]: Self::set_wait_config
-    pub fn wait_config(&self) -> WaitConfig {
-        self.wait
-    }
-}
-
-impl<T: Send + Copy, C: CellSlot<T>, M: IndexMap, const MP: bool> RawConsumer<T, C, M, MP> {
-    /// Dequeues one item *without recycling its cell*: the borrowed-read
-    /// primitive of the zero-copy bytes lane.
-    ///
-    /// On success the caller owns rank `r` — its cell keeps publishing `r`,
-    /// so the producer side treats it as busy (skipping it with a gap
-    /// announcement if its slot comes around again) — until the caller
-    /// hands it back with [`retire`](Self::retire). Holding a claim is
-    /// pure-degradation, never corruption, but it does consume ring
-    /// capacity; retire promptly. Restricted to `T: Copy` because the value
-    /// is copied out while the cell stays initialized.
-    #[inline]
-    pub fn try_claim(&mut self) -> Result<(i64, T), TryDequeueError> {
-        let (rank, cell) = self.claim()?;
-        // SAFETY: published cell, unique owner by rank equality; T is Copy,
-        // so reading without un-initializing is sound.
-        Ok((rank, unsafe { (*cell.data()).assume_init_read() }))
-    }
-
-    /// Recycles the cell of a rank obtained from [`try_claim`](Self::try_claim).
-    /// The Release reset orders the caller's final read of the cell's slot
-    /// buffer before any producer reuse.
-    pub fn retire(&mut self, rank: i64) {
-        Self::recycle(self.queue.cell(rank));
     }
 }
 
@@ -1205,23 +1302,13 @@ pub struct RawSpscConsumer<T: Send, C: CellSlot<T> = PaddedCell<T>, M: IndexMap 
     /// Private head counter — the single-consumer specialization.
     head: i64,
     /// Waiting profile for the blocking dequeue paths; see
-    /// [`set_wait_config`](Self::set_wait_config).
+    /// [`ConsumerEngine::set_wait_config`].
     wait: WaitConfig,
     stats: ConsumerStats,
 }
 
-impl<T: Send, C: CellSlot<T>, M: IndexMap> RawSpscConsumer<T, C, M> {
-    /// Attaches the unique consumer to `queue`, resuming from the mirrored
-    /// head (0 on a fresh queue).
-    ///
-    /// # Safety
-    ///
-    /// `queue` upholds [`RawQueue::from_raw`]'s contract for this handle's
-    /// lifetime; no other consumer handle (of either kind) exists on the
-    /// same queue while this one does; the queue's producer is a
-    /// single-producer engine. The caller is responsible for the
-    /// `consumers` count in [`QueueState`].
-    pub unsafe fn attach(queue: RawQueue<T, C, M>) -> Self {
+impl<T: Send, C: CellSlot<T>, M: IndexMap> ConsumerEngine<T, C, M> for RawSpscConsumer<T, C, M> {
+    unsafe fn attach(queue: RawQueue<T, C, M>) -> Self {
         let head = queue.state().head().load(Ordering::Acquire);
         Self {
             queue,
@@ -1231,23 +1318,14 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> RawSpscConsumer<T, C, M> {
         }
     }
 
-    /// The underlying view.
     #[inline(always)]
-    pub fn queue(&self) -> &RawQueue<T, C, M> {
+    fn queue(&self) -> &RawQueue<T, C, M> {
         &self.queue
     }
 
-    /// Replaces the waiting profile used by the blocking dequeue paths
-    /// (default: [`WaitConfig::adaptive`]). Per-handle.
-    pub fn set_wait_config(&mut self, cfg: WaitConfig) {
-        self.wait = cfg;
-    }
-
-    /// Attempts to dequeue one item without blocking.
-    ///
     /// A dequeue is a claim, a read, and a recycle of the cell.
     #[inline]
-    pub fn try_dequeue(&mut self) -> Result<T, TryDequeueError> {
+    fn try_dequeue(&mut self) -> Result<T, TryDequeueError> {
         let q = self.queue;
         let cell = self.claim(&q)?;
         // SAFETY: published cell owned by the unique consumer.
@@ -1256,21 +1334,138 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> RawSpscConsumer<T, C, M> {
         Ok(value)
     }
 
+    fn dequeue(&mut self) -> Result<T, Disconnected> {
+        // Without a timeout only a disconnect ends the wait.
+        self.dequeue_for(None).map_err(|_| Disconnected)
+    }
+
+    fn dequeue_timeout(&mut self, timeout: Duration) -> Result<T, TryDequeueError> {
+        self.dequeue_for(Some(timeout))
+    }
+
+    /// The private head advances cell by cell; the head mirror is stored
+    /// once per harvested run instead of once per item.
+    fn dequeue_batch(&mut self, buf: &mut Vec<T>, max: usize) -> usize {
+        let q = self.queue;
+        let start = self.head;
+        let mut n = 0usize;
+        while n < max {
+            match visit(&q, self.head, &mut Probe::Off, &mut self.stats) {
+                Visit::Published(cell) => {
+                    // SAFETY: published cell owned by the unique consumer.
+                    let value = unsafe { (*cell.data()).assume_init_read() };
+                    cell.words().store_lo_unpaired(RANK_FREE, Ordering::Release);
+                    buf.push(value);
+                    self.stats.dequeued += 1;
+                    n += 1;
+                }
+                // Every rank from `start` to the head that is not among the
+                // `n` items was a gap: past `capacity` of them, this one is
+                // the last the call steps over.
+                Visit::Gap if self.head - start - n as i64 == q.capacity() as i64 => {
+                    self.head += 1;
+                    break;
+                }
+                Visit::Gap => {}
+                Visit::Missing(_) => break,
+            }
+            self.head += 1;
+        }
+        if self.head != start {
+            self.stats.ranks_claimed += (self.head - start) as u64;
+            self.queue
+                .state()
+                .head()
+                .store(self.head, Ordering::Release);
+            self.queue
+                .state()
+                .wake_producers((self.head - start) as usize);
+        }
+        self.stats.batch_dequeues += 1;
+        self.stats.batch_items += n as u64;
+        n
+    }
+
+    #[inline]
+    fn try_claim(&mut self) -> Result<(i64, T), TryDequeueError>
+    where
+        T: Copy,
+    {
+        let q = self.queue;
+        let cell = self.claim(&q)?;
+        // SAFETY: published cell owned by the unique consumer; T is Copy,
+        // so reading without un-initializing is sound.
+        Ok((self.head, unsafe { (*cell.data()).assume_init_read() }))
+    }
+
+    fn retire(&mut self, rank: i64)
+    where
+        T: Copy,
+    {
+        debug_assert_eq!(rank, self.head, "SPSC claims retire in order");
+        let q = self.queue;
+        self.recycle(q.cell(rank));
+    }
+
+    fn wake_ready(&self) -> bool {
+        wake_ready(&self.queue, Some(self.head))
+    }
+
+    fn wake_ready_items(&self) -> bool {
+        wake_ready_items(&self.queue, Some(self.head))
+    }
+
+    #[inline(always)]
+    fn head_rank(&self) -> i64 {
+        self.head
+    }
+
+    fn set_wait_config(&mut self, cfg: WaitConfig) {
+        self.wait = cfg;
+    }
+
+    fn wait_config(&self) -> WaitConfig {
+        self.wait
+    }
+
+    fn stats(&self) -> ConsumerStats {
+        self.stats
+    }
+
+    fn recover_pending(&mut self) {}
+
+    fn prune_pending_from(&mut self, _bound: i64) -> usize {
+        0
+    }
+
+    fn pending_is_empty(&self) -> bool {
+        true
+    }
+}
+
+impl<T: Send, C: CellSlot<T>, M: IndexMap> RawSpscConsumer<T, C, M> {
     /// `FFQ_DEQ` (Algorithm 1, lines 20–33) up to the payload read, from
     /// the private head: steps over gap-announced ranks and returns the
     /// head's cell once it publishes the head. The head stays put on a
-    /// miss. `q` is the caller's local copy of the view, which the
-    /// returned cell borrows, so the caller can still advance the head.
+    /// miss; past `capacity` gaps, the next one ends the call `Empty`. `q`
+    /// is the caller's local copy of the view, which the returned cell
+    /// borrows, so the caller can still advance the head.
     #[inline]
     fn claim<'q>(&mut self, q: &'q RawQueue<T, C, M>) -> Result<&'q C, TryDequeueError> {
         let mut probe = Probe::Armed;
+        let start = self.head;
         loop {
             match visit(q, self.head, &mut probe, &mut self.stats) {
                 Visit::Published(cell) => {
                     self.stats.dequeued += 1;
                     return Ok(cell);
                 }
-                Visit::Gap => self.advance(),
+                Visit::Gap => {
+                    self.advance();
+                    if self.head - start > q.capacity() as i64 {
+                        return Err(TryDequeueError::Empty);
+                    }
+                }
                 Visit::Missing(e) => return Err(e),
             }
         }
@@ -1301,21 +1496,8 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> RawSpscConsumer<T, C, M> {
         self.stats.ranks_claimed += 1;
     }
 
-    /// Dequeues one item, waiting — spinning, then parking on the
-    /// not-empty eventcount — while the queue is empty.
-    pub fn dequeue(&mut self) -> Result<T, Disconnected> {
-        // Without a timeout only a disconnect ends the wait.
-        self.dequeue_for(None).map_err(|_| Disconnected)
-    }
-
-    /// Dequeues one item, giving up after `timeout` (phase-adaptive
-    /// deadline checks; see [`crate::spmc::Consumer::dequeue_timeout`]).
-    pub fn dequeue_timeout(&mut self, timeout: Duration) -> Result<T, TryDequeueError> {
-        self.dequeue_for(Some(timeout))
-    }
-
-    /// The one wait loop of [`dequeue`](Self::dequeue) and
-    /// [`dequeue_timeout`](Self::dequeue_timeout).
+    /// The one wait loop of [`ConsumerEngine::dequeue`] and
+    /// [`ConsumerEngine::dequeue_timeout`].
     fn dequeue_for(&mut self, timeout: Option<Duration>) -> Result<T, TryDequeueError> {
         let mut strat = WaitStrategy::new(self.wait);
         let q = self.queue;
@@ -1341,103 +1523,6 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> RawSpscConsumer<T, C, M> {
         };
         self.stats.parks += strat.parks();
         res
-    }
-
-    /// Harvests up to `max` ready items into `buf`; returns the count.
-    /// Never blocks. The head mirror is stored once per harvested run
-    /// instead of once per item.
-    pub fn dequeue_batch(&mut self, buf: &mut Vec<T>, max: usize) -> usize {
-        let q = self.queue;
-        let start = self.head;
-        let mut n = 0usize;
-        while n < max {
-            match visit(&q, self.head, &mut Probe::Off, &mut self.stats) {
-                Visit::Published(cell) => {
-                    // SAFETY: published cell owned by the unique consumer.
-                    let value = unsafe { (*cell.data()).assume_init_read() };
-                    cell.words().store_lo_unpaired(RANK_FREE, Ordering::Release);
-                    buf.push(value);
-                    self.stats.dequeued += 1;
-                    n += 1;
-                }
-                Visit::Gap => {}
-                Visit::Missing(_) => break,
-            }
-            self.head += 1;
-        }
-        if self.head != start {
-            self.stats.ranks_claimed += (self.head - start) as u64;
-            self.queue
-                .state()
-                .head()
-                .store(self.head, Ordering::Release);
-            self.queue
-                .state()
-                .wake_producers((self.head - start) as usize);
-        }
-        self.stats.batch_dequeues += 1;
-        self.stats.batch_items += n as u64;
-        n
-    }
-
-    /// Capacity of the underlying cell array.
-    pub fn capacity(&self) -> usize {
-        self.queue.capacity()
-    }
-
-    /// Approximate number of items currently enqueued.
-    pub fn len_hint(&self) -> usize {
-        self.queue.len_hint()
-    }
-
-    /// Snapshot of this consumer's counters.
-    pub fn stats(&self) -> ConsumerStats {
-        self.stats
-    }
-
-    /// This handle's waiting profile (see [`set_wait_config`]).
-    ///
-    /// [`set_wait_config`]: Self::set_wait_config
-    pub fn wait_config(&self) -> WaitConfig {
-        self.wait
-    }
-
-    /// The rank this consumer will examine next (its private head).
-    #[inline(always)]
-    pub fn head_rank(&self) -> i64 {
-        self.head
-    }
-
-    /// The wake condition of a blocked dequeue on this handle — the private
-    /// head's cell was published or gap-announced, or no producer is left.
-    pub fn wake_ready(&self) -> bool {
-        wake_ready(&self.queue, Some(self.head))
-    }
-}
-
-impl<T: Send + Copy, C: CellSlot<T>, M: IndexMap> RawSpscConsumer<T, C, M> {
-    /// Dequeues one item *without recycling its cell or advancing the
-    /// head*: the SPSC borrowed-read primitive of the zero-copy bytes lane
-    /// (see [`RawConsumer::try_claim`]). The claim must be handed back with
-    /// [`retire`](Self::retire) before the next claim — the private head
-    /// does not move until then.
-    #[inline]
-    pub fn try_claim(&mut self) -> Result<(i64, T), TryDequeueError> {
-        let q = self.queue;
-        let cell = self.claim(&q)?;
-        // SAFETY: published cell owned by the unique consumer; T is Copy,
-        // so reading without un-initializing is sound.
-        Ok((self.head, unsafe { (*cell.data()).assume_init_read() }))
-    }
-
-    /// Recycles the cell of a rank obtained from
-    /// [`try_claim`](Self::try_claim) and advances the private head past
-    /// it. The Release reset orders the caller's final read of the cell's
-    /// slot buffer before any producer reuse.
-    pub fn retire(&mut self, rank: i64) {
-        debug_assert_eq!(rank, self.head, "SPSC claims retire in order");
-        let q = self.queue;
-        self.recycle(q.cell(rank));
     }
 }
 
@@ -1549,5 +1634,90 @@ mod tests {
     #[test]
     fn private_head_try_claim_skips_gaps_into_disconnect() {
         skips_forged_gaps_into_disconnect(|rx| rx.try_claim().map(drop));
+    }
+
+    /// Eight local cells whose gap words were forged to `i64::MAX`, the
+    /// tail mirror at 2^40 and one producer counted: every rank reads as a
+    /// gap and the queue never looks empty. One `call` on a fresh engine
+    /// `E` must return after stepping over `capacity + 1` gap ranks, with
+    /// the head past them and no rank parked. `call` asserts its own
+    /// result (`Empty`, or an empty batch).
+    fn forged_gaps_end_the_call<E: ConsumerEngine<u64>>(call: impl FnOnce(&mut E)) {
+        let state = QueueState::new(3, 1, 1);
+        state.tail().store(1 << 40, Ordering::Release);
+        let cells: Vec<PaddedCell<u64>> = (0..8).map(|_| CellSlot::<u64>::empty()).collect();
+        for cell in &cells {
+            cell.words().store_hi_unpaired(i64::MAX, Ordering::Release);
+        }
+        // SAFETY: state/cells outlive the handle; it is the only one.
+        let q = unsafe { RawQueue::<u64>::from_raw(&state, cells.as_ptr()) };
+        let mut rx = unsafe { E::attach(q) };
+        call(&mut rx);
+        assert_eq!(rx.stats().gaps_skipped, 9);
+        assert!(rx.pending_is_empty());
+        assert_eq!(state.head().load(Ordering::Acquire), 9);
+    }
+
+    fn empty<V>(res: Result<V, TryDequeueError>) {
+        assert_eq!(res.err(), Some(TryDequeueError::Empty));
+    }
+
+    #[test]
+    fn private_head_try_dequeue_bounds_the_gap_walk() {
+        forged_gaps_end_the_call::<RawSpscConsumer<u64>>(|rx| empty(rx.try_dequeue()));
+    }
+
+    #[test]
+    fn private_head_try_claim_bounds_the_gap_walk() {
+        forged_gaps_end_the_call::<RawSpscConsumer<u64>>(|rx| empty(rx.try_claim()));
+    }
+
+    #[test]
+    fn private_head_dequeue_batch_bounds_the_gap_walk() {
+        forged_gaps_end_the_call::<RawSpscConsumer<u64>>(|rx| {
+            assert_eq!(rx.dequeue_batch(&mut Vec::new(), 64), 0);
+        });
+    }
+
+    #[test]
+    fn shared_head_try_dequeue_bounds_the_gap_walk() {
+        forged_gaps_end_the_call::<RawConsumer<u64>>(|rx| empty(rx.try_dequeue()));
+    }
+
+    #[test]
+    fn shared_head_try_claim_bounds_the_gap_walk() {
+        forged_gaps_end_the_call::<RawConsumer<u64>>(|rx| empty(rx.try_claim()));
+    }
+
+    #[test]
+    fn shared_head_dequeue_batch_bounds_the_gap_walk() {
+        forged_gaps_end_the_call::<RawConsumer<u64>>(|rx| {
+            assert_eq!(rx.dequeue_batch(&mut Vec::new(), 64), 0);
+        });
+    }
+
+    #[test]
+    fn shared_head_dequeue_batch_bounds_the_gap_walk_over_parked_ranks() {
+        // Ranks parked by an earlier claim are walked within the same
+        // budget; the rest of the run stays parked for the next call.
+        let state = QueueState::new(3, 1, 1);
+        let cells: Vec<PaddedCell<u64>> = (0..8).map(|_| CellSlot::<u64>::empty()).collect();
+        for cell in &cells {
+            cell.words().store_hi_unpaired(i64::MAX, Ordering::Release);
+        }
+        // SAFETY: state/cells outlive the handle; it is the only one.
+        let q = unsafe { RawQueue::<u64>::from_raw(&state, cells.as_ptr()) };
+        let mut rx = unsafe { RawConsumer::<u64>::attach(q) };
+        rx.claim_batch(32);
+        assert_eq!(rx.dequeue_batch(&mut Vec::new(), 64), 0);
+        assert_eq!(rx.stats().gaps_skipped, 9);
+        assert_eq!(rx.pending_ranks(), 23);
+    }
+
+    #[test]
+    fn shared_head_dequeue_batch_capped_bounds_the_gap_walk() {
+        forged_gaps_end_the_call::<RawConsumer<u64>>(|rx| {
+            assert_eq!(rx.dequeue_batch_capped(&mut Vec::new(), 64, 1 << 30), 0);
+        });
     }
 }

@@ -172,7 +172,7 @@ impl<T: Send> Drop for Segment<T> {
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
-    use crate::raw::{RawProducer, RawSpscConsumer};
+    use crate::raw::{ConsumerEngine, RawProducer, RawSpscConsumer};
 
     #[test]
     fn fresh_segment_is_open_and_unlinked() {

@@ -16,6 +16,7 @@
 
 use core::marker::PhantomData;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use ffq_sync::atomic::{fence, Ordering};
 
@@ -23,7 +24,7 @@ use ffq_sync::{WaitConfig, WaitStrategy};
 
 use crate::cell::CellSlot;
 use crate::error::TryDequeueError;
-use crate::layout::IndexMap;
+use crate::layout::{normalize_capacity, IndexMap};
 use crate::raw::{QueueState, RawQueue};
 use crate::stats::{ConsumerStats, ProducerStats};
 
@@ -37,15 +38,20 @@ pub(crate) struct Shared<T, C: CellSlot<T>, M: IndexMap> {
 }
 
 impl<T, C: CellSlot<T>, M: IndexMap> Shared<T, C, M> {
-    /// Allocates an empty queue of `1 << cap_log2` cells with `producers`
-    /// initial producer handles and one consumer handle.
-    pub(crate) fn with_log2(cap_log2: u32, producers: u32) -> Self {
+    /// Allocates an empty `flavor` queue of at least `capacity` cells,
+    /// counted for one producer and one consumer handle.
+    ///
+    /// # Panics
+    /// If `capacity` is 0 or exceeds [`crate::layout::MAX_CAPACITY`].
+    pub(crate) fn heap(capacity: usize, flavor: &str) -> Arc<Self> {
+        let cap_log2 =
+            normalize_capacity(capacity).unwrap_or_else(|e| panic!("ffq::{flavor}::channel: {e}"));
         let cells: Box<[C]> = (0..1usize << cap_log2).map(|_| C::empty()).collect();
-        Self {
-            state: QueueState::in_process(cap_log2, producers, 1),
+        Arc::new(Self {
+            state: QueueState::in_process(cap_log2, 1, 1),
             cells,
             _marker: PhantomData,
-        }
+        })
     }
 
     /// A raw view over this allocation.

@@ -15,6 +15,10 @@
 //! [`crate::raw`]: they allocate the queue on the heap, pin it with an
 //! `Arc`, and handle clone/drop accounting. The protocol itself lives
 //! entirely in the raw layer, where `ffq-shm` reuses it over shared memory.
+//! [`Producer`] is every single-producer flavor's producer and
+//! [`Consumer`] every flavor's consumer, generic over the raw consumer
+//! engine: [`crate::spsc`] and [`crate::mpmc`] name them over the
+//! private-head and the multi-producer engines.
 //!
 //! ```
 //! let (mut tx, rx) = ffq::spmc::channel::<u64>(1024);
@@ -35,8 +39,8 @@ use std::time::Duration;
 
 use crate::cell::{CellSlot, PaddedCell};
 use crate::error::{Disconnected, Full, TryDequeueError};
-use crate::layout::{normalize_capacity, IndexMap, LinearMap};
-use crate::raw::{RawConsumer, RawProducer};
+use crate::layout::{IndexMap, LinearMap};
+use crate::raw::{ConsumerEngine, RawConsumer, RawProducer};
 use crate::shared::Shared;
 use crate::stats::{ConsumerStats, ProducerStats};
 use crate::WaitConfig;
@@ -66,7 +70,7 @@ pub fn bytes_channel(
     capacity: usize,
     slot_bytes: usize,
 ) -> Result<(crate::bytes::SpProducer, crate::bytes::McConsumer<false>), crate::CapacityError> {
-    crate::bytes::heap_spmc(capacity, slot_bytes)
+    crate::bytes::heap_sp(capacity, slot_bytes, crate::SpillMode::Heap)
 }
 
 /// Creates an SPMC queue with explicit cell layout `C` and index mapping `M`
@@ -78,25 +82,13 @@ pub fn bytes_channel(
 pub fn channel_with<T: Send, C: CellSlot<T>, M: IndexMap>(
     capacity: usize,
 ) -> (Producer<T, C, M>, Consumer<T, C, M>) {
-    let cap_log2 =
-        normalize_capacity(capacity).unwrap_or_else(|e| panic!("ffq::spmc::channel: {e}"));
-    let shared = Arc::new(Shared::<T, C, M>::with_log2(cap_log2, 1));
-    let raw = shared.raw();
-    // SAFETY: the Arc in each handle keeps the allocation (and thus the raw
-    // view) alive and pinned; exactly one producer exists, and the counts
-    // were pre-set by `with_log2(_, 1)`.
-    let tx = Producer {
-        raw: unsafe { RawProducer::attach(raw) },
-        _shared: Arc::clone(&shared),
-    };
-    let rx = Consumer {
-        raw: unsafe { RawConsumer::attach(raw) },
-        shared,
-    };
-    (tx, rx)
+    let shared = Shared::heap(capacity, "spmc");
+    // SAFETY: a fresh queue's one producer and one shared-head consumer.
+    unsafe { (Producer::new(&shared), Consumer::new(shared)) }
 }
 
-/// The unique producing side of an SPMC queue.
+/// The unique producing side of an SPSC or SPMC queue (the single-producer
+/// engine is identical; [`crate::spsc::Producer`] is this type).
 ///
 /// Not `Clone` and takes `&mut self`: the algorithm's wait-freedom and the
 /// unsynchronized `tail` are only sound with exactly one enqueuing thread.
@@ -108,6 +100,21 @@ pub struct Producer<T: Send, C: CellSlot<T> = PaddedCell<T>, M: IndexMap = Linea
 }
 
 impl<T: Send, C: CellSlot<T>, M: IndexMap> Producer<T, C, M> {
+    /// The producer of a fresh heap queue.
+    ///
+    /// # Safety
+    ///
+    /// The queue has no other producer handle; its count was pre-set by
+    /// [`Shared::heap`].
+    pub(crate) unsafe fn new(shared: &Arc<Shared<T, C, M>>) -> Self {
+        Self {
+            // SAFETY: the Arc keeps the allocation (and thus the raw view)
+            // alive and pinned; uniqueness is the caller's contract.
+            raw: unsafe { RawProducer::attach(shared.raw()) },
+            _shared: Arc::clone(shared),
+        }
+    }
+
     /// Enqueues `value`, scanning past busy cells (announcing gaps) until a
     /// free cell is found.
     ///
@@ -192,29 +199,57 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> Drop for Producer<T, C, M> {
     }
 }
 
-/// A consuming handle of an SPMC queue. Clone it to add consumers.
+/// A consuming handle of a heap queue, generic over its consumer engine
+/// `E`: this is the SPMC consumer (the default, a shared head), and
+/// [`crate::spsc::Consumer`] (the private head) and
+/// [`crate::mpmc::Consumer`] (a shared head behind many producers) are
+/// this type over the other engines. Clone a shared-head consumer to add
+/// consumers; the SPSC one is not `Clone` — its head is private, which is
+/// exactly what makes that variant cheaper.
 ///
-/// Each handle privately remembers its *pending ranks*: ranks claimed from
-/// the shared head whose items have not arrived yet. [`try_dequeue`] parks
-/// such a rank instead of abandoning it (an abandoned rank would orphan the
-/// item later enqueued with it), [`claim_batch`] parks whole runs, and every
-/// dequeue flavor resumes from the oldest parked rank first.
+/// A shared-head handle privately remembers its *pending ranks*: ranks
+/// claimed from the shared head whose items have not arrived yet.
+/// [`try_dequeue`] parks such a rank instead of abandoning it (an abandoned
+/// rank would orphan the item later enqueued with it), [`claim_batch`]
+/// parks whole runs, and every dequeue flavor resumes from the oldest
+/// parked rank first. The private head simply does not advance on `Empty`.
 ///
 /// [`try_dequeue`]: Consumer::try_dequeue
 /// [`claim_batch`]: Consumer::claim_batch
-pub struct Consumer<T: Send, C: CellSlot<T> = PaddedCell<T>, M: IndexMap = LinearMap> {
-    raw: RawConsumer<T, C, M, false>,
+pub struct Consumer<
+    T: Send,
+    C: CellSlot<T> = PaddedCell<T>,
+    M: IndexMap = LinearMap,
+    E: ConsumerEngine<T, C, M> = RawConsumer<T, C, M, false>,
+> {
+    raw: E,
     /// Keeps the queue allocation alive (the raw view points into it).
     shared: Arc<Shared<T, C, M>>,
 }
 
-impl<T: Send, C: CellSlot<T>, M: IndexMap> Consumer<T, C, M> {
+impl<T: Send, C: CellSlot<T>, M: IndexMap, E: ConsumerEngine<T, C, M>> Consumer<T, C, M, E> {
+    /// The first consumer of a fresh heap queue.
+    ///
+    /// # Safety
+    ///
+    /// The queue admits engine `E` (see [`ConsumerEngine::attach`]) and
+    /// has no other consumer handle; its count was pre-set by
+    /// [`Shared::heap`].
+    pub(crate) unsafe fn new(shared: Arc<Shared<T, C, M>>) -> Self {
+        Self {
+            // SAFETY: the Arc keeps the allocation alive and pinned; the
+            // rest is the caller's contract.
+            raw: unsafe { E::attach(shared.raw()) },
+            shared,
+        }
+    }
+
     /// Attempts to dequeue one item without blocking.
     ///
-    /// `Err(Empty)` means no item is ready *for this consumer's rank*; the
-    /// rank is retained and retried on the next call. `Err(Disconnected)`
-    /// means the producer is gone and this consumer can never receive
-    /// another item.
+    /// `Err(Empty)` means no item is ready *for this consumer's rank*; a
+    /// claimed rank is retained and retried on the next call.
+    /// `Err(Disconnected)` means the producers are gone and this consumer
+    /// can never receive another item.
     ///
     /// Linearizability granularity: the queue's logical dequeue (the
     /// paper's `FFQ_DEQ`) spans from the rank claim to the data read. A
@@ -252,32 +287,22 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> Consumer<T, C, M> {
         self.raw.set_wait_config(cfg);
     }
 
-    /// Claims a run of `k` ranks from the shared head with a *single*
-    /// `fetch_add(k)` and parks it as pending — one coherence transaction
-    /// on the queue's most contended word instead of `k`.
-    ///
-    /// The run obeys the no-abandoned-rank rule: once claimed it is never
-    /// given back, and all subsequent dequeues (batch or per-item) harvest
-    /// it in claim order. Claiming past the current tail is allowed — the
-    /// surplus ranks wait for future items — but a claim on a queue whose
-    /// producer then disconnects is never satisfied, so prefer
-    /// [`dequeue_batch`](Self::dequeue_batch), which sizes its claims to
-    /// the items actually available.
-    pub fn claim_batch(&mut self, k: usize) {
-        self.raw.claim_batch(k);
-    }
-
     /// Harvests up to `max` ready items into `buf`; returns the count.
     /// Never blocks.
     ///
-    /// Parked ranks (from [`claim_batch`](Self::claim_batch) or earlier
-    /// calls) are harvested first, in claim order; when they run out, new
-    /// runs are claimed with one CAS per run (more only when another
-    /// consumer claims in between), never past what the tail reports as
-    /// available — an empty queue claims nothing, and a fresh run holds
-    /// only ranks already published or skipped. The harvest stops early
-    /// at a parked rank whose item has not been produced yet (the rank
-    /// stays parked and is resumed by the next call).
+    /// On a shared head, parked ranks (from
+    /// [`claim_batch`](Self::claim_batch) or earlier calls) are harvested
+    /// first, in claim order; when they run out, new runs are claimed with
+    /// one CAS per run (more only when another consumer claims in
+    /// between), never past what the tail reports as available — an empty
+    /// queue claims nothing, and a fresh SPMC run holds only ranks already
+    /// published or skipped. The harvest stops early at a parked rank
+    /// whose item has not been produced yet (the rank stays parked and is
+    /// resumed by the next call; multi-producer claims can outrun
+    /// publication). On the private head the head advances cell by cell
+    /// exactly as `try_dequeue` would, but the shared head mirror — the
+    /// word the producer's fullness pre-check polls — is stored once per
+    /// harvested run instead of once per item.
     ///
     /// A return of `0` does not distinguish empty from disconnected; use
     /// [`try_dequeue`](Self::try_dequeue) for that.
@@ -285,17 +310,43 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> Consumer<T, C, M> {
         self.raw.dequeue_batch(buf, max)
     }
 
-    /// Number of claimed-but-unsatisfied ranks currently parked on this
-    /// handle.
-    pub fn pending_ranks(&self) -> usize {
-        self.raw.pending_ranks()
-    }
-
     /// Drains currently available items into an iterator; stops at the
     /// first `Empty`/`Disconnected` without claiming a rank on an
     /// already-empty queue.
-    pub fn try_iter(&mut self) -> TryIter<'_, T, C, M> {
+    pub fn try_iter(&mut self) -> TryIter<'_, T, C, M, E> {
         TryIter { consumer: self }
+    }
+
+    /// The next rank this handle looks at — a monotone snapshot (a stale
+    /// read only under-reports, never over-reports).
+    pub fn head_rank(&self) -> i64 {
+        self.raw.head_rank()
+    }
+
+    /// Number of live producer handles.
+    pub fn producers(&self) -> usize {
+        // Acquire per the QueueState handle-count rule: observing zero here
+        // makes every completed enqueue visible.
+        self.raw.queue().state().producers().load(Ordering::Acquire) as usize
+    }
+
+    /// The wake condition of a blocked dequeue on this handle — `true`
+    /// when a retry can make progress: the rank it waits on was published
+    /// or gap-announced, unclaimed items are visible, or every producer is
+    /// gone. Sharded consumers park on an aggregate eventcount and use
+    /// this as the per-shard readiness probe.
+    pub fn wake_ready(&self) -> bool {
+        self.raw.wake_ready()
+    }
+
+    /// [`wake_ready`](Self::wake_ready) minus the producers-gone term.
+    /// Aggregators (the sharded consumer) `any()` this and `all()` the
+    /// per-queue [`producers`](Self::producers) counts instead — any-ing
+    /// the full condition would spin through the window where a sharded
+    /// producer's drop has emptied some member queues' handle counts but
+    /// not yet all.
+    pub fn wake_ready_items(&self) -> bool {
+        self.raw.wake_ready_items()
     }
 
     /// Capacity of the underlying cell array.
@@ -316,7 +367,51 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> Consumer<T, C, M> {
     }
 }
 
-impl<T: Send, C: CellSlot<T>, M: IndexMap> Clone for Consumer<T, C, M> {
+impl<T: Send, C: CellSlot<T>, M: IndexMap, const MP: bool>
+    Consumer<T, C, M, RawConsumer<T, C, M, MP>>
+{
+    /// Claims a run of `k` ranks from the shared head with a *single*
+    /// `fetch_add(k)` and parks it as pending — one coherence transaction
+    /// on the queue's most contended word instead of `k`.
+    ///
+    /// The run obeys the no-abandoned-rank rule: once claimed it is never
+    /// given back, and all subsequent dequeues (batch or per-item) harvest
+    /// it in claim order. Claiming past the current tail is allowed — the
+    /// surplus ranks wait for future items — but a claim on a queue whose
+    /// producers then disconnect is never satisfied, so prefer
+    /// [`dequeue_batch`](Self::dequeue_batch), which sizes its claims to
+    /// the items actually available. FFQ-m caveat: claimed ranks below the
+    /// shared tail may still be mid-resolution by their producers, so a
+    /// batch harvest can park partway through a run and resume on a later
+    /// call.
+    pub fn claim_batch(&mut self, k: usize) {
+        self.raw.claim_batch(k);
+    }
+
+    /// [`dequeue_batch`](Self::dequeue_batch) whose fresh rank claims stop
+    /// short of the absolute rank `head_cap`: no rank `>= head_cap` is
+    /// claimed by this call, under any interleaving with other consumers
+    /// (the claim is a CAS, not a blind `fetch_add`). Runs parked by
+    /// earlier calls still harvest — they honored the cap in force when
+    /// they were claimed.
+    ///
+    /// Building block for [`crate::shard`]'s k-relaxed FIFO bound: a
+    /// sharded consumer caps each shard's claims relative to the laggard
+    /// shard's [`head_rank`](Self::head_rank).
+    pub fn dequeue_batch_capped(&mut self, buf: &mut Vec<T>, max: usize, head_cap: i64) -> usize {
+        self.raw.dequeue_batch_capped(buf, max, head_cap)
+    }
+
+    /// Number of claimed-but-unsatisfied ranks currently parked on this
+    /// handle.
+    pub fn pending_ranks(&self) -> usize {
+        self.raw.pending_ranks()
+    }
+}
+
+impl<T: Send, C: CellSlot<T>, M: IndexMap, const MP: bool> Clone
+    for Consumer<T, C, M, RawConsumer<T, C, M, MP>>
+{
     fn clone(&self) -> Self {
         self.raw
             .queue()
@@ -332,14 +427,16 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> Clone for Consumer<T, C, M> {
     }
 }
 
-impl<T: Send, C: CellSlot<T>, M: IndexMap> Drop for Consumer<T, C, M> {
+impl<T: Send, C: CellSlot<T>, M: IndexMap, E: ConsumerEngine<T, C, M>> Drop
+    for Consumer<T, C, M, E>
+{
     fn drop(&mut self) {
-        // Best effort: if this handle dies holding claimed ranks whose
-        // items have already been published, consume and drop them so the
-        // cells return to circulation. Items not yet published cannot be
-        // waited for — those ranks are forfeited and their slots stay busy
-        // once filled, permanently reducing effective capacity (the
-        // paper's consumers are immortal worker threads; see README).
+        // Best effort: if a shared-head handle dies holding claimed ranks
+        // whose items have already been published, consume and drop them
+        // so the cells return to circulation. Items not yet published
+        // cannot be waited for — those ranks are forfeited and their slots
+        // stay busy once filled, permanently reducing effective capacity
+        // (the paper's consumers are immortal worker threads; see README).
         self.raw.recover_pending();
         // SeqCst per the QueueState handle-count rule: the Release half
         // orders the recovery above before anyone observes the drop; the
@@ -354,26 +451,37 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> Drop for Consumer<T, C, M> {
 }
 
 /// Iterator over currently available items; see [`Consumer::try_iter`].
-pub struct TryIter<'a, T: Send, C: CellSlot<T>, M: IndexMap> {
-    consumer: &'a mut Consumer<T, C, M>,
+pub struct TryIter<
+    'a,
+    T: Send,
+    C: CellSlot<T>,
+    M: IndexMap,
+    E: ConsumerEngine<T, C, M> = RawConsumer<T, C, M, false>,
+> {
+    consumer: &'a mut Consumer<T, C, M, E>,
 }
 
-impl<T: Send, C: CellSlot<T>, M: IndexMap> Iterator for TryIter<'_, T, C, M> {
+impl<T: Send, C: CellSlot<T>, M: IndexMap, E: ConsumerEngine<T, C, M>> Iterator
+    for TryIter<'_, T, C, M, E>
+{
     type Item = T;
 
     fn next(&mut self) -> Option<T> {
         // Claim-free emptiness pre-check: ending an iteration on an empty
         // queue must not park a rank.
-        if self.consumer.raw.pending_is_empty() && self.consumer.raw.queue().looks_empty() {
+        let raw = &self.consumer.raw;
+        if raw.pending_is_empty() && raw.queue().looks_empty() {
             return None;
         }
         self.consumer.try_dequeue().ok()
     }
 }
 
-impl<T: Send, C: CellSlot<T>, M: IndexMap> IntoIterator for Consumer<T, C, M> {
+impl<T: Send, C: CellSlot<T>, M: IndexMap, E: ConsumerEngine<T, C, M>> IntoIterator
+    for Consumer<T, C, M, E>
+{
     type Item = T;
-    type IntoIter = IntoIter<T, C, M>;
+    type IntoIter = IntoIter<T, C, M, E>;
 
     /// A blocking iterator: yields items until all producers disconnect
     /// and the queue is drained.
@@ -383,11 +491,18 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> IntoIterator for Consumer<T, C, M> {
 }
 
 /// Blocking consuming iterator; see [`Consumer::into_iter`].
-pub struct IntoIter<T: Send, C: CellSlot<T> = PaddedCell<T>, M: IndexMap = LinearMap> {
-    consumer: Consumer<T, C, M>,
+pub struct IntoIter<
+    T: Send,
+    C: CellSlot<T> = PaddedCell<T>,
+    M: IndexMap = LinearMap,
+    E: ConsumerEngine<T, C, M> = RawConsumer<T, C, M, false>,
+> {
+    consumer: Consumer<T, C, M, E>,
 }
 
-impl<T: Send, C: CellSlot<T>, M: IndexMap> Iterator for IntoIter<T, C, M> {
+impl<T: Send, C: CellSlot<T>, M: IndexMap, E: ConsumerEngine<T, C, M>> Iterator
+    for IntoIter<T, C, M, E>
+{
     type Item = T;
 
     fn next(&mut self) -> Option<T> {

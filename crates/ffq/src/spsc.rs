@@ -14,22 +14,35 @@
 //! mirrors its private head back once per harvested run instead of once per
 //! item.
 //!
-//! The handles here are thin wrappers over the raw engines in
-//! [`crate::raw`]: they allocate the queue on the heap, pin it with an
-//! `Arc`, and disconnect on drop. The protocol itself lives entirely in the
+//! The handles are the heap handles of [`crate::spmc`] over the
+//! private-head engine of [`crate::raw`]: [`Producer`] *is*
+//! [`crate::spmc::Producer`], and [`Consumer`] is [`crate::spmc::Consumer`]
+//! over [`RawSpscConsumer`]. They allocate the queue on the heap, pin it
+//! with an `Arc`, and disconnect on drop; the protocol itself lives in the
 //! raw layer, where `ffq-shm` reuses it over shared memory.
 
-use ffq_sync::atomic::Ordering;
-use std::sync::Arc;
-use std::time::Duration;
-
 use crate::cell::{CellSlot, PaddedCell};
-use crate::error::{Disconnected, Full, TryDequeueError};
-use crate::layout::{normalize_capacity, IndexMap, LinearMap};
-use crate::raw::{RawProducer, RawSpscConsumer};
+use crate::layout::{IndexMap, LinearMap};
+use crate::raw::RawSpscConsumer;
 use crate::shared::Shared;
-use crate::stats::{ConsumerStats, ProducerStats};
-use crate::WaitConfig;
+
+/// The producing side of an SPSC queue: the single-producer heap handle
+/// every single-producer flavor shares.
+pub use crate::spmc::Producer;
+
+/// The unique consuming side of an SPSC queue: [`crate::spmc::Consumer`]
+/// over the private-head engine.
+///
+/// Not `Clone`: its `head` counter is private, which is exactly what makes
+/// this variant cheaper than SPMC. Clone requirements mean you want
+/// [`crate::spmc`]. With no shared head RMW there is nothing for a
+/// `claim_batch` to amortize, and nothing is ever pending.
+pub type Consumer<T, C = PaddedCell<T>, M = LinearMap> =
+    crate::spmc::Consumer<T, C, M, RawSpscConsumer<T, C, M>>;
+
+/// Blocking consuming iterator; see [`crate::spmc::Consumer::into_iter`].
+pub type IntoIter<T, C = PaddedCell<T>, M = LinearMap> =
+    crate::spmc::IntoIter<T, C, M, RawSpscConsumer<T, C, M>>;
 
 /// Creates an SPSC queue with the default layout and at least the given
 /// capacity (rounded up to a power of two; see
@@ -53,7 +66,7 @@ pub fn bytes_channel(
     capacity: usize,
     slot_bytes: usize,
 ) -> Result<(crate::bytes::SpProducer, crate::bytes::SpscConsumer), crate::CapacityError> {
-    crate::bytes::heap_spsc(capacity, slot_bytes)
+    crate::bytes::heap_sp(capacity, slot_bytes, crate::SpillMode::Chain)
 }
 
 /// Creates an SPSC queue with explicit cell layout and index mapping.
@@ -63,200 +76,19 @@ pub fn bytes_channel(
 pub fn channel_with<T: Send, C: CellSlot<T>, M: IndexMap>(
     capacity: usize,
 ) -> (Producer<T, C, M>, Consumer<T, C, M>) {
-    let cap_log2 =
-        normalize_capacity(capacity).unwrap_or_else(|e| panic!("ffq::spsc::channel: {e}"));
-    let shared = Arc::new(Shared::<T, C, M>::with_log2(cap_log2, 1));
-    let raw = shared.raw();
-    // SAFETY: the Arc in each handle keeps the allocation (and thus the raw
-    // view) alive and pinned; exactly one producer and one consumer handle
-    // exist, and the counts were pre-set by `with_log2(_, 1)`.
-    let tx = Producer {
-        raw: unsafe { RawProducer::attach(raw) },
-        _shared: Arc::clone(&shared),
-    };
-    let rx = Consumer {
-        raw: unsafe { RawSpscConsumer::attach(raw) },
-        _shared: shared,
-    };
-    (tx, rx)
-}
-
-/// The producing side of an SPSC queue (identical protocol to
-/// [`crate::spmc::Producer`]).
-pub struct Producer<T: Send, C: CellSlot<T> = PaddedCell<T>, M: IndexMap = LinearMap> {
-    raw: RawProducer<T, C, M>,
-    /// Keeps the queue allocation alive (the raw view points into it).
-    _shared: Arc<Shared<T, C, M>>,
-}
-
-impl<T: Send, C: CellSlot<T>, M: IndexMap> Producer<T, C, M> {
-    /// Enqueues `value`; waits — spinning, then parking per the configured
-    /// [`WaitConfig`] — between full array scans if the queue is full
-    /// (wait-free under the paper's sizing assumption).
-    pub fn enqueue(&mut self, value: T) {
-        self.raw.enqueue(value);
-    }
-
-    /// Enqueues `value`, giving up (and returning it back) once `timeout`
-    /// has elapsed with the queue still full.
-    pub fn enqueue_timeout(&mut self, value: T, timeout: Duration) -> Result<(), Full<T>> {
-        self.raw.enqueue_timeout(value, timeout)
-    }
-
-    /// Replaces the wait policy used by blocking enqueues; see
-    /// [`WaitConfig`].
-    pub fn set_wait_config(&mut self, cfg: WaitConfig) {
-        self.raw.set_wait_config(cfg);
-    }
-
-    /// Attempts to enqueue; O(1) rejection when clearly full, otherwise one
-    /// bounded array scan (with the rank-consumption caveat of
-    /// [`crate::spmc::Producer::try_enqueue`]).
-    pub fn try_enqueue(&mut self, value: T) -> Result<(), Full<T>> {
-        self.raw.try_enqueue(value)
-    }
-
-    /// Enqueues every item of `iter` (blocking as needed); returns the
-    /// count.
-    ///
-    /// The batched path: data for a run of free cells is written first, the
-    /// ranks are published in order behind one `Release` fence, and the
-    /// shared tail mirror is stored once per run instead of once per item.
-    pub fn enqueue_many<I: IntoIterator<Item = T>>(&mut self, iter: I) -> usize {
-        self.raw.enqueue_many(iter)
-    }
-
-    /// Capacity of the underlying cell array.
-    pub fn capacity(&self) -> usize {
-        self.raw.capacity()
-    }
-
-    /// Approximate number of items currently enqueued.
-    pub fn len_hint(&self) -> usize {
-        self.raw.len_hint()
-    }
-
-    /// Snapshot of this producer's counters.
-    pub fn stats(&self) -> ProducerStats {
-        self.raw.stats()
-    }
-}
-
-impl<T: Send, C: CellSlot<T>, M: IndexMap> Drop for Producer<T, C, M> {
-    fn drop(&mut self) {
-        // SeqCst (cold path): the Release half pairs with the consumer's
-        // Acquire load in its disconnect check — every enqueue before this
-        // drop is visible once the count reads 0; the SC position bounds
-        // the death's latency to spinning wait predicates (see
-        // mpmc::Producer::drop).
-        let state = self.raw.queue().state();
-        state.producers().fetch_sub(1, Ordering::SeqCst);
-        // A consumer parked on the not-empty eventcount must observe the
-        // disconnect promptly rather than after its bounded-park timeout.
-        state.wake_all();
-    }
-}
-
-/// The unique consuming side of an SPSC queue.
-///
-/// Not `Clone`: its `head` counter is private, which is exactly what makes
-/// this variant cheaper than SPMC. Clone requirements mean you want
-/// [`crate::spmc`].
-pub struct Consumer<T: Send, C: CellSlot<T> = PaddedCell<T>, M: IndexMap = LinearMap> {
-    raw: RawSpscConsumer<T, C, M>,
-    /// Keeps the queue allocation alive (the raw view points into it).
-    _shared: Arc<Shared<T, C, M>>,
-}
-
-impl<T: Send, C: CellSlot<T>, M: IndexMap> Consumer<T, C, M> {
-    /// Attempts to dequeue one item without blocking.
-    ///
-    /// Unlike the SPMC consumer there is no pending-rank bookkeeping: the
-    /// private head simply does not advance on `Empty`.
-    pub fn try_dequeue(&mut self) -> Result<T, TryDequeueError> {
-        self.raw.try_dequeue()
-    }
-
-    /// Dequeues one item, waiting — spinning, then parking per the
-    /// configured [`WaitConfig`] — while the queue is empty.
-    pub fn dequeue(&mut self) -> Result<T, Disconnected> {
-        self.raw.dequeue()
-    }
-
-    /// Dequeues one item, giving up after `timeout`.
-    ///
-    /// While spinning, the deadline is only re-checked every few back-off
-    /// rounds (`Instant::now()` costs far more than a spin iteration); once
-    /// parked, every sleep is clamped to the remaining time, so the return
-    /// lands within about a millisecond of the deadline.
-    pub fn dequeue_timeout(&mut self, timeout: Duration) -> Result<T, TryDequeueError> {
-        self.raw.dequeue_timeout(timeout)
-    }
-
-    /// Replaces the wait policy used by blocking dequeues; see
-    /// [`WaitConfig`].
-    pub fn set_wait_config(&mut self, cfg: WaitConfig) {
-        self.raw.set_wait_config(cfg);
-    }
-
-    /// Harvests up to `max` ready items into `buf`; returns the count.
-    /// Never blocks.
-    ///
-    /// The batched dequeue: the private head advances cell by cell exactly
-    /// as `try_dequeue` would, but the shared head mirror — the word the
-    /// producer's fullness pre-check polls — is stored once per harvested
-    /// run instead of once per item. (There is no `claim_batch` here: with
-    /// no shared head RMW there is nothing to amortize, and nothing is ever
-    /// pending.)
-    pub fn dequeue_batch(&mut self, buf: &mut Vec<T>, max: usize) -> usize {
-        self.raw.dequeue_batch(buf, max)
-    }
-
-    /// Capacity of the underlying cell array.
-    pub fn capacity(&self) -> usize {
-        self.raw.capacity()
-    }
-
-    /// Approximate number of items currently enqueued.
-    pub fn len_hint(&self) -> usize {
-        self.raw.len_hint()
-    }
-
-    /// Snapshot of this consumer's counters.
-    pub fn stats(&self) -> ConsumerStats {
-        self.raw.stats()
-    }
-}
-
-impl<T: Send, C: CellSlot<T>, M: IndexMap> IntoIterator for Consumer<T, C, M> {
-    type Item = T;
-    type IntoIter = IntoIter<T, C, M>;
-
-    /// A blocking iterator: yields items until all producers disconnect
-    /// and the queue is drained.
-    fn into_iter(self) -> Self::IntoIter {
-        IntoIter { consumer: self }
-    }
-}
-
-/// Blocking consuming iterator; see [`Consumer::into_iter`].
-pub struct IntoIter<T: Send, C: CellSlot<T> = PaddedCell<T>, M: IndexMap = LinearMap> {
-    consumer: Consumer<T, C, M>,
-}
-
-impl<T: Send, C: CellSlot<T>, M: IndexMap> Iterator for IntoIter<T, C, M> {
-    type Item = T;
-
-    fn next(&mut self) -> Option<T> {
-        self.consumer.dequeue().ok()
-    }
+    let shared = Shared::heap(capacity, "spsc");
+    // SAFETY: a fresh queue's one producer and its one (private-head)
+    // consumer.
+    unsafe { (Producer::new(&shared), Consumer::new(shared)) }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cell::CompactCell;
+    use crate::error::{Disconnected, TryDequeueError};
     use crate::layout::RotateMap;
+    use std::time::Duration;
 
     #[test]
     fn fifo_order_preserved() {
@@ -422,6 +254,14 @@ mod tests {
         run::<PaddedCell<u64>, RotateMap>();
         run::<CompactCell<u64>, LinearMap>();
         run::<CompactCell<u64>, RotateMap>();
+    }
+
+    #[test]
+    fn consumer_drop_is_counted() {
+        let (tx, rx) = channel::<u32>(8);
+        assert_eq!(tx.consumers(), 1);
+        drop(rx);
+        assert_eq!(tx.consumers(), 0);
     }
 
     #[test]

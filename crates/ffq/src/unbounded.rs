@@ -56,7 +56,7 @@
 //! limbo list for as long as items keep flowing. This is the standard
 //! epoch-reclamation trade: pinning is what makes the held pointer safe
 //! to dereference later. Drop handles you are done with, or call
-//! [`McConsumer::catch_up`] / [`MpProducer::catch_up`] on rarely-used
+//! [`Consumer::catch_up`] / [`MpProducer::catch_up`] on rarely-used
 //! ones to release their pin past segments other handles drained.
 //!
 //! # Handle limit
@@ -77,7 +77,7 @@ use crate::cell::PaddedCell;
 use crate::error::{Disconnected, Full, TryDequeueError};
 use crate::layout::{normalize_capacity, LinearMap};
 use crate::mpmc::resolve_rank;
-use crate::raw::{RawConsumer, RawProducer, RawSpscConsumer};
+use crate::raw::{ConsumerEngine, RawConsumer, RawProducer, RawSpscConsumer};
 use crate::segment::Segment;
 use crate::stats::{ConsumerStats, ProducerStats, SegmentStats};
 
@@ -646,13 +646,15 @@ impl<T: Send> Drop for MpProducer<T> {
 
 // ---- consumers ----------------------------------------------------------
 
-/// What a consumer should do after its ring reported `Disconnected`.
+/// What a consumer should do after its ring reported a miss.
 enum Step {
     /// Moved to the successor segment — retry there.
     Moved,
     /// Progress is available right now (a resolved front rank or
     /// unclaimed ranks below the seal boundary) — retry immediately.
     Retry,
+    /// Nothing ready on an open segment: the queue-level `Empty`.
+    Empty,
     /// Sealed segment whose front parked rank awaits a lagging producer:
     /// no progress until that producer publishes or gap-announces.
     /// Blocking callers park on the segment's not-empty cell (both
@@ -662,253 +664,84 @@ enum Step {
     Dead,
 }
 
-/// The unique consumer of an unbounded spsc queue.
+/// A consumer of an unbounded queue, generic over the ring engine it runs
+/// on each segment: the private head ([`SpscConsumer`], spsc flavor) or
+/// the shared head with pending ranks ([`McConsumer`]: spmc `MP = false`,
+/// mpmc `MP = true`). Shared-head consumers are `Clone` for more
+/// consumers.
 ///
-/// Wraps the private-head [`RawSpscConsumer`] engine per segment and
-/// follows the seal/link protocol across seams.
-pub struct SpscConsumer<T: Send> {
+/// Follows the seal/link protocol across seams with one seam step for
+/// both engines: a private head holds no pending rank, and when its ring
+/// reports the seal its head mirror is already at the boundary, so it
+/// crosses at once.
+pub struct Consumer<T: Send, E: ConsumerEngine<T>> {
     ctl: Arc<Ctl<T>>,
     /// Current segment; protected by this handle's era slot.
     seg: *mut Segment<T>,
-    raw: RawSpscConsumer<T, PaddedCell<T>, LinearMap>,
+    raw: E,
     slot: usize,
     wait: WaitConfig,
     acc: ConsumerStats,
     seg_stats: SegmentStats,
 }
 
-// SAFETY: era slot protects the pointer; everything else is owned.
-unsafe impl<T: Send> Send for SpscConsumer<T> {}
-
-impl<T: Send> SpscConsumer<T> {
-    fn new(ctl: Arc<Ctl<T>>) -> Self {
-        let seg = ctl.head_seg.load(Ordering::Acquire);
-        // SAFETY: at construction the first segment is alive and stable.
-        let slot = ctl.registry.acquire(unsafe { (*seg).seq() });
-        let raw = unsafe { RawSpscConsumer::attach((*seg).raw()) };
-        Self {
-            ctl,
-            seg,
-            raw,
-            slot,
-            wait: WaitConfig::default(),
-            acc: ConsumerStats::default(),
-            seg_stats: SegmentStats::default(),
-        }
-    }
-
-    /// Handles a ring-level `Disconnected`: cross the seam if the segment
-    /// was sealed by a roll, report death if the producer is gone.
-    fn step(&mut self) -> Step {
-        // SAFETY: protected by our era slot.
-        let cur_ref = unsafe { &*self.seg };
-        let next = cur_ref.next().load(Ordering::Acquire);
-        if next.is_null() {
-            // Link-before-seal: no successor means the inner count hit 0
-            // through the producer's drop, which decremented the outer
-            // count first (both SeqCst) — so this load can only see 0.
-            return if self.ctl.producers.load(Ordering::Acquire) == 0 {
-                Step::Dead
-            } else {
-                Step::Retry
-            };
-        }
-        self.advance(next);
-        Step::Moved
-    }
-
-    /// Crosses to `next`: elect the retirer, raise the era slot, retire
-    /// the drained segment if this handle won the election, re-attach the
-    /// ring engine.
-    fn advance(&mut self, next: *mut Segment<T>) {
-        let cur = self.seg;
-        // SAFETY: both protected — `cur` by our slot, `next` transitively.
-        let cur_seq = unsafe { (*cur).seq() };
-        let next_seq = unsafe { (*next).seq() };
-        self.acc = self.acc.merge(self.raw.stats());
-        // Elect the retirer *while our slot still pins `cur`*: the pin
-        // keeps `cur` out of the freelist (min_active <= its era), so a
-        // recycled-and-relinked segment can never alias `cur` here and
-        // this pointer-equality CAS cannot succeed against a recycled
-        // tail (the ABA that would retire — and free — a live segment).
-        let won = self
-            .ctl
-            .head_seg
-            .compare_exchange(cur, next, Ordering::AcqRel, Ordering::Relaxed)
-            .is_ok();
-        // Raising the slot releases `cur` for reclamation; nothing below
-        // dereferences it.
-        self.ctl.registry.set(self.slot, next_seq);
-        if won {
-            self.ctl.retire(cur, cur_seq, &mut self.seg_stats);
-        }
-        self.seg = next;
-        // SAFETY: `next` is alive (protected by our raised slot).
-        self.raw = unsafe { RawSpscConsumer::attach((*next).raw()) };
-        self.seg_stats.segments_advanced += 1;
-    }
-
-    /// Attempts to dequeue one item without blocking.
-    pub fn try_dequeue(&mut self) -> Result<T, TryDequeueError> {
-        loop {
-            match self.raw.try_dequeue() {
-                Ok(v) => return Ok(v),
-                Err(TryDequeueError::Empty) => return Err(TryDequeueError::Empty),
-                Err(TryDequeueError::Disconnected) => match self.step() {
-                    Step::Moved | Step::Retry => continue,
-                    Step::Waiting => return Err(TryDequeueError::Empty),
-                    Step::Dead => return Err(TryDequeueError::Disconnected),
-                },
-            }
-        }
-    }
-
-    /// Dequeues one item, waiting — per the configured [`WaitConfig`] —
-    /// while the queue is empty.
-    pub fn dequeue(&mut self) -> Result<T, Disconnected> {
-        // Without a timeout only a disconnect ends the wait.
-        self.dequeue_for(None).map_err(|_| Disconnected)
-    }
-
-    /// Dequeues one item, giving up after `timeout`.
-    pub fn dequeue_timeout(&mut self, timeout: Duration) -> Result<T, TryDequeueError> {
-        self.dequeue_for(Some(timeout))
-    }
-
-    /// The one wait loop of [`dequeue`](Self::dequeue) and
-    /// [`dequeue_timeout`](Self::dequeue_timeout): the ring engine's, plus
-    /// seam crossings.
-    fn dequeue_for(&mut self, timeout: Option<Duration>) -> Result<T, TryDequeueError> {
-        let mut strat = WaitStrategy::new(self.wait);
-        let res = loop {
-            match self.raw.try_dequeue() {
-                Ok(v) => break Ok(v),
-                Err(TryDequeueError::Empty) => {}
-                // The ring reports Disconnected on a seal as well as on a
-                // real disconnect; `step` tells them apart.
-                Err(TryDequeueError::Disconnected) => match self.step() {
-                    Step::Moved => {
-                        strat.reset();
-                        continue;
-                    }
-                    Step::Dead => break Err(TryDequeueError::Disconnected),
-                    // Defensive only (`step` cannot return these for the
-                    // spsc seal/drop orderings): wait a round like `Empty`
-                    // rather than burning a core on a bare retry.
-                    Step::Retry | Step::Waiting => {}
-                },
-            }
-            // SAFETY: protected by our era slot.
-            let state = unsafe { &*self.seg }.state();
-            let raw = &self.raw;
-            let round = strat.wait_round_for(
-                state.not_empty(),
-                state.wait_is_shared(),
-                timeout,
-                &mut || raw.wake_ready(),
-            );
-            if round == WaitRound::Expired {
-                break Err(TryDequeueError::Empty);
-            }
-        };
-        self.acc.parks += strat.parks();
-        res
-    }
-
-    /// Harvests up to `max` ready items into `buf`, crossing segment seams
-    /// as needed; returns the count. Never blocks.
-    pub fn dequeue_batch(&mut self, buf: &mut Vec<T>, max: usize) -> usize {
-        let mut n = 0;
-        while n < max {
-            n += self.raw.dequeue_batch(buf, max - n);
-            if n >= max {
-                break;
-            }
-            // The ring came up short: empty, or a seam to cross.
-            match self.raw.try_dequeue() {
-                Ok(v) => {
-                    buf.push(v);
-                    n += 1;
-                }
-                Err(TryDequeueError::Empty) => break,
-                Err(TryDequeueError::Disconnected) => match self.step() {
-                    Step::Moved | Step::Retry => continue,
-                    Step::Waiting | Step::Dead => break,
-                },
-            }
-        }
-        n
-    }
-
-    /// Replaces the wait policy used by blocking dequeues.
-    pub fn set_wait_config(&mut self, cfg: WaitConfig) {
-        self.wait = cfg;
-    }
-
-    /// Capacity of one segment (the queue itself is unbounded).
-    pub fn segment_capacity(&self) -> usize {
-        self.raw.capacity()
-    }
-
-    /// Snapshot of this consumer's ring-protocol counters, accumulated
-    /// across every segment it has drained.
-    pub fn stats(&self) -> ConsumerStats {
-        self.acc.merge(self.raw.stats())
-    }
-
-    /// Snapshot of this consumer's segment-churn counters.
-    pub fn seg_stats(&self) -> SegmentStats {
-        self.seg_stats
-    }
-}
-
-impl<T: Send> Drop for SpscConsumer<T> {
-    fn drop(&mut self) {
-        self.ctl.consumers.fetch_sub(1, Ordering::SeqCst);
-        self.ctl.registry.release(self.slot);
-    }
-}
+/// The unique consumer of an unbounded spsc queue.
+pub type SpscConsumer<T> = Consumer<T, RawSpscConsumer<T>>;
 
 /// A shared-head consumer of an unbounded spmc (`MP = false`) or mpmc
 /// (`MP = true`) queue. `Clone` for more consumers.
-pub struct McConsumer<T: Send, const MP: bool> {
-    ctl: Arc<Ctl<T>>,
-    /// Current segment; protected by this handle's era slot.
-    seg: *mut Segment<T>,
-    raw: RawConsumer<T, PaddedCell<T>, LinearMap, MP>,
-    slot: usize,
-    wait: WaitConfig,
-    acc: ConsumerStats,
-    seg_stats: SegmentStats,
-}
+pub type McConsumer<T, const MP: bool> = Consumer<T, RawConsumer<T, PaddedCell<T>, LinearMap, MP>>;
 
-// SAFETY: as `SpscConsumer`.
-unsafe impl<T: Send, const MP: bool> Send for McConsumer<T, MP> {}
+// SAFETY: era slot protects the pointer; everything else is owned.
+unsafe impl<T: Send, E: ConsumerEngine<T>> Send for Consumer<T, E> {}
 
-impl<T: Send, const MP: bool> McConsumer<T, MP> {
-    fn new(ctl: Arc<Ctl<T>>) -> Self {
-        let seg = ctl.head_seg.load(Ordering::Acquire);
-        // SAFETY: at construction the first segment is alive and stable.
-        let slot = ctl.registry.acquire(unsafe { (*seg).seq() });
-        let raw = unsafe { RawConsumer::attach((*seg).raw()) };
+impl<T: Send, E: ConsumerEngine<T>> Consumer<T, E> {
+    /// A consumer on segment `seg` (protected by era slot `slot`).
+    ///
+    /// # Safety
+    ///
+    /// `slot` pins `seg`, and the queue's flavor admits engine `E`.
+    unsafe fn on(ctl: Arc<Ctl<T>>, seg: *mut Segment<T>, slot: usize, wait: WaitConfig) -> Self {
         Self {
             ctl,
             seg,
-            raw,
+            // SAFETY: `seg` is alive per the caller's pin.
+            raw: unsafe { E::attach((*seg).raw()) },
             slot,
-            wait: WaitConfig::default(),
+            wait,
             acc: ConsumerStats::default(),
             seg_stats: SegmentStats::default(),
         }
     }
 
-    /// Handles a ring-level `Disconnected`: prune unpublishable claims
-    /// against the seal boundary, drain what remains, cross the seam once
-    /// the segment is exhausted — or report death.
-    fn step(&mut self) -> Step {
+    /// The constructor's consumer, on the first segment.
+    ///
+    /// # Safety
+    ///
+    /// The queue's flavor admits engine `E`.
+    unsafe fn new(ctl: Arc<Ctl<T>>) -> Self {
+        let seg = ctl.head_seg.load(Ordering::Acquire);
+        // SAFETY: at construction the first segment is alive and stable.
+        let slot = ctl.registry.acquire(unsafe { (*seg).seq() });
+        unsafe { Self::on(ctl, seg, slot, WaitConfig::default()) }
+    }
+
+    /// Handles a ring-level miss: prune unpublishable claims against the
+    /// seal boundary, drain what remains, cross the seam once the segment
+    /// is exhausted — or report death.
+    ///
+    /// A sealed segment's `Empty` is not the queue's: the ring's gap walk
+    /// may have ended at its per-call bound short of the seal boundary
+    /// (multi-producer rolls burn up to a segment's worth of ranks per
+    /// producer), or the seal's producer-count drop may not be visible
+    /// yet. Only an open segment's `Empty` is reported as is.
+    fn step(&mut self, miss: TryDequeueError) -> Step {
         // SAFETY: protected by our era slot.
         let cur_ref = unsafe { &*self.seg };
         let Some(bound) = cur_ref.sealed_tail() else {
+            if miss == TryDequeueError::Empty {
+                return Step::Empty;
+            }
             // No seal: the producers are genuinely gone. Forfeit parked
             // ranks (publishing them is impossible) and report death.
             self.raw.recover_pending();
@@ -945,48 +778,53 @@ impl<T: Send, const MP: bool> McConsumer<T, MP> {
         Step::Moved
     }
 
+    /// Crosses to `next`: elect the retirer, raise the era slot, retire
+    /// the drained segment if this handle won the election, re-attach the
+    /// ring engine.
     fn advance(&mut self, next: *mut Segment<T>) {
         let cur = self.seg;
         // SAFETY: both protected — `cur` by our slot, `next` transitively.
         let cur_seq = unsafe { (*cur).seq() };
         let next_seq = unsafe { (*next).seq() };
         self.acc = self.acc.merge(self.raw.stats());
-        // Elect before raising the slot: the pin rules out the ABA where
-        // `cur` is freed, recycled, relinked as the tail, and walked back
-        // to this very pointer while we stall — which would let the CAS
-        // succeed spuriously and `retire` free a live segment (see
-        // `SpscConsumer::advance`).
+        // Elect the retirer *while our slot still pins `cur`*: the pin
+        // keeps `cur` out of the freelist (min_active <= its era), so a
+        // recycled-and-relinked segment can never alias `cur` here and
+        // this pointer-equality CAS cannot succeed against a recycled
+        // tail (the ABA that would retire — and free — a live segment).
         let won = self
             .ctl
             .head_seg
             .compare_exchange(cur, next, Ordering::AcqRel, Ordering::Relaxed)
             .is_ok();
+        // Raising the slot releases `cur` for reclamation; nothing below
+        // dereferences it.
         self.ctl.registry.set(self.slot, next_seq);
         if won {
             self.ctl.retire(cur, cur_seq, &mut self.seg_stats);
         }
         self.seg = next;
         // SAFETY: `next` is alive (protected by our raised slot).
-        self.raw = unsafe { RawConsumer::attach((*next).raw()) };
+        self.raw = unsafe { E::attach((*next).raw()) };
         self.seg_stats.segments_advanced += 1;
     }
 
     /// Attempts to dequeue one item without blocking (pending-rank
-    /// semantics within the current segment; see
+    /// semantics within the current segment on a shared head; see
     /// [`crate::spmc::Consumer::try_dequeue`]).
     pub fn try_dequeue(&mut self) -> Result<T, TryDequeueError> {
         loop {
-            match self.raw.try_dequeue() {
+            let miss = match self.raw.try_dequeue() {
                 Ok(v) => return Ok(v),
-                Err(TryDequeueError::Empty) => return Err(TryDequeueError::Empty),
-                Err(TryDequeueError::Disconnected) => match self.step() {
-                    Step::Moved | Step::Retry => continue,
-                    // The front rank's enqueue is still in flight — the
-                    // queue-level answer is "nothing ready yet", not a
-                    // retry loop that spins until that producer runs.
-                    Step::Waiting => return Err(TryDequeueError::Empty),
-                    Step::Dead => return Err(TryDequeueError::Disconnected),
-                },
+                Err(e) => e,
+            };
+            match self.step(miss) {
+                Step::Moved | Step::Retry => continue,
+                // Waiting: the front rank's enqueue is still in flight —
+                // the queue-level answer is "nothing ready yet", not a
+                // retry loop that spins until that producer runs.
+                Step::Empty | Step::Waiting => return Err(TryDequeueError::Empty),
+                Step::Dead => return Err(TryDequeueError::Disconnected),
             }
         }
     }
@@ -1013,18 +851,19 @@ impl<T: Send, const MP: bool> McConsumer<T, MP> {
             // producer count already reads 0: its wake condition is the
             // rank resolving (publish and gap-announce both broadcast on
             // the segment's not-empty cell), not the count.
-            let sealed = match self.raw.try_dequeue() {
+            let miss = match self.raw.try_dequeue() {
                 Ok(v) => break Ok(v),
-                Err(TryDequeueError::Empty) => false,
-                Err(TryDequeueError::Disconnected) => match self.step() {
-                    Step::Moved => {
-                        strat.reset();
-                        continue;
-                    }
-                    Step::Retry => continue,
-                    Step::Waiting => true,
-                    Step::Dead => break Err(TryDequeueError::Disconnected),
-                },
+                Err(e) => e,
+            };
+            let sealed = match self.step(miss) {
+                Step::Moved => {
+                    strat.reset();
+                    continue;
+                }
+                Step::Retry => continue,
+                Step::Empty => false,
+                Step::Waiting => true,
+                Step::Dead => break Err(TryDequeueError::Disconnected),
             };
             // SAFETY: protected by our era slot.
             let state = unsafe { &*self.seg }.state();
@@ -1058,15 +897,15 @@ impl<T: Send, const MP: bool> McConsumer<T, MP> {
             if n >= max {
                 break;
             }
+            // The ring came up short: empty, or a seam to cross.
             match self.raw.try_dequeue() {
                 Ok(v) => {
                     buf.push(v);
                     n += 1;
                 }
-                Err(TryDequeueError::Empty) => break,
-                Err(TryDequeueError::Disconnected) => match self.step() {
+                Err(miss) => match self.step(miss) {
                     Step::Moved | Step::Retry => continue,
-                    Step::Waiting | Step::Dead => break,
+                    Step::Empty | Step::Waiting | Step::Dead => break,
                 },
             }
         }
@@ -1095,28 +934,11 @@ impl<T: Send, const MP: bool> McConsumer<T, MP> {
     /// or holding one of this handle's own parked claims. O(segments
     /// skipped); never blocks, never consumes.
     pub fn catch_up(&mut self) {
-        loop {
-            // SAFETY: protected by our era slot.
-            let cur_ref = unsafe { &*self.seg };
-            // `step()` minus the death verdict and minus `recover_pending`
-            // (which consumes published items — only sound when the
-            // producers are gone and the caller is detaching).
-            let Some(bound) = cur_ref.sealed_tail() else {
-                return;
-            };
-            self.raw.prune_pending_from(bound);
-            if !self.raw.pending_is_empty() {
-                return;
-            }
-            if cur_ref.state().head().load(Ordering::Acquire) < bound {
-                return;
-            }
-            let next = cur_ref.next().load(Ordering::Acquire);
-            if next.is_null() {
-                return;
-            }
-            self.advance(next);
-        }
+        // The seam step for an `Empty` miss: an open segment stops the walk
+        // without the death verdict — whose `recover_pending` consumes
+        // published items, sound only when the producers are gone and the
+        // caller is detaching.
+        while let Step::Moved = self.step(TryDequeueError::Empty) {}
     }
 
     /// Snapshot of this consumer's ring-protocol counters, accumulated
@@ -1141,22 +963,13 @@ impl<T: Send, const MP: bool> Clone for McConsumer<T, MP> {
         // `MpProducer::clone`).
         let slot = self.ctl.registry.acquire(seq);
         self.ctl.consumers.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `seg` is alive per the source's slot; the new slot set
-        // above keeps it so for the clone.
-        let raw = unsafe { RawConsumer::attach((*self.seg).raw()) };
-        Self {
-            ctl: Arc::clone(&self.ctl),
-            seg: self.seg,
-            raw,
-            slot,
-            wait: self.wait,
-            acc: ConsumerStats::default(),
-            seg_stats: SegmentStats::default(),
-        }
+        // SAFETY: the new slot pins `seg` for the clone; a shared head
+        // admits more consumers.
+        unsafe { Self::on(Arc::clone(&self.ctl), self.seg, slot, self.wait) }
     }
 }
 
-impl<T: Send, const MP: bool> Drop for McConsumer<T, MP> {
+impl<T: Send, E: ConsumerEngine<T>> Drop for Consumer<T, E> {
     fn drop(&mut self) {
         // Return published payloads among parked ranks to circulation
         // (same best-effort recovery as the bounded variants).
@@ -1186,8 +999,8 @@ pub mod spsc {
     pub fn channel<T: Send>(segment_capacity: usize) -> (Producer<T>, Consumer<T>) {
         let ctl = new_ctl::<T>(segment_capacity, "spsc");
         let tx = SpProducer::new(Arc::clone(&ctl));
-        let rx = SpscConsumer::new(ctl);
-        (tx, rx)
+        // SAFETY: the spsc flavor admits this consumer engine.
+        (tx, unsafe { Consumer::new(ctl) })
     }
 }
 
@@ -1209,8 +1022,8 @@ pub mod spmc {
     pub fn channel<T: Send>(segment_capacity: usize) -> (Producer<T>, Consumer<T>) {
         let ctl = new_ctl::<T>(segment_capacity, "spmc");
         let tx = SpProducer::new(Arc::clone(&ctl));
-        let rx = McConsumer::new(ctl);
-        (tx, rx)
+        // SAFETY: the spmc flavor admits this consumer engine.
+        (tx, unsafe { Consumer::new(ctl) })
     }
 }
 
@@ -1232,8 +1045,8 @@ pub mod mpmc {
     pub fn channel<T: Send>(segment_capacity: usize) -> (Producer<T>, Consumer<T>) {
         let ctl = new_ctl::<T>(segment_capacity, "mpmc");
         let tx = MpProducer::new(Arc::clone(&ctl));
-        let rx = McConsumer::new(ctl);
-        (tx, rx)
+        // SAFETY: the mpmc flavor admits this consumer engine.
+        (tx, unsafe { Consumer::new(ctl) })
     }
 }
 

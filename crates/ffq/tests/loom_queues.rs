@@ -531,7 +531,7 @@ fn loom_bytes_mpmc_abort_loses_nothing() {
 fn loom_raw_publish_wakes_the_right_claimant() {
     use ffq::cell::{CellSlot, PaddedCell};
     use ffq::layout::LinearMap;
-    use ffq::raw::{QueueState, RawConsumer, RawProducer, RawQueue};
+    use ffq::raw::{ConsumerEngine, QueueState, RawConsumer, RawProducer, RawQueue};
     // Bound 3: the misdirected-wake deadlock needs two preemptions of the
     // producer (park both claimants, then let the wrongly woken claimant
     // re-park between the two publishes) plus slack for the eventcount's

@@ -415,7 +415,7 @@ fn raw_published_wake_reaches_the_owning_claimant() {
     // oversubscription (4x cores) maximizes the park rate.
     use ffq::cell::{CellSlot, PaddedCell};
     use ffq::layout::LinearMap;
-    use ffq::raw::{QueueState, RawConsumer, RawProducer, RawQueue};
+    use ffq::raw::{ConsumerEngine, QueueState, RawConsumer, RawProducer, RawQueue};
 
     const ITEMS: u64 = 50_000;
     const TIMEOUT: Duration = Duration::from_secs(5);
@@ -571,7 +571,7 @@ fn every_park_on_an_in_process_queue_is_woken() {
     // the consumer, which the watchdog below turns into a failure.
     use ffq::cell::{CellSlot, PaddedCell};
     use ffq::layout::LinearMap;
-    use ffq::raw::{QueueState, RawProducer, RawQueue, RawSpscConsumer};
+    use ffq::raw::{ConsumerEngine, QueueState, RawProducer, RawQueue, RawSpscConsumer};
     use ffq_sync::WaitConfig;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{mpsc, Arc};
