@@ -88,17 +88,24 @@ pub fn has_native_dwcas() -> bool {
         match CACHE.load(Ordering::Relaxed) {
             1 => true,
             2 => false,
-            _ => {
-                let yes = std::is_x86_feature_detected!("cmpxchg16b");
-                CACHE.store(if yes { 1 } else { 2 }, Ordering::Relaxed);
-                yes
-            }
+            _ => detect_native_dwcas(&CACHE),
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
         false
     }
+}
+
+/// The first [`has_native_dwcas`] call: detects the feature and caches the
+/// answer.
+#[cfg(all(not(loom), target_arch = "x86_64"))]
+#[cold]
+#[inline(never)]
+fn detect_native_dwcas(cache: &AtomicU8) -> bool {
+    let yes = std::is_x86_feature_detected!("cmpxchg16b");
+    cache.store(if yes { 1 } else { 2 }, Ordering::Relaxed);
+    yes
 }
 
 /// The model pair is always atomic; report "native" so no caller takes a
@@ -164,6 +171,16 @@ impl DoubleWord {
         }
     }
 
+    /// Runs `op` under this pair's stripe lock: the emulated path of every
+    /// pair operation, taken only on CPUs without a native pair CAS, so it
+    /// stays out of line.
+    #[cold]
+    #[inline(never)]
+    fn striped<R>(&self, op: impl FnOnce() -> R) -> R {
+        let _g = stripe(self as *const _ as usize);
+        op()
+    }
+
     /// Direct access to the low word as an `AtomicI64`.
     ///
     /// Intended for algorithms that never use the pair CAS on this value
@@ -206,8 +223,7 @@ impl DoubleWord {
         if has_native_dwcas() {
             self.lo.store(value, order);
         } else {
-            let _g = stripe(self as *const _ as usize);
-            self.lo.store(value, order);
+            self.striped(|| self.lo.store(value, order));
         }
     }
 
@@ -217,8 +233,7 @@ impl DoubleWord {
         if has_native_dwcas() {
             self.hi.store(value, order);
         } else {
-            let _g = stripe(self as *const _ as usize);
-            self.hi.store(value, order);
+            self.striped(|| self.hi.store(value, order));
         }
     }
 
@@ -272,11 +287,12 @@ impl DoubleWord {
             let (cur, _) = unsafe { cmpxchg16b(ptr, guess, guess) };
             return cur;
         }
-        let _g = stripe(self as *const _ as usize);
-        (
-            self.lo.load(Ordering::Relaxed),
-            self.hi.load(Ordering::Relaxed),
-        )
+        self.striped(|| {
+            (
+                self.lo.load(Ordering::Relaxed),
+                self.hi.load(Ordering::Relaxed),
+            )
+        })
     }
 
     /// Loads both words as an *untorn* pair with the given per-half
@@ -295,8 +311,7 @@ impl DoubleWord {
         if has_native_dwcas() {
             (self.lo.load(order), self.hi.load(order))
         } else {
-            let _g = stripe(self as *const _ as usize);
-            (self.lo.load(order), self.hi.load(order))
+            self.striped(|| (self.lo.load(order), self.hi.load(order)))
         }
     }
 
@@ -318,19 +333,20 @@ impl DoubleWord {
             let (cur, ok) = unsafe { cmpxchg16b(ptr, expected, new) };
             return if ok { Ok(()) } else { Err(cur) };
         }
-        let _g = stripe(self as *const _ as usize);
-        let cur = (
-            self.lo.load(Ordering::Relaxed),
-            self.hi.load(Ordering::Relaxed),
-        );
-        if cur == expected {
-            self.lo.store(new.0, Ordering::Relaxed);
-            self.hi.store(new.1, Ordering::Relaxed);
-            // Emulated path: the mutex release publishes the stores.
-            Ok(())
-        } else {
-            Err(cur)
-        }
+        self.striped(|| {
+            let cur = (
+                self.lo.load(Ordering::Relaxed),
+                self.hi.load(Ordering::Relaxed),
+            );
+            if cur == expected {
+                self.lo.store(new.0, Ordering::Relaxed);
+                self.hi.store(new.1, Ordering::Relaxed);
+                // Emulated path: the mutex release publishes the stores.
+                Ok(())
+            } else {
+                Err(cur)
+            }
+        })
     }
 }
 

@@ -246,6 +246,7 @@ impl WaitCell {
     }
 
     #[cold]
+    #[inline(never)]
     fn notify_slow(&self, n: usize, shared: bool) {
         // Release: the bump happens-after the notifier's queue publication,
         // so a waiter whose futex compare fails on the new value re-checks
@@ -394,15 +395,30 @@ pub enum WaitRound {
 /// blocking or timed operation.
 ///
 /// Usage shape (the queue crates wrap this; a blocking call and its timed
-/// twin share the loop, the untimed one passing `timeout = None`):
+/// twin share the loop, the untimed one passing `timeout = None`). The
+/// first attempt runs inline, before any strategy exists, so a call that
+/// succeeds at once pays for none of it; the strategy is built on the first
+/// miss, in a `#[cold]` function that holds the whole wait loop:
 ///
 /// ```ignore
-/// let mut strat = WaitStrategy::new(cfg);
-/// loop {
-///     if let Some(v) = try_the_operation() { return Ok(v); }
-///     match strat.wait_round_for(&cell, shared, timeout, &mut || condition_ready()) {
-///         WaitRound::Expired => return Err(Timeout),
-///         _ => {}
+/// fn blocking_op(&mut self, timeout: Option<Duration>) -> Result<V, Timeout> {
+///     match self.try_the_operation() {
+///         Some(v) => Ok(v),
+///         None => self.wait_for_op(timeout),
+///     }
+/// }
+///
+/// #[cold]
+/// fn wait_for_op(&mut self, timeout: Option<Duration>) -> Result<V, Timeout> {
+///     let mut strat = WaitStrategy::new(self.cfg);
+///     loop {
+///         let round = strat.wait_round_for(&cell, shared, timeout, &mut || ready());
+///         if round == WaitRound::Expired {
+///             return Err(Timeout);
+///         }
+///         if let Some(v) = self.try_the_operation() {
+///             return Ok(v);
+///         }
 ///     }
 /// }
 /// ```

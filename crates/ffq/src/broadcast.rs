@@ -349,32 +349,41 @@ impl<T: Copy + Send, C: CellSlot<T>, M: IndexMap> RawBroadcastSubscriber<T, C, M
         self.recv_for(Some(timeout))
     }
 
-    /// The one wait loop of [`recv`](Self::recv) and
-    /// [`recv_timeout`](Self::recv_timeout).
+    /// [`recv`](Self::recv) and [`recv_timeout`](Self::recv_timeout): one
+    /// attempt inline, the wait only after it comes up empty.
     fn recv_for(&mut self, timeout: Option<Duration>) -> Result<T, BroadcastTryRecvError> {
+        match self.try_recv() {
+            Err(BroadcastTryRecvError::Empty) => self.recv_wait(timeout),
+            res => res,
+        }
+    }
+
+    /// The one wait loop of [`recv_for`](Self::recv_for), entered after its
+    /// first attempt came up empty.
+    #[cold]
+    fn recv_wait(&mut self, timeout: Option<Duration>) -> Result<T, BroadcastTryRecvError> {
         let mut strat = WaitStrategy::new(self.wait);
         let q = self.queue;
         let res = loop {
+            let cursor = self.cursor;
+            let state = q.state();
+            // Ready = something new was published past our cursor, or the
+            // producer is gone. Fresh Acquire loads on purpose — this
+            // predicate runs between park rounds.
+            let round = strat.wait_round_for(
+                state.not_empty(),
+                state.wait_is_shared(),
+                timeout,
+                &mut || {
+                    state.tail().load(Ordering::Acquire) > cursor
+                        || state.producers().load(Ordering::Acquire) == 0
+                },
+            );
+            if round == WaitRound::Expired {
+                break Err(BroadcastTryRecvError::Empty);
+            }
             match self.try_recv() {
-                Err(BroadcastTryRecvError::Empty) => {
-                    let cursor = self.cursor;
-                    let state = q.state();
-                    // Ready = something new was published past our cursor,
-                    // or the producer is gone. Fresh Acquire loads on
-                    // purpose — this predicate runs between park rounds.
-                    let round = strat.wait_round_for(
-                        state.not_empty(),
-                        state.wait_is_shared(),
-                        timeout,
-                        &mut || {
-                            state.tail().load(Ordering::Acquire) > cursor
-                                || state.producers().load(Ordering::Acquire) == 0
-                        },
-                    );
-                    if round == WaitRound::Expired {
-                        break Err(BroadcastTryRecvError::Empty);
-                    }
-                }
+                Err(BroadcastTryRecvError::Empty) => {}
                 res => break res,
             }
         };

@@ -241,6 +241,18 @@ unsafe fn heap_buf_from_desc(desc: &PayloadDesc) -> Box<[u8]> {
     }
 }
 
+/// The descriptor of a heap spill: hands `buf`'s allocation over to
+/// whoever takes the descriptor (see [`heap_buf_from_desc`]).
+fn heap_desc(buf: Box<[u8]>) -> PayloadDesc {
+    let len = buf.len();
+    PayloadDesc {
+        len: len as u64,
+        flags: DESC_HEAP,
+        seg: 0,
+        heap: Box::into_raw(buf) as *mut u8 as u64,
+    }
+}
+
 /// A producer-side reservation in flight (reserved, not yet committed).
 enum PendingWrite {
     /// The payload fits the rank's slot buffer.
@@ -304,26 +316,20 @@ pub trait BytesProducer: sealed::Sealed + Sized {
     #[doc(hidden)]
     fn wait_config(&self) -> WaitConfig;
 
-    /// The one wait loop of every blocking reserve: holds a reservation
-    /// like [`try_reserve_pending`](Self::try_reserve_pending), waiting
-    /// while the queue is full; [`TryReserveError::Full`] once `timeout`
-    /// has passed since the first full round (never without one).
+    /// Every blocking reserve: holds a reservation like
+    /// [`try_reserve_pending`](Self::try_reserve_pending), waiting while
+    /// the queue is full; [`TryReserveError::Full`] once `timeout` has
+    /// passed since the first full round (never without one). One attempt
+    /// inline, the wait only after it misses.
     #[doc(hidden)]
     fn reserve_pending(
         &mut self,
         len: usize,
         timeout: Option<Duration>,
     ) -> Result<(), TryReserveError> {
-        let mut strat = WaitStrategy::new(self.wait_config());
-        loop {
-            match self.try_reserve_pending(len) {
-                Err(TryReserveError::Full) => {
-                    if self.full_wait_round(len, &mut strat, timeout) == WaitRound::Expired {
-                        return Err(TryReserveError::Full);
-                    }
-                }
-                res => return res,
-            }
+        match self.try_reserve_pending(len) {
+            Err(TryReserveError::Full) => reserve_wait(self, len, timeout),
+            res => res,
         }
     }
 
@@ -353,6 +359,7 @@ pub trait BytesProducer: sealed::Sealed + Sized {
     ///
     /// Only the permanent failure remains: a payload no reservation on
     /// this queue can ever satisfy.
+    #[inline]
     fn reserve(&mut self, len: usize) -> Result<WriteSlot<'_, Self>, ReserveError> {
         // Without a timeout the wait never ends `Full`.
         if let Err(TryReserveError::TooLarge { len, max }) = self.reserve_pending(len, None) {
@@ -418,22 +425,16 @@ pub trait BytesConsumer: sealed::Sealed + Sized {
     #[doc(hidden)]
     fn wait_config(&self) -> WaitConfig;
 
-    /// The one wait loop of every blocking receive: holds a claim like
+    /// Every blocking receive: holds a claim like
     /// [`try_claim_payload`](Self::try_claim_payload), waiting while the
     /// queue is empty; [`TryDequeueError::Empty`] once `timeout` has passed
-    /// since the first empty round (never without one).
+    /// since the first empty round (never without one). One attempt
+    /// inline, the wait only after it comes up empty.
     #[doc(hidden)]
     fn claim_payload(&mut self, timeout: Option<Duration>) -> Result<(), TryDequeueError> {
-        let mut strat = WaitStrategy::new(self.wait_config());
-        loop {
-            match self.try_claim_payload() {
-                Err(TryDequeueError::Empty) => {
-                    if self.empty_wait_round(&mut strat, timeout) == WaitRound::Expired {
-                        return Err(TryDequeueError::Empty);
-                    }
-                }
-                res => return res,
-            }
+        match self.try_claim_payload() {
+            Err(TryDequeueError::Empty) => claim_wait(self, timeout),
+            res => res,
         }
     }
 
@@ -442,6 +443,7 @@ pub trait BytesConsumer: sealed::Sealed + Sized {
     /// The returned [`PayloadRef`] borrows the payload bytes in place
     /// (slot buffer, or the reassembled/taken-over spill); the rank is
     /// retired — its cell recycled — when the `PayloadRef` drops.
+    #[inline(always)]
     fn try_recv(&mut self) -> Result<PayloadRef<'_, Self>, TryDequeueError> {
         self.try_claim_payload()?;
         let (ptr, len) = self.claimed_parts();
@@ -465,6 +467,45 @@ pub trait BytesConsumer: sealed::Sealed + Sized {
     }
 }
 
+/// The one wait loop of [`BytesProducer::reserve_pending`], entered after
+/// its first attempt found the queue full.
+#[cold]
+fn reserve_wait<P: BytesProducer>(
+    tx: &mut P,
+    len: usize,
+    timeout: Option<Duration>,
+) -> Result<(), TryReserveError> {
+    let mut strat = WaitStrategy::new(tx.wait_config());
+    loop {
+        if tx.full_wait_round(len, &mut strat, timeout) == WaitRound::Expired {
+            return Err(TryReserveError::Full);
+        }
+        match tx.try_reserve_pending(len) {
+            Err(TryReserveError::Full) => {}
+            res => return res,
+        }
+    }
+}
+
+/// The one wait loop of [`BytesConsumer::claim_payload`], entered after its
+/// first attempt came up empty.
+#[cold]
+fn claim_wait<R: BytesConsumer>(
+    rx: &mut R,
+    timeout: Option<Duration>,
+) -> Result<(), TryDequeueError> {
+    let mut strat = WaitStrategy::new(rx.wait_config());
+    loop {
+        if rx.empty_wait_round(&mut strat, timeout) == WaitRound::Expired {
+            return Err(TryDequeueError::Empty);
+        }
+        match rx.try_claim_payload() {
+            Err(TryDequeueError::Empty) => {}
+            res => return res,
+        }
+    }
+}
+
 /// A reserved, writable payload buffer. Derefs to `[u8]`.
 ///
 /// [`commit`](Self::commit) publishes the payload (the typed enqueue's
@@ -481,6 +522,7 @@ pub struct WriteSlot<'a, P: BytesProducer> {
 
 impl<P: BytesProducer> WriteSlot<'_, P> {
     /// Publishes the payload; after this call consumers can claim it.
+    #[inline(always)]
     pub fn commit(mut self) {
         self.committed = true;
         self.tx.commit_pending();
@@ -547,6 +589,7 @@ impl<R: BytesConsumer> Deref for PayloadRef<'_, R> {
 }
 
 impl<R: BytesConsumer> Drop for PayloadRef<'_, R> {
+    #[inline]
     fn drop(&mut self) {
         self.rx.release_claimed();
     }
@@ -626,31 +669,13 @@ impl SpProducer {
             len.div_ceil(self.slots.slot_bytes())
         }
     }
-}
 
-impl BytesProducer for SpProducer {
-    fn max_payload(&self) -> usize {
-        match self.spill {
-            SpillMode::Refuse => self.slots.slot_bytes(),
-            SpillMode::Chain => self.slots.slot_bytes() * (self.raw.capacity() / 2),
-            SpillMode::Heap => usize::MAX,
-        }
-    }
-
-    fn has_pending(&self) -> bool {
-        self.pending.is_some()
-    }
-
-    fn try_reserve_pending(&mut self, len: usize) -> Result<(), TryReserveError> {
-        if self.pending.is_some() {
-            self.abort_pending();
-        }
+    /// Reserves a payload longer than one slot buffer, per the spill mode:
+    /// the cold half of
+    /// [`try_reserve_pending`](BytesProducer::try_reserve_pending).
+    #[cold]
+    fn reserve_spill(&mut self, len: usize) -> Result<(), TryReserveError> {
         let slot_bytes = self.slots.slot_bytes();
-        if len <= slot_bytes {
-            let rank = self.raw.reserve_next().map_err(|_| TryReserveError::Full)?;
-            self.pending = Some(PendingWrite::Inline { rank, len });
-            return Ok(());
-        }
         match self.spill {
             SpillMode::Refuse => Err(TryReserveError::TooLarge {
                 len,
@@ -692,6 +717,81 @@ impl BytesProducer for SpProducer {
         }
     }
 
+    /// Scatters a chain spill from the scratch buffer over its reserved
+    /// run and publishes the run's ranks in ascending order.
+    #[cold]
+    fn commit_chain(&mut self, start: i64, cells: u32, len: usize) {
+        let slot = self.slots.slot_bytes();
+        let mut off = 0usize;
+        for j in 0..cells as i64 {
+            let rank = start + j;
+            let seg = (len - off).min(slot);
+            // SAFETY: reserve_run made this producer the unique owner of
+            // every cell in [start, start+cells); the scratch holds `len`
+            // bytes.
+            unsafe {
+                core::ptr::copy_nonoverlapping(
+                    self.chain_buf.as_ptr().add(off),
+                    self.slots.slot_ptr(rank),
+                    seg,
+                );
+            }
+            let desc = if j == 0 {
+                PayloadDesc {
+                    len: len as u64,
+                    flags: DESC_CHAIN_HEAD,
+                    seg: cells - 1,
+                    heap: 0,
+                }
+            } else {
+                PayloadDesc {
+                    len: seg as u64,
+                    flags: DESC_CHAIN_CONT,
+                    seg: 0,
+                    heap: 0,
+                }
+            };
+            // Published in ascending rank order: a consumer that claims the
+            // head may have to wait for the tail of this very loop, but
+            // never observes a continuation before its head.
+            self.raw.publish_reserved(rank, desc);
+            off += seg;
+        }
+    }
+
+    /// Publishes a heap spill, handing its allocation to the descriptor.
+    #[cold]
+    fn commit_heap(&mut self, rank: i64, buf: Box<[u8]>) {
+        self.raw.publish_reserved(rank, heap_desc(buf));
+    }
+}
+
+impl BytesProducer for SpProducer {
+    fn max_payload(&self) -> usize {
+        match self.spill {
+            SpillMode::Refuse => self.slots.slot_bytes(),
+            SpillMode::Chain => self.slots.slot_bytes() * (self.raw.capacity() / 2),
+            SpillMode::Heap => usize::MAX,
+        }
+    }
+
+    fn has_pending(&self) -> bool {
+        self.pending.is_some()
+    }
+
+    #[inline(always)]
+    fn try_reserve_pending(&mut self, len: usize) -> Result<(), TryReserveError> {
+        if self.pending.is_some() {
+            self.abort_pending();
+        }
+        if len > self.slots.slot_bytes() {
+            return self.reserve_spill(len);
+        }
+        let rank = self.raw.reserve_next().map_err(|_| TryReserveError::Full)?;
+        self.pending = Some(PendingWrite::Inline { rank, len });
+        Ok(())
+    }
+
     fn pending_parts(&mut self) -> (*mut u8, usize) {
         match self.pending.as_mut().expect("no pending reservation") {
             PendingWrite::Inline { rank, len } => (self.slots.slot_ptr(*rank), *len),
@@ -700,6 +800,7 @@ impl BytesProducer for SpProducer {
         }
     }
 
+    #[inline]
     fn commit_pending(&mut self) {
         match self.pending.take().expect("no pending reservation") {
             PendingWrite::Inline { rank, len } => {
@@ -707,61 +808,12 @@ impl BytesProducer for SpProducer {
                 // Release publish inside orders them for the claimer.
                 self.raw.publish_reserved(rank, PayloadDesc::inline(len));
             }
-            PendingWrite::Chain { start, cells, len } => {
-                let slot = self.slots.slot_bytes();
-                let mut off = 0usize;
-                for j in 0..cells as i64 {
-                    let rank = start + j;
-                    let seg = (len - off).min(slot);
-                    // SAFETY: reserve_run made this producer the unique
-                    // owner of every cell in [start, start+cells); the
-                    // scratch holds `len` bytes.
-                    unsafe {
-                        core::ptr::copy_nonoverlapping(
-                            self.chain_buf.as_ptr().add(off),
-                            self.slots.slot_ptr(rank),
-                            seg,
-                        );
-                    }
-                    let desc = if j == 0 {
-                        PayloadDesc {
-                            len: len as u64,
-                            flags: DESC_CHAIN_HEAD,
-                            seg: cells - 1,
-                            heap: 0,
-                        }
-                    } else {
-                        PayloadDesc {
-                            len: seg as u64,
-                            flags: DESC_CHAIN_CONT,
-                            seg: 0,
-                            heap: 0,
-                        }
-                    };
-                    // Published in ascending rank order: a consumer that
-                    // claims the head may have to wait for the tail of this
-                    // very loop, but never observes a continuation before
-                    // its head.
-                    self.raw.publish_reserved(rank, desc);
-                    off += seg;
-                }
-            }
-            PendingWrite::Heap { rank, buf } => {
-                let len = buf.len();
-                let heap = Box::into_raw(buf) as *mut u8 as u64;
-                self.raw.publish_reserved(
-                    rank,
-                    PayloadDesc {
-                        len: len as u64,
-                        flags: DESC_HEAP,
-                        seg: 0,
-                        heap,
-                    },
-                );
-            }
+            PendingWrite::Chain { start, cells, len } => self.commit_chain(start, cells, len),
+            PendingWrite::Heap { rank, buf } => self.commit_heap(rank, buf),
         }
     }
 
+    #[cold]
     fn abort_pending(&mut self) {
         // Nothing was published and the private tail never moved: the
         // reservation was invisible, so dropping the bookkeeping (and any
@@ -852,6 +904,45 @@ impl MpProducer {
         self.stats
     }
 
+    /// The counter pre-check, then Algorithm 2's claim of one cell for a
+    /// reservation.
+    #[inline]
+    fn claim_rank(&mut self) -> Result<i64, TryReserveError> {
+        // Counter pre-check: reject a clearly full queue in O(1) without
+        // consuming tail ranks.
+        if mpmc::looks_full(&self.queue) {
+            self.stats.full_rejections += 1;
+            return Err(TryReserveError::Full);
+        }
+        claim_rank_cell(&self.queue, &mut self.stats, self.queue.capacity())
+            .map_err(|_| TryReserveError::Full)
+    }
+
+    /// Reserves a payload longer than one slot buffer: a heap spill, or
+    /// `TooLarge` — the cold half of
+    /// [`try_reserve_pending`](BytesProducer::try_reserve_pending).
+    #[cold]
+    fn reserve_spill(&mut self, len: usize) -> Result<(), TryReserveError> {
+        if self.spill != SpillMode::Heap {
+            return Err(TryReserveError::TooLarge {
+                len,
+                max: self.slots.slot_bytes(),
+            });
+        }
+        let rank = self.claim_rank()?;
+        self.pending = Some(PendingWrite::Heap {
+            rank,
+            buf: vec![0u8; len].into_boxed_slice(),
+        });
+        Ok(())
+    }
+
+    /// Publishes a heap spill, handing its allocation to the descriptor.
+    #[cold]
+    fn commit_heap(&mut self, rank: i64, buf: Box<[u8]>) {
+        publish_claimed_rank(&self.queue, &mut self.stats, rank, heap_desc(buf));
+    }
+
     /// Resolves the pending claim as abandoned (never leaves it claimed).
     fn resolve_pending_abort(&mut self) {
         match self.pending.take() {
@@ -884,33 +975,16 @@ impl BytesProducer for MpProducer {
         self.pending.is_some()
     }
 
+    #[inline]
     fn try_reserve_pending(&mut self, len: usize) -> Result<(), TryReserveError> {
         if self.pending.is_some() {
             self.abort_pending();
         }
-        let slot_bytes = self.slots.slot_bytes();
-        if len > slot_bytes && self.spill != SpillMode::Heap {
-            return Err(TryReserveError::TooLarge {
-                len,
-                max: slot_bytes,
-            });
+        if len > self.slots.slot_bytes() {
+            return self.reserve_spill(len);
         }
-        // Counter pre-check: reject a clearly full queue in O(1) without
-        // consuming tail ranks.
-        if mpmc::looks_full(&self.queue) {
-            self.stats.full_rejections += 1;
-            return Err(TryReserveError::Full);
-        }
-        let rank = claim_rank_cell(&self.queue, &mut self.stats, self.queue.capacity())
-            .map_err(|_| TryReserveError::Full)?;
-        self.pending = Some(if len <= slot_bytes {
-            PendingWrite::Inline { rank, len }
-        } else {
-            PendingWrite::Heap {
-                rank,
-                buf: vec![0u8; len].into_boxed_slice(),
-            }
-        });
+        let rank = self.claim_rank()?;
+        self.pending = Some(PendingWrite::Inline { rank, len });
         Ok(())
     }
 
@@ -924,32 +998,20 @@ impl BytesProducer for MpProducer {
         }
     }
 
+    #[inline]
     fn commit_pending(&mut self) {
         match self.pending.take().expect("no pending reservation") {
             PendingWrite::Inline { rank, len } => {
                 publish_claimed_rank(&self.queue, &mut self.stats, rank, PayloadDesc::inline(len));
             }
-            PendingWrite::Heap { rank, buf } => {
-                let len = buf.len();
-                let heap = Box::into_raw(buf) as *mut u8 as u64;
-                publish_claimed_rank(
-                    &self.queue,
-                    &mut self.stats,
-                    rank,
-                    PayloadDesc {
-                        len: len as u64,
-                        flags: DESC_HEAP,
-                        seg: 0,
-                        heap,
-                    },
-                );
-            }
+            PendingWrite::Heap { rank, buf } => self.commit_heap(rank, buf),
             PendingWrite::Chain { .. } => {
                 unreachable!("multi-producer queues never reserve chains")
             }
         }
     }
 
+    #[cold]
     fn abort_pending(&mut self) {
         self.resolve_pending_abort();
     }
@@ -1075,6 +1137,52 @@ impl<E: ConsumerEngine<PayloadDesc>> Consumer<E> {
         self.raw.stats()
     }
 
+    /// Holds the claim of an inline payload: a view of the rank's slot
+    /// buffer, retired on release.
+    fn hold_inline(&mut self, rank: i64, desc: PayloadDesc) {
+        // Clamp: a corrupt descriptor must not widen the view past the
+        // slot buffer.
+        let len = (desc.len as usize).min(self.slots.slot_bytes());
+        self.claimed = Some(ClaimedView::Inline { rank, len });
+    }
+
+    /// The cold half of
+    /// [`try_claim_payload`](BytesConsumer::try_claim_payload), from a
+    /// claimed descriptor that is not inline: takes a spill over, or
+    /// retires the rank and claims the next one.
+    #[cold]
+    fn claim_other(&mut self, mut rank: i64, mut desc: PayloadDesc) -> Result<(), TryDequeueError> {
+        loop {
+            match desc.flags {
+                DESC_INLINE => {
+                    self.hold_inline(rank, desc);
+                    return Ok(());
+                }
+                DESC_CHAIN_HEAD if self.spill == SpillMode::Chain => {
+                    let len = self
+                        .assemble_chain(rank, desc)
+                        .map_err(|_| TryDequeueError::Disconnected)?;
+                    self.claimed = Some(ClaimedView::Spill { len });
+                    return Ok(());
+                }
+                DESC_HEAP if self.spill == SpillMode::Heap && desc.heap != 0 => {
+                    // Take the allocation over; the cell can recycle now.
+                    // SAFETY: heap spill means the producers share this
+                    // address space and published ownership with the rank.
+                    let buf = unsafe { heap_buf_from_desc(&desc) };
+                    self.raw.retire(rank);
+                    self.claimed = Some(ClaimedView::Heap { buf });
+                    return Ok(());
+                }
+                // DESC_ABORT (abandoned MP reservation), a spill this queue
+                // does not run, or unknown flags (hostile shm peer): retire
+                // and move on — degradation, never UB.
+                _ => self.raw.retire(rank),
+            }
+            (rank, desc) = self.raw.try_claim()?;
+        }
+    }
+
     /// Reassembles a chain spill into `spill_buf`, retiring every rank of
     /// the run as its segment is copied out.
     ///
@@ -1100,12 +1208,15 @@ impl<E: ConsumerEngine<PayloadDesc>> Consumer<E> {
         }
         self.raw.retire(head_rank);
         let mut copied = first;
-        let mut strat = WaitStrategy::new(self.raw.wait_config());
+        // Built on the first continuation not yet published.
+        let mut strat = None;
         for _ in 0..desc.seg {
             let (rank, cdesc) = loop {
                 match self.raw.try_claim() {
                     Ok(claim) => break claim,
                     Err(TryDequeueError::Empty) => {
+                        let cfg = self.raw.wait_config();
+                        let strat = strat.get_or_insert_with(|| WaitStrategy::new(cfg));
                         let state = self.raw.queue().state();
                         strat.wait_round(
                             state.not_empty(),
@@ -1144,42 +1255,17 @@ impl<E: ConsumerEngine<PayloadDesc>> BytesConsumer for Consumer<E> {
         self.claimed.is_some()
     }
 
+    #[inline(always)]
     fn try_claim_payload(&mut self) -> Result<(), TryDequeueError> {
         if self.claimed.is_some() {
             return Ok(());
         }
-        loop {
-            let (rank, desc) = self.raw.try_claim()?;
-            match desc.flags {
-                DESC_INLINE => {
-                    // Clamp: a corrupt descriptor must not widen the view
-                    // past the slot buffer.
-                    let len = (desc.len as usize).min(self.slots.slot_bytes());
-                    self.claimed = Some(ClaimedView::Inline { rank, len });
-                    return Ok(());
-                }
-                DESC_CHAIN_HEAD if self.spill == SpillMode::Chain => {
-                    let len = self
-                        .assemble_chain(rank, desc)
-                        .map_err(|_| TryDequeueError::Disconnected)?;
-                    self.claimed = Some(ClaimedView::Spill { len });
-                    return Ok(());
-                }
-                DESC_HEAP if self.spill == SpillMode::Heap && desc.heap != 0 => {
-                    // Take the allocation over; the cell can recycle now.
-                    // SAFETY: heap spill means the producers share this
-                    // address space and published ownership with the rank.
-                    let buf = unsafe { heap_buf_from_desc(&desc) };
-                    self.raw.retire(rank);
-                    self.claimed = Some(ClaimedView::Heap { buf });
-                    return Ok(());
-                }
-                // DESC_ABORT (abandoned MP reservation), a spill this queue
-                // does not run, or unknown flags (hostile shm peer): retire
-                // and move on — degradation, never UB.
-                _ => self.raw.retire(rank),
-            }
+        let (rank, desc) = self.raw.try_claim()?;
+        if desc.flags != DESC_INLINE {
+            return self.claim_other(rank, desc);
         }
+        self.hold_inline(rank, desc);
+        Ok(())
     }
 
     fn claimed_parts(&self) -> (*const u8, usize) {
@@ -1190,6 +1276,7 @@ impl<E: ConsumerEngine<PayloadDesc>> BytesConsumer for Consumer<E> {
         }
     }
 
+    #[inline]
     fn release_claimed(&mut self) {
         match self.claimed.take() {
             None => {}

@@ -126,19 +126,33 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> Producer<T, C, M> {
         self.enqueue_for(value, Some(timeout))
     }
 
-    /// The one wait loop of [`enqueue`](Self::enqueue) and
-    /// [`enqueue_timeout`](Self::enqueue_timeout).
-    #[inline]
+    /// [`enqueue`](Self::enqueue) and
+    /// [`enqueue_timeout`](Self::enqueue_timeout): one attempt inline, the
+    /// wait only after it misses.
+    #[inline(always)]
     fn enqueue_for(&mut self, value: T, timeout: Option<Duration>) -> Result<(), Full<T>> {
+        match claim(&self.queue, &mut self.stats) {
+            Some(rank) => {
+                publish_claimed_rank(&self.queue, &mut self.stats, rank, value);
+                Ok(())
+            }
+            None => self.enqueue_wait(value, timeout),
+        }
+    }
+
+    /// The one wait loop of [`enqueue_for`](Self::enqueue_for), entered
+    /// after its first pass found the queue full.
+    #[cold]
+    fn enqueue_wait(&mut self, value: T, timeout: Option<Duration>) -> Result<(), Full<T>> {
         let mut strat = WaitStrategy::new(self.wait);
         let res = loop {
-            if let Some(rank) = claim(&self.queue, &mut self.stats) {
-                publish_claimed_rank(&self.queue, &mut self.stats, rank, value);
-                break Ok(());
-            }
             if full_wait_round(&self.queue, &mut strat, timeout) == WaitRound::Expired {
                 self.stats.full_rejections += 1;
                 break Err(Full(value));
+            }
+            if let Some(rank) = claim(&self.queue, &mut self.stats) {
+                publish_claimed_rank(&self.queue, &mut self.stats, rank, value);
+                break Ok(());
             }
         };
         self.stats.parks += strat.parks();
@@ -303,13 +317,10 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> Producer<T, C, M> {
             if chunk.is_empty() {
                 return n;
             }
-            let mut strat = WaitStrategy::new(self.wait);
             while !chunk.is_empty() {
                 if looks_full(&self.queue) {
-                    full_wait_round(&self.queue, &mut strat, None);
-                    continue;
+                    self.wait_not_full();
                 }
-                strat.reset();
                 // Size the run to the items in hand and the free space the
                 // counters report, then claim it with one fetch_add.
                 let tail = self.queue.state().tail().load(Ordering::Relaxed);
@@ -354,8 +365,22 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> Producer<T, C, M> {
                     self.stats.batch_items += published as u64;
                 }
             }
-            self.stats.parks += strat.parks();
         }
+    }
+
+    /// Waits until the shared counters stop reporting the queue full: the
+    /// wait of [`enqueue_many`](Self::enqueue_many), entered only once a
+    /// run finds the queue full, with a fresh spin phase each time.
+    #[cold]
+    fn wait_not_full(&mut self) {
+        let mut strat = WaitStrategy::new(self.wait);
+        loop {
+            full_wait_round(&self.queue, &mut strat, None);
+            if !looks_full(&self.queue) {
+                break;
+            }
+        }
+        self.stats.parks += strat.parks();
     }
 
     /// Resolves a claimed rank *without* an item by announcing it as a gap
@@ -475,7 +500,7 @@ pub(crate) fn claim_cell<T, C: CellSlot<T>, M: IndexMap>(
     stats: &mut ProducerStats,
 ) -> bool {
     let words = queue.cell(rank).words();
-    let mut backoff = Backoff::new();
+    let mut backoff = None;
     // Line 6: while no gap announcement supersedes our rank.
     loop {
         let g = words.load_hi(Ordering::Acquire);
@@ -487,32 +512,12 @@ pub(crate) fn claim_cell<T, C: CellSlot<T>, M: IndexMap>(
             return false;
         }
         let r = words.load_lo(Ordering::Acquire);
-        if r >= 0 {
-            // Line 8: occupied by an unconsumed item — announce our rank
-            // as a gap. The double CAS fails if either the occupant changed
-            // (cell may have become free: retry and use it) or another
-            // producer raced the gap forward.
-            if words.compare_exchange((r, g), (r, rank)).is_ok() {
-                stats.gaps_created += 1;
-                // A consumer parked on this rank is unblocked by the gap
-                // announcement: it can now step over the cell. Broadcast —
-                // a single wake could land on a consumer parked on a
-                // different rank (see `QueueState::wake_consumers_all`).
-                queue.state().wake_consumers_all();
+        if r != RANK_FREE {
+            if gap_or_back_off(queue, rank, (r, g), stats, &mut backoff) {
                 return false;
             }
-            stats.cas_failures += 1;
             continue;
         }
-        if r == RANK_CLAIMED {
-            // Another producer is between claim and publish. Its publish
-            // is imminent (no user code in that window), but it may be
-            // descheduled — this is precisely where FFQ-m stops being
-            // lock-free (§III-B).
-            backoff.wait();
-            continue;
-        }
-        debug_assert_eq!(r, RANK_FREE);
         // Line 9: claim the free cell, atomically verifying the gap did
         // not move (second race above). Rank values are unique over the
         // queue's lifetime and gap is monotonic per cell, so the pair CAS
@@ -525,6 +530,48 @@ pub(crate) fn claim_cell<T, C: CellSlot<T>, M: IndexMap>(
         }
         stats.cas_failures += 1;
     }
+}
+
+/// [`claim_cell`]'s step at a cell it saw not free, as `(r, g)`: announces
+/// `rank` as a gap at an occupied cell (`true`: the rank is a gap now), or
+/// backs off while another producer holds the cell claimed (`false`: look
+/// again). The `Backoff` is built on the first such round.
+#[cold]
+fn gap_or_back_off<T, C: CellSlot<T>, M: IndexMap>(
+    queue: &RawQueue<T, C, M>,
+    rank: i64,
+    (r, g): (i64, i64),
+    stats: &mut ProducerStats,
+    backoff: &mut Option<Backoff>,
+) -> bool {
+    if r >= 0 {
+        // Line 8: occupied by an unconsumed item — announce our rank as a
+        // gap. The double CAS fails if either the occupant changed (cell
+        // may have become free: retry and use it) or another producer
+        // raced the gap forward.
+        if queue
+            .cell(rank)
+            .words()
+            .compare_exchange((r, g), (r, rank))
+            .is_ok()
+        {
+            stats.gaps_created += 1;
+            // A consumer parked on this rank is unblocked by the gap
+            // announcement: it can now step over the cell. Broadcast — a
+            // single wake could land on a consumer parked on a different
+            // rank (see `QueueState::wake_consumers_all`).
+            queue.state().wake_consumers_all();
+            return true;
+        }
+        stats.cas_failures += 1;
+        return false;
+    }
+    debug_assert_eq!(r, RANK_CLAIMED);
+    // Another producer is between claim and publish. Its publish is
+    // imminent (no user code in that window), but it may be descheduled —
+    // this is precisely where FFQ-m stops being lock-free (§III-B).
+    backoff.get_or_insert_with(Backoff::new).wait();
+    false
 }
 
 /// Resolves one claimed tail rank (Algorithm 2 lines 5–12): publishes

@@ -456,19 +456,37 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> RawProducer<T, C, M> {
         self.enqueue_for(value, Some(timeout))
     }
 
-    /// The one wait loop of [`enqueue`](Self::enqueue) and
-    /// [`enqueue_timeout`](Self::enqueue_timeout).
+    /// [`enqueue`](Self::enqueue) and
+    /// [`enqueue_timeout`](Self::enqueue_timeout): one attempt inline, the
+    /// wait only after it misses.
     #[inline]
     fn enqueue_for(&mut self, value: T, timeout: Option<Duration>) -> Result<(), Full<T>> {
+        match self.try_publish(value) {
+            Ok(()) => Ok(()),
+            Err(value) => self.enqueue_wait(value, timeout),
+        }
+    }
+
+    /// One `FFQ_ENQ` pass: the scan, then the publish into the free cell
+    /// it found; the value comes back when the queue is full.
+    #[inline]
+    fn try_publish(&mut self, value: T) -> Result<(), T> {
+        let (tail, stats) = (&mut self.tail, &mut self.stats);
+        let Some(cell) = skip_busy(&self.queue, tail, &mut self.head_cache, stats) else {
+            return Err(value);
+        };
+        publish(&self.queue, cell, tail, stats, value);
+        Ok(())
+    }
+
+    /// The one wait loop of [`enqueue_for`](Self::enqueue_for), entered
+    /// after its first attempt found the queue full.
+    #[cold]
+    fn enqueue_wait(&mut self, mut value: T, timeout: Option<Duration>) -> Result<(), Full<T>> {
         let mut strat = WaitStrategy::new(self.wait);
         let q = self.queue;
         let (state, cap) = (q.state(), q.capacity() as i64);
         let res = loop {
-            let (tail, stats) = (&mut self.tail, &mut self.stats);
-            if let Some(cell) = skip_busy(&self.queue, tail, &mut self.head_cache, stats) {
-                publish(&self.queue, cell, tail, stats, value);
-                break Ok(());
-            }
             // Ready = the head moved past our fullness bound. Fresh Acquire
             // load on purpose — the shadow cache is what we are waiting to
             // be able to refresh.
@@ -483,6 +501,10 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> RawProducer<T, C, M> {
                 self.stats.full_rejections += 1;
                 break Err(Full(value));
             }
+            value = match self.try_publish(value) {
+                Ok(()) => break Ok(()),
+                Err(value) => value,
+            };
         };
         self.stats.parks += strat.parks();
         res
@@ -513,13 +535,10 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> RawProducer<T, C, M> {
     /// scan has already skipped (and announced gaps for) every busy cell it
     /// saw, consuming ranks; see [`Full`].
     pub fn try_enqueue(&mut self, value: T) -> Result<(), Full<T>> {
-        let (tail, stats) = (&mut self.tail, &mut self.stats);
-        let Some(cell) = skip_busy(&self.queue, tail, &mut self.head_cache, stats) else {
-            stats.full_rejections += 1;
-            return Err(Full(value));
-        };
-        publish(&self.queue, cell, tail, stats, value);
-        Ok(())
+        self.try_publish(value).map_err(|value| {
+            self.stats.full_rejections += 1;
+            Full(value)
+        })
     }
 
     /// Enqueues every item of `iter` (blocking as needed); returns the
@@ -570,6 +589,7 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> RawProducer<T, C, M> {
     ///
     /// The returned rank stays valid because this is the unique producer: a
     /// free cell only leaves the free state through this handle.
+    #[inline]
     pub fn reserve_next(&mut self) -> Result<i64, Full<()>> {
         let (tail, stats) = (&mut self.tail, &mut self.stats);
         if skip_busy(&self.queue, tail, &mut self.head_cache, stats).is_none() {
@@ -696,6 +716,9 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> RawProducer<T, C, M> {
 /// the fullness pre-check fails or the scan finds no free cell. Over the
 /// fields rather than the handle, so the caller can publish into the
 /// returned cell without computing its address again.
+///
+/// The first cell is looked at inline; the gap announcements, and the
+/// rest of the scan, are the cold [`skip_gaps`].
 #[inline]
 fn skip_busy<'q, T, C: CellSlot<T>, M: IndexMap>(
     q: &'q RawQueue<T, C, M>,
@@ -706,25 +729,42 @@ fn skip_busy<'q, T, C: CellSlot<T>, M: IndexMap>(
     if looks_full_sp(q, *tail, head_cache, stats) {
         return None;
     }
-    for _ in 0..q.capacity() {
+    let cell = q.cell(*tail);
+    if is_free(cell) {
+        return Some(cell);
+    }
+    skip_gaps(q, tail, stats)
+}
+
+/// Line 13: does the cell at the tail hold no unconsumed item? The Acquire
+/// pairs with the consumer's Release reset, so when we observe rank == -1
+/// the consumer's read of the previous payload happened-before the
+/// publisher's overwrite.
+#[inline]
+fn is_free<T, C: CellSlot<T>>(cell: &C) -> bool {
+    cell.words().load_lo(Ordering::Acquire) < 0
+}
+
+/// The rest of [`skip_busy`]'s scan, from a busy cell at the tail: announces
+/// it as a gap and moves on, for at most `capacity` cells in all.
+#[cold]
+fn skip_gaps<'q, T, C: CellSlot<T>, M: IndexMap>(
+    q: &'q RawQueue<T, C, M>,
+    tail: &mut i64,
+    stats: &mut ProducerStats,
+) -> Option<&'q C> {
+    for left in (0..q.capacity()).rev() {
         let rank = *tail;
         debug_assert!(rank >= 0, "tail overflowed i64");
-        let cell = q.cell(rank);
-        let words = cell.words();
-        // Line 13: cell still holds an unconsumed item? The Acquire pairs
-        // with the consumer's Release reset, so when we observe rank == -1
-        // the consumer's read of the previous payload happened-before the
-        // publisher's overwrite.
-        if words.load_lo(Ordering::Acquire) < 0 {
-            return Some(cell);
-        }
         // Line 14: skip it and announce the gap. `gap` only grows: we are
         // the only writer and tail is monotonic. Release so a consumer
         // acting on the announcement also sees every prior producer write
         // (not required for correctness of the skip itself, but keeps the
         // cell words causally consistent). Unpaired: single-producer
         // queues never pair-CAS the words.
-        words.store_hi_unpaired(rank, Ordering::Release);
+        q.cell(rank)
+            .words()
+            .store_hi_unpaired(rank, Ordering::Release);
         stats.gaps_created += 1;
         advance_tail(q, tail, stats);
         // A consumer holding this rank may be parked waiting for it; the
@@ -732,6 +772,10 @@ fn skip_busy<'q, T, C: CellSlot<T>, M: IndexMap>(
         // could land on a consumer parked on a different rank (see
         // `QueueState::wake_consumers_all`).
         q.state().wake_consumers_all();
+        let cell = q.cell(*tail);
+        if left > 0 && is_free(cell) {
+            return Some(cell);
+        }
     }
     None
 }
@@ -931,6 +975,40 @@ pub trait ConsumerEngine<T: Send, C: CellSlot<T> = PaddedCell<T>, M: IndexMap = 
     fn pending_is_empty(&self) -> bool;
 }
 
+/// The one wait loop of both engines' blocking dequeues, entered after the
+/// first attempt came up empty: returns the dequeue's result and the parks
+/// the wait took.
+#[cold]
+fn dequeue_wait<T: Send, C: CellSlot<T>, M: IndexMap, E: ConsumerEngine<T, C, M>>(
+    rx: &mut E,
+    timeout: Option<Duration>,
+) -> (Result<T, TryDequeueError>, u64) {
+    let mut strat = WaitStrategy::new(rx.wait_config());
+    let q = *rx.queue();
+    let state = q.state();
+    let res = loop {
+        // The wake condition for the rank the handle waits on — its front
+        // pending rank (try_dequeue re-parked it at the front) or its
+        // private head, which does not advance on Empty: published,
+        // gap-announced, or producers gone. It cannot change until the
+        // next try_dequeue.
+        let round = strat.wait_round_for(
+            state.not_empty(),
+            state.wait_is_shared(),
+            timeout,
+            &mut || rx.wake_ready(),
+        );
+        if round == WaitRound::Expired {
+            break Err(TryDequeueError::Empty);
+        }
+        match rx.try_dequeue() {
+            Err(TryDequeueError::Empty) => {}
+            res => break res,
+        }
+    };
+    (res, strat.parks())
+}
+
 /// The shared-head consumer engine (SPMC and MPMC variants).
 ///
 /// `MP` selects, at compile time, whether cell-word resets must stay
@@ -1112,35 +1190,18 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap, const MP: bool> RawConsumer<T, C, M, 
         }
     }
 
-    /// The one wait loop of [`ConsumerEngine::dequeue`] and
-    /// [`ConsumerEngine::dequeue_timeout`].
+    /// [`ConsumerEngine::dequeue`] and [`ConsumerEngine::dequeue_timeout`]:
+    /// one attempt inline, the wait only after it comes up empty.
+    #[inline]
     fn dequeue_for(&mut self, timeout: Option<Duration>) -> Result<T, TryDequeueError> {
-        let mut strat = WaitStrategy::new(self.wait);
-        let q = self.queue;
-        let res = loop {
-            match self.try_dequeue() {
-                Err(TryDequeueError::Empty) => {
-                    // The wake condition for the rank this handle is parked
-                    // on (try_dequeue re-parked it at the front): published,
-                    // gap-announced, or producers gone. Snapshotted here —
-                    // it cannot change until our next try_dequeue.
-                    let front = self.pending.front_rank();
-                    let state = q.state();
-                    let round = strat.wait_round_for(
-                        state.not_empty(),
-                        state.wait_is_shared(),
-                        timeout,
-                        &mut || wake_ready(&q, front),
-                    );
-                    if round == WaitRound::Expired {
-                        break Err(TryDequeueError::Empty);
-                    }
-                }
-                res => break res,
+        match self.try_dequeue() {
+            Err(TryDequeueError::Empty) => {
+                let (res, parks) = dequeue_wait(self, timeout);
+                self.stats.parks += parks;
+                res
             }
-        };
-        self.stats.parks += strat.parks();
-        res
+            res => res,
+        }
     }
 
     /// Claims a run of `k` ranks with a single `head.fetch_add(k)` and
@@ -1496,33 +1557,18 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> RawSpscConsumer<T, C, M> {
         self.stats.ranks_claimed += 1;
     }
 
-    /// The one wait loop of [`ConsumerEngine::dequeue`] and
-    /// [`ConsumerEngine::dequeue_timeout`].
+    /// [`ConsumerEngine::dequeue`] and [`ConsumerEngine::dequeue_timeout`]:
+    /// one attempt inline, the wait only after it comes up empty.
+    #[inline]
     fn dequeue_for(&mut self, timeout: Option<Duration>) -> Result<T, TryDequeueError> {
-        let mut strat = WaitStrategy::new(self.wait);
-        let q = self.queue;
-        let res = loop {
-            match self.try_dequeue() {
-                Err(TryDequeueError::Empty) => {
-                    // The private head does not advance on Empty, so the
-                    // wake condition is our own next rank's cell.
-                    let front = Some(self.head);
-                    let state = q.state();
-                    let round = strat.wait_round_for(
-                        state.not_empty(),
-                        state.wait_is_shared(),
-                        timeout,
-                        &mut || wake_ready(&q, front),
-                    );
-                    if round == WaitRound::Expired {
-                        break Err(TryDequeueError::Empty);
-                    }
-                }
-                res => break res,
+        match self.try_dequeue() {
+            Err(TryDequeueError::Empty) => {
+                let (res, parks) = dequeue_wait(self, timeout);
+                self.stats.parks += parks;
+                res
             }
-        };
-        self.stats.parks += strat.parks();
-        res
+            res => res,
+        }
     }
 }
 

@@ -263,21 +263,32 @@ impl<T: Send> ShardedProducer<T> {
     /// Enqueues one item, waiting — spinning, then parking on the
     /// aggregate not-full eventcount — while the current shard is full.
     pub fn enqueue(&mut self, value: T) {
-        let mut value = value;
+        if let Err(Full(value)) = self.try_enqueue(value) {
+            self.enqueue_wait(value);
+        }
+    }
+
+    /// The one wait loop of [`enqueue`](Self::enqueue), entered after its
+    /// first attempt found the current shard full.
+    #[cold]
+    fn enqueue_wait(&mut self, mut value: T) {
         let mut strat = WaitStrategy::new(self.wait);
         loop {
+            self.full_wait_round(&mut strat);
             match self.try_enqueue(value) {
                 Ok(()) => return,
-                Err(Full(v)) => {
-                    value = v;
-                    let ctl = Arc::clone(&self.ctl);
-                    let cur = &self.shards[self.cur];
-                    strat.wait_round(&ctl.not_full, false, None, &mut || {
-                        cur.len_hint() < cur.capacity()
-                    });
-                }
+                Err(Full(v)) => value = v,
             }
         }
+    }
+
+    /// One wait round on the aggregate not-full eventcount; ready once the
+    /// current shard has room.
+    fn full_wait_round(&self, strat: &mut WaitStrategy) {
+        let cur = &self.shards[self.cur];
+        strat.wait_round(&self.ctl.not_full, false, None, &mut || {
+            cur.len_hint() < cur.capacity()
+        });
     }
 
     /// Enqueues every item of `iter`, splitting it into at-most-one-block
@@ -291,7 +302,6 @@ impl<T: Send> ShardedProducer<T> {
         let mut iter = iter.into_iter();
         let mut chunk: VecDeque<T> = VecDeque::new();
         let mut n = 0usize;
-        let mut strat = WaitStrategy::new(self.wait);
         loop {
             if chunk.is_empty() {
                 chunk.extend(iter.by_ref().take(self.credit));
@@ -299,32 +309,48 @@ impl<T: Send> ShardedProducer<T> {
                     break;
                 }
             }
-            let gaps_before = self.shards[self.cur].stats().gaps_created;
-            let got = self.shards[self.cur].enqueue_run_gapless(&mut chunk, self.credit);
-            if self.shards[self.cur].stats().gaps_created > gaps_before {
-                // Clone-race fallback burned ranks as gaps; see
-                // `try_enqueue` for why the aggregate broadcast is needed.
-                self.ctl.not_empty.notify_all(false);
-            }
-            if got > 0 {
-                strat.reset();
-                n += got;
-                self.ctl.not_empty.notify(got, false);
-                self.credit -= got;
-                if self.credit == 0 {
-                    self.rotate();
-                }
-            } else {
+            let mut got = self.enqueue_run(&mut chunk);
+            if got == 0 {
                 // Current shard full: wait for a harvest to free cells.
                 // Strict rotation never skips it (see `try_enqueue`).
-                let ctl = Arc::clone(&self.ctl);
-                let cur = &self.shards[self.cur];
-                strat.wait_round(&ctl.not_full, false, None, &mut || {
-                    cur.len_hint() < cur.capacity()
-                });
+                got = self.enqueue_run_wait(&mut chunk);
+            }
+            n += got;
+            self.ctl.not_empty.notify(got, false);
+            self.credit -= got;
+            if self.credit == 0 {
+                self.rotate();
             }
         }
         n
+    }
+
+    /// Publishes one run from the front of `chunk` on the current shard;
+    /// returns the count (0 when the shard is full).
+    fn enqueue_run(&mut self, chunk: &mut VecDeque<T>) -> usize {
+        let gaps_before = self.shards[self.cur].stats().gaps_created;
+        let got = self.shards[self.cur].enqueue_run_gapless(chunk, self.credit);
+        if self.shards[self.cur].stats().gaps_created > gaps_before {
+            // Clone-race fallback burned ranks as gaps; see `try_enqueue`
+            // for why the aggregate broadcast is needed.
+            self.ctl.not_empty.notify_all(false);
+        }
+        got
+    }
+
+    /// The wait of [`enqueue_many`](Self::enqueue_many), entered after a
+    /// run found the current shard full: waits and retries until a run
+    /// lands, with a fresh spin phase each time.
+    #[cold]
+    fn enqueue_run_wait(&mut self, chunk: &mut VecDeque<T>) -> usize {
+        let mut strat = WaitStrategy::new(self.wait);
+        loop {
+            self.full_wait_round(&mut strat);
+            let got = self.enqueue_run(chunk);
+            if got > 0 {
+                return got;
+            }
+        }
     }
 
     /// Replaces the wait policy used by blocking enqueues.
@@ -594,22 +620,31 @@ impl<T: Send> ShardedConsumer<T> {
         self.dequeue_for(Some(timeout))
     }
 
-    /// The one wait loop of [`dequeue`](Self::dequeue) and
-    /// [`dequeue_timeout`](Self::dequeue_timeout).
+    /// [`dequeue`](Self::dequeue) and
+    /// [`dequeue_timeout`](Self::dequeue_timeout): one attempt inline, the
+    /// wait only after it comes up empty.
     fn dequeue_for(&mut self, timeout: Option<Duration>) -> Result<T, TryDequeueError> {
+        match self.try_dequeue() {
+            Err(TryDequeueError::Empty) => self.dequeue_wait(timeout),
+            res => res,
+        }
+    }
+
+    /// The one wait loop of [`dequeue_for`](Self::dequeue_for), entered
+    /// after its first attempt came up empty.
+    #[cold]
+    fn dequeue_wait(&mut self, timeout: Option<Duration>) -> Result<T, TryDequeueError> {
         let mut strat = WaitStrategy::new(self.wait);
         loop {
+            let shards = &self.shards;
+            let round = strat.wait_round_for(&self.ctl.not_empty, false, timeout, &mut || {
+                consumer_ready(shards)
+            });
+            if round == WaitRound::Expired {
+                return Err(TryDequeueError::Empty);
+            }
             match self.try_dequeue() {
-                Err(TryDequeueError::Empty) => {
-                    let ctl = Arc::clone(&self.ctl);
-                    let shards = &self.shards;
-                    let round = strat.wait_round_for(&ctl.not_empty, false, timeout, &mut || {
-                        consumer_ready(shards)
-                    });
-                    if round == WaitRound::Expired {
-                        return Err(TryDequeueError::Empty);
-                    }
-                }
+                Err(TryDequeueError::Empty) => {}
                 res => return res,
             }
         }

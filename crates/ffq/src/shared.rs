@@ -381,17 +381,11 @@ where
         Some(v) => v,
         None => return 0,
     };
-    let mut strat = WaitStrategy::new(cfg);
     staged.clear(); // a panicking iterator may have left residue behind
-    let n = loop {
-        while looks_full_sp(q, *tail, head_cache, stats) {
-            let state = q.state();
-            let tail_now = *tail;
-            strat.wait_round(state.not_full(), state.wait_is_shared(), None, &mut || {
-                !looks_full_sp(q, tail_now, head_cache, stats)
-            });
+    loop {
+        if looks_full_sp(q, *tail, head_cache, stats) {
+            wait_not_full_sp(q, *tail, head_cache, stats, cfg);
         }
-        strat.reset();
         // Stage payload writes into free cells while the shadow bound
         // grants space (the head only grows, so the real free count is at
         // least the cached one). Clamped to one array's worth: consumers
@@ -483,11 +477,33 @@ where
         }
         match item.or_else(|| iter.next()) {
             Some(v) => carry = v,
-            None => break n,
+            None => return n,
         }
-    };
+    }
+}
+
+/// The wait of [`enqueue_many_sp`], entered only once a run finds the
+/// queue full: parks on the not-full eventcount (per `cfg`, with a fresh
+/// spin phase each time) until the shadow bound grants space again.
+#[cold]
+fn wait_not_full_sp<T, C: CellSlot<T>, M: IndexMap>(
+    q: &RawQueue<T, C, M>,
+    tail: i64,
+    head_cache: &mut i64,
+    stats: &mut ProducerStats,
+    cfg: WaitConfig,
+) {
+    let mut strat = WaitStrategy::new(cfg);
+    let state = q.state();
+    loop {
+        strat.wait_round(state.not_full(), state.wait_is_shared(), None, &mut || {
+            !looks_full_sp(q, tail, head_cache, stats)
+        });
+        if !looks_full_sp(q, tail, head_cache, stats) {
+            break;
+        }
+    }
     stats.parks += strat.parks();
-    n
 }
 
 #[cfg(test)]

@@ -841,48 +841,65 @@ impl<T: Send, E: ConsumerEngine<T>> Consumer<T, E> {
         self.dequeue_for(Some(timeout))
     }
 
-    /// The one wait loop of [`dequeue`](Self::dequeue) and
-    /// [`dequeue_timeout`](Self::dequeue_timeout): the ring engine's, plus
-    /// seam crossings and the wait for a lagging producer.
+    /// [`dequeue`](Self::dequeue) and
+    /// [`dequeue_timeout`](Self::dequeue_timeout): one ring attempt inline,
+    /// the seam crossings and waits only after it misses.
     fn dequeue_for(&mut self, timeout: Option<Duration>) -> Result<T, TryDequeueError> {
+        match self.raw.try_dequeue() {
+            Ok(v) => Ok(v),
+            Err(miss) => self.dequeue_wait(miss, timeout),
+        }
+    }
+
+    /// The one wait loop of [`dequeue_for`](Self::dequeue_for), from its
+    /// first ring miss: the ring engine's, plus seam crossings and the wait
+    /// for a lagging producer.
+    #[cold]
+    fn dequeue_wait(
+        &mut self,
+        mut miss: TryDequeueError,
+        timeout: Option<Duration>,
+    ) -> Result<T, TryDequeueError> {
         let mut strat = WaitStrategy::new(self.wait);
         let res = loop {
             // Whether the wait is for a sealed segment's front rank, whose
             // producer count already reads 0: its wake condition is the
             // rank resolving (publish and gap-announce both broadcast on
             // the segment's not-empty cell), not the count.
-            let miss = match self.raw.try_dequeue() {
-                Ok(v) => break Ok(v),
-                Err(e) => e,
-            };
             let sealed = match self.step(miss) {
                 Step::Moved => {
                     strat.reset();
-                    continue;
+                    None
                 }
-                Step::Retry => continue,
-                Step::Empty => false,
-                Step::Waiting => true,
+                Step::Retry => None,
+                Step::Empty => Some(false),
+                Step::Waiting => Some(true),
                 Step::Dead => break Err(TryDequeueError::Disconnected),
             };
-            // SAFETY: protected by our era slot.
-            let state = unsafe { &*self.seg }.state();
-            let raw = &self.raw;
-            let round = strat.wait_round_for(
-                state.not_empty(),
-                state.wait_is_shared(),
-                timeout,
-                &mut || {
-                    if sealed {
-                        raw.wake_ready_items()
-                    } else {
-                        raw.wake_ready()
-                    }
-                },
-            );
-            if round == WaitRound::Expired {
-                break Err(TryDequeueError::Empty);
+            if let Some(sealed) = sealed {
+                // SAFETY: protected by our era slot.
+                let state = unsafe { &*self.seg }.state();
+                let raw = &self.raw;
+                let round = strat.wait_round_for(
+                    state.not_empty(),
+                    state.wait_is_shared(),
+                    timeout,
+                    &mut || {
+                        if sealed {
+                            raw.wake_ready_items()
+                        } else {
+                            raw.wake_ready()
+                        }
+                    },
+                );
+                if round == WaitRound::Expired {
+                    break Err(TryDequeueError::Empty);
+                }
             }
+            miss = match self.raw.try_dequeue() {
+                Ok(v) => break Ok(v),
+                Err(e) => e,
+            };
         };
         self.acc.parks += strat.parks();
         res

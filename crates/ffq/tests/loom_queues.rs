@@ -48,6 +48,42 @@ fn loom_spsc_enqueue_dequeue_handoff() {
     });
 }
 
+/// The typed producer's not-full park, for one channel flavor: capacity 2,
+/// a producer thread with `eager()` makes three blocking enqueues against
+/// three blocking dequeues, so the third enqueue can find the queue full on
+/// its inline attempt and enter the cold wait loop, where it parks until a
+/// dequeue's head advance wakes it. Parks are unbounded, so a wake lost
+/// between the first miss and the park deadlocks the model.
+macro_rules! enqueue_parks_on_full {
+    ($channel:expr) => {{
+        let (mut tx, mut rx) = $channel;
+        rx.set_wait_config(eager());
+        let p = thread::spawn(move || {
+            tx.set_wait_config(eager());
+            for i in 1..=3u64 {
+                tx.enqueue(i);
+            }
+        });
+        for i in 1..=3u64 {
+            assert_eq!(rx.dequeue(), Ok(i));
+        }
+        p.join().unwrap();
+    }};
+}
+
+#[test]
+fn loom_spsc_enqueue_parks_on_full() {
+    ffq_loom::model(|| enqueue_parks_on_full!(spsc::channel::<u64>(2)));
+}
+
+/// [`loom_spsc_enqueue_parks_on_full`] over the multi-producer wait loop.
+/// Preemption bound 1: at the default of 2 the model passes two million
+/// executions.
+#[test]
+fn loom_mpmc_enqueue_parks_on_full() {
+    ffq_loom::model_bounded(1, || enqueue_parks_on_full!(mpmc::channel::<u64>(2)));
+}
+
 /// The batched release pass: `enqueue_many` writes payloads first and
 /// publishes all ranks afterwards with one `fence(Release)` followed by
 /// *relaxed* rank stores. The consumer's Acquire rank load must still

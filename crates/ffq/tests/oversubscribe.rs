@@ -144,18 +144,65 @@ fn full_queue_producer_parks_then_resumes() {
     assert!(parks > 0, "producer never parked against the slow consumer");
 }
 
+/// A blocking call waits, and counts, only after its inline attempt
+/// misses: a run of successful calls leaves `parks` and `full_rejections`
+/// at zero. A timed enqueue on a full queue hands the value back once the
+/// deadline has passed, after one full rejection and at least one park.
+macro_rules! timed_enqueue_on_full_queue {
+    ($channel:expr) => {{
+        let (mut tx, mut rx) = $channel;
+        for i in 0..4 {
+            tx.enqueue(i);
+        }
+        let s = tx.stats();
+        assert_eq!((s.parks, s.full_rejections), (0, 0), "a hit waited");
+        let start = Instant::now();
+        let err = tx
+            .enqueue_timeout(99, Duration::from_millis(50))
+            .unwrap_err();
+        let waited = start.elapsed();
+        assert_eq!(err.into_inner(), 99);
+        assert!(
+            waited >= Duration::from_millis(50),
+            "gave up early: {waited:?}"
+        );
+        assert!(
+            waited < Duration::from_millis(500),
+            "deadline badly overshot: {waited:?}"
+        );
+        let s = tx.stats();
+        assert_eq!(s.full_rejections, 1);
+        assert!(s.parks >= 1, "the timed wait's parks went uncounted");
+        for i in 0..4 {
+            assert_eq!(rx.dequeue(), Ok(i));
+        }
+        assert_eq!(rx.stats().parks, 0, "a hit waited");
+    }};
+}
+
 #[test]
 fn enqueue_timeout_full_queue_expires_and_returns_value() {
-    let (mut tx, _rx) = ffq::spmc::channel::<u64>(4);
-    for i in 0..4 {
-        tx.enqueue(i);
+    timed_enqueue_on_full_queue!(ffq::spmc::channel::<u64>(4));
+    timed_enqueue_on_full_queue!(ffq::mpmc::channel::<u64>(4));
+}
+
+#[test]
+fn bytes_recv_timeout_empty_queue_expires() {
+    use ffq::bytes::{BytesConsumer, BytesProducer};
+    let (mut tx, mut rx) = ffq::spsc::bytes_channel(4, 64).unwrap();
+    for i in 0..4u8 {
+        tx.send_bytes(&[i]).unwrap();
     }
+    let s = tx.stats();
+    assert_eq!((s.parks, s.full_rejections), (0, 0), "a hit waited");
+    for i in 0..4u8 {
+        assert_eq!(&*rx.recv().unwrap(), &[i]);
+    }
+    assert_eq!(rx.stats().parks, 0, "a hit waited");
     let start = Instant::now();
-    let err = tx
-        .enqueue_timeout(99, Duration::from_millis(50))
-        .unwrap_err();
+    let res = rx.recv_timeout(Duration::from_millis(50));
     let waited = start.elapsed();
-    assert_eq!(err.into_inner(), 99);
+    assert!(matches!(res, Err(ffq::TryDequeueError::Empty)));
     assert!(
         waited >= Duration::from_millis(50),
         "gave up early: {waited:?}"
