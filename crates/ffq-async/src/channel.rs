@@ -4,8 +4,12 @@
 //! around one shared `AsyncCells` pair — the invariant the whole wait
 //! protocol rests on (see the `handle` module docs: an unwrapped end never
 //! notifies async waiters). To async-wrap a queue you built yourself (a
-//! custom `CellSlot`, an shm-backed pair, …), use [`wrap`] with both of
-//! its handles.
+//! custom `CellSlot`, index map or wait config), use [`wrap`] with both of
+//! its handles. `wrap` takes the handles that implement
+//! [`TrySend`]/[`TryRecv`]: the heap (`ffq::spsc`, `spmc`, `mpmc`),
+//! unbounded and shard handles. It takes no `ffq-shm` handle: none
+//! implements the traits, and the async wait cells live in one process,
+//! where a peer in another process could never wake them.
 
 use crate::handle::{AsyncReceiver, AsyncSender, SharedCells};
 use crate::traits::{TryRecv, TrySend};

@@ -689,10 +689,7 @@ fn rpc_client_rust(sub: ShmRegion, rsp: ShmRegion, items: u64) -> (Duration, His
 /// opaque handles, status codes, panic shims. Same server, same queues;
 /// the row difference against [`rpc_client_rust`] is the ABI toll.
 fn rpc_client_ffi(sub_name: &str, rsp_name: &str, items: u64) -> (Duration, Histogram) {
-    use ffq_ffi::typed::{
-        ffq_spmc_u64_attach_producer, ffq_spmc_u64_enqueue, ffq_spmc_u64_producer_close,
-        ffq_spsc_u64_attach_consumer, ffq_spsc_u64_consumer_close, ffq_spsc_u64_dequeue,
-    };
+    use ffq_ffi::typed::{spmc_u64, spsc_u64};
     use ffq_ffi::{ffq_region_close, ffq_region_open, FFQ_OK};
     use std::ffi::CString;
     use std::ptr;
@@ -707,31 +704,31 @@ fn rpc_client_ffi(sub_name: &str, rsp_name: &str, items: u64) -> (Duration, Hist
         let mut rsp = ptr::null_mut();
         assert_eq!(ffq_region_open(rsp_c.as_ptr(), &mut rsp), FFQ_OK);
         let mut tx = ptr::null_mut();
-        assert_eq!(ffq_spmc_u64_attach_producer(sub, &mut tx), FFQ_OK);
+        assert_eq!(spmc_u64::attach_producer(sub, &mut tx), FFQ_OK);
         let mut rx = ptr::null_mut();
-        assert_eq!(ffq_spsc_u64_attach_consumer(rsp, &mut rx), FFQ_OK);
+        assert_eq!(spsc_u64::attach_consumer(rsp, &mut rx), FFQ_OK);
         ffq_region_close(sub);
         ffq_region_close(rsp);
 
         let mut hist = Histogram::new();
         for seq in 0..RPC_WARMUP {
-            assert_eq!(ffq_spmc_u64_enqueue(tx, seq), FFQ_OK);
+            assert_eq!(spmc_u64::enqueue(tx, seq), FFQ_OK);
             let mut out = 0u64;
-            assert_eq!(ffq_spsc_u64_dequeue(rx, &mut out), FFQ_OK);
+            assert_eq!(spsc_u64::dequeue(rx, &mut out), FFQ_OK);
             assert_eq!(out, seq);
         }
         let start = Instant::now();
         for seq in 0..items {
             let t0 = Instant::now();
-            assert_eq!(ffq_spmc_u64_enqueue(tx, seq), FFQ_OK);
+            assert_eq!(spmc_u64::enqueue(tx, seq), FFQ_OK);
             let mut out = u64::MAX;
-            assert_eq!(ffq_spsc_u64_dequeue(rx, &mut out), FFQ_OK);
+            assert_eq!(spsc_u64::dequeue(rx, &mut out), FFQ_OK);
             assert_eq!(out, seq, "rpc echo out of order");
             hist.record(t0.elapsed().as_nanos() as u64);
         }
         let elapsed = start.elapsed();
-        ffq_spmc_u64_producer_close(tx);
-        ffq_spsc_u64_consumer_close(rx);
+        spmc_u64::producer::close(tx);
+        spsc_u64::consumer::close(rx);
         (elapsed, hist)
     }
 }

@@ -13,23 +13,26 @@
 //!   [`ffq_payload_release`].
 //!
 //! One producer handle type serves both variants (the single-producer
-//! engine is identical); one consumer handle type wraps either engine, so
+//! engine is identical); one consumer handle type holds either engine, so
 //! the read API is a single function family. Each handle holds at most one
 //! outstanding reservation / borrowed payload — a second `reserve` (or
 //! `commit` without `reserve`, etc.) fails with `FFQ_ERR_STATE` instead of
-//! corrupting the protocol.
+//! corrupting the protocol. Each handle's `capacity`, `is_poisoned`,
+//! `poison` and `close` come from the crate's one lifecycle macro, in the
+//! [`producer`] and [`consumer`] modules.
 //!
 //! SPSC regions spill payloads larger than one slot buffer by chaining
 //! cells (up to `capacity/2 × slot_bytes`); SPMC regions refuse them
 //! (`FFQ_TOO_LARGE`) — never truncation, exactly like the Rust API.
 
 use crate::{
-    attach_handle, dequeue_status, guard, handle, out_ptr, poisoned, set_last_error, status_of,
-    try_dequeue_status, FfqRegion, FFQ_ERR_NULL, FFQ_ERR_STATE, FFQ_FULL, FFQ_OK, FFQ_POISONED,
-    FFQ_TOO_LARGE,
+    attach_handle, dequeue_status, guard, handle, out_ptr, poisoned, required_size, set_last_error,
+    try_dequeue_status, FfqRegion, Wait, FFQ_ERR_NULL, FFQ_ERR_STATE, FFQ_FULL, FFQ_OK,
+    FFQ_POISONED, FFQ_TOO_LARGE,
 };
 use std::time::Duration;
 
+use ffq::bytes::{SpProducer, WriteSlot};
 use ffq::cell::PayloadDesc;
 use ffq::error::TryReserveError;
 use ffq::raw::ConsumerEngine;
@@ -38,35 +41,43 @@ use ffq_shm::{
     ShmBytesSpscConsumer, ShmReserveError,
 };
 
-/// Opaque producer handle for a bytes queue (`ffq_bytes_producer_t` —
-/// shared by the SPSC and SPMC variants). An outstanding reservation is
-/// held by the engine between calls, not by a guard here.
-pub struct FfqBytesProducer {
-    inner: ShmBytesProducer,
-}
+/// Opaque producer handle for a bytes queue (`ffq_bytes_producer_t`): the
+/// `ffq-shm` producer itself, shared by the SPSC and SPMC variants. An
+/// outstanding reservation is held by the engine between calls, not by a
+/// guard.
+pub type FfqBytesProducer = ShmBytesProducer;
 
-impl FfqBytesProducer {
-    fn new(inner: ShmBytesProducer) -> Self {
-        Self { inner }
-    }
-}
-
-/// Either bytes-consumer engine behind the one C-visible handle type.
-enum ConsumerInner {
+/// Opaque consumer handle for a bytes queue (`ffq_bytes_consumer_t`):
+/// either variant's `ffq-shm` consumer, so `ffq_payload_*` is one family.
+/// An outstanding payload ref is a claim the engine holds between calls.
+pub enum FfqBytesConsumer {
+    /// The unique consumer of an SPSC bytes queue.
     Spsc(ShmBytesSpscConsumer),
+    /// A shared-head consumer of an SPMC bytes queue.
     Spmc(ShmBytesSpmcConsumer),
 }
 
-/// Opaque consumer handle for a bytes queue (`ffq_bytes_consumer_t` —
-/// wraps either variant's engine, so `ffq_payload_*` is one family). An
-/// outstanding payload ref is a claim the engine holds between calls.
-pub struct FfqBytesConsumer {
-    inner: ConsumerInner,
+/// Runs `$body` with `$c` bound to the consumer `$h` holds.
+macro_rules! either {
+    ($h:expr, $c:ident => $body:expr) => {
+        match $h {
+            FfqBytesConsumer::Spsc($c) => $body,
+            FfqBytesConsumer::Spmc($c) => $body,
+        }
+    };
 }
 
 impl FfqBytesConsumer {
-    fn new(inner: ConsumerInner) -> Self {
-        Self { inner }
+    fn capacity(&self) -> usize {
+        either!(self, c => c.capacity())
+    }
+
+    fn is_poisoned(&self) -> bool {
+        either!(self, c => c.is_poisoned())
+    }
+
+    fn poison(&self) {
+        either!(self, c => c.poison())
     }
 }
 
@@ -75,6 +86,18 @@ fn reserve_status(e: ShmReserveError) -> i32 {
     match e {
         ShmReserveError::TooLarge { .. } => FFQ_TOO_LARGE,
         ShmReserveError::Poisoned => FFQ_POISONED,
+    }
+}
+
+fn try_reserve_status(e: TryReserveError) -> i32 {
+    match e {
+        TryReserveError::TooLarge { len, max } => {
+            set_last_error(&format!(
+                "payload of {len} bytes exceeds queue maximum of {max}"
+            ));
+            FFQ_TOO_LARGE
+        }
+        TryReserveError::Full => FFQ_FULL,
     }
 }
 
@@ -99,17 +122,9 @@ macro_rules! bytes_setup {
             slot_bytes: usize,
             out: *mut usize,
         ) -> i32 {
-            guard(|| {
-                out_ptr!(out);
-                match $variant::required_size(capacity, slot_bytes) {
-                    Ok(n) => {
-                        // SAFETY: out was null-checked.
-                        unsafe { *out = n };
-                        FFQ_OK
-                    }
-                    Err(e) => status_of(&e),
-                }
-            })
+            let size = || $variant::required_size(capacity, slot_bytes);
+            // SAFETY: per header contract, `out` is writable or NULL.
+            unsafe { required_size(out, size) }
         }
 
         #[doc = concat!(
@@ -126,7 +141,7 @@ macro_rules! bytes_setup {
             let make = |r| $variant::create(r, capacity, slot_bytes);
             // SAFETY: per header contract, `region` is a live region handle
             // or NULL, and `out` is writable or NULL.
-            unsafe { attach_handle(region, out, |r| make(r).map(FfqBytesProducer::new)) }
+            unsafe { attach_handle(region, out, make) }
         }
 
         #[doc = concat!(
@@ -138,9 +153,8 @@ macro_rules! bytes_setup {
             region: *const FfqRegion,
             out: *mut *mut FfqBytesProducer,
         ) -> i32 {
-            let make = $variant::attach_producer;
             // SAFETY: as in the creator path.
-            unsafe { attach_handle(region, out, |r| make(r).map(FfqBytesProducer::new)) }
+            unsafe { attach_handle(region, out, $variant::attach_producer) }
         }
 
         #[doc = concat!(
@@ -152,10 +166,9 @@ macro_rules! bytes_setup {
             region: *const FfqRegion,
             out: *mut *mut FfqBytesConsumer,
         ) -> i32 {
-            let make = $variant::attach_consumer;
-            let wrap = |c| FfqBytesConsumer::new(ConsumerInner::$wrap(c));
+            let make = |r| $variant::attach_consumer(r).map(FfqBytesConsumer::$wrap);
             // SAFETY: as in the creator path.
-            unsafe { attach_handle(region, out, |r| make(r).map(wrap)) }
+            unsafe { attach_handle(region, out, make) }
         }
     };
 }
@@ -177,6 +190,49 @@ bytes_setup! {
 // Producer: reserve / commit / abort / send
 // ---------------------------------------------------------------------------
 
+/// Hands the write pointer of a new reservation to C. The engine keeps
+/// holding the reservation; only the guard that would abort it on drop
+/// goes.
+fn hold(mut slot: WriteSlot<'_, SpProducer>) -> *mut u8 {
+    let buf = slot.as_mut_ptr();
+    std::mem::forget(slot);
+    buf
+}
+
+/// The body of [`ffq_bytes_reserve`] (`block`) and
+/// [`ffq_bytes_try_reserve`].
+///
+/// # Safety
+/// `p` is NULL or a live handle; `buf` is NULL or writable.
+unsafe fn reserve(p: *mut FfqBytesProducer, len: usize, buf: *mut *mut u8, block: bool) -> i32 {
+    guard(|| {
+        out_ptr!(buf);
+        let h = handle!(p);
+        if h.has_pending() {
+            set_last_error("a reservation is already outstanding on this producer");
+            return FFQ_ERR_STATE;
+        }
+        if h.is_poisoned() {
+            return poisoned();
+        }
+        let reserved = if block {
+            h.reserve(len).map(hold).map_err(reserve_status)
+        } else {
+            h.try_reserve(len).map(hold).map_err(try_reserve_status)
+        };
+        match reserved {
+            Ok(ptr) => {
+                // SAFETY: buf was null-checked; the slot buffer is len
+                // writable bytes, stable until commit or abort.
+                unsafe { *buf = ptr };
+                FFQ_OK
+            }
+            Err(FFQ_FULL) if h.is_poisoned() => poisoned(),
+            Err(status) => status,
+        }
+    })
+}
+
 /// Reserves an in-place writable buffer for a `len`-byte payload, blocking
 /// while the queue is full; `*buf` receives the write pointer. Exactly one
 /// reservation may be outstanding per handle (`FFQ_ERR_STATE` otherwise).
@@ -186,29 +242,8 @@ pub unsafe extern "C" fn ffq_bytes_reserve(
     len: usize,
     buf: *mut *mut u8,
 ) -> i32 {
-    guard(|| {
-        out_ptr!(buf);
-        let h = handle!(p);
-        if h.inner.has_pending() {
-            set_last_error("a reservation is already outstanding on this producer");
-            return FFQ_ERR_STATE;
-        }
-        if h.inner.is_poisoned() {
-            return poisoned();
-        }
-        match h.inner.reserve(len) {
-            Ok(mut slot) => {
-                // SAFETY: buf was null-checked; the slot buffer is len
-                // writable bytes, stable until commit or abort.
-                unsafe { *buf = slot.as_mut_ptr() };
-                // The engine keeps holding the reservation; only the guard
-                // that would abort it on drop goes.
-                std::mem::forget(slot);
-                FFQ_OK
-            }
-            Err(e) => reserve_status(e),
-        }
-    })
+    // SAFETY: per the header contract.
+    unsafe { reserve(p, len, buf, true) }
 }
 
 /// [`ffq_bytes_reserve`] without blocking: `FFQ_FULL` when no cell (or
@@ -219,36 +254,8 @@ pub unsafe extern "C" fn ffq_bytes_try_reserve(
     len: usize,
     buf: *mut *mut u8,
 ) -> i32 {
-    guard(|| {
-        out_ptr!(buf);
-        let h = handle!(p);
-        if h.inner.has_pending() {
-            set_last_error("a reservation is already outstanding on this producer");
-            return FFQ_ERR_STATE;
-        }
-        if h.inner.is_poisoned() {
-            return poisoned();
-        }
-        let err = match h.inner.try_reserve(len) {
-            Ok(mut slot) => {
-                // SAFETY: as in reserve.
-                unsafe { *buf = slot.as_mut_ptr() };
-                std::mem::forget(slot);
-                return FFQ_OK;
-            }
-            Err(e) => e,
-        };
-        match err {
-            TryReserveError::TooLarge { len, max } => {
-                set_last_error(&format!(
-                    "payload of {len} bytes exceeds queue maximum of {max}"
-                ));
-                FFQ_TOO_LARGE
-            }
-            TryReserveError::Full if h.inner.is_poisoned() => poisoned(),
-            TryReserveError::Full => FFQ_FULL,
-        }
-    })
+    // SAFETY: per the header contract.
+    unsafe { reserve(p, len, buf, false) }
 }
 
 /// Publishes the outstanding reservation; the buffer pointer from
@@ -257,7 +264,7 @@ pub unsafe extern "C" fn ffq_bytes_try_reserve(
 pub unsafe extern "C" fn ffq_bytes_commit(p: *mut FfqBytesProducer) -> i32 {
     guard(|| {
         let h = handle!(p);
-        match h.inner.pending_slot() {
+        match h.pending_slot() {
             Some(slot) => {
                 slot.commit();
                 FFQ_OK
@@ -276,7 +283,7 @@ pub unsafe extern "C" fn ffq_bytes_commit(p: *mut FfqBytesProducer) -> i32 {
 pub unsafe extern "C" fn ffq_bytes_abort(p: *mut FfqBytesProducer) -> i32 {
     guard(|| {
         let h = handle!(p);
-        match h.inner.pending_slot() {
+        match h.pending_slot() {
             Some(slot) => {
                 drop(slot);
                 FFQ_OK
@@ -302,7 +309,7 @@ pub unsafe extern "C" fn ffq_bytes_send(
             return FFQ_ERR_NULL;
         }
         let h = handle!(p);
-        if h.inner.has_pending() {
+        if h.has_pending() {
             set_last_error("a reservation is already outstanding on this producer");
             return FFQ_ERR_STATE;
         }
@@ -313,10 +320,10 @@ pub unsafe extern "C" fn ffq_bytes_send(
         } else {
             unsafe { std::slice::from_raw_parts(data, len) }
         };
-        if h.inner.is_poisoned() {
+        if h.is_poisoned() {
             return poisoned();
         }
-        match h.inner.send_bytes(payload) {
+        match h.send_bytes(payload) {
             Ok(()) => FFQ_OK,
             Err(e) => reserve_status(e),
         }
@@ -327,109 +334,64 @@ pub unsafe extern "C" fn ffq_bytes_send(
 /// NULL).
 #[no_mangle]
 pub unsafe extern "C" fn ffq_bytes_max_payload(p: *const FfqBytesProducer) -> usize {
-    if p.is_null() {
-        return 0;
-    }
-    // SAFETY: live handle per header contract.
-    unsafe { (*p).inner.max_payload() }
+    // SAFETY: NULL or a live handle, per header contract.
+    unsafe { p.as_ref() }.map_or(0, ShmBytesProducer::max_payload)
 }
 
 /// Bytes per slot buffer — the largest payload that avoids the SPSC
 /// chain-spill path (0 for NULL).
 #[no_mangle]
 pub unsafe extern "C" fn ffq_bytes_slot_bytes(p: *const FfqBytesProducer) -> usize {
-    if p.is_null() {
-        return 0;
-    }
-    // SAFETY: live handle per header contract.
-    unsafe { (*p).inner.slot_bytes() }
+    // SAFETY: NULL or a live handle, per header contract.
+    unsafe { p.as_ref() }.map_or(0, ShmBytesProducer::slot_bytes)
 }
 
-/// Capacity of the shared descriptor-cell array (0 for NULL).
-#[no_mangle]
-pub unsafe extern "C" fn ffq_bytes_capacity(p: *const FfqBytesProducer) -> usize {
-    if p.is_null() {
-        return 0;
-    }
-    // SAFETY: live handle per header contract.
-    unsafe { (*p).inner.capacity() }
-}
-
-/// 1 if the queue is poisoned, 0 if not, `FFQ_ERR_NULL` for NULL.
-#[no_mangle]
-pub unsafe extern "C" fn ffq_bytes_producer_is_poisoned(p: *const FfqBytesProducer) -> i32 {
-    if p.is_null() {
-        return FFQ_ERR_NULL;
-    }
-    // SAFETY: live handle per header contract.
-    unsafe { (*p).inner.is_poisoned() as i32 }
-}
-
-/// Poisons the queue for every attached handle in every process.
-#[no_mangle]
-pub unsafe extern "C" fn ffq_bytes_producer_poison(p: *const FfqBytesProducer) -> i32 {
-    guard(|| {
-        if p.is_null() {
-            set_last_error("producer handle is NULL");
-            return FFQ_ERR_NULL;
-        }
-        // SAFETY: live handle per header contract.
-        unsafe { (*p).inner.poison() };
-        FFQ_OK
-    })
-}
-
-/// Detaches and destroys the producer handle; an uncommitted reservation
-/// aborts. NULL is a no-op.
-#[no_mangle]
-pub unsafe extern "C" fn ffq_bytes_producer_close(p: *mut FfqBytesProducer) {
-    if p.is_null() {
-        return;
-    }
-    let _ = guard(move || {
-        // SAFETY: live handle per header contract, not yet closed.
-        drop(unsafe { Box::from_raw(p) });
-        FFQ_OK
-    });
-}
+crate::lifecycle_fns!(
+    FfqBytesProducer,
+    producer,
+    "ffq_bytes",
+    "ffq_bytes_capacity"
+);
 
 // ---------------------------------------------------------------------------
 // Consumer: borrowed payload refs
 // ---------------------------------------------------------------------------
-
-/// How a payload claim waits.
-enum Claim {
-    Block,
-    Try,
-    Timeout(Duration),
-}
 
 /// Claims the next payload from either engine and exposes it borrowed
 /// through `*data`/`*len`. On success the claim stays held by the engine —
 /// its cell out of circulation, the bytes in place — until
 /// [`ffq_payload_release`]; only the guard that would release it on drop
 /// goes. One claim may be outstanding per handle.
-fn claim_ref(h: &mut FfqBytesConsumer, data: *mut *const u8, len: *mut usize, how: Claim) -> i32 {
-    match &mut h.inner {
-        ConsumerInner::Spsc(c) => claim_ref_from(c, data, len, how),
-        ConsumerInner::Spmc(c) => claim_ref_from(c, data, len, how),
-    }
+///
+/// # Safety
+/// `c` is NULL or a live handle; `data` and `len` are NULL or writable.
+unsafe fn claim_ref(
+    c: *mut FfqBytesConsumer,
+    data: *mut *const u8,
+    len: *mut usize,
+    how: Wait,
+) -> i32 {
+    guard(|| {
+        out_ptr!(data);
+        out_ptr!(len);
+        either!(handle!(c), rx => claim_from(rx, data, len, how))
+    })
 }
 
-fn claim_ref_from<E: ConsumerEngine<PayloadDesc>>(
+fn claim_from<E: ConsumerEngine<PayloadDesc>>(
     c: &mut ShmBytesConsumer<E>,
     data: *mut *const u8,
     len: *mut usize,
-    how: Claim,
+    how: Wait,
 ) -> i32 {
     if c.has_claimed() {
         set_last_error("a payload ref is already outstanding on this consumer");
         return FFQ_ERR_STATE;
     }
     let claimed = match how {
-        Claim::Block => c.recv().map_err(dequeue_status),
-        Claim::Try => c.try_recv().map_err(try_dequeue_status),
-        Claim::Timeout(t) => c.recv_timeout(t).map_err(try_dequeue_status),
+        Wait::Block => c.recv().map_err(dequeue_status),
+        Wait::Try => c.try_recv().map_err(try_dequeue_status),
+        Wait::Timeout(t) => c.recv_timeout(t).map_err(try_dequeue_status),
     };
     match claimed {
         Ok(payload) => {
@@ -455,12 +417,8 @@ pub unsafe extern "C" fn ffq_payload_ref(
     data: *mut *const u8,
     len: *mut usize,
 ) -> i32 {
-    guard(|| {
-        out_ptr!(data);
-        out_ptr!(len);
-        let h = handle!(c);
-        claim_ref(h, data, len, Claim::Block)
-    })
+    // SAFETY: per the header contract.
+    unsafe { claim_ref(c, data, len, Wait::Block) }
 }
 
 /// [`ffq_payload_ref`] without blocking: `FFQ_EMPTY` when nothing is
@@ -471,12 +429,8 @@ pub unsafe extern "C" fn ffq_payload_try_ref(
     data: *mut *const u8,
     len: *mut usize,
 ) -> i32 {
-    guard(|| {
-        out_ptr!(data);
-        out_ptr!(len);
-        let h = handle!(c);
-        claim_ref(h, data, len, Claim::Try)
-    })
+    // SAFETY: per the header contract.
+    unsafe { claim_ref(c, data, len, Wait::Try) }
 }
 
 /// [`ffq_payload_ref`] giving up with `FFQ_EMPTY` after `timeout_ms`
@@ -488,13 +442,9 @@ pub unsafe extern "C" fn ffq_payload_ref_timeout_ms(
     len: *mut usize,
     timeout_ms: u64,
 ) -> i32 {
-    guard(|| {
-        out_ptr!(data);
-        out_ptr!(len);
-        let h = handle!(c);
-        let timeout = Duration::from_millis(timeout_ms);
-        claim_ref(h, data, len, Claim::Timeout(timeout))
-    })
+    let how = Wait::Timeout(Duration::from_millis(timeout_ms));
+    // SAFETY: per the header contract.
+    unsafe { claim_ref(c, data, len, how) }
 }
 
 /// Releases the outstanding payload ref; its cell recycles and the `data`
@@ -502,11 +452,7 @@ pub unsafe extern "C" fn ffq_payload_ref_timeout_ms(
 #[no_mangle]
 pub unsafe extern "C" fn ffq_payload_release(c: *mut FfqBytesConsumer) -> i32 {
     guard(|| {
-        let released = match &mut handle!(c).inner {
-            ConsumerInner::Spsc(c) => c.release_claimed(),
-            ConsumerInner::Spmc(c) => c.release_claimed(),
-        };
-        if !released {
+        if !either!(handle!(c), rx => rx.release_claimed()) {
             set_last_error("release without an outstanding payload ref");
             return FFQ_ERR_STATE;
         }
@@ -514,62 +460,12 @@ pub unsafe extern "C" fn ffq_payload_release(c: *mut FfqBytesConsumer) -> i32 {
     })
 }
 
-/// Capacity of the shared descriptor-cell array (0 for NULL).
-#[no_mangle]
-pub unsafe extern "C" fn ffq_bytes_consumer_capacity(c: *const FfqBytesConsumer) -> usize {
-    if c.is_null() {
-        return 0;
-    }
-    // SAFETY: live handle per header contract.
-    match unsafe { &(*c).inner } {
-        ConsumerInner::Spsc(x) => x.capacity(),
-        ConsumerInner::Spmc(x) => x.capacity(),
-    }
-}
-
-/// 1 if the queue is poisoned, 0 if not, `FFQ_ERR_NULL` for NULL.
-#[no_mangle]
-pub unsafe extern "C" fn ffq_bytes_consumer_is_poisoned(c: *const FfqBytesConsumer) -> i32 {
-    if c.is_null() {
-        return FFQ_ERR_NULL;
-    }
-    // SAFETY: live handle per header contract.
-    match unsafe { &(*c).inner } {
-        ConsumerInner::Spsc(x) => x.is_poisoned() as i32,
-        ConsumerInner::Spmc(x) => x.is_poisoned() as i32,
-    }
-}
-
-/// Poisons the queue for every attached handle in every process.
-#[no_mangle]
-pub unsafe extern "C" fn ffq_bytes_consumer_poison(c: *const FfqBytesConsumer) -> i32 {
-    guard(|| {
-        if c.is_null() {
-            set_last_error("consumer handle is NULL");
-            return FFQ_ERR_NULL;
-        }
-        // SAFETY: live handle per header contract.
-        match unsafe { &(*c).inner } {
-            ConsumerInner::Spsc(x) => x.poison(),
-            ConsumerInner::Spmc(x) => x.poison(),
-        }
-        FFQ_OK
-    })
-}
-
-/// Detaches and destroys the consumer handle; a still-borrowed payload
-/// releases. NULL is a no-op.
-#[no_mangle]
-pub unsafe extern "C" fn ffq_bytes_consumer_close(c: *mut FfqBytesConsumer) {
-    if c.is_null() {
-        return;
-    }
-    let _ = guard(move || {
-        // SAFETY: live handle per header contract, not yet closed.
-        drop(unsafe { Box::from_raw(c) });
-        FFQ_OK
-    });
-}
+crate::lifecycle_fns!(
+    FfqBytesConsumer,
+    consumer,
+    "ffq_bytes",
+    "ffq_bytes_consumer_capacity"
+);
 
 #[cfg(test)]
 mod tests {
@@ -639,8 +535,8 @@ mod tests {
             assert_eq!(std::slice::from_raw_parts(data, len), &big[..]);
             assert_eq!(ffq_payload_release(cons), FFQ_OK);
 
-            ffq_bytes_producer_close(prod);
-            ffq_bytes_consumer_close(cons);
+            producer::close(prod);
+            consumer::close(cons);
             assert_eq!(ffq_region_unlink(name.as_ptr()), FFQ_OK);
         }
     }
@@ -672,12 +568,12 @@ mod tests {
             assert_eq!(std::slice::from_raw_parts(data, len), b"fan-out");
             assert_eq!(ffq_payload_release(cons), FFQ_OK);
 
-            assert_eq!(ffq_bytes_consumer_poison(cons), FFQ_OK);
-            assert_eq!(ffq_bytes_producer_is_poisoned(prod), 1);
+            assert_eq!(consumer::poison(cons), FFQ_OK);
+            assert_eq!(producer::is_poisoned(prod), 1);
             assert_eq!(ffq_bytes_send(prod, b"x".as_ptr(), 1), FFQ_POISONED);
 
-            ffq_bytes_producer_close(prod);
-            ffq_bytes_consumer_close(cons);
+            producer::close(prod);
+            consumer::close(cons);
             assert_eq!(ffq_region_unlink(name.as_ptr()), FFQ_OK);
         }
     }

@@ -17,21 +17,33 @@
 //!   expected-vs-found detail of version/config refusals.
 //! * Every handle is an opaque pointer (`ffq_region_t`,
 //!   `ffq_spsc_u64_producer_t`, …) created by exactly one `…_create` /
-//!   `…_attach_…` call and destroyed by exactly one `…_close` call.
-//!   Handles are not thread-safe; share queues by attaching more handles,
-//!   not by sharing one.
+//!   `…_attach_…` call and destroyed by exactly one `…_close` call. It
+//!   points straight at the `ffq-shm` handle it names. Handles are not
+//!   thread-safe; share queues by attaching more handles, not by sharing
+//!   one.
 //! * Monomorphized element types are stamped per fixed payload size
 //!   ([`typed`]): `ffq_spsc_u64_*`, `ffq_spmc_16b_*`, `…32b…`, `…64b…`.
+//!   Each lane is one row of one table, and its functions live in a
+//!   module of its own under their C names' suffixes:
+//!   `ffq_spsc_u64_enqueue` is [`typed::spsc_u64::enqueue`],
+//!   `ffq_spsc_u64_producer_close` is
+//!   [`typed::spsc_u64::producer::close`]. The C names are the interface;
+//!   these Rust paths are not.
 //!   Variable-size payloads go through the zero-copy byte-slice lane
 //!   ([`bytes`]): `ffq_bytes_*_reserve` / `commit` to write in place,
 //!   `ffq_bytes_*_payload_ref` / `payload_release` to read borrowed.
+//! * Each handle kind's lifecycle calls — `capacity`, `is_poisoned`,
+//!   `poison`, `close` — are stamped by one macro for every typed and
+//!   bytes handle, into a `producer` or `consumer` module beside the
+//!   lane's other calls.
 //! * Every entry point catches Rust panics and converts them to
 //!   `FFQ_ERR_PANIC` — a bug in this crate cannot unwind into C frames
 //!   (which would be UB).
 //!
 //! The header is *generated from this crate* ([`header_gen`], the
-//! `ffq_header_gen` binary) and committed; CI diffs the two so the
-//! committed header can never drift from the compiled symbols.
+//! `ffq_header_gen` binary) from the same lane table that stamps the
+//! typed functions, and committed; CI diffs the two, and checks that the
+//! built library exports exactly the functions the header declares.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
@@ -42,6 +54,7 @@
 use std::cell::RefCell;
 use std::ffi::{c_char, CStr, CString};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Duration;
 
 use ffq_shm::{ShmDequeueError, ShmError, ShmRegion, ShmTryDequeueError};
 
@@ -182,6 +195,69 @@ macro_rules! handle {
 }
 pub(crate) use handle;
 
+/// Stamps the lifecycle calls of one handle kind into a module named
+/// after its side: `capacity` (0 for NULL), exported as `$capacity`, and
+/// `is_poisoned` (1 / 0 / `FFQ_ERR_NULL`), `poison` and `close` (NULL is
+/// a no-op), exported as `<$prefix>_<side>_is_poisoned`, `…_poison` and
+/// `…_close`. The capacity name is its own argument because the bytes
+/// producer's is `ffq_bytes_capacity`. `$H` names the handle type as
+/// seen from the invoking module and answers `capacity`, `is_poisoned`
+/// and `poison`.
+macro_rules! lifecycle_fns {
+    ($H:ty, $side:ident, $prefix:expr, $capacity:expr) => {
+        #[doc = concat!("The lifecycle calls of the ", stringify!($side), " handle.")]
+        pub mod $side {
+            use super::*;
+
+            /// Capacity of the queue's cell array (0 for NULL).
+            #[export_name = $capacity]
+            pub unsafe extern "C" fn capacity(h: *const $H) -> usize {
+                // SAFETY: NULL or a live handle, per the header contract.
+                unsafe { h.as_ref() }.map_or(0, |h| h.capacity())
+            }
+
+            /// 1 if the queue is poisoned, 0 if not, `FFQ_ERR_NULL` for NULL.
+            #[export_name = concat!($prefix, "_", stringify!($side), "_is_poisoned")]
+            pub unsafe extern "C" fn is_poisoned(h: *const $H) -> i32 {
+                // SAFETY: NULL or a live handle, per the header contract.
+                unsafe { h.as_ref() }.map_or($crate::FFQ_ERR_NULL, |h| h.is_poisoned() as i32)
+            }
+
+            /// Poisons the queue for every attached handle in every process.
+            #[export_name = concat!($prefix, "_", stringify!($side), "_poison")]
+            pub unsafe extern "C" fn poison(h: *const $H) -> i32 {
+                $crate::guard(|| {
+                    // SAFETY: NULL or a live handle, per the header contract.
+                    let Some(h) = (unsafe { h.as_ref() }) else {
+                        $crate::set_last_error(concat!(stringify!($side), " handle is NULL"));
+                        return $crate::FFQ_ERR_NULL;
+                    };
+                    h.poison();
+                    $crate::FFQ_OK
+                })
+            }
+
+            /// Detaches and destroys the handle (a bytes handle's uncommitted
+            /// reservation aborts, its borrowed payload releases). NULL is a
+            /// no-op.
+            #[export_name = concat!($prefix, "_", stringify!($side), "_close")]
+            pub unsafe extern "C" fn close(h: *mut $H) {
+                // SAFETY: NULL or a live handle not yet closed, per the
+                // header contract.
+                unsafe { $crate::close(h) }
+            }
+        }
+    };
+}
+pub(crate) use lifecycle_fns;
+
+/// How a call that may wait for its queue waits.
+pub(crate) enum Wait {
+    Block,
+    Try,
+    Timeout(Duration),
+}
+
 /// Records the poisoned-queue reason and returns [`FFQ_POISONED`].
 pub(crate) fn poisoned() -> i32 {
     set_last_error("shared-memory queue poisoned");
@@ -213,20 +289,45 @@ pub(crate) fn try_dequeue_status(e: ShmTryDequeueError) -> i32 {
     }
 }
 
+/// Stores `made`'s value in `*out`, or maps its error to its status.
+///
+/// # Safety
+/// `out` must be non-NULL and writable.
+pub(crate) unsafe fn store<V>(out: *mut V, made: Result<V, ShmError>) -> i32 {
+    match made {
+        Ok(v) => {
+            // SAFETY: writable per the caller's contract.
+            unsafe { out.write(v) };
+            FFQ_OK
+        }
+        Err(e) => status_of(&e),
+    }
+}
+
 /// Boxes a newly built handle into `*out`, or maps the error to its
 /// status.
 ///
 /// # Safety
 /// `out` must be non-NULL and writable.
-pub(crate) unsafe fn new_handle<H>(out: *mut *mut H, made: Result<H, ShmError>) -> i32 {
-    match made {
-        Ok(h) => {
-            // SAFETY: writable per the caller's contract.
-            unsafe { *out = Box::into_raw(Box::new(h)) };
-            FFQ_OK
-        }
-        Err(e) => status_of(&e),
-    }
+unsafe fn new_handle<H>(out: *mut *mut H, made: Result<H, ShmError>) -> i32 {
+    // SAFETY: per the caller's contract.
+    unsafe { store(out, made.map(|h| Box::into_raw(Box::new(h)))) }
+}
+
+/// The body of every `…_required_size` call: NULL-checks `out` and stores
+/// the region size `size` computes, or maps its error.
+///
+/// # Safety
+/// `out` is NULL or writable.
+pub(crate) unsafe fn required_size(
+    out: *mut usize,
+    size: impl FnOnce() -> Result<usize, ShmError>,
+) -> i32 {
+    guard(|| {
+        out_ptr!(out);
+        // SAFETY: out was null-checked.
+        unsafe { store(out, size()) }
+    })
 }
 
 /// The body of every constructor that attaches a queue handle to a
@@ -249,8 +350,24 @@ pub(crate) unsafe fn attach_handle<H>(
             return FFQ_ERR_NULL;
         };
         // SAFETY: out was null-checked.
-        unsafe { new_handle(out, make(region.region.clone())) }
+        unsafe { new_handle(out, make(region.clone())) }
     })
+}
+
+/// The body of every `…_close`: destroys the handle. NULL is a no-op.
+///
+/// # Safety
+/// `h` is NULL or a live handle created by this library, not yet closed.
+pub(crate) unsafe fn close<H>(h: *mut H) {
+    if h.is_null() {
+        return;
+    }
+    // The unwind guard matters even here: Drop runs arbitrary library code.
+    let _ = guard(move || {
+        // SAFETY: non-NULL, and live and not yet closed per the contract.
+        drop(unsafe { Box::from_raw(h) });
+        FFQ_OK
+    });
 }
 
 /// Reads a required C string argument.
@@ -281,9 +398,30 @@ pub extern "C" fn ffq_last_error_message() -> *const c_char {
 // Regions
 // ---------------------------------------------------------------------------
 
-/// Opaque handle to one mapped shared-memory region (`ffq_region_t`).
-pub struct FfqRegion {
-    pub(crate) region: ShmRegion,
+/// Opaque handle to one mapped shared-memory region (`ffq_region_t`): the
+/// `ffq-shm` region itself.
+pub type FfqRegion = ShmRegion;
+
+/// The body of [`ffq_region_create`] and [`ffq_region_open`]: NULL-checks
+/// `out`, reads `name` and maps the region `make` opens by it.
+///
+/// # Safety
+/// `name` is NULL or a NUL-terminated string; `out` is NULL or writable.
+unsafe fn region_handle(
+    name: *const c_char,
+    out: *mut *mut FfqRegion,
+    make: impl FnOnce(&str) -> Result<ShmRegion, ShmError>,
+) -> i32 {
+    guard(|| {
+        out_ptr!(out);
+        // SAFETY: per header contract, `name` is a NUL-terminated string.
+        let name = match unsafe { read_name(name) } {
+            Ok(n) => n,
+            Err(s) => return s,
+        };
+        // SAFETY: out was null-checked.
+        unsafe { new_handle(out, make(&name)) }
+    })
 }
 
 /// Creates a named POSIX shared-memory object of `len` bytes and maps it
@@ -295,17 +433,8 @@ pub unsafe extern "C" fn ffq_region_create(
     len: usize,
     out: *mut *mut FfqRegion,
 ) -> i32 {
-    guard(|| {
-        out_ptr!(out);
-        // SAFETY: per header contract, `name` is a NUL-terminated string.
-        let name = match unsafe { read_name(name) } {
-            Ok(n) => n,
-            Err(s) => return s,
-        };
-        let made = ShmRegion::create(&name, len).map(|region| FfqRegion { region });
-        // SAFETY: out was null-checked.
-        unsafe { new_handle(out, made) }
-    })
+    // SAFETY: per the header contract.
+    unsafe { region_handle(name, out, |name| ShmRegion::create(name, len)) }
 }
 
 /// Opens an existing named region and maps its full size. Returns
@@ -313,17 +442,8 @@ pub unsafe extern "C" fn ffq_region_create(
 /// — attach loops retry on that.
 #[no_mangle]
 pub unsafe extern "C" fn ffq_region_open(name: *const c_char, out: *mut *mut FfqRegion) -> i32 {
-    guard(|| {
-        out_ptr!(out);
-        // SAFETY: per header contract, `name` is a NUL-terminated string.
-        let name = match unsafe { read_name(name) } {
-            Ok(n) => n,
-            Err(s) => return s,
-        };
-        let made = ShmRegion::open(&name).map(|region| FfqRegion { region });
-        // SAFETY: out was null-checked.
-        unsafe { new_handle(out, made) }
-    })
+    // SAFETY: per the header contract.
+    unsafe { region_handle(name, out, ShmRegion::open) }
 }
 
 /// Removes a named region. Existing mappings stay valid; the name frees.
@@ -345,11 +465,9 @@ pub unsafe extern "C" fn ffq_region_unlink(name: *const c_char) -> i32 {
 /// Mapped length of the region in bytes (0 for NULL).
 #[no_mangle]
 pub unsafe extern "C" fn ffq_region_len(region: *const FfqRegion) -> usize {
-    if region.is_null() {
-        return 0;
-    }
-    // SAFETY: non-null handle created by this library, per header contract.
-    unsafe { (*region).region.len() }
+    // SAFETY: NULL or a live handle created by this library, per header
+    // contract.
+    unsafe { region.as_ref() }.map_or(0, ShmRegion::len)
 }
 
 /// Unmaps the region and destroys the handle. Queue handles attached from
@@ -357,16 +475,8 @@ pub unsafe extern "C" fn ffq_region_len(region: *const FfqRegion) -> usize {
 /// no-op.
 #[no_mangle]
 pub unsafe extern "C" fn ffq_region_close(region: *mut FfqRegion) {
-    if region.is_null() {
-        return;
-    }
-    // The unwind guard matters even here: Drop runs arbitrary library code.
-    let _ = guard(move || {
-        // SAFETY: non-null handle created by this library, not yet closed,
-        // per header contract.
-        drop(unsafe { Box::from_raw(region) });
-        FFQ_OK
-    });
+    // SAFETY: NULL or a live handle not yet closed, per header contract.
+    unsafe { close(region) }
 }
 
 #[cfg(test)]
@@ -412,6 +522,31 @@ mod tests {
             assert_eq!(ffq_region_len(std::ptr::null()), 0);
             ffq_region_close(std::ptr::null_mut()); // no-op, no crash
         }
+    }
+
+    /// `capacity`, `is_poisoned`, `poison` and `close` of one side's
+    /// lifecycle module, each passed NULL.
+    macro_rules! null_lifecycle {
+        ($($m:ident)::+ => $side:ident) => {
+            // SAFETY: deliberately passing NULL — the contract promises 0,
+            // FFQ_ERR_NULL or a no-op instead of UB.
+            unsafe {
+                assert_eq!($($m::)+$side::capacity(std::ptr::null()), 0);
+                assert_eq!($($m::)+$side::is_poisoned(std::ptr::null()), FFQ_ERR_NULL);
+                assert_eq!($($m::)+$side::poison(std::ptr::null()), FFQ_ERR_NULL);
+                let msg = CStr::from_ptr(ffq_last_error_message()).to_str().unwrap();
+                assert_eq!(msg, concat!(stringify!($side), " handle is NULL"));
+                $($m::)+$side::close(std::ptr::null_mut());
+            }
+        };
+    }
+
+    #[test]
+    fn null_handles_through_the_shared_lifecycle() {
+        null_lifecycle!(crate::bytes => producer);
+        null_lifecycle!(crate::bytes => consumer);
+        null_lifecycle!(crate::typed::spmc_64b => producer);
+        null_lifecycle!(crate::typed::spmc_64b => consumer);
     }
 
     #[test]

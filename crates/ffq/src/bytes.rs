@@ -315,6 +315,10 @@ pub trait BytesProducer: sealed::Sealed + Sized {
     ) -> WaitRound;
     #[doc(hidden)]
     fn wait_config(&self) -> WaitConfig;
+    /// Adds the futex parks a blocking reserve took to this handle's
+    /// counters.
+    #[doc(hidden)]
+    fn add_parks(&mut self, parks: u64);
 
     /// Every blocking reserve: holds a reservation like
     /// [`try_reserve_pending`](Self::try_reserve_pending), waiting while
@@ -424,6 +428,10 @@ pub trait BytesConsumer: sealed::Sealed + Sized {
     ) -> WaitRound;
     #[doc(hidden)]
     fn wait_config(&self) -> WaitConfig;
+    /// Adds the futex parks a blocking receive took to this handle's
+    /// counters.
+    #[doc(hidden)]
+    fn add_parks(&mut self, parks: u64);
 
     /// Every blocking receive: holds a claim like
     /// [`try_claim_payload`](Self::try_claim_payload), waiting while the
@@ -476,15 +484,17 @@ fn reserve_wait<P: BytesProducer>(
     timeout: Option<Duration>,
 ) -> Result<(), TryReserveError> {
     let mut strat = WaitStrategy::new(tx.wait_config());
-    loop {
+    let res = loop {
         if tx.full_wait_round(len, &mut strat, timeout) == WaitRound::Expired {
-            return Err(TryReserveError::Full);
+            break Err(TryReserveError::Full);
         }
         match tx.try_reserve_pending(len) {
             Err(TryReserveError::Full) => {}
-            res => return res,
+            res => break res,
         }
-    }
+    };
+    tx.add_parks(strat.parks());
+    res
 }
 
 /// The one wait loop of [`BytesConsumer::claim_payload`], entered after its
@@ -495,15 +505,17 @@ fn claim_wait<R: BytesConsumer>(
     timeout: Option<Duration>,
 ) -> Result<(), TryDequeueError> {
     let mut strat = WaitStrategy::new(rx.wait_config());
-    loop {
+    let res = loop {
         if rx.empty_wait_round(&mut strat, timeout) == WaitRound::Expired {
-            return Err(TryDequeueError::Empty);
+            break Err(TryDequeueError::Empty);
         }
         match rx.try_claim_payload() {
             Err(TryDequeueError::Empty) => {}
-            res => return res,
+            res => break res,
         }
-    }
+    };
+    rx.add_parks(strat.parks());
+    res
 }
 
 /// A reserved, writable payload buffer. Derefs to `[u8]`.
@@ -848,6 +860,10 @@ impl BytesProducer for SpProducer {
     fn wait_config(&self) -> WaitConfig {
         self.raw.wait_config()
     }
+
+    fn add_parks(&mut self, parks: u64) {
+        self.raw.add_parks(parks);
+    }
 }
 
 impl Drop for SpProducer {
@@ -1027,6 +1043,10 @@ impl BytesProducer for MpProducer {
 
     fn wait_config(&self) -> WaitConfig {
         self.wait
+    }
+
+    fn add_parks(&mut self, parks: u64) {
+        self.stats.parks += parks;
     }
 }
 
@@ -1303,6 +1323,10 @@ impl<E: ConsumerEngine<PayloadDesc>> BytesConsumer for Consumer<E> {
 
     fn wait_config(&self) -> WaitConfig {
         self.raw.wait_config()
+    }
+
+    fn add_parks(&mut self, parks: u64) {
+        self.raw.add_parks(parks);
     }
 }
 

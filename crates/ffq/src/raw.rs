@@ -707,6 +707,12 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> RawProducer<T, C, M> {
     pub fn stats(&self) -> ProducerStats {
         self.stats
     }
+
+    /// Adds the futex parks a blocking call's wait loop took outside this
+    /// engine (a bytes reserve) to its counters.
+    pub(crate) fn add_parks(&mut self, parks: u64) {
+        self.stats.parks += parks;
+    }
 }
 
 /// `FFQ_ENQ`'s scan (Algorithm 1 lines 9–15) for the single-producer
@@ -945,6 +951,11 @@ pub trait ConsumerEngine<T: Send, C: CellSlot<T> = PaddedCell<T>, M: IndexMap = 
     /// Snapshot of this consumer's counters.
     fn stats(&self) -> ConsumerStats;
 
+    /// Adds the futex parks a blocking call's wait loop took to this
+    /// handle's counters.
+    #[doc(hidden)]
+    fn add_parks(&mut self, parks: u64);
+
     /// Capacity of the underlying cell array.
     fn capacity(&self) -> usize {
         self.queue().capacity()
@@ -976,13 +987,13 @@ pub trait ConsumerEngine<T: Send, C: CellSlot<T> = PaddedCell<T>, M: IndexMap = 
 }
 
 /// The one wait loop of both engines' blocking dequeues, entered after the
-/// first attempt came up empty: returns the dequeue's result and the parks
-/// the wait took.
+/// first attempt came up empty: returns the dequeue's result and counts
+/// the parks the wait took.
 #[cold]
 fn dequeue_wait<T: Send, C: CellSlot<T>, M: IndexMap, E: ConsumerEngine<T, C, M>>(
     rx: &mut E,
     timeout: Option<Duration>,
-) -> (Result<T, TryDequeueError>, u64) {
+) -> Result<T, TryDequeueError> {
     let mut strat = WaitStrategy::new(rx.wait_config());
     let q = *rx.queue();
     let state = q.state();
@@ -1006,7 +1017,8 @@ fn dequeue_wait<T: Send, C: CellSlot<T>, M: IndexMap, E: ConsumerEngine<T, C, M>
             res => break res,
         }
     };
-    (res, strat.parks())
+    rx.add_parks(strat.parks());
+    res
 }
 
 /// The shared-head consumer engine (SPMC and MPMC variants).
@@ -1112,6 +1124,10 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap, const MP: bool> ConsumerEngine<T, C, 
         self.stats
     }
 
+    fn add_parks(&mut self, parks: u64) {
+        self.stats.parks += parks;
+    }
+
     fn recover_pending(&mut self) {
         while let Some(rank) = self.pending.pop_front() {
             let cell = self.queue.cell(rank);
@@ -1195,11 +1211,7 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap, const MP: bool> RawConsumer<T, C, M, 
     #[inline]
     fn dequeue_for(&mut self, timeout: Option<Duration>) -> Result<T, TryDequeueError> {
         match self.try_dequeue() {
-            Err(TryDequeueError::Empty) => {
-                let (res, parks) = dequeue_wait(self, timeout);
-                self.stats.parks += parks;
-                res
-            }
+            Err(TryDequeueError::Empty) => dequeue_wait(self, timeout),
             res => res,
         }
     }
@@ -1493,6 +1505,10 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> ConsumerEngine<T, C, M> for RawSpscCo
         self.stats
     }
 
+    fn add_parks(&mut self, parks: u64) {
+        self.stats.parks += parks;
+    }
+
     fn recover_pending(&mut self) {}
 
     fn prune_pending_from(&mut self, _bound: i64) -> usize {
@@ -1562,11 +1578,7 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> RawSpscConsumer<T, C, M> {
     #[inline]
     fn dequeue_for(&mut self, timeout: Option<Duration>) -> Result<T, TryDequeueError> {
         match self.try_dequeue() {
-            Err(TryDequeueError::Empty) => {
-                let (res, parks) = dequeue_wait(self, timeout);
-                self.stats.parks += parks;
-                res
-            }
+            Err(TryDequeueError::Empty) => dequeue_wait(self, timeout),
             res => res,
         }
     }

@@ -211,6 +211,36 @@ fn bytes_recv_timeout_empty_queue_expires() {
         waited < Duration::from_millis(500),
         "deadline badly overshot: {waited:?}"
     );
+    drop(res);
+    assert!(
+        rx.stats().parks >= 1,
+        "the timed wait's parks went uncounted"
+    );
+}
+
+#[test]
+fn bytes_blocking_reserve_counts_its_parks() {
+    // The producer's blocking reserve on a full queue parks until the main
+    // thread, well after the spin/yield phases end, releases one payload.
+    use ffq::bytes::{BytesConsumer, BytesProducer};
+    let (mut tx, mut rx) = ffq::spsc::bytes_channel(4, 64).unwrap();
+    for i in 0..4u8 {
+        tx.send_bytes(&[i]).unwrap();
+    }
+    let t = std::thread::spawn(move || {
+        let mut slot = tx.reserve(1).unwrap();
+        slot[0] = 4;
+        slot.commit();
+        tx.stats().parks
+    });
+    std::thread::sleep(Duration::from_millis(50));
+    for i in 0..5u8 {
+        assert_eq!(&*rx.recv().unwrap(), &[i]);
+    }
+    assert!(
+        t.join().unwrap() >= 1,
+        "the blocking reserve's parks went uncounted"
+    );
 }
 
 #[test]
