@@ -207,7 +207,7 @@ fn hold(mut slot: WriteSlot<'_, SpProducer>) -> *mut u8 {
 unsafe fn reserve(p: *mut FfqBytesProducer, len: usize, buf: *mut *mut u8, block: bool) -> i32 {
     guard(|| {
         out_ptr!(buf);
-        let h = handle!(p);
+        let h = handle!(p, producer);
         if h.has_pending() {
             set_last_error("a reservation is already outstanding on this producer");
             return FFQ_ERR_STATE;
@@ -263,7 +263,7 @@ pub unsafe extern "C" fn ffq_bytes_try_reserve(
 #[no_mangle]
 pub unsafe extern "C" fn ffq_bytes_commit(p: *mut FfqBytesProducer) -> i32 {
     guard(|| {
-        let h = handle!(p);
+        let h = handle!(p, producer);
         match h.pending_slot() {
             Some(slot) => {
                 slot.commit();
@@ -282,7 +282,7 @@ pub unsafe extern "C" fn ffq_bytes_commit(p: *mut FfqBytesProducer) -> i32 {
 #[no_mangle]
 pub unsafe extern "C" fn ffq_bytes_abort(p: *mut FfqBytesProducer) -> i32 {
     guard(|| {
-        let h = handle!(p);
+        let h = handle!(p, producer);
         match h.pending_slot() {
             Some(slot) => {
                 drop(slot);
@@ -308,7 +308,7 @@ pub unsafe extern "C" fn ffq_bytes_send(
             set_last_error("data is NULL");
             return FFQ_ERR_NULL;
         }
-        let h = handle!(p);
+        let h = handle!(p, producer);
         if h.has_pending() {
             set_last_error("a reservation is already outstanding on this producer");
             return FFQ_ERR_STATE;
@@ -374,7 +374,7 @@ unsafe fn claim_ref(
     guard(|| {
         out_ptr!(data);
         out_ptr!(len);
-        either!(handle!(c), rx => claim_from(rx, data, len, how))
+        either!(handle!(c, consumer), rx => claim_from(rx, data, len, how))
     })
 }
 
@@ -452,7 +452,7 @@ pub unsafe extern "C" fn ffq_payload_ref_timeout_ms(
 #[no_mangle]
 pub unsafe extern "C" fn ffq_payload_release(c: *mut FfqBytesConsumer) -> i32 {
     guard(|| {
-        if !either!(handle!(c), rx => rx.release_claimed()) {
+        if !either!(handle!(c, consumer), rx => rx.release_claimed()) {
             set_last_error("release without an outstanding payload ref");
             return FFQ_ERR_STATE;
         }

@@ -178,16 +178,18 @@ macro_rules! out_ptr {
 }
 pub(crate) use out_ptr;
 
-/// Null-checks a handle pointer and reborrows it mutably.
+/// Null-checks a handle pointer and reborrows it mutably. `$side`
+/// (`producer` or `consumer`) names the handle in the NULL message, as the
+/// lifecycle calls do.
 macro_rules! handle {
-    ($p:expr) => {
+    ($p:expr, $side:ident) => {
         // SAFETY: per the header contract the pointer is either NULL
         // (rejected here) or a live handle created by this library and not
         // yet closed, used from one thread at a time.
         match unsafe { $p.as_mut() } {
             Some(h) => h,
             None => {
-                $crate::set_last_error(concat!(stringify!($p), " handle is NULL"));
+                $crate::set_last_error(concat!(stringify!($side), " handle is NULL"));
                 return $crate::FFQ_ERR_NULL;
             }
         }

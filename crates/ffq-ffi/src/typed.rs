@@ -122,7 +122,7 @@ unsafe fn put<T: Elem>(p: *mut ShmProducer<T>, value: T::In, block: bool) -> i32
             set_last_error("value is NULL");
             return FFQ_ERR_NULL;
         }
-        let h = handle!(p);
+        let h = handle!(p, producer);
         if h.is_poisoned() {
             return poisoned();
         }
@@ -158,7 +158,7 @@ unsafe fn take<T: Elem, E: ConsumerEngine<T>>(
 ) -> i32 {
     guard(|| {
         out_ptr!(out);
-        let h = handle!(c);
+        let h = handle!(c, consumer);
         let got = match how {
             Wait::Block => h.dequeue().map_err(dequeue_status),
             Wait::Try => h.try_dequeue().map_err(try_dequeue_status),
@@ -385,6 +385,39 @@ mod tests {
     }
 
     #[test]
+    fn poisoned_consumer_drains_published_items_first() {
+        let name = shm_name("t-spsc-poison-drain");
+        // SAFETY: as above — valid pointers throughout.
+        unsafe {
+            let mut size = 0usize;
+            assert_eq!(spsc_u64::required_size(8, &mut size), FFQ_OK);
+            let mut region = ptr::null_mut();
+            assert_eq!(ffq_region_create(name.as_ptr(), size, &mut region), FFQ_OK);
+            let mut prod = ptr::null_mut();
+            assert_eq!(spsc_u64::create(region, 8, &mut prod), FFQ_OK);
+            let mut cons = ptr::null_mut();
+            assert_eq!(spsc_u64::attach_consumer(region, &mut cons), FFQ_OK);
+            ffq_region_close(region);
+
+            assert_eq!(spsc_u64::enqueue(prod, 1), FFQ_OK);
+            assert_eq!(spsc_u64::enqueue(prod, 2), FFQ_OK);
+            assert_eq!(spsc_u64::consumer::poison(cons), FFQ_OK);
+            // The published items still come out, in order; the poison
+            // shows once the queue is empty.
+            let mut out = 0u64;
+            assert_eq!(spsc_u64::dequeue(cons, &mut out), FFQ_OK);
+            assert_eq!(out, 1);
+            assert_eq!(spsc_u64::dequeue(cons, &mut out), FFQ_OK);
+            assert_eq!(out, 2);
+            assert_eq!(spsc_u64::try_dequeue(cons, &mut out), FFQ_POISONED);
+
+            spsc_u64::producer::close(prod);
+            spsc_u64::consumer::close(cons);
+            assert_eq!(ffq_region_unlink(name.as_ptr()), FFQ_OK);
+        }
+    }
+
+    #[test]
     fn spmc_16b_round_trip_and_poison() {
         let name = shm_name("t-spmc-16b");
         // SAFETY: as above — valid pointers throughout.
@@ -418,14 +451,37 @@ mod tests {
         }
     }
 
+    /// The last-error message of the calling thread.
+    fn last_error() -> String {
+        // SAFETY: the library's message pointer is never NULL and stays
+        // valid until this thread's next call.
+        unsafe { std::ffi::CStr::from_ptr(crate::ffq_last_error_message()) }
+            .to_str()
+            .unwrap()
+            .to_owned()
+    }
+
     #[test]
     fn null_handles_are_rejected() {
         // SAFETY: deliberately passing NULL — the contract promises
         // FFQ_ERR_NULL (or a 0/no-op) instead of UB.
         unsafe {
             assert_eq!(spsc_u64::enqueue(ptr::null_mut(), 7), FFQ_ERR_NULL);
+            assert_eq!(last_error(), "producer handle is NULL");
             let mut out = 0u64;
             assert_eq!(spsc_u64::dequeue(ptr::null_mut(), &mut out), FFQ_ERR_NULL);
+            assert_eq!(last_error(), "consumer handle is NULL");
+            assert_eq!(
+                crate::bytes::ffq_bytes_commit(ptr::null_mut()),
+                FFQ_ERR_NULL
+            );
+            assert_eq!(last_error(), "producer handle is NULL");
+            let (mut data, mut len) = (ptr::null(), 0usize);
+            assert_eq!(
+                crate::bytes::ffq_payload_ref(ptr::null_mut(), &mut data, &mut len),
+                FFQ_ERR_NULL
+            );
+            assert_eq!(last_error(), "consumer handle is NULL");
             let mut cons = ptr::null_mut();
             assert_eq!(
                 spmc_u64::attach_consumer(ptr::null(), &mut cons),

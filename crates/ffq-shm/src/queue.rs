@@ -528,8 +528,15 @@ macro_rules! attachment_api {
             self.att.is_poisoned()
         }
 
-        /// Explicitly poisons the queue: every blocked or future operation
-        /// on any attached handle errors out. Irreversible.
+        /// Explicitly poisons the queue for every attached handle, in every
+        /// process. Irreversible. Then:
+        ///
+        /// * every parked handle wakes; a blocking call that still cannot
+        ///   go on returns `Poisoned` within one park slice;
+        /// * consumers drain the items already published first, and report
+        ///   `Poisoned` only once the queue is empty;
+        /// * a producer with free space still enqueues (or reserves);
+        /// * a new attach is refused with [`ShmError::Poisoned`].
         pub fn poison(&self) {
             self.att.poison();
         }

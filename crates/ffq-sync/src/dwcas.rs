@@ -116,6 +116,37 @@ pub fn has_native_dwcas() -> bool {
     true
 }
 
+/// Whether this CPU has `prefetchw` (PRFCHW), cached like
+/// [`has_native_dwcas`].
+#[cfg(all(not(loom), not(miri), target_arch = "x86_64"))]
+#[inline(always)]
+fn has_prefetchw() -> bool {
+    // 0 = unknown, 1 = yes, 2 = no.
+    static CACHE: AtomicU8 = AtomicU8::new(0);
+    match CACHE.load(Ordering::Relaxed) {
+        1 => true,
+        2 => false,
+        _ => detect_prefetchw(&CACHE),
+    }
+}
+
+/// The first [`has_prefetchw`] call: reads PRFCHW (CPUID leaf
+/// `0x8000_0001`, ECX bit 8) and caches the answer.
+/// `is_x86_feature_detected!` does not know the feature.
+#[cfg(all(not(loom), not(miri), target_arch = "x86_64"))]
+#[cold]
+#[inline(never)]
+fn detect_prefetchw(cache: &AtomicU8) -> bool {
+    use core::arch::x86_64::__cpuid;
+    // `__cpuid` is a safe call on newer compilers only.
+    #[allow(unused_unsafe)]
+    let yes = unsafe {
+        __cpuid(0x8000_0000).eax >= 0x8000_0001 && __cpuid(0x8000_0001).ecx & (1 << 8) != 0
+    };
+    cache.store(if yes { 1 } else { 2 }, Ordering::Relaxed);
+    yes
+}
+
 /// `lock cmpxchg16b` on the 16-byte pair at `ptr`.
 ///
 /// Returns the value observed in memory and whether the exchange happened.
@@ -200,6 +231,28 @@ impl DoubleWord {
     #[inline]
     pub fn hi_atomic(&self) -> &AtomicI64 {
         &self.hi
+    }
+
+    /// Hints that this thread is about to write the pair: `prefetchw` asks
+    /// for the line in the exclusive state, so a load and then a store by
+    /// this thread cost one line transfer, not a read miss and then an
+    /// upgrade. It loads nothing, stores nothing and orders nothing. A
+    /// no-op on other targets, on x86_64 CPUs without PRFCHW, and under
+    /// Miri and loom.
+    #[inline(always)]
+    pub fn prefetch_for_write(&self) {
+        #[cfg(all(not(miri), target_arch = "x86_64"))]
+        if has_prefetchw() {
+            // SAFETY: a prefetch of a live, aligned address; it has no
+            // architectural effect and never faults.
+            unsafe {
+                core::arch::asm!(
+                    "prefetchw [{0}]",
+                    in(reg) self as *const Self,
+                    options(nostack, preserves_flags, readonly),
+                );
+            }
+        }
     }
 
     /// Atomically loads the low word.
@@ -371,6 +424,10 @@ impl DoubleWord {
         }
     }
 
+    /// A hint with no memory effect: nothing to model.
+    #[inline(always)]
+    pub fn prefetch_for_write(&self) {}
+
     /// Atomically loads the low word.
     #[inline]
     pub fn load_lo(&self, order: Ordering) -> i64 {
@@ -511,6 +568,15 @@ mod tests {
         assert_eq!(d.swap_lo_unpaired(7, Ordering::AcqRel), 3);
         assert_eq!(d.load_lo(Ordering::Relaxed), 7);
         assert_eq!(d.load_hi(Ordering::Relaxed), 9, "hi word untouched");
+    }
+
+    #[test]
+    fn prefetch_for_write_changes_nothing() {
+        // The first call detects the feature, the second reads the cache.
+        let d = DoubleWord::new(3, 9);
+        d.prefetch_for_write();
+        d.prefetch_for_write();
+        assert_eq!(d.load_pair(), (3, 9));
     }
 
     #[test]

@@ -474,8 +474,9 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> Drop for Producer<T, C, M> {
 
 /// One pass of `FFQ_ENQ` (Algorithm 2) up to the publish: unless the
 /// counters report the queue full, takes up to one array's worth of tail
-/// ranks until one claims its cell.
-#[inline]
+/// ranks until one claims its cell. Always inline: it is the hit path of
+/// every multi-producer enqueue.
+#[inline(always)]
 fn claim<T, C: CellSlot<T>, M: IndexMap>(
     queue: &RawQueue<T, C, M>,
     stats: &mut ProducerStats,
@@ -500,6 +501,8 @@ pub(crate) fn claim_cell<T, C: CellSlot<T>, M: IndexMap>(
     stats: &mut ProducerStats,
 ) -> bool {
     let words = queue.cell(rank).words();
+    // Read below, then claimed (or gap-announced) by a pair CAS.
+    words.prefetch_for_write();
     let mut backoff = None;
     // Line 6: while no gap announcement supersedes our rank.
     loop {

@@ -468,8 +468,9 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> RawProducer<T, C, M> {
     }
 
     /// One `FFQ_ENQ` pass: the scan, then the publish into the free cell
-    /// it found; the value comes back when the queue is full.
-    #[inline]
+    /// it found; the value comes back when the queue is full. Always
+    /// inline: it is the hit path of every single-producer enqueue.
+    #[inline(always)]
     fn try_publish(&mut self, value: T) -> Result<(), T> {
         let (tail, stats) = (&mut self.tail, &mut self.stats);
         let Some(cell) = skip_busy(&self.queue, tail, &mut self.head_cache, stats) else {
@@ -736,6 +737,9 @@ fn skip_busy<'q, T, C: CellSlot<T>, M: IndexMap>(
         return None;
     }
     let cell = q.cell(*tail);
+    // The cell is read here and written by the publish: ask for it
+    // exclusive now, so a line the consumer last touched moves once.
+    cell.words().prefetch_for_write();
     if is_free(cell) {
         return Some(cell);
     }
@@ -986,6 +990,23 @@ pub trait ConsumerEngine<T: Send, C: CellSlot<T> = PaddedCell<T>, M: IndexMap = 
     fn pending_is_empty(&self) -> bool;
 }
 
+/// Line 22: a fresh rank from the shared head, for a shared-head consumer
+/// with no parked rank.
+#[inline(always)]
+fn claim_head<T, C: CellSlot<T>, M: IndexMap>(
+    q: &RawQueue<T, C, M>,
+    stats: &mut ConsumerStats,
+) -> i64 {
+    stats.ranks_claimed += 1;
+    stats.head_rmws += 1;
+    // Relaxed: the fetch_add only hands out unique ranks; all inter-thread
+    // publication goes through the cell's rank word (Acquire/Release).
+    let rank = q.state().head().fetch_add(1, Ordering::Relaxed);
+    // The head advance is what unblocks a producer parked on a full queue.
+    q.state().wake_producers(1);
+    rank
+}
+
 /// The one wait loop of both engines' blocking dequeues, entered after the
 /// first attempt came up empty: returns the dequeue's result and counts
 /// the parks the wait took.
@@ -1058,8 +1079,9 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap, const MP: bool> ConsumerEngine<T, C, 
         &self.queue
     }
 
-    /// A dequeue is a claim, a read, and a recycle of the cell.
-    #[inline]
+    /// A dequeue is a claim, a read, and a recycle of the cell. Always
+    /// inline: past the claim's hit path it is three steps.
+    #[inline(always)]
     fn try_dequeue(&mut self) -> Result<T, TryDequeueError> {
         let (_, cell) = self.claim()?;
         // SAFETY: a published cell's payload is initialized, and rank
@@ -1155,28 +1177,48 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap, const MP: bool> RawConsumer<T, C, M, 
     /// Resumes the oldest parked rank before claiming a fresh one from the
     /// shared head, and re-parks at the front the rank it could not
     /// satisfy. After `capacity` gaps, the next one ends the call `Empty`.
+    ///
+    /// The hit path is inline: no parked rank, a fresh rank from the head,
+    /// and a first look that finds it published. Everything else is the
+    /// cold [`claim_rest`](Self::claim_rest).
     #[inline]
     fn claim(&mut self) -> Result<(i64, &C), TryDequeueError> {
+        let mut first = None;
+        if self.pending.is_empty() {
+            let rank = claim_head(&self.queue, &mut self.stats);
+            let seen = self
+                .queue
+                .cell(rank)
+                .words()
+                .load_pair_untorn(Ordering::Acquire);
+            if seen.0 == rank {
+                self.stats.dequeued += 1;
+                return Ok((rank, self.queue.cell(rank)));
+            }
+            first = Some((rank, seen));
+        }
+        self.claim_rest(first)
+    }
+
+    /// The rest of [`claim`](Self::claim), from the first look at a fresh
+    /// rank that missed (`first`), or from the oldest parked rank.
+    #[cold]
+    fn claim_rest(
+        &mut self,
+        mut first: Option<(i64, (i64, i64))>,
+    ) -> Result<(i64, &C), TryDequeueError> {
         let q = &self.queue;
         let mut probe = Probe::Armed;
         let mut gaps = 0usize;
         loop {
-            let rank = match self.pending.pop_front() {
-                Some(r) => r,
-                None => {
-                    self.stats.ranks_claimed += 1;
-                    self.stats.head_rmws += 1;
-                    // Relaxed: the fetch_add only hands out unique ranks;
-                    // all inter-thread publication goes through the cell's
-                    // rank word (Acquire/Release).
-                    let rank = q.state().head().fetch_add(1, Ordering::Relaxed);
-                    // The head advance is what unblocks a producer parked
-                    // on a full queue.
-                    q.state().wake_producers(1);
-                    rank
-                }
+            let (rank, seen) = match first.take() {
+                Some((rank, seen)) => (rank, Some(seen)),
+                None => match self.pending.pop_front() {
+                    Some(r) => (r, None),
+                    None => (claim_head(q, &mut self.stats), None),
+                },
             };
-            match visit(q, rank, &mut probe, &mut self.stats) {
+            match visit(q, rank, seen, &mut probe, &mut self.stats) {
                 Visit::Published(cell) => {
                     self.stats.dequeued += 1;
                     return Ok((rank, cell));
@@ -1272,7 +1314,7 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap, const MP: bool> RawConsumer<T, C, M, 
             // outer loop claims again.
             let stop = end.min(start + (max - n) as i64);
             for rank in start..stop {
-                match visit(&q, rank, &mut Probe::Off, &mut self.stats) {
+                match visit(&q, rank, None, &mut Probe::Off, &mut self.stats) {
                     Visit::Published(cell) => {
                         // SAFETY: published cell, unique owner by rank
                         // equality.
@@ -1423,7 +1465,7 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> ConsumerEngine<T, C, M> for RawSpscCo
         let start = self.head;
         let mut n = 0usize;
         while n < max {
-            match visit(&q, self.head, &mut Probe::Off, &mut self.stats) {
+            match visit(&q, self.head, None, &mut Probe::Off, &mut self.stats) {
                 Visit::Published(cell) => {
                     // SAFETY: published cell owned by the unique consumer.
                     let value = unsafe { (*cell.data()).assume_init_read() };
@@ -1532,7 +1574,7 @@ impl<T: Send, C: CellSlot<T>, M: IndexMap> RawSpscConsumer<T, C, M> {
         let mut probe = Probe::Armed;
         let start = self.head;
         loop {
-            match visit(q, self.head, &mut probe, &mut self.stats) {
+            match visit(q, self.head, None, &mut probe, &mut self.stats) {
                 Visit::Published(cell) => {
                     self.stats.dequeued += 1;
                     return Ok(cell);

@@ -230,7 +230,8 @@ pub(crate) enum Visit<'q, C> {
 /// owns — claimed from the shared head, parked, or the SPSC private head.
 /// Every consumer engine and harvest runs it.
 ///
-/// Lines 25/29 share one untorn `(rank, gap)` read per look; on the
+/// Lines 25/29 share one untorn `(rank, gap)` read per look (`seen` is
+/// the first look's, when the caller took it inline); on the
 /// emulated DWCAS path it is stripe-locked, so it can never observe a
 /// half-applied pair update from a racing producer CAS. Its rank half's
 /// Acquire pairs with the producer's Release rank store (or release fence,
@@ -240,6 +241,7 @@ pub(crate) enum Visit<'q, C> {
 pub(crate) fn visit<'q, T, C: CellSlot<T>, M: IndexMap>(
     q: &'q RawQueue<T, C, M>,
     rank: i64,
+    mut seen: Option<(i64, i64)>,
     probe: &mut Probe,
     stats: &mut ConsumerStats,
 ) -> Visit<'q, C> {
@@ -247,7 +249,10 @@ pub(crate) fn visit<'q, T, C: CellSlot<T>, M: IndexMap>(
     let cell = q.cell(rank);
     let words = cell.words();
     loop {
-        let (r, g) = words.load_pair_untorn(Ordering::Acquire);
+        let (r, g) = match seen.take() {
+            Some(pair) => pair,
+            None => words.load_pair_untorn(Ordering::Acquire),
+        };
         // Line 25: is this cell publishing exactly our rank?
         if r == rank {
             return Visit::Published(cell);
@@ -406,6 +411,8 @@ where
             let rank = *tail;
             debug_assert!(rank >= 0, "tail overflowed i64");
             let words = q.cell(rank).words();
+            // Read now and written below, whichever way the check goes.
+            words.prefetch_for_write();
             if words.load_lo(Ordering::Acquire) >= 0 {
                 // Busy cell (Algorithm 1 line 13): skip it and announce the
                 // gap immediately. Same ordering as the per-item path
